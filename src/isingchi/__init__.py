@@ -1,6 +1,7 @@
 """Exact pair correlations and wavevector-resolved susceptibility for
 square-lattice Ising models, including the fully frustrated case and
-aperiodically sign-modulated columns.
+aperiodically sign-modulated columns.  The oracle and the verification
+suites load scipy, so import them from isingchi.oracle and isingchi.verify.
 """
 
 from .elliptic import (
@@ -16,14 +17,12 @@ from .couplings import (
     CouplingPair,
     RapidityLine,
     coupling_pair,
-    kw_dual,
     orientation_flip,
 )
 from .correlations import (
     CorrelationTable,
     PrecisionExhausted,
     SeedInconsistency,
-    SeedSet,
     TableRangeError,
     build_table,
     diagonal_seeds,
@@ -36,14 +35,11 @@ from .frustrated import (
     DualPair,
     EightVertexWeights,
     FrustratedModel,
-    PartialDualCouplings,
     TableMismatchError,
-    decimated_spin,
     dual_pair,
     eight_vertex_weights,
     ff_correlation,
     gauge_sign,
-    partial_dual,
     separation_class,
 )
 from .quasiperiodic import (
@@ -68,19 +64,6 @@ from .chi import (
     find_peaks,
     tail_estimate,
 )
-from .oracle import (
-    CylinderSpec,
-    IdentityCheck,
-    VerificationReport,
-    cylinder_correlation,
-    enumerate_correlation,
-    extrapolate,
-    frustrated_lattice,
-    square_lattice,
-    torus_correlation,
-    verify_identities,
-)
-from .verify import run_suite
 
 __version__ = "0.1.0"
 
@@ -88,25 +71,20 @@ __all__ = [
     "ChiGrid",
     "CorrelationTable",
     "CouplingPair",
-    "CylinderSpec",
     "DualPair",
     "EightVertexWeights",
     "EllipticDomainError",
     "EstimationError",
     "FibonacciSpec",
     "FrustratedModel",
-    "IdentityCheck",
     "Modulus",
-    "PartialDualCouplings",
     "Peak",
     "PrecisionExhausted",
     "RapidityLine",
     "SeedInconsistency",
-    "SeedSet",
     "SignSequence",
     "TableMismatchError",
     "TableRangeError",
-    "VerificationReport",
     "Wavevector",
     "WindowRangeError",
     "autocorrelation",
@@ -117,36 +95,25 @@ __all__ = [
     "chi_uniform",
     "complete_elliptic_K",
     "coupling_pair",
-    "cylinder_correlation",
-    "decimated_spin",
     "diagonal_seeds",
     "dual_magnetization",
     "dual_pair",
     "eight_vertex_weights",
-    "enumerate_correlation",
-    "extrapolate",
     "ff_correlation",
     "fib_bit",
     "fib_bits",
     "find_peaks",
-    "frustrated_lattice",
     "gauge_sign",
     "jacobi_cs",
     "jacobi_elliptic",
     "jacobi_sc",
-    "kw_dual",
     "lookup",
     "make_modulus",
     "metallic_alpha",
     "next_diagonal_seeds",
     "onsager_nn",
     "orientation_flip",
-    "partial_dual",
-    "run_suite",
     "separation_class",
     "sign_sequence",
-    "square_lattice",
     "tail_estimate",
-    "torus_correlation",
-    "verify_identities",
 ]

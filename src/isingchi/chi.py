@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import TableRangeError, lookup
-from .frustrated import TableMismatchError, dual_pair
+from .frustrated import _require_model_table
 from .quasiperiodic import WindowRangeError
 
 __all__ = [
@@ -118,14 +118,8 @@ def _require_disordered(table):
             "was built for modulus %g >= 1" % table.k_requested)
 
 
-def _uniform_grid(table, qxs, qys, R):
-    m = _octant(table, R, "C")
-    x = _cos_block(qxs, range(R + 1))
-    y = _cos_block(qys, range(R + 1))
-    return x @ m @ y.T
-
-
 def _gauge_grid(table, kappa, qxs, qys, R):
+    # the uniform source is this sum with kappa = 1, which is exact in float
     kappa = np.asarray(kappa, float)
     if kappa.shape[0] <= R:
         raise WindowRangeError(
@@ -138,11 +132,7 @@ def _gauge_grid(table, kappa, qxs, qys, R):
 
 
 def _frustrated_grid(model, table, qxs, qys, R):
-    pair = dual_pair(model.S)
-    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
-        raise TableMismatchError(
-            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
-            % (table.k_requested, model.S, pair.k))
+    _require_model_table(model, table)
     c = _octant(table, R, "C")
     cb = _octant(table, R, "Cbar")
     n_sign = ((-1.0) ** np.arange(R + 1) if model.version == "a"
@@ -177,7 +167,7 @@ def chi_uniform(table, q, R):
     _require_window(table, R)
     _require_disordered(table)
     qx, qy = _as_q(q)
-    return float(_uniform_grid(table, [qx], [qy], R)[0, 0])
+    return float(_gauge_grid(table, np.ones(R + 1), [qx], [qy], R)[0, 0])
 
 
 def chi_column_gauge(table, kappa, q, R):
@@ -262,12 +252,11 @@ def chi_grid(source, nx, ny, R):
     kind, table, label, model, kappa = _source_parts(source)
     qxs = 2 * math.pi * np.arange(nx) / nx - math.pi
     qys = 2 * math.pi * np.arange(ny) / ny - math.pi
-    if kind == "uniform":
-        values = _uniform_grid(table, qxs, qys, R)
-    elif kind == "gauge":
-        values = _gauge_grid(table, kappa, qxs, qys, R)
-    else:
+    if kind == "frustrated":
         values = _frustrated_grid(model, table, qxs, qys, R)
+    else:
+        values = _gauge_grid(table, np.ones(R + 1) if kappa is None else kappa,
+                             qxs, qys, R)
     return ChiGrid(nx=nx, ny=ny, qx=qxs, qy=qys, values=values,
                    window_radius=R, tail_bound=tail_estimate(table, R),
                    source=label)

@@ -18,9 +18,9 @@ recurrences fill the remaining octant.
 All arithmetic here runs under mpmath at a configurable precision; the
 recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12
-or so.  The star and corner identities are not consumed by the sweep, and
-their worst residual over the finished octant is recorded as a build-time
-health figure.
+or so.  The star and corner identities are not consumed by the sweep; the
+worst residual of these and of the two quadratic recurrences over the
+finished octant is recorded as a build-time health figure.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ __all__ = [
     "CorrelationTable",
     "PrecisionExhausted",
     "SeedInconsistency",
-    "SeedSet",
     "TableRangeError",
     "build_table",
     "diagonal_seeds",
@@ -277,19 +276,6 @@ def next_diagonal_seeds(mod, diag, base):
 
 
 @dataclass(frozen=True)
-class SeedSet:
-    """Everything the sweep starts from: base pair, diagonals, next-diagonals.
-
-    diag and next_diag are pairs of tuples, disordered family first.
-    """
-
-    c10: object
-    cbar01: object
-    diag: tuple
-    next_diag: tuple
-
-
-@dataclass(frozen=True)
 class CorrelationTable:
     """A finished octant of C and C_bar values, immutable once built.
 
@@ -297,7 +283,8 @@ class CorrelationTable:
     (m, n); entries are mpmath reals at precision_bits.  k_requested keeps
     the caller's modulus, which differs from mod.k when a modulus above 1
     was served through the duality swap.  residual_report is the worst
-    corner/star residual seen over the finished octant.
+    identity residual (corner, star, quadratic) seen over the finished
+    octant.
     """
 
     mod: Modulus
@@ -306,7 +293,6 @@ class CorrelationTable:
     C_bar: tuple
     precision_bits: int
     residual_report: float
-    seeds: SeedSet
     k_requested: float
 
     @property
@@ -331,37 +317,31 @@ def lookup(table, m, n, which="C"):
     raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
 
 
-def _residual_scan(k, radius, c, cb):
-    """Worst corner/star residual over the octant.
+def _identity_residuals(k, c, cb, m, n):
+    """Residuals of the four pair identities at (m, n), keyed by name.
 
-    The corner relation holds everywhere including the origin; the star
-    relation excludes it.  Negative indices fold back by symmetry.
+    c and cb are (i, j) accessors for C and C_bar that fold negative
+    indices by symmetry; k may be an mpf or a float.  The corner
+    determinant holds everywhere including the origin; the two quadratic
+    recurrences and the star relation exclude it, where they provably
+    fail, so only the corner residual is returned there.
     """
-    rk = mp.sqrt(k)
-
-    def gc(i, j):
-        return c[abs(i)][abs(j)]
-
-    def gb(i, j):
-        return cb[abs(i)][abs(j)]
-
-    worst = mp.mpf(0)
-    for m in range(radius):
-        for n in range(m, radius):
-            corner = (k * (gc(m, n) * gc(m + 1, n + 1)
-                           - gc(m, n + 1) * gc(m + 1, n))
-                      - (gb(m, n) * gb(m + 1, n + 1)
-                         - gb(m, n + 1) * gb(m + 1, n)))
-            worst = max(worst, abs(corner))
-            if m == 0 and n == 0:
-                continue
-            star = (rk * (gc(m + 1, n) * gb(m - 1, n)
-                          + gc(m - 1, n) * gb(m + 1, n)
-                          + gc(m, n + 1) * gb(m, n - 1)
-                          + gc(m, n - 1) * gb(m, n + 1))
-                    - 2 * (k + 1) * gc(m, n) * gb(m, n))
-            worst = max(worst, abs(star))
-    return worst
+    corner = (k * (c(m, n) * c(m + 1, n + 1) - c(m, n + 1) * c(m + 1, n))
+              - (cb(m, n) * cb(m + 1, n + 1) - cb(m, n + 1) * cb(m + 1, n)))
+    if m == 0 and n == 0:
+        return {"corner-determinant": corner}
+    return {
+        "quad-recurrence-y": (k * (c(m, n + 1) * c(m, n - 1) - c(m, n) ** 2)
+                              + (cb(m + 1, n) * cb(m - 1, n) - cb(m, n) ** 2)),
+        "quad-recurrence-x": (k * (c(m + 1, n) * c(m - 1, n) - c(m, n) ** 2)
+                              + (cb(m, n + 1) * cb(m, n - 1) - cb(m, n) ** 2)),
+        "corner-determinant": corner,
+        "neighbour-star": (k ** 0.5 * (c(m + 1, n) * cb(m - 1, n)
+                                       + c(m - 1, n) * cb(m + 1, n)
+                                       + c(m, n + 1) * cb(m, n - 1)
+                                       + c(m, n - 1) * cb(m, n + 1))
+                           - 2 * (k + 1) * c(m, n) * cb(m, n)),
+    }
 
 
 def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
@@ -406,9 +386,6 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
         c10, cbar01 = _base_seeds(k)
         diag = diagonal_seeds(k, radius + 1)
         next_diag = next_diagonal_seeds(k, diag, (c10, cbar01))
-        seeds = SeedSet(c10=c10, cbar01=cbar01,
-                        diag=(tuple(diag[0]), tuple(diag[1])),
-                        next_diag=(tuple(next_diag[0]), tuple(next_diag[1])))
 
         size = radius + 1
         c = [[None] * size for _ in range(size)]
@@ -449,7 +426,8 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
                         where=(m, n + 1))
                 put(m, n + 1, cv, bv)
 
-        worst = _residual_scan(k, radius, c, cb)
+        worst = max(abs(r) for m in range(radius) for n in range(m, radius)
+                    for r in _identity_residuals(k, gc, gb, m, n).values())
 
         if swap:
             c, cb = cb, c
@@ -459,6 +437,5 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
             C_bar=tuple(tuple(row) for row in cb),
             precision_bits=precision_bits,
             residual_report=float(worst),
-            seeds=seeds,
             k_requested=k_req)
     return table

@@ -1,4 +1,4 @@
-"""Couplings from rapidity-line geometry, and the Kramers-Wannier dual.
+"""Couplings from rapidity-line geometry.
 
 A coupling pair sits at the crossing of two oriented rapidity lines.  The
 map from the rapidity difference d to the pair is
@@ -24,7 +24,6 @@ __all__ = [
     "CouplingPair",
     "RapidityLine",
     "coupling_pair",
-    "kw_dual",
     "orientation_flip",
 ]
 
@@ -46,12 +45,12 @@ class CouplingPair:
     K_bar: object
 
 
-def orientation_flip(line, mod=None):
+def orientation_flip(line):
     """The same rapidity line traversed the other way.
 
     Only the flag is toggled; the stored rapidity is never mutated.  The
     quarter-period shift the flip implies is applied where the line enters
-    a crossing.  mod is accepted for signature symmetry and unused.
+    a crossing.
     """
     return replace(line, reversed=not line.reversed)
 
@@ -84,13 +83,3 @@ def coupling_pair(u1, u2, mod):
     c = jacobi_cs(d, mod.k_prime)
     return CouplingPair(K=mp.asinh(s) / 2, K_bar=mp.asinh(c) / 2)
 
-
-def kw_dual(K):
-    """Kramers-Wannier dual coupling: sinh 2K* = 1 / sinh 2K.
-
-    Involutive on K > 0, with fixed point at sinh 2K = 1.
-    """
-    K = mp.mpf(K)
-    if K <= 0:
-        raise ValueError("dual coupling defined for K > 0, got %s" % mp.nstr(K, 8))
-    return mp.asinh(1 / mp.sinh(2 * K)) / 2

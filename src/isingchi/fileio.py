@@ -12,16 +12,13 @@ import tempfile
 import numpy as np
 
 from .correlations import lookup
-from .frustrated import ff_correlation, separation_class
 
 __all__ = [
     "ConfigError",
     "format_float",
-    "frustrated_rows",
     "read_config",
     "write_chi_csv",
     "write_corr_csv",
-    "write_frustrated_csv",
     "write_peaks_csv",
     "write_pgm",
     "write_sequence",
@@ -67,24 +64,6 @@ def write_corr_csv(path, table):
         lines.append("%d,%d,%s,%s" % (m, n,
                                       format_float(lookup(table, m, n)),
                                       format_float(lookup(table, m, n, "Cbar"))))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def frustrated_rows(model, table, sep_radius, base_parity=0):
-    """Separation table rows (dx, dy, value, class) over a square window."""
-    rows = []
-    for dx in range(-sep_radius, sep_radius + 1):
-        for dy in range(-sep_radius, sep_radius + 1):
-            rows.append((dx, dy,
-                         ff_correlation(model, table, dx, dy, base_parity),
-                         separation_class(dx, dy)))
-    return rows
-
-
-def write_frustrated_csv(path, rows):
-    lines = ["dx,dy,value,class"]
-    for dx, dy, value, cls in rows:
-        lines.append("%d,%d,%s,%s" % (dx, dy, format_float(value), cls))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

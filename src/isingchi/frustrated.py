@@ -28,14 +28,11 @@ __all__ = [
     "DualPair",
     "EightVertexWeights",
     "FrustratedModel",
-    "PartialDualCouplings",
     "TableMismatchError",
-    "decimated_spin",
     "dual_pair",
     "eight_vertex_weights",
     "ff_correlation",
     "gauge_sign",
-    "partial_dual",
     "separation_class",
 ]
 
@@ -76,13 +73,6 @@ class EightVertexWeights:
 
 
 @dataclass(frozen=True)
-class PartialDualCouplings:
-    k_tilde: float
-    k_tilde_prime: float
-    k_tilde4: float
-
-
-@dataclass(frozen=True)
 class DualPair:
     """The two decoupled Ising couplings and their shared modulus."""
 
@@ -108,34 +98,6 @@ def eight_vertex_weights(S):
         k_hat4=math.log((s2 + 1) / root) / 4)
 
 
-def decimated_spin(S, s1, s2, s3, s4):
-    """Mean of a decimated spin given its four neighbours.
-
-    Exactly reproduces the two-term Boltzmann sum over the removed spin
-    coupled to (s1, s2, s3) ferromagnetically and s4 antiferromagnetically.
-    """
-    for s in (s1, s2, s3, s4):
-        if s not in (-1, 1):
-            raise ValueError("spins must be +1 or -1, got %r" % (s,))
-    if not S > 0:
-        raise ValueError("S must be positive, got %r" % (S,))
-    s2_ = S * S
-    linear = S * (s1 + s3 + s2 - s4) / (2 * math.sqrt(s2_ + 1))
-    return linear * (1 - s2_ * (1 - s1 * s3 * s2 * s4) / (2 * (2 * s2_ + 1)))
-
-
-def partial_dual(S):
-    """Reduced couplings after dualizing one sublattice of the vertex model."""
-    if not S > 0:
-        raise ValueError("S must be positive, got %r" % (S,))
-    s2 = S * S
-    root = math.sqrt(2 * s2 + 1)
-    return PartialDualCouplings(
-        k_tilde=math.log(2 * s2 + 1) / 8,
-        k_tilde_prime=math.log(2 * s2 + 1) / 8,
-        k_tilde4=math.log(root / (s2 + 1)) / 4)
-
-
 def dual_pair(S):
     """The dual temperature pair the frustrated model factorizes into.
 
@@ -149,6 +111,15 @@ def dual_pair(S):
     return DualPair(k_sigma=math.asinh(rk) / 2,
                     k_tau=math.asinh(1 / rk) / 2,
                     k=rk * rk)
+
+
+def _require_model_table(model, table):
+    """Raise TableMismatchError unless table was built at the model's modulus."""
+    pair = dual_pair(model.S)
+    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
+        raise TableMismatchError(
+            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
+            % (table.k_requested, model.S, pair.k))
 
 
 def gauge_sign(l):
@@ -192,11 +163,7 @@ def ff_correlation(model, table, dx, dy, base_parity):
     """
     if base_parity not in (0, 1):
         raise ValueError("base_parity must be 0 or 1, got %r" % (base_parity,))
-    pair = dual_pair(model.S)
-    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
-        raise TableMismatchError(
-            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
-            % (table.k_requested, model.S, pair.k))
+    _require_model_table(model, table)
     dx, dy = int(dx), int(dy)
     need = max((abs(dx) + 1) // 2, (abs(dy) + 1) // 2)
     if need > table.radius:

@@ -569,6 +569,7 @@ def uniform_identity_rows(C, C_bar, k, radius, tol):
     identities and the star identity exclude the origin, where they
     provably fail; the corner determinant identity holds everywhere.
     """
+    from .correlations import _identity_residuals
 
     def c(m, n):
         return C[(abs(m), abs(n))]
@@ -576,29 +577,26 @@ def uniform_identity_rows(C, C_bar, k, radius, tol):
     def cb(m, n):
         return C_bar[(abs(m), abs(n))]
 
-    quad_y, quad_x, corner, star = {}, {}, {}, {}
+    names = ("quad-recurrence-y", "quad-recurrence-x", "corner-determinant",
+             "neighbour-star")
+    residuals = {name: {} for name in names}
     for m in range(radius + 1):
         for n in range(radius + 1):
-            loc = "(%d %d)" % (m, n)
-            corner[loc] = (k * (c(m, n) * c(m + 1, n + 1) - c(m, n + 1) * c(m + 1, n))
-                           - (cb(m, n) * cb(m + 1, n + 1) - cb(m, n + 1) * cb(m + 1, n)))
-            if (m, n) == (0, 0):
-                continue
-            quad_y[loc] = (k * (c(m, n + 1) * c(m, n - 1) - c(m, n) ** 2)
-                           + (cb(m + 1, n) * cb(m - 1, n) - cb(m, n) ** 2))
-            quad_x[loc] = (k * (c(m + 1, n) * c(m - 1, n) - c(m, n) ** 2)
-                           + (cb(m, n + 1) * cb(m, n - 1) - cb(m, n) ** 2))
-            star[loc] = (np.sqrt(k) * (c(m + 1, n) * cb(m - 1, n)
-                                       + c(m - 1, n) * cb(m + 1, n)
-                                       + c(m, n + 1) * cb(m, n - 1)
-                                       + c(m, n - 1) * cb(m, n + 1))
-                         - 2 * (k + 1) * c(m, n) * cb(m, n))
-    return [
-        _worst("quad-recurrence-y", quad_y, tol),
-        _worst("quad-recurrence-x", quad_x, tol),
-        _worst("corner-determinant", corner, tol),
-        _worst("neighbour-star", star, tol),
-    ]
+            for name, r in _identity_residuals(k, c, cb, m, n).items():
+                residuals[name]["(%d %d)" % (m, n)] = r
+    return [_worst(name, residuals[name], tol) for name in names]
+
+
+def _table_rows(k, radius, C, C_bar, tol):
+    """Worst |build_table - oracle| over both families, m, n <= radius + 1."""
+    from .correlations import build_table
+
+    table = build_table(k, radius + 1)
+    gaps = {}
+    for label, fast, slow in (("C", table.C, C), ("Cbar", table.C_bar, C_bar)):
+        for (m, n), value in slow.items():
+            gaps["%s(%d %d)" % (label, m, n)] = float(fast[m][n]) - value
+    return [_worst("table-vs-oracle", gaps, tol)]
 
 
 def _frustrated_rows(S, version, radius, tol, gauge_tol):
@@ -670,7 +668,9 @@ def verify_identities(target, radius=4, tolerances=None):
 
     target is ("uniform", k) or ("frustrated", S, version).  For uniform
     targets the quadratic identities are evaluated on purely
-    oracle-derived correlations; for frustrated targets the oracle
+    oracle-derived correlations, and a table-vs-oracle row holds the
+    worst gap between build_table(k, radius + 1) and the oracle tables
+    over both families; for frustrated targets the oracle
     correlations of the actual mixed-sign model are compared against the
     dual-pair assembly formulas.  tolerances maps identity name to
     tolerance; unnamed identities use 1e-6, except the fixed-width
@@ -685,18 +685,15 @@ def verify_identities(target, radius=4, tolerances=None):
     if target[0] == "uniform":
         k = float(target[1])
         C, C_bar = oracle_pair_correlations(k, radius)
-        rows = uniform_identity_rows(C, C_bar, k, radius,
-                                     tol("quad-recurrence-y"))
-        rows = [IdentityCheck(r.identity, r.location, r.residual,
-                              tol(r.identity), r.residual <= tol(r.identity))
-                for r in rows]
+        rows = (uniform_identity_rows(C, C_bar, k, radius,
+                                      tol("quad-recurrence-y"))
+                + _table_rows(k, radius, C, C_bar, tol("table-vs-oracle")))
     elif target[0] == "frustrated":
         S, version = float(target[1]), target[2]
         rows = _frustrated_rows(S, version, radius, tol("assembly"),
                                 tol("gauge-map"))
-        rows = [IdentityCheck(r.identity, r.location, r.residual,
-                              tol(r.identity), r.residual <= tol(r.identity))
-                for r in rows]
     else:
         raise ValueError("target must be ('uniform', k) or ('frustrated', S, version)")
-    return VerificationReport(tuple(rows))
+    return VerificationReport(tuple(
+        IdentityCheck(r.identity, r.location, r.residual, tol(r.identity),
+                      r.residual <= tol(r.identity)) for r in rows))

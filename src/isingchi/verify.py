@@ -23,16 +23,22 @@ __all__ = ["SUITES", "run_suite"]
 _SEED = 20240917
 
 _RECURRENCE_IDENTITIES = ("quad-recurrence-y", "quad-recurrence-x",
-                          "corner-determinant", "neighbour-star")
+                          "corner-determinant", "neighbour-star",
+                          "table-vs-oracle")
 _FRUSTRATED_IDENTITIES = ("assembly-even-even", "assembly-odd-x",
                           "assembly-odd-y", "assembly-odd-odd", "gauge-map")
 
 
-def _suite_elliptic(tol):
+def _tol(tolerance, default):
+    """The suite-wide override if one was given, else the row's default."""
+    return default if tolerance is None else tolerance
+
+
+def _suite_elliptic(tolerance):
     rng = np.random.default_rng(_SEED)
     rows = [_worst("K-at-zero",
                    {"m=0": float(complete_elliptic_K(0.0)) - math.pi / 2},
-                   tol("K-at-zero", 1e-15))]
+                   _tol(tolerance, 1e-15))]
 
     res = {}
     for m in rng.uniform(0.01, 0.98, 20):
@@ -42,7 +48,7 @@ def _suite_elliptic(tol):
                    0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13,
                    full_output=1)[0]
         res["m=%.6f" % m] = float(complete_elliptic_K(m)) - ref
-    rows.append(_worst("K-vs-quadrature", res, tol("K-vs-quadrature", 1e-12)))
+    rows.append(_worst("K-vs-quadrature", res, _tol(tolerance, 1e-12)))
 
     sn_res, dn_res = {}, {}
     for _ in range(1000):
@@ -52,12 +58,12 @@ def _suite_elliptic(tol):
         loc = "u=%.4f k=%.4f" % (u, k)
         sn_res[loc] = sn * sn + cn * cn - 1.0
         dn_res[loc] = dn * dn + k * k * sn * sn - 1.0
-    rows.append(_worst("sn-cn-identity", sn_res, tol("sn-cn-identity", 1e-12)))
-    rows.append(_worst("dn-identity", dn_res, tol("dn-identity", 1e-12)))
+    rows.append(_worst("sn-cn-identity", sn_res, _tol(tolerance, 1e-12)))
+    rows.append(_worst("dn-identity", dn_res, _tol(tolerance, 1e-12)))
     return VerificationReport(rows=tuple(rows))
 
 
-def _suite_couplings(tol):
+def _suite_couplings(tolerance):
     rng = np.random.default_rng(_SEED + 1)
     prod_res, flip_res = {}, {}
     for _ in range(1000):
@@ -75,25 +81,25 @@ def _suite_couplings(tol):
         flip_res[loc] = max(abs(float(flipped.K) - float(pair.K_bar)),
                             abs(float(flipped.K_bar) - float(pair.K)))
     return VerificationReport(rows=(
-        _worst("product-rule", prod_res, tol("product-rule", 1e-12)),
-        _worst("orientation-flip", flip_res, tol("orientation-flip", 1e-12)),
+        _worst("product-rule", prod_res, _tol(tolerance, 1e-12)),
+        _worst("orientation-flip", flip_res, _tol(tolerance, 1e-12)),
     ))
 
 
-def _suite_chi(tol):
+def _suite_chi(tolerance):
     rng = np.random.default_rng(_SEED + 2)
     table = build_table(make_modulus(0.5), 30)
     grid = chi_grid(("uniform", table), 64, 64, 30)
 
     rows = [_worst("sum-rule",
                    {"64x64 R=30": float(grid.values.mean()) - lookup(table, 0, 0)},
-                   tol("sum-rule", 1e-3))]
+                   _tol(tolerance, 1e-3))]
 
     flip = (-np.arange(64)) % 64
     rows.append(_worst("evenness",
                        {"64x64": float(np.abs(grid.values
                                               - grid.values[flip][:, flip]).max())},
-                       tol("evenness", 1e-12)))
+                       _tol(tolerance, 1e-12)))
 
     period_res, shift_res = {}, {}
     alternating = (-1.0) ** np.arange(31)
@@ -106,25 +112,25 @@ def _suite_chi(tol):
             abs(chi_uniform(table, (q[0], q[1] - 2 * math.pi), 30) - base))
         shift_res[loc] = (chi_column_gauge(table, alternating, q, 30)
                           - chi_uniform(table, (q[0], q[1] + math.pi), 30))
-    rows.append(_worst("periodicity", period_res, tol("periodicity", 1e-12)))
-    rows.append(_worst("gauge-shift", shift_res, tol("gauge-shift", 1e-12)))
+    rows.append(_worst("periodicity", period_res, _tol(tolerance, 1e-12)))
+    rows.append(_worst("gauge-shift", shift_res, _tol(tolerance, 1e-12)))
 
     floor = -(grid.tail_bound + 1e-10)
     rows.append(_worst("min-floor",
                        {"64x64 R=30": max(0.0, floor - float(grid.values.min()))},
-                       tol("min-floor", 1e-10)))
+                       _tol(tolerance, 1e-10)))
     return VerificationReport(rows=tuple(rows))
 
 
-def _suite_recurrence(tol):
-    named = {name: tol(name, None) for name in _RECURRENCE_IDENTITIES}
-    named = {k: v for k, v in named.items() if v is not None}
+def _suite_recurrence(tolerance):
+    named = (None if tolerance is None
+             else dict.fromkeys(_RECURRENCE_IDENTITIES, tolerance))
     return verify_identities(("uniform", 0.5), radius=4, tolerances=named)
 
 
-def _suite_frustrated(tol):
-    named = {name: tol(name, None) for name in _FRUSTRATED_IDENTITIES}
-    named = {k: v for k, v in named.items() if v is not None}
+def _suite_frustrated(tolerance):
+    named = (None if tolerance is None
+             else dict.fromkeys(_FRUSTRATED_IDENTITIES, tolerance))
     rows = []
     for version in ("a", "b"):
         report = verify_identities(("frustrated", 1.0, version), radius=3,
@@ -151,13 +157,9 @@ def run_suite(name, tolerance=None):
     """
     if name == "all":
         rows = []
-        for key in ("elliptic", "couplings", "recurrence", "frustrated", "chi"):
+        for key in SUITES:
             rows.extend(run_suite(key, tolerance).rows)
         return VerificationReport(rows=tuple(rows))
     if name not in SUITES:
         raise KeyError("unknown verification suite %r" % (name,))
-
-    def tol(identity, default):
-        return default if tolerance is None else float(tolerance)
-
-    return SUITES[name](tol)
+    return SUITES[name](tolerance)

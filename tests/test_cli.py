@@ -84,6 +84,23 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["corr", "--k", "0.5", "--radius", "1"],
+    ["corr", "--k", "0.5", "--radius", "4", "--precision", "10"],
+    ["chi", "uniform", "--k", "0.5", "--radius", "3", "--grid", "2x2"],
+    ["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "1",
+     "--grid", "2x2"],
+    ["fib", "--j", "0", "--gamma", "1.5", "--count", "3"],
+])
+def test_library_domain_errors_are_usage_errors(argv, tmp_path, capsys):
+    if argv[0] != "fib":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+
+
 def test_no_subcommand_prints_usage(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -151,3 +168,17 @@ def test_installed_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout == "0\n0\n1\n0\n"
+
+
+def test_corr_does_not_load_scipy(tmp_path):
+    # the oracle and verify suites need scipy; a table export must not
+    # pay for importing it
+    code = ("import sys\n"
+            "from isingchi.cli import run\n"
+            "assert run(['corr', '--k', '0.5', '--radius', '2', '--out',"
+            " sys.argv[1]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

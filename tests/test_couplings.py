@@ -7,7 +7,6 @@ from isingchi import (
     EllipticDomainError,
     RapidityLine,
     coupling_pair,
-    kw_dual,
     make_modulus,
     orientation_flip,
 )
@@ -81,24 +80,12 @@ def test_rapidity_strip_domain():
         coupling_pair(span * 1.5, 0.0, mod)
 
 
-def test_kw_dual():
-    assert float(kw_dual(kw_dual(0.37))) == pytest.approx(0.37, rel=1e-13)
-    fixed = math.asinh(1.0) / 2
-    assert float(kw_dual(fixed)) == pytest.approx(fixed, rel=1e-13)
-    k_small = 0.05
-    assert float(kw_dual(k_small)) > k_small
-    with pytest.raises(ValueError):
-        kw_dual(0.0)
-    with pytest.raises(ValueError):
-        kw_dual(-1.0)
-
-
 def test_dual_couplings_multiply_to_k():
     # the two members of a crossing pair are each other's duals up to the
-    # modulus: sinh 2K sinh 2K_bar = k, so K_bar = kw_dual(K) only at k = 1;
-    # here check the exact product relation against kw_dual's involution
+    # modulus: sinh 2K sinh 2K_bar = k, so K_bar is the Kramers-Wannier dual
+    # of K (sinh 2K* = 1 / sinh 2K) only at k = 1
     mod = make_modulus(0.7)
     pair = coupling_pair(0.6, 0.1, mod)
-    dual_K = float(kw_dual(pair.K))
+    dual_K = math.asinh(1 / math.sinh(2 * float(pair.K))) / 2
     prod = math.sinh(2 * float(pair.K_bar)) / math.sinh(2 * dual_K)
     assert prod == pytest.approx(0.7, rel=1e-12)

@@ -6,28 +6,24 @@ import pytest
 
 from isingchi import (
     ChiGrid,
-    FrustratedModel,
     Peak,
     build_table,
     chi_grid,
-    dual_pair,
     lookup,
     make_modulus,
-    verify_identities,
 )
 from isingchi.fileio import (
     ConfigError,
     format_float,
-    frustrated_rows,
     read_config,
     write_chi_csv,
     write_corr_csv,
-    write_frustrated_csv,
     write_peaks_csv,
     write_pgm,
     write_sequence,
     write_verification_csv,
 )
+from isingchi.oracle import verify_identities
 
 
 @pytest.fixture(scope="module")
@@ -53,23 +49,6 @@ def test_corr_csv_layout(tmp_path, small_table):
     assert float(first[3]) == lookup(small_table, 0, 0, "Cbar")
     row12 = lines[5].split(",")
     assert float(row12[2]) == lookup(small_table, 1, 2)
-
-
-def test_frustrated_csv_layout(tmp_path):
-    table = build_table(make_modulus(dual_pair(1.0).k), 2)
-    model = FrustratedModel(S=1.0, version="b")
-    rows = frustrated_rows(model, table, 2)
-    assert len(rows) == 25
-    path = tmp_path / "ff.csv"
-    write_frustrated_csv(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "dx,dy,value,class"
-    classes = {ln.split(",")[3] for ln in lines[1:]}
-    assert classes == {"even-even", "odd-odd", "odd-even", "even-odd"}
-    for ln in lines[1:]:
-        dx, dy, value, cls = ln.split(",")
-        if cls == "odd-odd":
-            assert float(value) == 0.0
 
 
 def test_chi_csv_row_major_qy_outer(tmp_path, table05_r30):

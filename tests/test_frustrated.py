@@ -8,13 +8,11 @@ from isingchi import (
     TableMismatchError,
     TableRangeError,
     build_table,
-    decimated_spin,
     dual_pair,
     eight_vertex_weights,
     ff_correlation,
     gauge_sign,
     make_modulus,
-    partial_dual,
     separation_class,
 )
 
@@ -45,15 +43,6 @@ def test_vertex_weight_couplings_consistent():
             (S * S + 1) / math.sqrt(2 * S * S + 1), rel=1e-14)
 
 
-def test_partial_dual_negates_vertex_couplings():
-    for S in (0.3, 1.0, 2.7):
-        w = eight_vertex_weights(S)
-        d = partial_dual(S)
-        assert d.k_tilde == d.k_tilde_prime
-        assert d.k_tilde == -w.k_hat
-        assert d.k_tilde4 == pytest.approx(-w.k_hat4, abs=1e-16)
-
-
 def test_dual_pair_relations():
     for S in (0.4, 1.0, 3.1):
         p = dual_pair(S)
@@ -69,24 +58,6 @@ def test_dual_pair_at_unit_S():
     # sqrt(k) = 1/(2 + sqrt(3)) = 2 - sqrt(3)
     p = dual_pair(1.0)
     assert p.k == pytest.approx((2 - math.sqrt(3)) ** 2, rel=1e-15)
-
-
-def test_decimated_spin_matches_boltzmann_sum():
-    # direct two-state trace: <s0> = tanh(K (s1 + s2 + s3 - s4)),
-    # S = sinh(2K)
-    for S in (0.5, 1.0, 2.0):
-        K = math.asinh(S) / 2
-        for bits in range(16):
-            s = [1 if bits >> i & 1 else -1 for i in range(4)]
-            direct = math.tanh(K * (s[0] + s[1] + s[2] - s[3]))
-            assert decimated_spin(S, *s) == pytest.approx(direct, abs=1e-15)
-
-
-def test_decimated_spin_validates_input():
-    with pytest.raises(ValueError):
-        decimated_spin(1.0, 1, 1, 0, 1)
-    with pytest.raises(ValueError):
-        decimated_spin(-1.0, 1, 1, 1, 1)
 
 
 def test_model_validation():

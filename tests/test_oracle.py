@@ -140,6 +140,8 @@ def test_identity_rows_accept_clean_reject_corrupt(oracle05):
 def test_verify_identities_reports():
     rep = verify_identities(("uniform", 0.5), radius=2)
     assert rep.passed
+    table_rows = [r for r in rep.rows if r.identity == "table-vs-oracle"]
+    assert len(table_rows) == 1 and table_rows[0].passed
     lines = rep.lines()
     assert len(lines) == len(rep.rows) + 1
     assert all("pass" in ln for ln in lines)

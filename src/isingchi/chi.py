@@ -1,4 +1,4 @@
-"""Wavevector-dependent susceptibility on Brillouin-zone grids.
+"""The wavevector-dependent susceptibility chi(q) on Brillouin-zone grids.
 
 Every in-scope model is in a zero-magnetization phase, so the connected
 susceptibility is the plain Fourier sum of pair correlations over a
@@ -29,9 +29,7 @@ __all__ = [
     "ChiGrid",
     "EstimationError",
     "Peak",
-    "Wavevector",
     "chi_column_gauge",
-    "chi_frustrated",
     "chi_grid",
     "chi_uniform",
     "find_peaks",
@@ -41,14 +39,6 @@ __all__ = [
 
 class EstimationError(ArithmeticError):
     """The tail fit found non-decaying data; the window is too small for k."""
-
-
-@dataclass(frozen=True)
-class Wavevector:
-    """A point of the Brillouin zone, radians per lattice spacing."""
-
-    qx: float
-    qy: float
 
 
 @dataclass(frozen=True)
@@ -76,13 +66,6 @@ class Peak:
     qy: float
     value: float
     commensurate: bool
-
-
-def _as_q(q):
-    if isinstance(q, Wavevector):
-        return q.qx, q.qy
-    qx, qy = q
-    return float(qx), float(qy)
 
 
 def _octant(table, R, which):
@@ -120,6 +103,8 @@ def _require_disordered(table):
 
 def _gauge_grid(table, kappa, qxs, qys, R):
     # the uniform source is this sum with kappa = 1, which is exact in float
+    _require_window(table, R)
+    _require_disordered(table)
     kappa = np.asarray(kappa, float)
     if kappa.shape[0] <= R:
         raise WindowRangeError(
@@ -132,6 +117,7 @@ def _gauge_grid(table, kappa, qxs, qys, R):
 
 
 def _frustrated_grid(model, table, qxs, qys, R):
+    _require_window(table, R)
     _require_model_table(model, table)
     c = _octant(table, R, "C")
     cb = _octant(table, R, "Cbar")
@@ -160,14 +146,11 @@ def _frustrated_grid(model, table, qxs, qys, R):
 
 
 def chi_uniform(table, q, R):
-    """chi of the disordered uniform model at one wavevector.
+    """chi of the disordered uniform model at one wavevector q = (qx, qy).
 
     Cosine-reduced sum over |dx|, |dy| <= R; exactly real and even in q.
     """
-    _require_window(table, R)
-    _require_disordered(table)
-    qx, qy = _as_q(q)
-    return float(_gauge_grid(table, np.ones(R + 1), [qx], [qy], R)[0, 0])
+    return float(_gauge_grid(table, np.ones(R + 1), [q[0]], [q[1]], R)[0, 0])
 
 
 def chi_column_gauge(table, kappa, q, R):
@@ -177,24 +160,7 @@ def chi_column_gauge(table, kappa, q, R):
     its transverse separation, chi = sum e^{iq.d} C(dx,dy) kappa(|dy|);
     exact given kappa.  kappa(0..R) must be available.
     """
-    _require_window(table, R)
-    _require_disordered(table)
-    qx, qy = _as_q(q)
-    return float(_gauge_grid(table, kappa, [qx], [qy], R)[0, 0])
-
-
-def chi_frustrated(model, table, q, R):
-    """chi of the fully-frustrated model from its dual-pair table.
-
-    Sums the even-even and odd-x separation classes with their version
-    signs; the odd-odd class is identically zero and the odd-y class
-    averages to zero over the two base sublattices, so neither appears.
-    The physical window covers separations out to 2R using table entries
-    within radius R.
-    """
-    _require_window(table, R)
-    qx, qy = _as_q(q)
-    return float(_frustrated_grid(model, table, [qx], [qy], R)[0, 0])
+    return float(_gauge_grid(table, kappa, [q[0]], [q[1]], R)[0, 0])
 
 
 def tail_estimate(table, R):
@@ -245,7 +211,8 @@ def chi_grid(source, nx, ny, R):
 
     source is ("uniform", table), ("frustrated", model, table) or
     ("gauge", table, kappa).  Returns a ChiGrid carrying the samples and
-    a truncation bound from tail_estimate.
+    a truncation bound from tail_estimate.  The frustrated window covers
+    separations out to 2R using table entries within radius R.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx, ny >= 2, got %dx%d" % (nx, ny))

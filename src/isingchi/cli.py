@@ -11,8 +11,7 @@ import sys
 
 from .correlations import PrecisionExhausted, SeedInconsistency, build_table
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
-                     write_peaks_csv, write_pgm, write_sequence,
-                     write_verification_csv)
+                     write_peaks_csv, write_pgm, write_verification_csv)
 from .frustrated import FrustratedModel, dual_pair
 from .quasiperiodic import FibonacciSpec, autocorrelation, fib_bits, sign_sequence
 
@@ -174,11 +173,9 @@ def _cmd_fib(args):
     if args.count <= 0:
         raise UsageError("count must be positive")
     spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-    if args.signs:
-        seq = sign_sequence(spec, args.count)
-        write_sequence(None, seq.signs)
-    else:
-        write_sequence(None, fib_bits(spec, args.count))
+    values = (sign_sequence(spec, args.count) if args.signs
+              else fib_bits(spec, args.count))
+    print("\n".join(str(int(v)) for v in values))
     return 0
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "TableRangeError",
     "build_table",
     "diagonal_seeds",
-    "dual_magnetization",
     "lookup",
     "next_diagonal_seeds",
     "onsager_nn",
@@ -105,19 +104,6 @@ def onsager_nn(mod):
     arg = 2 * mp.sqrt(k) / (1 + k)
     bracket = 1 + (2 / mp.pi) * ((k - 1) / (k + 1)) * complete_elliptic_K(arg)
     return mp.sqrt((1 + k) / k) * bracket / 2
-
-
-def dual_magnetization(mod):
-    """Spontaneous magnetization of the ordered dual, M = (1-k^2)^(1/8).
-
-    C_bar(m,n) approaches M^2 at large separation, which anchors the far
-    tail of the ordered table.
-    """
-    k = _as_k(mod)
-    if not 0 < k < 1:
-        raise EllipticDomainError("modulus must lie in (0, 1), got %s"
-                                  % mp.nstr(k, 8))
-    return (1 - k * k) ** mp.mpf("0.125")
 
 
 def _base_seeds(k):
@@ -310,9 +296,9 @@ def lookup(table, m, n, which="C"):
     if i > table.radius or j > table.radius:
         raise TableRangeError(
             "(%d, %d) outside table radius %d" % (m, n, table.radius))
-    if which in ("C", "c"):
+    if which == "C":
         return float(table.C[i][j])
-    if which in ("Cbar", "cbar", "C_bar"):
+    if which == "Cbar":
         return float(table.C_bar[i][j])
     raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
 
@@ -371,10 +357,10 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
 
     k_req = float(_as_k(mod))
     if k_req <= 0:
-        raise EllipticDomainError("modulus must be positive, got %g" % k_req)
+        raise EllipticDomainError("modulus must be positive, got %r" % k_req)
     if abs(1 - k_req) < EPS_CRITICAL:
         raise EllipticDomainError(
-            "modulus %g is within %g of criticality; correlation length "
+            "modulus %r is within %g of criticality; correlation length "
             "diverges and a fixed-radius table is meaningless"
             % (k_req, EPS_CRITICAL))
     swap = k_req > 1

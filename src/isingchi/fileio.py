@@ -6,7 +6,6 @@ significant digits so identical inputs give byte-identical files.
 """
 
 import os
-import struct
 import tempfile
 
 import numpy as np
@@ -21,7 +20,6 @@ __all__ = [
     "write_corr_csv",
     "write_peaks_csv",
     "write_pgm",
-    "write_sequence",
     "write_verification_csv",
 ]
 
@@ -92,11 +90,7 @@ def write_pgm(path, grid):
     else:
         scaled = np.zeros(v.shape, np.uint16)
     header = ("P5\n%d %d\n65535\n" % (grid.nx, grid.ny)).encode("ascii")
-    body = bytearray()
-    for j in range(grid.ny):
-        for i in range(grid.nx):
-            body += struct.pack(">H", int(scaled[i, j]))
-    _atomic_write(path, header + bytes(body))
+    _atomic_write(path, header + scaled.T.astype(">u2").tobytes())
 
 
 def write_peaks_csv(path, peaks):
@@ -116,15 +110,6 @@ def write_verification_csv(path, report):
                                          format_float(r.tolerance),
                                          "true" if r.passed else "false"))
     _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def write_sequence(path, values):
-    """One integer per line; path None prints to stdout instead."""
-    text = "\n".join(str(int(v)) for v in values) + "\n"
-    if path is None:
-        print(text, end="")
-    else:
-        _atomic_write(path, text)
 
 
 def read_config(path):

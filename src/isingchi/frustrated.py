@@ -55,11 +55,6 @@ class FrustratedModel:
             raise ValueError("version must be 'a' or 'b', got %r"
                              % (self.version,))
 
-    @property
-    def k(self):
-        """Elliptic modulus of the dual pair this model factorizes into."""
-        return dual_pair(self.S).k
-
 
 @dataclass(frozen=True)
 class EightVertexWeights:

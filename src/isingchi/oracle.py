@@ -71,14 +71,12 @@ class FiniteLatticeSpec:
     """Explicit finite Ising instance: sites on a width x height grid.
 
     bonds is a tuple of (site_a, site_b, coupling) with couplings in units
-    of beta*J; site index of (x, y) is x + width*y.  boundary records the
-    (x, y) wrap choices and is informational once bonds are built.
+    of beta*J; site index of (x, y) is x + width*y.
     """
 
     width: int
     height: int
     bonds: tuple
-    boundary: tuple = ("open", "open")
 
     @property
     def n_sites(self):
@@ -106,8 +104,7 @@ def square_lattice(width, height, K, K_bar=None, periodic=(False, False),
             if y + 1 < height or periodic[1]:
                 s = 1 if bond_sign is None else bond_sign(x, y, 1)
                 bonds.append((x + width * y, x + width * ((y + 1) % height), s * K_bar))
-    boundary = tuple("periodic" if p else "open" for p in periodic)
-    return FiniteLatticeSpec(width, height, tuple(bonds), boundary)
+    return FiniteLatticeSpec(width, height, tuple(bonds))
 
 
 def frustrated_lattice(width, height, K, version, periodic=(True, True)):
@@ -447,7 +444,7 @@ def _limit_deep(ws, vs):
     return cur_v[-1]
 
 
-def oracle_pair_correlations(k, radius, max_width=MAX_CYLINDER_W):
+def oracle_pair_correlations(k, radius):
     """Extrapolated cylinder tables for the dual correlation pair.
 
     Returns (C, C_bar): dicts over the quadrant 0 <= m, n <= radius+1,
@@ -469,14 +466,11 @@ def oracle_pair_correlations(k, radius, max_width=MAX_CYLINDER_W):
     so every ring separation keeps at least three alias-free widths.
     """
     top = radius + 1
-    if max_width > MAX_CYLINDER_W:
-        raise OracleCapacityError("width cap %d exceeds %d"
-                                  % (max_width, MAX_CYLINDER_W))
-    if 2 * top > max_width - 2:
+    if 2 * top > MAX_CYLINDER_W - 2:
         raise OracleCapacityError(
             "radius %d needs ring separations to %d; width cap %d leaves "
-            "fewer than 3 alias-free widths" % (radius, top, max_width))
-    even = list(range(8, max_width + 1, 2))
+            "fewer than 3 alias-free widths" % (radius, top, MAX_CYLINDER_W))
+    even = list(range(8, MAX_CYLINDER_W + 1, 2))
     out = []
     for sinh2k, averaged in ((np.sqrt(k), True), (1 / np.sqrt(k), False)):
         K = np.arcsinh(sinh2k) / 2
@@ -500,9 +494,9 @@ def oracle_pair_correlations(k, radius, max_width=MAX_CYLINDER_W):
             if averaged:
                 ws = [w for w in even if w >= 2 * dy]
                 if len(ws) < 3:
-                    ws = list(range(max(8, 2 * dy), max_width + 1))
+                    ws = list(range(max(8, 2 * dy), MAX_CYLINDER_W + 1))
             else:
-                ws = list(range(max(8, 2 * dy), max_width + 1))
+                ws = list(range(max(8, 2 * dy), MAX_CYLINDER_W + 1))
             for dx in range(top + 1):
                 series = []
                 for W in ws:
@@ -663,7 +657,7 @@ def _frustrated_rows(S, version, radius, tol, gauge_tol):
     ]
 
 
-def verify_identities(target, radius=4, tolerances=None):
+def verify_identities(target, radius=4, tolerance=None):
     """VerificationReport for a uniform or frustrated target.
 
     target is ("uniform", k) or ("frustrated", S, version).  For uniform
@@ -672,28 +666,20 @@ def verify_identities(target, radius=4, tolerances=None):
     worst gap between build_table(k, radius + 1) and the oracle tables
     over both families; for frustrated targets the oracle
     correlations of the actual mixed-sign model are compared against the
-    dual-pair assembly formulas.  tolerances maps identity name to
-    tolerance; unnamed identities use 1e-6, except the fixed-width
-    gauge-map certification which is oracle-internal and defaults to
-    1e-10.
+    dual-pair assembly formulas.  Every row's tolerance is 1e-6, except
+    the fixed-width gauge-map certification, which is oracle-internal and
+    gets 1e-10; tolerance, when given, replaces both.
     """
-    tolerances = {"gauge-map": 1e-10, **(tolerances or {})}
-
-    def tol(name):
-        return tolerances.get(name, 1e-6)
-
+    tol = 1e-6 if tolerance is None else tolerance
     if target[0] == "uniform":
         k = float(target[1])
         C, C_bar = oracle_pair_correlations(k, radius)
-        rows = (uniform_identity_rows(C, C_bar, k, radius,
-                                      tol("quad-recurrence-y"))
-                + _table_rows(k, radius, C, C_bar, tol("table-vs-oracle")))
+        rows = (uniform_identity_rows(C, C_bar, k, radius, tol)
+                + _table_rows(k, radius, C, C_bar, tol))
     elif target[0] == "frustrated":
         S, version = float(target[1]), target[2]
-        rows = _frustrated_rows(S, version, radius, tol("assembly"),
-                                tol("gauge-map"))
+        rows = _frustrated_rows(S, version, radius, tol,
+                                1e-10 if tolerance is None else tolerance)
     else:
         raise ValueError("target must be ('uniform', k) or ('frustrated', S, version)")
-    return VerificationReport(tuple(
-        IdentityCheck(r.identity, r.location, r.residual, tol(r.identity),
-                      r.residual <= tol(r.identity)) for r in rows))
+    return VerificationReport(tuple(rows))

@@ -13,22 +13,18 @@ sign autocorrelation computed here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FibonacciSpec",
-    "SignSequence",
     "WindowRangeError",
     "autocorrelation",
-    "fib_bit",
     "fib_bits",
     "metallic_alpha",
     "sign_sequence",
 ]
-
-DEFAULT_BIT_MAP = {0: 1, 1: -1}
 
 
 class WindowRangeError(IndexError):
@@ -61,70 +57,41 @@ class FibonacciSpec:
         return metallic_alpha(self.j)
 
 
-def fib_bit(spec, n):
-    """Bit n of the word; defined for every integer n, values in {0, 1}.
+def fib_bits(spec, count):
+    """Bits 0..count-1 as an int array, values in {0, 1}.
 
     The defining line has slope 1/alpha < 1, so consecutive floors differ
     by 0 or 1 and nothing else.
     """
-    inv = 1 / spec.alpha
-    return int(math.floor(spec.gamma + (n + 1) * inv)
-               - math.floor(spec.gamma + n * inv))
-
-
-def fib_bits(spec, count, start=0):
-    """Bits start..start+count-1 as an int array."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    n = np.arange(start, start + count + 1, dtype=np.float64)
+    n = np.arange(count + 1, dtype=np.float64)
     floors = np.floor(spec.gamma + n / spec.alpha)
     return np.diff(floors).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class SignSequence:
-    """A materialized window of signs derived from a Fibonacci word."""
-
-    spec: FibonacciSpec
-    bit_map: tuple
-    window: int
-    signs: np.ndarray = field(repr=False)
-
-
-def sign_sequence(spec, N, bit_map=None):
-    """Signs s(n) = bit_map[p_j(n)] for n = 0..N-1.
-
-    The default map sends 0 to +1 and 1 to -1; any map into {+1, -1}
-    is accepted, including the constant one that recovers the uniform
-    model.
-    """
+def sign_sequence(spec, N):
+    """Signs s(n), n = 0..N-1, as int8: bit 0 maps to +1 and bit 1 to -1."""
     if N < 1:
         raise ValueError("window length must be at least 1, got %r" % (N,))
-    bit_map = dict(DEFAULT_BIT_MAP if bit_map is None else bit_map)
-    for b in (0, 1):
-        if bit_map.get(b) not in (-1, 1):
-            raise ValueError("bit_map must send %d to +1 or -1" % b)
-    bits = fib_bits(spec, N)
-    signs = np.where(bits == 0, bit_map[0], bit_map[1]).astype(np.int8)
-    return SignSequence(spec=spec, bit_map=(bit_map[0], bit_map[1]),
-                        window=N, signs=signs)
+    return np.where(fib_bits(spec, N) == 0, 1, -1).astype(np.int8)
 
 
-def autocorrelation(seq, delta_max):
+def autocorrelation(signs, delta_max):
     """kappa(Delta) = mean of s(n) s(n+Delta), Delta = 0..delta_max.
 
     Each lag is normalized over its own N - Delta products, which keeps
-    every estimate unbiased; the window must be comfortably longer than
-    the largest lag, enforced as delta_max < window/2.
+    every estimate unbiased; the window N = len(signs) must be comfortably
+    longer than the largest lag, enforced as delta_max < N/2.
     """
+    n = len(signs)
     if delta_max < 0:
         raise ValueError("delta_max must be non-negative")
-    if delta_max >= seq.window / 2:
+    if delta_max >= n / 2:
         raise WindowRangeError(
             "delta_max %d needs a window longer than %d, have %d"
-            % (delta_max, 2 * delta_max, seq.window))
-    s = seq.signs.astype(np.float64)
-    n = seq.window
+            % (delta_max, 2 * delta_max, n))
+    s = np.asarray(signs, dtype=np.float64)
     out = np.empty(delta_max + 1)
     for d in range(delta_max + 1):
         out[d] = float(s[:n - d] @ s[d:n]) / (n - d)

@@ -8,33 +8,24 @@ import math
 import time
 
 import numpy as np
-import pytest
-from scipy.integrate import quad
 
 from isingchi import (
     FibonacciSpec,
     FrustratedModel,
     autocorrelation,
     build_table,
-    chi_column_gauge,
     chi_grid,
-    chi_uniform,
-    coupling_pair,
     dual_pair,
     eight_vertex_weights,
     ff_correlation,
     fib_bits,
     find_peaks,
-    jacobi_elliptic,
     lookup,
     make_modulus,
     metallic_alpha,
     onsager_nn,
-    orientation_flip,
     sign_sequence,
 )
-from isingchi.couplings import RapidityLine
-from isingchi.elliptic import complete_elliptic_K
 from isingchi.oracle import (
     CylinderSpec,
     cylinder_correlation,
@@ -42,6 +33,7 @@ from isingchi.oracle import (
     oracle_pair_correlations,
     verify_identities,
 )
+from isingchi.verify import run_suite
 
 
 def _finish(num, label, checks, elapsed, budget):
@@ -53,50 +45,26 @@ def _finish(num, label, checks, elapsed, budget):
         failed, elapsed, budget)
 
 
+def _suite_checks(name):
+    """{row name: passed} of one verify suite, run at its default tolerances."""
+    report = run_suite(name)
+    checks = {r.identity: r.passed for r in report.rows}
+    checks["suite passed"] = report.passed
+    return checks
+
+
 def test_criterion_01_elliptic_kernel():
+    # K(0) to 1e-15, K at 20 moduli against quadrature to 1e-12, and the
+    # two Jacobi identities over 1000 draws of (u, k) to 1e-12
     t0 = time.perf_counter()
-    checks = {}
-    checks["K(0)"] = abs(float(complete_elliptic_K(0.0)) - math.pi / 2) <= 1e-15
-
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for k in rng.uniform(0.01, 0.98, size=20):
-        ref = quad(lambda t, kk=k: 1 / math.sqrt(1 - kk * kk * math.sin(t) ** 2),
-                   0, math.pi / 2, epsabs=1e-13, epsrel=1e-13,
-                   full_output=1)[0]
-        worst = max(worst, abs(float(complete_elliptic_K(float(k))) - ref))
-    checks["K vs quadrature"] = worst <= 1e-12
-
-    worst = 0.0
-    for _ in range(1000):
-        u = rng.uniform(-3, 3)
-        k = rng.uniform(0.01, 0.99)
-        sn, cn, dn = (float(v) for v in jacobi_elliptic(u, k))
-        worst = max(worst, abs(sn * sn + cn * cn - 1),
-                    abs(dn * dn + k * k * sn * sn - 1))
-    checks["Jacobi identities"] = worst <= 1e-12
+    checks = _suite_checks("elliptic")
     _finish(1, "elliptic kernel", checks, time.perf_counter() - t0, 5)
 
 
 def test_criterion_02_coupling_parametrization():
+    # product rule and orientation flip over 1000 draws, both to 1e-12
     t0 = time.perf_counter()
-    rng = np.random.default_rng(102)
-    worst_prod, worst_flip = 0.0, 0.0
-    for _ in range(1000):
-        mod = make_modulus(float(rng.uniform(0.05, 0.95)))
-        d = float(rng.uniform(0.02, 0.98)) * float(mod.big_K_prime)
-        a = RapidityLine(id=0, u=0.0)
-        b = RapidityLine(id=1, u=-d)
-        pair = coupling_pair(a, b, mod)
-        prod = float(np.sinh(2 * float(pair.K))) * float(
-            np.sinh(2 * float(pair.K_bar)))
-        worst_prod = max(worst_prod, abs(prod - float(mod.k)))
-        swapped = coupling_pair(orientation_flip(a), b, mod)
-        worst_flip = max(worst_flip,
-                         abs(float(pair.K) - float(swapped.K_bar)),
-                         abs(float(pair.K_bar) - float(swapped.K)))
-    checks = {"product rule": worst_prod <= 1e-12,
-              "orientation flip swaps": worst_flip <= 1e-12}
+    checks = _suite_checks("couplings")
     _finish(2, "coupling parametrization", checks,
             time.perf_counter() - t0, 5)
 
@@ -200,31 +168,13 @@ def test_criterion_07_frustrated_factorization():
             time.perf_counter() - t0, 300)
 
 
-def test_criterion_08_susceptibility_grid(table05_r30):
+def test_criterion_08_susceptibility_grid():
+    # k = 0.5, R = 30, 64x64 grid: sum rule to 1e-3; evenness in each
+    # component, 2pi periodicity at 10 wavevectors and the alternating
+    # gauge as a half-zone shift at 10 more, all to 1e-12; grid minimum
+    # at least -(tail_bound + 1e-10)
     t0 = time.perf_counter()
-    checks = {}
-    grid = chi_grid(("uniform", table05_r30), 64, 64, 30)
-    checks["sum rule"] = abs(float(grid.values.mean()) - 1.0) <= 1e-3
-
-    flip = (-np.arange(64)) % 64
-    even = max(np.max(np.abs(grid.values - grid.values[flip, :])),
-               np.max(np.abs(grid.values - grid.values[:, flip])))
-    checks["evenness"] = float(even) <= 1e-12
-
-    rng = np.random.default_rng(108)
-    per = max(abs(chi_uniform(table05_r30, (qx + 2 * math.pi, qy), 30)
-                  - chi_uniform(table05_r30, (qx, qy), 30))
-              for qx, qy in rng.uniform(-math.pi, math.pi, size=(10, 2)))
-    checks["2pi periodicity"] = per <= 1e-12
-
-    floor = -(grid.tail_bound + 1e-10)
-    checks["grid minimum above tail floor"] = float(grid.values.min()) >= floor
-
-    kappa = (-1.0) ** np.arange(31)
-    shift = max(abs(chi_column_gauge(table05_r30, kappa, (qx, qy), 30)
-                    - chi_uniform(table05_r30, (qx, qy + math.pi), 30))
-                for qx, qy in rng.uniform(-math.pi, math.pi, size=(10, 2)))
-    checks["alternating gauge is half-zone shift"] = shift <= 1e-12
+    checks = _suite_checks("chi")
     _finish(8, "susceptibility grid", checks, time.perf_counter() - t0, 60)
 
 

@@ -10,12 +10,10 @@ from isingchi import (
     FrustratedModel,
     TableMismatchError,
     TableRangeError,
-    Wavevector,
     WindowRangeError,
     autocorrelation,
     build_table,
     chi_column_gauge,
-    chi_frustrated,
     chi_grid,
     chi_uniform,
     dual_pair,
@@ -71,11 +69,6 @@ def test_evenness_and_periodicity(table05_r30):
             pytest.approx(base, rel=1e-12))
 
 
-def test_wavevector_and_tuple_agree(table05_r30):
-    assert chi_uniform(table05_r30, Wavevector(0.3, -1.1), 6) == (
-        chi_uniform(table05_r30, (0.3, -1.1), 6))
-
-
 def test_constant_gauge_recovers_uniform(table05_r30):
     R = 6
     kappa = np.ones(R + 1)
@@ -106,31 +99,33 @@ def test_fibonacci_gauge_grid_builds(table05_r30):
 
 def test_frustrated_matches_direct_class_sum(table_s1):
     # brute Fourier sum of the parity-averaged real-space correlations
-    # over the matched window |dx|, |dy| <= 2R
-    R = 3
+    # over the matched window |dx|, |dy| <= 2R, at sampled grid points
+    R = 4
     for version in ("a", "b"):
         model = FrustratedModel(S=1.0, version=version)
-        for qx, qy in QS:
+        grid = chi_grid(("frustrated", model, table_s1), 10, 8, R)
+        for i, j in ((0, 0), (3, 5), (5, 4), (9, 1)):
+            qx, qy = grid.qx[i], grid.qy[j]
             direct = 0.0
             for dx in range(-2 * R, 2 * R + 1):
                 for dy in range(-2 * R, 2 * R + 1):
                     avg = 0.5 * (ff_correlation(model, table_s1, dx, dy, 0)
                                  + ff_correlation(model, table_s1, dx, dy, 1))
                     direct += math.cos(qx * dx) * math.cos(qy * dy) * avg
-            fast = chi_frustrated(model, table_s1, (qx, qy), R)
-            assert fast == pytest.approx(direct, rel=1e-12, abs=1e-12)
+            assert grid.values[i, j] == pytest.approx(direct, rel=1e-12,
+                                                      abs=1e-12)
 
 
 def test_version_shift_relation(table_s1):
-    # the gauge between layouts shifts qy by a quarter zone
-    ma = FrustratedModel(S=1.0, version="a")
-    mb = FrustratedModel(S=1.0, version="b")
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        qx, qy = rng.uniform(-math.pi, math.pi, size=2)
-        va = chi_frustrated(ma, table_s1, (qx, qy), 6)
-        vb = chi_frustrated(mb, table_s1, (qx, qy + math.pi / 2), 6)
-        assert va == pytest.approx(vb, rel=1e-12, abs=1e-12)
+    # the gauge between layouts shifts qy by a quarter zone, which is
+    # ny/4 grid rows when ny is divisible by 4
+    nx, ny = 12, 20
+    ga = chi_grid(("frustrated", FrustratedModel(S=1.0, version="a"),
+                   table_s1), nx, ny, 6)
+    gb = chi_grid(("frustrated", FrustratedModel(S=1.0, version="b"),
+                   table_s1), nx, ny, 6)
+    shifted = np.roll(gb.values, -ny // 4, axis=1)
+    np.testing.assert_allclose(ga.values, shifted, rtol=1e-12, atol=1e-12)
 
 
 def test_grid_mean_recovers_same_site(table05_r30, table_s1):
@@ -212,8 +207,16 @@ def test_window_and_domain_errors(table05_r30, table_s1):
         chi_uniform(swapped, (0.0, 0.0), 4)
     model = FrustratedModel(S=1.0, version="a")
     with pytest.raises(TableMismatchError):
-        chi_frustrated(model, table05_r30, (0.0, 0.0), 4)
+        chi_grid(("frustrated", model, table05_r30), 8, 8, 4)
     with pytest.raises(ValueError):
         chi_grid(("bogus", table05_r30), 8, 8, 4)
     with pytest.raises(ValueError):
         chi_grid(("uniform", table05_r30), 1, 8, 4)
+
+
+def test_grid_rejects_ordered_tables():
+    # chi_grid runs the same window and phase checks as the point functions
+    swapped = build_table(2.0, 4)
+    for source in (("uniform", swapped), ("gauge", swapped, np.ones(5))):
+        with pytest.raises(ValueError):
+            chi_grid(source, 4, 4, 4)

@@ -91,6 +91,7 @@ def test_bad_grid_is_usage_error(tmp_path, capsys):
     ["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "1",
      "--grid", "2x2"],
     ["fib", "--j", "0", "--gamma", "1.5", "--count", "3"],
+    ["chi", "uniform", "--k", "0.9999999", "--radius", "4", "--grid", "2x2"],
 ])
 def test_library_domain_errors_are_usage_errors(argv, tmp_path, capsys):
     if argv[0] != "fib":
@@ -99,6 +100,9 @@ def test_library_domain_errors_are_usage_errors(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error:")
+    if "0.9999999" in argv:
+        # the modulus is quoted unrounded, not as %g's "1"
+        assert "modulus 0.9999999 is within" in err[0]
 
 
 def test_no_subcommand_prints_usage(capsys):

@@ -9,7 +9,6 @@ from isingchi import (
     SeedInconsistency,
     TableRangeError,
     build_table,
-    dual_magnetization,
     lookup,
     make_modulus,
     onsager_nn,
@@ -73,8 +72,9 @@ def test_lookup_validation(table_half):
         lookup(table_half, 0, 9)
     with pytest.raises(TableRangeError):
         lookup(table_half, -9, 0)
-    with pytest.raises(ValueError):
-        lookup(table_half, 1, 1, "sigma")
+    for which in ("sigma", "c", "cbar", "C_bar"):
+        with pytest.raises(ValueError):
+            lookup(table_half, 1, 1, which)
 
 
 def test_decay_and_bounds(table_half):
@@ -83,18 +83,10 @@ def test_decay_and_bounds(table_half):
     assert all(1 >= a > b > 0 for a, b in zip(axis, axis[1:]))
     assert all(1 >= a > b > 0 for a, b in zip(diag, diag[1:]))
 
-    m_sq = float(dual_magnetization(0.5)) ** 2
+    m_sq = (1 - 0.5 ** 2) ** 0.25
     cbar_diag = [lookup(table_half, n, n, "Cbar") for n in range(1, 9)]
     assert all(a > b for a, b in zip(cbar_diag, cbar_diag[1:]))
     assert all(v > m_sq for v in cbar_diag)
-
-
-def test_dual_magnetization_forms():
-    for k in (0.2, 0.5, 0.9):
-        assert float(dual_magnetization(k)) == pytest.approx(
-            (1 - k * k) ** 0.125, rel=1e-13)
-    with pytest.raises(EllipticDomainError):
-        dual_magnetization(1.0)
 
 
 def test_residual_report_scales_with_precision():

@@ -20,7 +20,6 @@ from isingchi.fileio import (
     write_corr_csv,
     write_peaks_csv,
     write_pgm,
-    write_sequence,
     write_verification_csv,
 )
 from isingchi.oracle import verify_identities
@@ -126,14 +125,6 @@ def test_verification_csv(tmp_path):
         assert len(fields) == 5
         assert fields[4] in ("true", "false")
         assert float(fields[2]) <= float(fields[3])
-
-
-def test_sequence_file_and_stdout(tmp_path, capsys):
-    path = tmp_path / "seq.txt"
-    write_sequence(path, [0, 1, 0, 1, 1])
-    assert path.read_text() == "0\n1\n0\n1\n1\n"
-    write_sequence(None, np.array([-1, 1, -1]))
-    assert capsys.readouterr().out == "-1\n1\n-1\n"
 
 
 def test_atomic_write_leaves_no_droppings(tmp_path, small_table):

@@ -65,7 +65,6 @@ def test_model_validation():
         FrustratedModel(S=0.0, version="a")
     with pytest.raises(ValueError):
         FrustratedModel(S=1.0, version="c")
-    assert FrustratedModel(S=1.0, version="b").k == dual_pair(1.0).k
 
 
 def test_separation_classes():

@@ -153,3 +153,13 @@ def test_verify_identities_reports():
 
     with pytest.raises(ValueError):
         verify_identities(("triangular", 0.5))
+
+
+def test_verify_identities_tolerance_overrides_every_row():
+    rep = verify_identities(("uniform", 0.5), radius=2, tolerance=1e-30)
+    assert {r.tolerance for r in rep.rows} == {1e-30}
+    assert not rep.passed
+    # the override also replaces the gauge-map row's own 1e-10 default
+    frep = verify_identities(("frustrated", 1.0, "b"), radius=2, tolerance=0.5)
+    assert {r.tolerance for r in frep.rows} == {0.5}
+    assert frep.passed

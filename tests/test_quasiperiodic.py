@@ -7,7 +7,6 @@ from isingchi import (
     FibonacciSpec,
     WindowRangeError,
     autocorrelation,
-    fib_bit,
     fib_bits,
     metallic_alpha,
     sign_sequence,
@@ -40,13 +39,6 @@ def test_bit_frequency_tracks_inverse_alpha():
             assert abs(ones / N - 1 / spec.alpha) <= 2 / N
 
 
-def test_fib_bit_matches_vectorized():
-    spec = FibonacciSpec(j=1, gamma=0.25)
-    bits = fib_bits(spec, 200, start=-60)
-    assert [fib_bit(spec, n) for n in range(-60, 140)] == bits.tolist()
-    assert set(bits.tolist()) == {0, 1}
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         FibonacciSpec(j=-2)
@@ -58,41 +50,38 @@ def test_spec_validation():
 
 def test_sign_sequence_values_and_map():
     spec = FibonacciSpec(j=0)
-    seq = sign_sequence(spec, 500)
-    assert set(seq.signs.tolist()) <= {-1, 1}
-    assert seq.window == 500
-    # bit 0 of the golden word is 0, so the default map starts at +1
-    assert seq.signs[0] == 1
+    signs = sign_sequence(spec, 500)
+    assert signs.dtype == np.int8
+    assert signs.shape == (500,)
+    # bit 0 maps to +1 and bit 1 to -1, so the golden word starts +1, -1
+    assert signs.tolist() == (1 - 2 * fib_bits(spec, 500)).tolist()
+    assert signs[:2].tolist() == [1, -1]
 
-    # the constant map recovers the uniform model
-    flat = sign_sequence(spec, 500, bit_map={0: 1, 1: 1})
-    assert np.all(flat.signs == 1)
-    kappa = autocorrelation(flat, 100)
+    # constant signs, the uniform model, correlate perfectly at every lag
+    kappa = autocorrelation(np.ones(500, np.int8), 100)
     assert np.all(kappa == 1.0)
 
-    with pytest.raises(ValueError):
-        sign_sequence(spec, 500, bit_map={0: 1, 1: 0})
     with pytest.raises(ValueError):
         sign_sequence(spec, 0)
 
 
 def test_autocorrelation_basics():
-    seq = sign_sequence(FibonacciSpec(j=0), 20_000)
-    kappa = autocorrelation(seq, 50)
+    signs = sign_sequence(FibonacciSpec(j=0), 20_000)
+    kappa = autocorrelation(signs, 50)
     assert kappa[0] == 1.0
     assert np.max(np.abs(kappa)) <= 1.0
     # quasiperiodic order: strong revivals at Fibonacci lags
     assert kappa[13] > 0.5
     with pytest.raises(WindowRangeError):
-        autocorrelation(seq, 10_000)
+        autocorrelation(signs, 10_000)
     with pytest.raises(ValueError):
-        autocorrelation(seq, -1)
+        autocorrelation(signs, -1)
 
 
 def test_autocorrelation_against_direct_mean():
-    seq = sign_sequence(FibonacciSpec(j=2, gamma=0.1), 3000)
-    kappa = autocorrelation(seq, 7)
-    s = seq.signs.astype(float)
+    signs = sign_sequence(FibonacciSpec(j=2, gamma=0.1), 3000)
+    kappa = autocorrelation(signs, 7)
+    s = signs.astype(float)
     for d in range(8):
         direct = float(np.mean(s[:3000 - d] * s[d:]))
         assert kappa[d] == pytest.approx(direct, abs=1e-14)

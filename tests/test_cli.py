@@ -63,6 +63,14 @@ def test_chi_gauge_runs(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 64
 
 
+def test_chi_near_criticality_runs(tmp_path):
+    out = tmp_path / "near.csv"
+    code = run(["chi", "uniform", "--k", "0.99999", "--radius", "4",
+                "--grid", "2x2", "--out", str(out)])
+    assert code == 0
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
 def test_chi_rejects_modulus_outside_disordered_domain(tmp_path, capsys):
     code = run(["chi", "uniform", "--k", "1.5", "--radius", "4",
                 "--grid", "8x8", "--out", str(tmp_path / "x.csv")])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from mpmath import mp
@@ -13,7 +14,12 @@ from isingchi import (
     make_modulus,
     onsager_nn,
 )
-from isingchi.correlations import diagonal_seeds, next_diagonal_seeds
+from isingchi.correlations import (
+    _symbol_coefficients,
+    _toeplitz_minors,
+    diagonal_seeds,
+    next_diagonal_seeds,
+)
 
 # frozen against the transfer-matrix oracle and the closed forms
 NN_HALF = 0.4013239632465773
@@ -190,3 +196,63 @@ def test_star_relation_excludes_origin(table_half):
     # the relation simply does not hold at the origin; the build never
     # consumes it there and the residual scan skips it
     assert abs(star_residual(0, 0)) > 1.0
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99, 1 - 1e-5])
+def test_symbol_coefficients_match_fourier_integral(k):
+    # a_j = (1/pi) Re int_0^pi phi(e^{i theta}) e^{-i j theta} d theta,
+    # since phi(e^{-i theta}) is the conjugate of phi(e^{i theta})
+    with mp.workprec(80):
+        k = mp.mpf(k)
+        coeff = _symbol_coefficients(k, 6)
+        for j in range(-6, 7):
+            def integrand(theta):
+                return (mp.sqrt(1 - k * mp.expj(-theta))
+                        / mp.sqrt(1 - k * mp.expj(theta))
+                        * mp.expj(-j * theta)).real
+            a_j = mp.quad(integrand, [0, mp.pi / 2, mp.pi]) / mp.pi
+            assert abs(coeff[j] - a_j) < 1e-22, (j, coeff[j], a_j)
+
+
+def _dense_minors(t, order):
+    return [mp.one] + [mp.det(mp.matrix([[t(i - j) for j in range(n)]
+                                         for i in range(n)]))
+                       for n in range(1, order + 1)]
+
+
+def test_toeplitz_minors_match_dense_determinants():
+    rng = random.Random(20261018)
+    with mp.workprec(256):
+        cases = []
+        for _ in range(8):
+            entries = {j: mp.mpf(rng.uniform(-1, 1)) for j in range(-12, 13)}
+            cases.append(entries.__getitem__)
+        coeff = _symbol_coefficients(mp.mpf(0.9), 13)
+        cases += [coeff.__getitem__, lambda j: coeff[j - 1]]
+        for t in cases:
+            fast = list(_toeplitz_minors(t, 12))
+            dense = _dense_minors(t, 12)
+            assert len(fast) == 13
+            for got, want in zip(fast, dense):
+                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -200
+
+
+@pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
+def test_diagonal_seeds_agree_across_precision(k):
+    with mp.workprec(256):
+        coarse = diagonal_seeds(mp.mpf(k), 40)
+    with mp.workprec(512):
+        fine = diagonal_seeds(mp.mpf(k), 40)
+        for lo_family, hi_family in zip(coarse, fine):
+            for lo, hi in zip(lo_family, hi_family):
+                assert abs(lo - hi) <= hi * mp.mpf(2) ** -240
+
+
+def test_seeds_are_rounded_once():
+    coarse = build_table(0.5, 12, precision_bits=53)
+    fine = build_table(0.5, 12, precision_bits=256)
+    with mp.workprec(53):
+        for m in range(13):
+            for n in range(m, min(m + 2, 13)):
+                assert coarse.C[m][n] == +fine.C[m][n]
+                assert coarse.C_bar[m][n] == +fine.C_bar[m][n]

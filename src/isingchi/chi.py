@@ -76,14 +76,11 @@ def _octant(table, R, which):
     return out
 
 
-def _cos_block(qs, seps, doubled_interior=True):
+def _cos_block(qs, seps):
     # rows indexed by q, columns by separation; interior separations
     # carry weight 2 for the folded |sep| sum
     block = np.cos(np.multiply.outer(np.asarray(qs, float), np.asarray(seps, float)))
-    if doubled_interior:
-        w = np.where(np.asarray(seps) == 0, 1.0, 2.0)
-        block = block * w
-    return block
+    return block * np.where(np.asarray(seps) == 0, 1.0, 2.0)
 
 
 def _require_window(table, R):
@@ -191,21 +188,6 @@ def tail_estimate(table, R):
     return float(mass)
 
 
-def _source_parts(source):
-    kind = source[0]
-    if kind == "uniform":
-        (_, table) = source
-        return kind, table, "uniform k=%g" % table.k_requested, None, None
-    if kind == "frustrated":
-        (_, model, table) = source
-        label = "frustrated S=%g version=%s" % (model.S, model.version)
-        return kind, table, label, model, None
-    if kind == "gauge":
-        (_, table, kappa) = source
-        return kind, table, "gauge k=%g" % table.k_requested, None, kappa
-    raise ValueError("unknown chi source %r" % (kind,))
-
-
 def chi_grid(source, nx, ny, R):
     """Sample chi over the nx-by-ny Brillouin-zone grid.
 
@@ -216,14 +198,20 @@ def chi_grid(source, nx, ny, R):
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx, ny >= 2, got %dx%d" % (nx, ny))
-    kind, table, label, model, kappa = _source_parts(source)
     qxs = 2 * math.pi * np.arange(nx) / nx - math.pi
     qys = 2 * math.pi * np.arange(ny) / ny - math.pi
+    kind = source[0]
     if kind == "frustrated":
+        _, model, table = source
         values = _frustrated_grid(model, table, qxs, qys, R)
+        label = "frustrated S=%g version=%s" % (model.S, model.version)
+    elif kind in ("uniform", "gauge"):
+        _, table, kappa = (source if kind == "gauge"
+                           else (*source, np.ones(R + 1)))
+        values = _gauge_grid(table, kappa, qxs, qys, R)
+        label = "%s k=%g" % (kind, table.k_requested)
     else:
-        values = _gauge_grid(table, np.ones(R + 1) if kappa is None else kappa,
-                             qxs, qys, R)
+        raise ValueError("unknown chi source %r" % (kind,))
     return ChiGrid(nx=nx, ny=ny, qx=qxs, qy=qys, values=values,
                    window_radius=R, tail_bound=tail_estimate(table, R),
                    source=label)

@@ -9,7 +9,8 @@ explicit flags win.
 import argparse
 import sys
 
-from .correlations import PrecisionExhausted, SeedInconsistency, build_table
+from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
+                           SeedInconsistency, build_table)
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
 from .frustrated import FrustratedModel, dual_pair
@@ -23,6 +24,14 @@ _CONFIG_KEYS = {
     "k": float, "S": float, "version": str, "j": int, "gamma": float,
     "radius": int, "precision": int, "grid": str, "count": int,
     "tol": float, "out": str, "pgm": str, "peaks": str, "signs": bool,
+}
+
+
+# what the user can change when a table runs out of working precision
+_PRECISION_ADVICE = {
+    "corr": "; rerun with --precision above %d",
+    "chi": "; chi builds its table at the default %d bits, so rerun with a "
+           "smaller --radius",
 }
 
 
@@ -210,7 +219,11 @@ def run(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (PrecisionExhausted, SeedInconsistency) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        advice = (_PRECISION_ADVICE.get(args.subcommand)
+                  if isinstance(exc, PrecisionExhausted) else None)
+        bits = getattr(args, "precision", None) or DEFAULT_PRECISION_BITS
+        print("error: %s%s" % (exc, advice % bits if advice else ""),
+              file=sys.stderr)
         return 1
 
 

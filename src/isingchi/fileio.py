@@ -1,8 +1,10 @@
 """Deterministic file emission: CSV tables, PGM density maps, config files.
 
-Every writer goes through an atomic temp-file-plus-rename so interrupted
-runs never leave truncated artifacts, and every float is printed with 17
-significant digits so identical inputs give byte-identical files.
+Every writer streams its chunks into a sibling temp file that is renamed
+into place only when complete, so interrupted runs never leave truncated
+artifacts (the chi CSV goes one qy row at a time and is never held whole
+in memory), and every float is printed with 17 significant digits so
+identical inputs give byte-identical files.
 """
 
 import os
@@ -32,15 +34,16 @@ def format_float(x):
     return "%.17g" % float(x)
 
 
-def _atomic_write(path, data):
-    """Write bytes to path via a sibling temp file and rename."""
-    if isinstance(data, str):
-        data = data.encode("ascii")
+def _atomic_write(path, chunks):
+    """Stream str (ASCII) or bytes chunks into a sibling temp file, then
+    rename it over path; if any chunk fails, path is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk.encode("ascii") if isinstance(chunk, str)
+                             else chunk)
         mask = os.umask(0)
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
@@ -55,25 +58,37 @@ def _atomic_write(path, data):
 
 def write_corr_csv(path, table):
     """Octant of a correlation table, rows ordered by (n - m, m)."""
-    lines = ["m,n,C,Cbar"]
-    points = [(n - m, m, n) for m in range(table.radius + 1)
-              for n in range(m, table.radius + 1)]
-    for _, m, n in sorted(points):
-        lines.append("%d,%d,%s,%s" % (m, n,
-                                      format_float(lookup(table, m, n)),
-                                      format_float(lookup(table, m, n, "Cbar"))))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    points = sorted((n - m, m, n) for m in range(table.radius + 1)
+                    for n in range(m, table.radius + 1))
+    _atomic_write(path, ["m,n,C,Cbar\n"] + [
+        "%d,%d,%s,%s\n" % (m, n, format_float(lookup(table, m, n)),
+                           format_float(lookup(table, m, n, "Cbar")))
+        for _, m, n in points])
 
 
 def write_chi_csv(path, grid):
-    """Grid samples as qx,qy,chi rows, row-major with qy as the outer loop."""
-    lines = ["qx,qy,chi"]
-    for j in range(grid.ny):
-        qy = format_float(grid.qy[j])
-        for i in range(grid.nx):
-            lines.append("%s,%s,%s" % (format_float(grid.qx[i]), qy,
-                                       format_float(grid.values[i, j])))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Grid samples as qx,qy,chi rows, row-major with qy as the outer loop.
+
+    Streamed one qy row at a time; each qx is formatted once.  A grid whose
+    arrays do not match (nx, ny) raises ValueError before anything is written.
+    """
+    qx, qy = np.asarray(grid.qx, float), np.asarray(grid.qy, float)
+    values = np.asarray(grid.values, float)
+    if (qx.shape, qy.shape, values.shape) != ((grid.nx,), (grid.ny,),
+                                              (grid.nx, grid.ny)):
+        raise ValueError("chi grid is %dx%d but qx, qy and values have shapes "
+                         "%s, %s and %s" % (grid.nx, grid.ny, qx.shape,
+                                            qy.shape, values.shape))
+    columns = [format_float(x) for x in qx.tolist()]
+
+    def rows():
+        yield "qx,qy,chi\n"
+        for j, y in enumerate(qy.tolist()):
+            y = format_float(y)
+            yield "".join(["%s,%s,%.17g\n" % (x, y, v)
+                           for x, v in zip(columns, values[:, j].tolist())])
+
+    _atomic_write(path, rows())
 
 
 def write_pgm(path, grid):
@@ -89,27 +104,24 @@ def write_pgm(path, grid):
         scaled = np.rint(65535.0 * (v - lo) / (hi - lo)).astype(np.uint16)
     else:
         scaled = np.zeros(v.shape, np.uint16)
-    header = ("P5\n%d %d\n65535\n" % (grid.nx, grid.ny)).encode("ascii")
-    _atomic_write(path, header + scaled.T.astype(">u2").tobytes())
+    _atomic_write(path, ["P5\n%d %d\n65535\n" % (grid.nx, grid.ny),
+                         scaled.T.astype(">u2").tobytes()])
 
 
 def write_peaks_csv(path, peaks):
-    lines = ["qx,qy,value,commensurate"]
-    for p in peaks:
-        lines.append("%s,%s,%s,%s" % (format_float(p.qx), format_float(p.qy),
-                                      format_float(p.value),
-                                      "true" if p.commensurate else "false"))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["qx,qy,value,commensurate\n"] + [
+        "%s,%s,%s,%s\n" % (format_float(p.qx), format_float(p.qy),
+                           format_float(p.value),
+                           "true" if p.commensurate else "false")
+        for p in peaks])
 
 
 def write_verification_csv(path, report):
-    lines = ["identity,location,residual,tolerance,pass"]
-    for r in report.rows:
-        lines.append("%s,%s,%s,%s,%s" % (r.identity, r.location,
-                                         format_float(r.residual),
-                                         format_float(r.tolerance),
-                                         "true" if r.passed else "false"))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["identity,location,residual,tolerance,pass\n"] + [
+        "%s,%s,%s,%s,%s\n" % (r.identity, r.location, format_float(r.residual),
+                              format_float(r.tolerance),
+                              "true" if r.passed else "false")
+        for r in report.rows])
 
 
 def read_config(path):

@@ -297,24 +297,16 @@ class _Cylinder:
         sa = _spin_diag(self.W, y0)
         sb = _spin_diag(self.W, y0 + dy)
         if not self.two_column:
-            left = sa * self.psi
-            v = sb * self.psi
-            for _ in range(dx):
-                v = self.step(v)
-            return float(left @ v)
+            return float((sa * self.psi) @ self._chain(sb * self.psi, dx))
 
         # Two-column cell: parity of the absolute column decides whether a
         # spin sits at a block edge or inside one.
         p = x0 % 2
         if p == 0:
             if dx % 2 == 0:
-                left, v = sa * self.psi, sb * self.psi
-                for _ in range(dx // 2):
-                    v = self.step(v)
-                return float(left @ v)
-            v = self.step(self.psi, insert=sb)
-            for _ in range(dx // 2):
-                v = self.step(v)
+                v = self._chain(sb * self.psi, dx // 2)
+            else:
+                v = self._chain(self.step(self.psi, insert=sb), dx // 2)
             return float((sa * self.psi) @ v)
         if dx % 2 == 1:
             # sa sits inside the block at the base end; the plain blocks
@@ -617,22 +609,20 @@ def _frustrated_rows(S, version, radius, tol, gauge_tol):
     cyls = [_Cylinder(CylinderSpec(W, K, "columnar")) for W in widths]
     staggered = version == "a"
 
+    # base column parity p and one separation of each +-(dx, dy) pair
+    offsets = [(p, dx, dy) for p in (0, 1) for dx in range(radius + 1)
+               for dy in range(-radius, radius + 1) if dx > 0 or dy > 0]
     classes = {"even-even": {}, "odd-odd": {}, "odd-x": {}, "odd-y": {}}
-    for p in (0, 1):
-        base = (p, 0)
-        for dx in range(radius + 1):
-            for dy in range(-radius, radius + 1):
-                if dx == 0 and dy <= 0:
-                    continue
-                series = [cyl.correlation(base, (dx, dy)) for cyl in cyls]
-                oracle = _limit_deep(widths, series)
-                if staggered:
-                    oracle *= gauge_sign(0) * gauge_sign(dy)
-                assembled = ff_correlation(model, table, dx, dy, base_parity=p)
-                name = ("even-even" if dx % 2 == 0 and dy % 2 == 0 else
-                        "odd-odd" if dx % 2 == 1 and abs(dy) % 2 == 1 else
-                        "odd-x" if dx % 2 == 1 else "odd-y")
-                classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
+    for p, dx, dy in offsets:
+        series = [cyl.correlation((p, 0), (dx, dy)) for cyl in cyls]
+        oracle = _limit_deep(widths, series)
+        if staggered:
+            oracle *= gauge_sign(0) * gauge_sign(dy)
+        assembled = ff_correlation(model, table, dx, dy, base_parity=p)
+        name = ("even-even" if dx % 2 == 0 and dy % 2 == 0 else
+                "odd-odd" if dx % 2 == 1 and abs(dy) % 2 == 1 else
+                "odd-x" if dx % 2 == 1 else "odd-y")
+        classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
 
     # Fixed-width certification of the gauge map: on a W = 8 ring the
     # checkerboard model is exactly the row-gauged columnar model, so
@@ -640,14 +630,10 @@ def _frustrated_rows(S, version, radius, tol, gauge_tol):
     chk = _Cylinder(CylinderSpec(8, K, "checkerboard"))
     col = cyls[0]
     gauge = {}
-    for p in (0, 1):
-        for dx in range(radius + 1):
-            for dy in range(-radius, radius + 1):
-                if dx == 0 and dy <= 0:
-                    continue
-                lhs = chk.correlation((p, 0), (dx, dy))
-                rhs = gauge_sign(0) * gauge_sign(dy) * col.correlation((p, 0), (dx, dy))
-                gauge["(%d %d)p%d" % (dx, dy, p)] = lhs - rhs
+    for p, dx, dy in offsets:
+        lhs = chk.correlation((p, 0), (dx, dy))
+        rhs = gauge_sign(0) * gauge_sign(dy) * col.correlation((p, 0), (dx, dy))
+        gauge["(%d %d)p%d" % (dx, dy, p)] = lhs - rhs
     return [
         _worst("assembly-even-even", classes["even-even"], tol),
         _worst("assembly-odd-x", classes["odd-x"], tol),

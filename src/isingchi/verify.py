@@ -9,8 +9,8 @@ transfer-matrix comparisons in the oracle module.
 
 import math
 
+import mpmath
 import numpy as np
-from scipy.integrate import quad
 
 from .chi import chi_column_gauge, chi_grid, chi_uniform
 from .correlations import build_table, lookup
@@ -35,13 +35,12 @@ def _suite_elliptic(tolerance):
                    _tol(tolerance, 1e-15))]
 
     res = {}
+    ctx = mpmath.MPContext()  # its own 80 bits; the global mp is untouched
+    ctx.prec = 80
     for m in rng.uniform(0.01, 0.98, 20):
-        # quad flags roundoff below ~1e-14 absolute; the value itself is
-        # still good, so take it without the warning
-        ref = quad(lambda t: 1.0 / math.sqrt(1 - (m * math.sin(t)) ** 2),
-                   0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13,
-                   full_output=1)[0]
-        res["m=%.6f" % m] = float(complete_elliptic_K(m)) - ref
+        ref = ctx.quad(lambda t: 1 / ctx.sqrt(1 - (m * ctx.sin(t)) ** 2),
+                       [0, ctx.pi / 2])
+        res["m=%.6f" % m] = float(complete_elliptic_K(m)) - float(ref)
     rows.append(_worst("K-vs-quadrature", res, _tol(tolerance, 1e-12)))
 
     sn_res, dn_res = {}, {}

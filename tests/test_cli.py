@@ -80,6 +80,22 @@ def test_chi_rejects_modulus_outside_disordered_domain(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
+@pytest.mark.parametrize("argv, advice", [
+    (["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "40",
+      "--grid", "2x2"], "smaller --radius"),
+    (["corr", "--k", "0.05", "--radius", "32"], "--precision above 256"),
+])
+def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
+    # the library says "raise precision_bits"; the CLI adds what to pass
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: swept entry left (0, 1]; raise precision_bits")
+    assert err[0].endswith(advice)
+    assert not out.exists()
+
+
 def test_missing_flag_is_usage_error(capsys):
     assert run(["corr", "--k", "0.5"]) == 2
     assert "--radius" in capsys.readouterr().err
@@ -194,3 +210,15 @@ def test_corr_does_not_load_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_verify_does_not_load_scipy_integrate():
+    # K-vs-quadrature integrates with mpmath; scipy.integrate costs ~0.3 s
+    code = ("import sys\n"
+            "from isingchi.verify import run_suite\n"
+            "assert run_suite('elliptic').passed\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

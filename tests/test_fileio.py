@@ -14,6 +14,7 @@ from isingchi import (
 )
 from isingchi.fileio import (
     ConfigError,
+    _atomic_write,
     format_float,
     read_config,
     write_chi_csv,
@@ -67,6 +68,57 @@ def test_chi_csv_row_major_qy_outer(tmp_path, table05_r30):
         for i in range(4):
             assert float(rows[k][2]) == float(grid.values[i, j])
             k += 1
+
+
+def test_chi_csv_matches_per_sample_layout(tmp_path):
+    # non-square, with signed zero, subnormal-range and large values
+    nx, ny = 7, 5
+    qx = 2 * math.pi * np.arange(nx) / nx - math.pi
+    qy = 2 * math.pi * np.arange(ny) / ny - math.pi
+    values = np.random.default_rng(7).normal(size=(nx, ny))
+    values[0, 0], values[3, 1], values[6, 4], values[2, 2] = -0.0, 1e-300, -1.5e17, 1 / 3
+    grid = ChiGrid(nx=nx, ny=ny, qx=qx, qy=qy, values=values,
+                   window_radius=0, tail_bound=0.0, source="synthetic")
+    path = tmp_path / "chi.csv"
+    write_chi_csv(path, grid)
+    expect = ["qx,qy,chi"]
+    for j in range(ny):
+        for i in range(nx):
+            expect.append("%.17g,%.17g,%.17g" % (qx[i], qy[j], values[i, j]))
+    assert path.read_bytes() == ("\n".join(expect) + "\n").encode("ascii")
+    for text in (",-0\n", ",1e-300\n", ",-1.5e+17\n"):
+        assert text in path.read_text()
+
+
+@pytest.mark.parametrize("shapes", [((7,), (5,), (7, 4)), ((7,), (5,), (5, 7)),
+                                    ((6,), (5,), (7, 5)), ((7,), (6,), (7, 5))])
+def test_mismatched_chi_grid_leaves_old_file(tmp_path, shapes):
+    (nqx,), (nqy,), vshape = shapes
+    path = tmp_path / "chi.csv"
+    path.write_bytes(b"qx,qy,chi\nold\n")
+    grid = ChiGrid(nx=7, ny=5, qx=np.zeros(nqx), qy=np.zeros(nqy),
+                   values=np.ones(vshape), window_radius=0, tail_bound=0.0,
+                   source="synthetic")
+    with pytest.raises(ValueError, match="7x5"):
+        write_chi_csv(path, grid)
+    assert path.read_bytes() == b"qx,qy,chi\nold\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["chi.csv"]
+
+
+def test_failed_stream_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+
+    def chunks():
+        yield "first row\n"
+        raise RuntimeError("producer failed")
+
+    with pytest.raises(RuntimeError, match="producer failed"):
+        _atomic_write(path, chunks())
+    assert path.read_bytes() == b"old\n"
+    with pytest.raises(RuntimeError):
+        _atomic_write(tmp_path / "new.csv", chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def _parse_pgm(data):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 from mpmath import mp
 
-from .elliptic import EllipticDomainError, jacobi_cs, jacobi_sc
+from .elliptic import EllipticDomainError, jacobi_elliptic
 
 __all__ = [
     "CouplingPair",
@@ -79,7 +79,10 @@ def coupling_pair(u1, u2, mod):
         raise EllipticDomainError(
             "rapidity difference %s outside (0, K(k')) with K(k') = %s"
             % (mp.nstr(d, 8), mp.nstr(mod.big_K_prime, 8)))
-    s = mod.k * jacobi_sc(d, mod.k_prime)
-    c = jacobi_cs(d, mod.k_prime)
-    return CouplingPair(K=mp.asinh(s) / 2, K_bar=mp.asinh(c) / 2)
+    sn, cn, _ = jacobi_elliptic(d, mod.k_prime)
+    if sn == 0 or cn == 0:
+        raise EllipticDomainError("sc/cs pole: %s vanishes at d = %s"
+                                  % ("sn" if sn == 0 else "cn", d))
+    return CouplingPair(K=mp.asinh(mod.k * (sn / cn)) / 2,
+                        K_bar=mp.asinh(cn / sn) / 2)
 

@@ -16,8 +16,6 @@ __all__ = [
     "agm",
     "complete_elliptic_K",
     "jacobi_elliptic",
-    "jacobi_sc",
-    "jacobi_cs",
     "make_modulus",
 ]
 
@@ -100,22 +98,6 @@ def jacobi_elliptic(u, k):
     else:
         dn = cn / spread
     return sn, cn, dn
-
-
-def jacobi_sc(u, k):
-    """sc(u, k) = sn/cn.  Pole where cn vanishes (odd quarter periods)."""
-    sn, cn, _ = jacobi_elliptic(u, k)
-    if cn == 0:
-        raise EllipticDomainError("sc pole: cn vanishes at u = %s" % u)
-    return sn / cn
-
-
-def jacobi_cs(u, k):
-    """cs(u, k) = cn/sn.  Pole where sn vanishes (whole periods)."""
-    sn, cn, _ = jacobi_elliptic(u, k)
-    if sn == 0:
-        raise EllipticDomainError("cs pole: sn vanishes at u = %s" % u)
-    return cn / sn
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,11 @@ Three independent routes, in increasing reach:
 
 The cylinder operator is never materialized as a dense 2^W x 2^W matrix;
 the bond layer factorizes over sites, so one application costs O(W 2^W)
-and W = 16 stays within memory.  The eigenpair comes from Lanczos
-iteration with a fixed start vector, keeping results deterministic.
+and W = 16 stays within memory.  It is applied as W perfect-shuffle
+passes: each mixes the even and odd entries (the lowest site) and writes
+the two results as the low and high halves, which moves the next site
+into the lowest place.  The eigenpair comes from Lanczos iteration with a
+fixed start vector, keeping results deterministic.
 
 All arithmetic here is float64.  The high-precision claims of the
 recurrence engine are never tested against this module beyond ~1e-10;
@@ -178,14 +181,16 @@ def _spin_diag(W, y):
 
 
 def _apply_bond_layer(v, W, K):
-    """Multiply by the inter-column bond factor, one site at a time."""
+    """Multiply by the inter-column bond factor: W shuffle passes, low site first."""
     ep, em = np.exp(K), np.exp(-K)
-    for i in range(W):
-        v = v.reshape(1 << (W - 1 - i), 2, 1 << i)
-        up = ep * v[:, 0, :] + em * v[:, 1, :]
-        dn = em * v[:, 0, :] + ep * v[:, 1, :]
-        v = np.stack((up, dn), axis=1)
-    return v.reshape(-1)
+    half = 1 << (W - 1)
+    for _ in range(W):
+        a0, a1 = v[0::2], v[1::2]
+        out = np.empty_like(v)
+        np.add(ep * a0, em * a1, out=out[:half])
+        np.add(em * a0, ep * a1, out=out[half:])
+        v = out
+    return v
 
 
 def _dense_bond_layer(W, K):
@@ -344,7 +349,7 @@ def torus_correlation(W, L, K, site_a, site_b, ring_mode="uniform"):
     """
     if W > 10:
         raise OracleCapacityError("dense torus path caps the ring at W = 10")
-    if ring_mode != "uniform" and (W % 2 or L % 2):
+    if ring_mode in ("columnar", "checkerboard") and (W % 2 or L % 2):
         raise ValueError("frustrated ring pattern needs even W and L")
     dim = 1 << W
     B = _dense_bond_layer(W, K)
@@ -585,15 +590,17 @@ def _table_rows(k, radius, C, C_bar, tol):
     return [_worst("table-vs-oracle", gaps, tol)]
 
 
-def _frustrated_rows(S, version, radius, tol, gauge_tol):
+def _frustrated_rows(S, versions, radius, tolerance):
+    """{version: report rows}, all versions read one set of cylinders."""
     from .correlations import build_table
     from .elliptic import make_modulus
     from .frustrated import FrustratedModel, dual_pair, ff_correlation, gauge_sign
 
-    model = FrustratedModel(S=S, version=version)
-    pair = dual_pair(S)
-    table = build_table(make_modulus(pair.k), radius // 2 + 2, precision_bits=128)
+    models = [FrustratedModel(S=S, version=version) for version in versions]
+    table = build_table(make_modulus(dual_pair(S).k), radius // 2 + 2,
+                        precision_bits=128)
     K = float(np.arcsinh(S) / 2)
+    tol, gauge_tol = (1e-6, 1e-10) if tolerance is None else (tolerance,) * 2
 
     # The columnar layout repeats every two columns, so its cylinder
     # values converge cleanly (same-sign geometric in W).  The
@@ -607,40 +614,39 @@ def _frustrated_rows(S, version, radius, tol, gauge_tol):
     # transfer matrix.
     widths = (8, 10, 12, 14, 16)
     cyls = [_Cylinder(CylinderSpec(W, K, "columnar")) for W in widths]
-    staggered = version == "a"
 
     # base column parity p and one separation of each +-(dx, dy) pair
     offsets = [(p, dx, dy) for p in (0, 1) for dx in range(radius + 1)
                for dy in range(-radius, radius + 1) if dx > 0 or dy > 0]
-    classes = {"even-even": {}, "odd-odd": {}, "odd-x": {}, "odd-y": {}}
-    for p, dx, dy in offsets:
-        series = [cyl.correlation((p, 0), (dx, dy)) for cyl in cyls]
-        oracle = _limit_deep(widths, series)
-        if staggered:
-            oracle *= gauge_sign(0) * gauge_sign(dy)
-        assembled = ff_correlation(model, table, dx, dy, base_parity=p)
-        name = ("even-even" if dx % 2 == 0 and dy % 2 == 0 else
-                "odd-odd" if dx % 2 == 1 and abs(dy) % 2 == 1 else
-                "odd-x" if dx % 2 == 1 else "odd-y")
-        classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
+    limits = [_limit_deep(widths, [cyl.correlation((p, 0), (dx, dy))
+                                   for cyl in cyls]) for p, dx, dy in offsets]
 
     # Fixed-width certification of the gauge map: on a W = 8 ring the
     # checkerboard model is exactly the row-gauged columnar model, so
     # their correlations must agree to transfer-matrix precision.
     chk = _Cylinder(CylinderSpec(8, K, "checkerboard"))
-    col = cyls[0]
     gauge = {}
     for p, dx, dy in offsets:
         lhs = chk.correlation((p, 0), (dx, dy))
-        rhs = gauge_sign(0) * gauge_sign(dy) * col.correlation((p, 0), (dx, dy))
+        rhs = gauge_sign(0) * gauge_sign(dy) * cyls[0].correlation((p, 0), (dx, dy))
         gauge["(%d %d)p%d" % (dx, dy, p)] = lhs - rhs
-    return [
-        _worst("assembly-even-even", classes["even-even"], tol),
-        _worst("assembly-odd-x", classes["odd-x"], tol),
-        _worst("assembly-odd-y", classes["odd-y"], tol),
-        _worst("assembly-odd-odd", classes["odd-odd"], tol),
-        _worst("gauge-map", gauge, gauge_tol),
-    ]
+
+    out = {}
+    for model in models:
+        classes = {"even-even": {}, "odd-odd": {}, "odd-x": {}, "odd-y": {}}
+        for (p, dx, dy), oracle in zip(offsets, limits):
+            if model.version == "a":
+                oracle *= gauge_sign(0) * gauge_sign(dy)
+            assembled = ff_correlation(model, table, dx, dy, base_parity=p)
+            name = ("even-even" if dx % 2 == 0 and dy % 2 == 0 else
+                    "odd-odd" if dx % 2 == 1 and abs(dy) % 2 == 1 else
+                    "odd-x" if dx % 2 == 1 else "odd-y")
+            classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
+        out[model.version] = [
+            _worst("assembly-" + name, classes[name], tol)
+            for name in ("even-even", "odd-x", "odd-y", "odd-odd")
+        ] + [_worst("gauge-map", gauge, gauge_tol)]
+    return out
 
 
 def verify_identities(target, radius=4, tolerance=None):
@@ -663,9 +669,9 @@ def verify_identities(target, radius=4, tolerance=None):
         rows = (uniform_identity_rows(C, C_bar, k, radius, tol)
                 + _table_rows(k, radius, C, C_bar, tol))
     elif target[0] == "frustrated":
-        S, version = float(target[1]), target[2]
-        rows = _frustrated_rows(S, version, radius, tol,
-                                1e-10 if tolerance is None else tolerance)
+        version = target[2]
+        rows = _frustrated_rows(float(target[1]), (version,), radius,
+                                tolerance)[version]
     else:
         raise ValueError("target must be ('uniform', k) or ('frustrated', S, version)")
     return VerificationReport(tuple(rows))

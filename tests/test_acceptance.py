@@ -31,7 +31,6 @@ from isingchi.oracle import (
     cylinder_correlation,
     extrapolate,
     oracle_pair_correlations,
-    verify_identities,
 )
 from isingchi.verify import run_suite
 
@@ -149,9 +148,16 @@ def test_criterion_07_frustrated_factorization():
     checks["odd-odd class vanishes"] = odd_odd_zero
     checks["sublattice parity average vanishes"] = parity_zero
 
-    for version in ("a", "b"):
-        rep = verify_identities(("frustrated", 1.0, version), radius=3)
-        checks["assembly vs mixed-sign oracle (%s)" % version] = rep.passed
+    # the verify suite: both layouts at radius 3, default tolerances
+    rows = run_suite("frustrated").rows
+    by_version = {v: [r for r in rows if r.identity.endswith("-" + v)]
+                  for v in ("a", "b")}
+    for version, vrows in by_version.items():
+        checks["assembly vs mixed-sign oracle (%s)" % version] = (
+            len(vrows) == 5 and all(r.passed for r in vrows))
+    checks["layouts share residuals"] = all(
+        ra.identity[:-2] == rb.identity[:-2] and ra.location == rb.location
+        and ra.residual == rb.residual for ra, rb in zip(*by_version.values()))
 
     # base column x0 = 0, so version a sees parity y0 and version b parity 0
     gauge_ok = True

@@ -7,9 +7,8 @@ import pytest
 from isingchi import (
     EllipticDomainError,
     complete_elliptic_K,
-    jacobi_cs,
+    coupling_pair,
     jacobi_elliptic,
-    jacobi_sc,
     make_modulus,
 )
 from isingchi.elliptic import agm
@@ -83,27 +82,27 @@ def test_jacobi_against_mpmath():
 
 def test_sc_cs_and_poles():
     k = 0.4
-    u = 0.37
-    sn, cn, _ = jacobi_elliptic(u, k)
-    assert float(jacobi_sc(u, k)) == pytest.approx(float(sn / cn), rel=1e-13)
-    assert float(jacobi_cs(u, k)) == pytest.approx(float(cn / sn), rel=1e-13)
+    sn, cn, _ = jacobi_elliptic(0.37, k)
     # sc * cs == 1 wherever both are finite
-    assert float(jacobi_sc(u, k) * jacobi_cs(u, k)) == pytest.approx(1.0,
-                                                                     rel=1e-13)
-    # the pole guard fires only on an exact zero: u = 0 gives sn = 0 exactly,
-    # while cn at u = K merely underflows to ~6e-17 and sc stays finite
-    with pytest.raises(EllipticDomainError):
-        jacobi_cs(0.0, k)
-    assert abs(float(jacobi_sc(complete_elliptic_K(k), k))) > 1e12
+    assert float((sn / cn) * (cn / sn)) == pytest.approx(1.0, rel=1e-13)
+    # the poles are exact zeros only at u = 0: sn(0) = 0 exactly, while
+    # cn(K) merely underflows to ~6e-17 and sc stays finite
+    sn, _, _ = jacobi_elliptic(0.0, k)
+    assert sn == 0
+    _, cn, _ = jacobi_elliptic(complete_elliptic_K(k), k)
+    assert cn != 0 and abs(float(cn)) < 1e-12
 
 
 def test_half_argument_on_conjugate_modulus():
-    # sc(K'/2, k') = 1/sqrt(k)
+    # sc(K'/2, k') = 1/sqrt(k), so the crossing at d = K'/2 is symmetric:
+    # sinh 2K = k sc = sqrt(k) and sinh 2K_bar = cs = sqrt(k)
     for k in (0.2, 0.5, 0.83):
-        kp = math.sqrt(1 - k * k)
-        half = complete_elliptic_K(kp) / 2
-        assert float(jacobi_sc(half, kp)) == pytest.approx(
-            1 / math.sqrt(k), rel=1e-12)
+        mod = make_modulus(k)
+        pair = coupling_pair(mod.big_K_prime / 2, 0, mod)
+        assert math.sinh(2 * float(pair.K)) == pytest.approx(math.sqrt(k),
+                                                             rel=1e-12)
+        assert math.sinh(2 * float(pair.K_bar)) == pytest.approx(math.sqrt(k),
+                                                                 rel=1e-12)
 
 
 def test_sn_periodicity():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import isingchi.oracle
 from isingchi.oracle import (
     CylinderSpec,
     ExtrapolationError,
@@ -17,6 +18,19 @@ from isingchi.oracle import (
     uniform_identity_rows,
     verify_identities,
 )
+from isingchi.oracle import _apply_bond_layer, _dense_bond_layer
+from isingchi.verify import run_suite
+
+
+def _per_site_bond_layer(v, W, K):
+    """The bond layer as one reshape/stack per site, lowest site first."""
+    ep, em = np.exp(K), np.exp(-K)
+    for i in range(W):
+        v = v.reshape(1 << (W - 1 - i), 2, 1 << i)
+        up = ep * v[:, 0, :] + em * v[:, 1, :]
+        dn = em * v[:, 0, :] + ep * v[:, 1, :]
+        v = np.stack((up, dn), axis=1)
+    return v.reshape(-1)
 
 
 def test_two_site_chain_is_tanh():
@@ -54,6 +68,49 @@ def test_frustrated_transfer_matches_enumeration():
         e = enumerate_correlation(lat, lat.site(0, 0), lat.site(2, 0))
         t = torus_correlation(4, 4, K, (0, 0), (2, 0), ring_mode=mode)
         assert t == pytest.approx(e, abs=1e-13)
+
+
+def test_bond_layer_shuffle_is_bit_identical():
+    rng = np.random.default_rng(31)
+    for W in range(2, 13):
+        for K in (0.3, 1.2):
+            v = rng.standard_normal(1 << W)
+            got = _apply_bond_layer(v, W, K)
+            assert np.array_equal(got, _per_site_bond_layer(v, W, K))
+            if W <= 8:
+                dense = _dense_bond_layer(W, K) @ v
+                assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+def test_antiperiodic_torus_matches_enumeration():
+    # the antiperiodic ring is the plain ring with its seam bond
+    # s_(W-1) s_0 flipped; no two-column cell, so odd W and L are fine
+    K = 0.3
+    for W, L in ((3, 4), (4, 4), (3, 5)):
+        lat = square_lattice(L, W, K, periodic=(True, True),
+                             bond_sign=lambda x, y, axis: -1 if axis == 1
+                             and y == W - 1 else 1)
+        for a, b in (((0, 0), (1, 1)), ((0, 2), (2, 0)), ((1, 0), (1, 2))):
+            e = enumerate_correlation(lat, lat.site(*a), lat.site(*b))
+            t = torus_correlation(W, L, K, a, b, "antiperiodic")
+            assert t == pytest.approx(e, abs=1e-13)
+
+
+def test_frustrated_suite_builds_cylinders_once_per_call(monkeypatch):
+    calls = []
+    eigsh = isingchi.oracle.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(isingchi.oracle, "eigsh", counting)
+    # five columnar widths and one checkerboard ring, shared by a and b,
+    # and built again by the next call: nothing outlives the call
+    for _ in range(2):
+        calls.clear()
+        assert run_suite("frustrated").passed
+        assert len(calls) == 6
 
 
 def test_cylinder_agrees_with_long_torus():

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correlations import TableRangeError, lookup
-from .frustrated import _require_model_table
+from .frustrated import ff_correlation
 from .quasiperiodic import WindowRangeError
 
 __all__ = [
@@ -68,14 +68,6 @@ class Peak:
     commensurate: bool
 
 
-def _octant(table, R, which):
-    out = np.empty((R + 1, R + 1))
-    for m in range(R + 1):
-        for n in range(R + 1):
-            out[m, n] = lookup(table, m, n, which)
-    return out
-
-
 def _cos_block(qs, seps):
     # rows indexed by q, columns by separation; interior separations
     # carry weight 2 for the folded |sep| sum
@@ -107,38 +99,28 @@ def _gauge_grid(table, kappa, qxs, qys, R):
         raise WindowRangeError(
             "gauge autocorrelation covers lags < %d, window needs %d"
             % (kappa.shape[0], R))
-    m = _octant(table, R, "C") * kappa[np.newaxis, :R + 1]
+    m = np.array([[lookup(table, i, j) for j in range(R + 1)]
+                  for i in range(R + 1)]) * kappa[np.newaxis, :R + 1]
     x = _cos_block(qxs, range(R + 1))
     y = _cos_block(qys, range(R + 1))
     return x @ m @ y.T
 
 
 def _frustrated_grid(model, table, qxs, qys, R):
+    # sublattice-averaged ff_correlation over |dx|, |dy| <= 2R: the odd-y
+    # class cancels in the average and the odd-odd class vanishes, leaving
+    # the even-x term at (2m, 2n) and the odd-x term at (2m-1, 2n)
     _require_window(table, R)
-    _require_model_table(model, table)
-    c = _octant(table, R, "C")
-    cb = _octant(table, R, "Cbar")
-    n_sign = ((-1.0) ** np.arange(R + 1) if model.version == "a"
-              else np.ones(R + 1))
-    amp = model.S / (2 * math.sqrt(2 * model.S ** 2 + 1))
-
-    # even-even class at separations (2m, 2n); even in both, cosine fold
-    ee = (c * cb) * n_sign[np.newaxis, :]
-    x2 = _cos_block(qxs, 2 * np.arange(R + 1))
     y2 = _cos_block(qys, 2 * np.arange(R + 1))
-    grid = x2 @ ee @ y2.T
 
-    # odd-x class at separations (2m-1, 2n), m = 1..R folded over +-dx;
-    # the odd-y class cancels in the sublattice average and the odd-odd
-    # class vanishes identically
+    def term(dxs):
+        coef = np.array([[ff_correlation(model, table, dx, 2 * n, 0)
+                          for n in range(R + 1)] for dx in dxs])
+        return _cos_block(qxs, dxs) @ coef @ y2.T
+
+    grid = term(2 * np.arange(R + 1))
     if R >= 1:
-        oe = np.empty((R, R + 1))
-        for mm in range(1, R + 1):
-            oe[mm - 1] = amp * (c[mm - 1] * cb[mm] + c[mm] * cb[mm - 1])
-        oe *= n_sign[np.newaxis, :]
-        xo = 2 * np.cos(np.multiply.outer(np.asarray(qxs, float),
-                                          2.0 * np.arange(1, R + 1) - 1))
-        grid = grid + xo @ oe @ y2.T
+        grid = grid + term(2 * np.arange(1, R + 1) - 1)
     return grid
 
 
@@ -194,7 +176,8 @@ def chi_grid(source, nx, ny, R):
     source is ("uniform", table), ("frustrated", model, table) or
     ("gauge", table, kappa).  Returns a ChiGrid carrying the samples and
     a truncation bound from tail_estimate.  The frustrated window covers
-    separations out to 2R using table entries within radius R.
+    separations out to 2R using table entries within radius R; its
+    coefficients are frustrated.ff_correlation averaged over sublattices.
     """
     if nx < 2 or ny < 2:
         raise ValueError("grid needs nx, ny >= 2, got %dx%d" % (nx, ny))
@@ -217,12 +200,11 @@ def chi_grid(source, nx, ny, R):
                    source=label)
 
 
-def find_peaks(grid, denominator=4):
+def find_peaks(grid):
     """Strict local maxima of the grid under periodic 8-neighbour topology.
 
     A peak is commensurate when both components sit within one grid cell
-    of a multiple of 2 pi / denominator; the default denominator 4 tests
-    against multiples of pi/2.  Peaks come back sorted by height.
+    of a multiple of pi/2.  Peaks come back sorted by height.
     """
     v = grid.values
     nx, ny = grid.nx, grid.ny
@@ -233,7 +215,7 @@ def find_peaks(grid, denominator=4):
                 continue
             np.maximum(best, np.roll(np.roll(v, di, axis=0), dj, axis=1),
                        out=best)
-    spacing = 2 * math.pi / denominator
+    spacing = math.pi / 2
     cell_x, cell_y = 2 * math.pi / nx, 2 * math.pi / ny
 
     def near_multiple(q, cell):

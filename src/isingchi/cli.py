@@ -25,6 +25,8 @@ _CONFIG_KEYS = {
     "radius": int, "precision": int, "grid": str, "count": int,
     "tol": float, "out": str, "pgm": str, "peaks": str, "signs": bool,
 }
+_CONFIG_BOOLS = {"1": True, "true": True, "yes": True,
+                 "0": False, "false": False, "no": False}
 
 
 # what the user can change when a table runs out of working precision
@@ -124,9 +126,9 @@ def _apply_config(args, path):
             continue
         caster = _CONFIG_KEYS[key]
         try:
-            value = (raw.lower() in ("1", "true", "yes") if caster is bool
+            value = (_CONFIG_BOOLS[raw.lower()] if caster is bool
                      else caster(raw))
-        except ValueError:
+        except (KeyError, ValueError):
             raise UsageError("config: bad value %r for key %r" % (raw, key))
         setattr(args, key, value)
 

@@ -108,15 +108,6 @@ def dual_pair(S):
                     k=rk * rk)
 
 
-def _require_model_table(model, table):
-    """Raise TableMismatchError unless table was built at the model's modulus."""
-    pair = dual_pair(model.S)
-    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
-        raise TableMismatchError(
-            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
-            % (table.k_requested, model.S, pair.k))
-
-
 def gauge_sign(l):
     """Row gauge relating the two layouts: +1 on rows l mod 4 in {0, 1}."""
     return 1 if l % 4 in (0, 1) else -1
@@ -158,7 +149,11 @@ def ff_correlation(model, table, dx, dy, base_parity):
     """
     if base_parity not in (0, 1):
         raise ValueError("base_parity must be 0 or 1, got %r" % (base_parity,))
-    _require_model_table(model, table)
+    pair = dual_pair(model.S)
+    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
+        raise TableMismatchError(
+            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
+            % (table.k_requested, model.S, pair.k))
     dx, dy = int(dx), int(dy)
     need = max((abs(dx) + 1) // 2, (abs(dy) + 1) // 2)
     if need > table.radius:

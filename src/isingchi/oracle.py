@@ -594,7 +594,8 @@ def _frustrated_rows(S, versions, radius, tolerance):
     """{version: report rows}, all versions read one set of cylinders."""
     from .correlations import build_table
     from .elliptic import make_modulus
-    from .frustrated import FrustratedModel, dual_pair, ff_correlation, gauge_sign
+    from .frustrated import (FrustratedModel, dual_pair, ff_correlation,
+                             gauge_sign, separation_class)
 
     models = [FrustratedModel(S=S, version=version) for version in versions]
     table = build_table(make_modulus(dual_pair(S).k), radius // 2 + 2,
@@ -631,6 +632,7 @@ def _frustrated_rows(S, versions, radius, tolerance):
         rhs = gauge_sign(0) * gauge_sign(dy) * cyls[0].correlation((p, 0), (dx, dy))
         gauge["(%d %d)p%d" % (dx, dy, p)] = lhs - rhs
 
+    row_name = {"odd-even": "odd-x", "even-odd": "odd-y"}
     out = {}
     for model in models:
         classes = {"even-even": {}, "odd-odd": {}, "odd-x": {}, "odd-y": {}}
@@ -638,9 +640,8 @@ def _frustrated_rows(S, versions, radius, tolerance):
             if model.version == "a":
                 oracle *= gauge_sign(0) * gauge_sign(dy)
             assembled = ff_correlation(model, table, dx, dy, base_parity=p)
-            name = ("even-even" if dx % 2 == 0 and dy % 2 == 0 else
-                    "odd-odd" if dx % 2 == 1 and abs(dy) % 2 == 1 else
-                    "odd-x" if dx % 2 == 1 else "odd-y")
+            name = separation_class(dx, dy)
+            name = row_name.get(name, name)
             classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
         out[model.version] = [
             _worst("assembly-" + name, classes[name], tol)

@@ -58,23 +58,26 @@ class FibonacciSpec:
 
 
 def fib_bits(spec, count):
-    """Bits 0..count-1 as an int array, values in {0, 1}.
+    """Bits 0..count-1 as an int8 array, values in {0, 1}.
 
     The defining line has slope 1/alpha < 1, so consecutive floors differ
-    by 0 or 1 and nothing else.
+    by 0 or 1 and nothing else.  The floors are formed in place in one
+    float64 array, so a window of N bits holds about 16N bytes at its peak.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    n = np.arange(count + 1, dtype=np.float64)
-    floors = np.floor(spec.gamma + n / spec.alpha)
-    return np.diff(floors).astype(np.int64)
+    floors = np.arange(count + 1, dtype=np.float64)
+    floors /= spec.alpha
+    floors += spec.gamma
+    np.floor(floors, out=floors)
+    return np.diff(floors).astype(np.int8)
 
 
 def sign_sequence(spec, N):
     """Signs s(n), n = 0..N-1, as int8: bit 0 maps to +1 and bit 1 to -1."""
     if N < 1:
         raise ValueError("window length must be at least 1, got %r" % (N,))
-    return np.where(fib_bits(spec, N) == 0, 1, -1).astype(np.int8)
+    return 1 - 2 * fib_bits(spec, N)
 
 
 def autocorrelation(signs, delta_max):

@@ -116,6 +116,36 @@ def test_frustrated_matches_direct_class_sum(table_s1):
                                                       abs=1e-12)
 
 
+def test_frustrated_grid_is_bit_identical_to_class_products(table_s1):
+    # the class formulas written out as matrices: even-x coefficients at
+    # (2m, 2n), odd-x at (2m-1, 2n), version "a" carrying (-1)^n
+    c = np.array([[lookup(table_s1, m, n) for n in range(7)]
+                  for m in range(7)])
+    cb = np.array([[lookup(table_s1, m, n, "Cbar") for n in range(7)]
+                   for m in range(7)])
+    S = 1.0
+    amp = S / (2 * math.sqrt(2 * S ** 2 + 1))
+    for version in ("a", "b"):
+        model = FrustratedModel(S=S, version=version)
+        for R in (4, 6):
+            n_sign = ((-1.0) ** np.arange(R + 1) if version == "a"
+                      else np.ones(R + 1))
+            ee = (c[:R + 1, :R + 1] * cb[:R + 1, :R + 1]) * n_sign
+            oe = np.array([amp * (c[m - 1, :R + 1] * cb[m, :R + 1]
+                                  + c[m, :R + 1] * cb[m - 1, :R + 1])
+                           for m in range(1, R + 1)]) * n_sign
+            for nx, ny in ((12, 20), (9, 7)):
+                qxs = 2 * math.pi * np.arange(nx) / nx - math.pi
+                qys = 2 * math.pi * np.arange(ny) / ny - math.pi
+                sep = 2.0 * np.arange(R + 1)
+                x2 = np.cos(np.multiply.outer(qxs, sep)) * np.where(sep == 0, 1.0, 2.0)
+                y2 = np.cos(np.multiply.outer(qys, sep)) * np.where(sep == 0, 1.0, 2.0)
+                xo = 2 * np.cos(np.multiply.outer(qxs, 2.0 * np.arange(1, R + 1) - 1))
+                want = x2 @ ee @ y2.T + xo @ oe @ y2.T
+                got = chi_grid(("frustrated", model, table_s1), nx, ny, R)
+                assert np.array_equal(got.values, want)
+
+
 def test_version_shift_relation(table_s1):
     # the gauge between layouts shifts qy by a quarter zone, which is
     # ny/4 grid rows when ny is divisible by 4
@@ -146,17 +176,11 @@ def test_find_peaks_synthetic_grid():
             + np.exp(np.cos(2 * qs))[None, :])
     grid = ChiGrid(nx=n, ny=n, qx=qs, qy=qs, values=vals,
                    window_radius=0, tail_bound=0.0, source="synthetic")
-    peaks = find_peaks(grid, denominator=6)
-    assert len(peaks) == 6
-    assert {(round(p.qx, 10), round(p.qy, 10)) for p in peaks} == {
-        (round(x, 10), round(y, 10))
-        for x in (-2 * math.pi / 3, 0.0, 2 * math.pi / 3)
-        for y in (-math.pi, 0.0)}
-    assert all(p.commensurate for p in peaks)
-    # against quarter-zone multiples only qx = 0 qualifies
-    quarter = find_peaks(grid, denominator=4)
-    assert sum(p.commensurate for p in quarter) == 2
-    values = [p.value for p in quarter]
+    # peaks at qx in {0, +-2pi/3}, qy in {-pi, 0}; against quarter-zone
+    # multiples only qx = 0 qualifies
+    peaks = find_peaks(grid)
+    assert sum(p.commensurate for p in peaks) == 2
+    values = [p.value for p in peaks]
     assert values == sorted(values, reverse=True)
 
 

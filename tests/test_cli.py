@@ -168,6 +168,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "modulus" in capsys.readouterr().err
 
 
+def test_config_booleans_are_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    argv = ["--config", str(cfg), "fib", "--j", "0", "--count", "3"]
+    cfg.write_text("signs = ture\n")
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        err.strip()]
+    cfg.write_text("signs = no\n")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "0\n1\n0\n"
+    cfg.write_text("signs = YES\n")
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "1\n-1\n1\n"
+
+
 def test_missing_config_file_rejected(tmp_path, capsys):
     assert run(["--config", str(tmp_path / "absent.cfg"), "fib", "--j", "0",
                 "--count", "3"]) == 2

@@ -39,6 +39,19 @@ def test_bit_frequency_tracks_inverse_alpha():
             assert abs(ones / N - 1 / spec.alpha) <= 2 / N
 
 
+def test_in_place_bits_match_direct_expressions():
+    N = 100_000
+    for j in (0, 1, 2):
+        for gamma in (0.0, 0.3):
+            spec = FibonacciSpec(j=j, gamma=gamma)
+            n = np.arange(N + 1, dtype=np.float64)
+            bits = np.diff(np.floor(spec.gamma + n / spec.alpha)).astype(np.int64)
+            signs = np.where(bits == 0, 1, -1).astype(np.int8)
+            assert np.array_equal(fib_bits(spec, N), bits)
+            assert np.array_equal(sign_sequence(spec, N), signs)
+            assert sign_sequence(spec, N).dtype == np.int8
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         FibonacciSpec(j=-2)

@@ -134,8 +134,9 @@ def ff_correlation(model, table, dx, dy, base_parity):
     shift.  Only the even-odd class (dy odd) depends on it; averaging that
     class over the two parities gives exactly zero.
 
-    The table must be built at the modulus of dual_pair(model.S).  With
-    m, n the half-separations, the classes assemble as
+    The table must be built at the modulus of dual_pair(model.S), or
+    TableMismatchError is raised.  With m, n the half-separations, the
+    classes assemble as
 
         (2m, 2n)      sigma * C(m,n) C_bar(m,n)
         (odd, odd)    0

@@ -61,8 +61,8 @@ def fib_bits(spec, count):
     """Bits 0..count-1 as an int8 array, values in {0, 1}.
 
     The defining line has slope 1/alpha < 1, so consecutive floors differ
-    by 0 or 1 and nothing else.  The floors are formed in place in one
-    float64 array, so a window of N bits holds about 16N bytes at its peak.
+    by 0 or 1 and nothing else.  The floors are formed in place, so the
+    peak memory is one float64 array and its difference.
     """
     if count < 0:
         raise ValueError("count must be non-negative")

@@ -25,11 +25,12 @@ worst residual of these and of the two quadratic recurrences over the
 finished octant is recorded as a build-time health figure.
 """
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
 
-from .elliptic import EllipticDomainError, Modulus, complete_elliptic_K, make_modulus
+from .elliptic import EllipticDomainError, Modulus, complete_elliptic_K
 
 __all__ = [
     "CorrelationTable",
@@ -55,9 +56,10 @@ MIN_DIVISOR_BITS = 8
 class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
-    Raised when a swept entry leaves (0, 1], a divisor loses nearly all of
-    its significant bits, or a Toeplitz determinant comes out non-positive.
-    The remedy is a higher precision_bits, not a smaller tolerance.
+    Raised when a nearest-neighbour seed or a Toeplitz determinant comes
+    out non-positive, a swept entry leaves (0, 1], or a divisor loses
+    nearly all of its significant bits.  The remedy is a higher
+    precision_bits, not a smaller tolerance.
     """
 
     def __init__(self, message, where=None):
@@ -110,8 +112,11 @@ def onsager_nn(mod):
 def _base_seeds(k):
     """C(1,0) from the closed form, C_bar(0,1) from the linear relation."""
     c10 = onsager_nn(k)
-    cbar01 = mp.sqrt(1 + k) - mp.sqrt(k) * c10
-    return c10, cbar01
+    if not c10 > 0:
+        # the closed form cancels to ~sqrt(k)/2, which rounds to 0 at tiny k
+        raise PrecisionExhausted("nearest-neighbour seed is not positive; "
+                                 "raise precision_bits", where=(1, 0))
+    return c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10
 
 
 def _symbol_coefficients(k, n_top):
@@ -266,13 +271,12 @@ class CorrelationTable:
 
     C and C_bar are full (radius+1)-square nested tuples, symmetric in
     (m, n); entries are mpmath reals at precision_bits.  k_requested keeps
-    the caller's modulus, which differs from mod.k when a modulus above 1
-    was served through the duality swap.  residual_report is the worst
+    the caller's modulus; a modulus above 1 was served through the
+    duality swap, at 1/k_requested.  residual_report is the worst
     identity residual (corner, star, quadratic) seen over the finished
     octant.
     """
 
-    mod: Modulus
     radius: int
     C: tuple
     C_bar: tuple
@@ -357,8 +361,9 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
         raise ValueError("precision_bits must be at least 24")
 
     k_req = float(_as_k(mod))
-    if k_req <= 0:
-        raise EllipticDomainError("modulus must be positive, got %r" % k_req)
+    if not 0 < k_req < math.inf:
+        raise EllipticDomainError(
+            "modulus must be positive and finite, got %r" % k_req)
     if abs(1 - k_req) < EPS_CRITICAL:
         raise EllipticDomainError(
             "modulus %r is within %g of criticality; correlation length "
@@ -375,7 +380,6 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
     with mp.workprec(precision_bits):
         # unary plus rounds to the working precision: k and each seed, once
         k = +k
-        modulus = make_modulus(k)
 
         size = radius + 1
         c = [[None] * size for _ in range(size)]
@@ -422,7 +426,7 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
         if swap:
             c, cb = cb, c
         table = CorrelationTable(
-            mod=modulus, radius=radius,
+            radius=radius,
             C=tuple(tuple(row) for row in c),
             C_bar=tuple(tuple(row) for row in cb),
             precision_bits=precision_bits,

@@ -32,7 +32,6 @@ __all__ = [
     "dual_pair",
     "eight_vertex_weights",
     "ff_correlation",
-    "gauge_sign",
     "separation_class",
 ]
 
@@ -106,11 +105,6 @@ def dual_pair(S):
     return DualPair(k_sigma=math.asinh(rk) / 2,
                     k_tau=math.asinh(1 / rk) / 2,
                     k=rk * rk)
-
-
-def gauge_sign(l):
-    """Row gauge relating the two layouts: +1 on rows l mod 4 in {0, 1}."""
-    return 1 if l % 4 in (0, 1) else -1
 
 
 def separation_class(dx, dy):

@@ -18,6 +18,9 @@ fixed start vector, keeping results deterministic.
 All arithmetic here is float64.  The high-precision claims of the
 recurrence engine are never tested against this module beyond ~1e-10;
 that is the point: the oracle is independent, not sharper.
+
+The oracle computes and never judges: it imports nothing from the rest
+of the package, and isingchi.verify compares the fast path with it.
 """
 
 import warnings
@@ -38,18 +41,16 @@ __all__ = [
     "DegenerateTransferWarning",
     "ExtrapolationError",
     "FiniteLatticeSpec",
-    "IdentityCheck",
     "OracleCapacityError",
-    "VerificationReport",
     "cylinder_correlation",
     "enumerate_correlation",
     "extrapolate",
     "frustrated_lattice",
+    "frustrated_pair_correlations",
+    "gauge_sign",
     "oracle_pair_correlations",
     "square_lattice",
     "torus_correlation",
-    "uniform_identity_rows",
-    "verify_identities",
 ]
 
 
@@ -517,162 +518,48 @@ def oracle_pair_correlations(k, radius):
 
 
 # ---------------------------------------------------------------------------
-# identity verification
+# fully frustrated model
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    location: str
-    residual: float
-    tolerance: float
-    passed: bool
+def gauge_sign(l):
+    """Row gauge relating the two layouts: +1 on rows l mod 4 in {0, 1}."""
+    return 1 if l % 4 in (0, 1) else -1
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rows: tuple
+def frustrated_pair_correlations(S, radius):
+    """Mixed-sign cylinder correlations of the fully frustrated model.
 
-    @property
-    def passed(self):
-        return all(r.passed for r in self.rows)
-
-    def lines(self):
-        out = ["%-24s %-14s residual %.3e  tol %.1e  %s"
-               % (r.identity, r.location, r.residual, r.tolerance,
-                  "pass" if r.passed else "FAIL") for r in self.rows]
-        out.append("overall: %s" % ("pass" if self.passed else "FAIL"))
-        return out
-
-
-def _worst(name, residuals, tol):
-    """Aggregate {location: residual} into one report row."""
-    loc, res = max(residuals.items(), key=lambda kv: abs(kv[1]))
-    res = abs(res)
-    return IdentityCheck(name, loc, res, tol, res <= tol)
-
-
-def uniform_identity_rows(C, C_bar, k, radius, tol):
-    """Residual rows for the four quadratic correlation identities.
-
-    C and C_bar are quadrant dicts as produced by
-    oracle_pair_correlations (or any candidate tables).  The three-point
-    identities and the star identity exclude the origin, where they
-    provably fail; the corner determinant identity holds everywhere.
+    Returns (limits, gauge_map) at S = sinh 2K.  limits maps each layout,
+    "a" and "b", to {(p, dx, dy): value}, the correlation from a base
+    site of sublattice parity p to the separation (dx, dy), extrapolated
+    in W, for 0 <= dx <= radius, |dy| <= radius and one of each +-pair.
+    gauge_map holds over the same keys the fixed-width residual of the
+    gauge map between the layouts, which vanishes in exact arithmetic.
     """
-    from .correlations import _identity_residuals
-
-    def c(m, n):
-        return C[(abs(m), abs(n))]
-
-    def cb(m, n):
-        return C_bar[(abs(m), abs(n))]
-
-    names = ("quad-recurrence-y", "quad-recurrence-x", "corner-determinant",
-             "neighbour-star")
-    residuals = {name: {} for name in names}
-    for m in range(radius + 1):
-        for n in range(radius + 1):
-            for name, r in _identity_residuals(k, c, cb, m, n).items():
-                residuals[name]["(%d %d)" % (m, n)] = r
-    return [_worst(name, residuals[name], tol) for name in names]
-
-
-def _table_rows(k, radius, C, C_bar, tol):
-    """Worst |build_table - oracle| over both families, m, n <= radius + 1."""
-    from .correlations import build_table
-
-    table = build_table(k, radius + 1)
-    gaps = {}
-    for label, fast, slow in (("C", table.C, C), ("Cbar", table.C_bar, C_bar)):
-        for (m, n), value in slow.items():
-            gaps["%s(%d %d)" % (label, m, n)] = float(fast[m][n]) - value
-    return [_worst("table-vs-oracle", gaps, tol)]
-
-
-def _frustrated_rows(S, versions, radius, tolerance):
-    """{version: report rows}, all versions read one set of cylinders."""
-    from .correlations import build_table
-    from .elliptic import make_modulus
-    from .frustrated import (FrustratedModel, dual_pair, ff_correlation,
-                             gauge_sign, separation_class)
-
-    models = [FrustratedModel(S=S, version=version) for version in versions]
-    table = build_table(make_modulus(dual_pair(S).k), radius // 2 + 2,
-                        precision_bits=128)
     K = float(np.arcsinh(S) / 2)
-    tol, gauge_tol = (1e-6, 1e-10) if tolerance is None else (tolerance,) * 2
 
-    # The columnar layout repeats every two columns, so its cylinder
-    # values converge cleanly (same-sign geometric in W).  The
-    # checkerboard layout's row flip pattern has period 4, which only
-    # wraps consistently on W = 0 mod 4 rings; at W = 2 mod 4 the seam
-    # carries a gauge defect and the width corrections alternate in
-    # sign, defeating same-sign extrapolation.  So both versions are
-    # extrapolated through the columnar cylinders, and checkerboard
-    # targets pick up the exact row-gauge sign.  The gauge map itself is
-    # certified below at fixed W = 8 against the native checkerboard
-    # transfer matrix.
+    # Both layouts are extrapolated through the columnar cylinders, whose
+    # two-column period gives same-sign geometric convergence in W, and
+    # checkerboard targets pick up the exact row-gauge sign.  The
+    # checkerboard row pattern has period 4: on W = 2 mod 4 rings its seam
+    # carries a gauge defect and the width corrections alternate in sign.
     widths = (8, 10, 12, 14, 16)
     cyls = [_Cylinder(CylinderSpec(W, K, "columnar")) for W in widths]
 
     # base column parity p and one separation of each +-(dx, dy) pair
     offsets = [(p, dx, dy) for p in (0, 1) for dx in range(radius + 1)
                for dy in range(-radius, radius + 1) if dx > 0 or dy > 0]
-    limits = [_limit_deep(widths, [cyl.correlation((p, 0), (dx, dy))
-                                   for cyl in cyls]) for p, dx, dy in offsets]
 
     # Fixed-width certification of the gauge map: on a W = 8 ring the
     # checkerboard model is exactly the row-gauged columnar model, so
     # their correlations must agree to transfer-matrix precision.
     chk = _Cylinder(CylinderSpec(8, K, "checkerboard"))
-    gauge = {}
+    limits, gauge_map = {"a": {}, "b": {}}, {}
     for p, dx, dy in offsets:
-        lhs = chk.correlation((p, 0), (dx, dy))
-        rhs = gauge_sign(0) * gauge_sign(dy) * cyls[0].correlation((p, 0), (dx, dy))
-        gauge["(%d %d)p%d" % (dx, dy, p)] = lhs - rhs
-
-    row_name = {"odd-even": "odd-x", "even-odd": "odd-y"}
-    out = {}
-    for model in models:
-        classes = {"even-even": {}, "odd-odd": {}, "odd-x": {}, "odd-y": {}}
-        for (p, dx, dy), oracle in zip(offsets, limits):
-            if model.version == "a":
-                oracle *= gauge_sign(0) * gauge_sign(dy)
-            assembled = ff_correlation(model, table, dx, dy, base_parity=p)
-            name = separation_class(dx, dy)
-            name = row_name.get(name, name)
-            classes[name]["(%d %d)p%d" % (dx, dy, p)] = oracle - assembled
-        out[model.version] = [
-            _worst("assembly-" + name, classes[name], tol)
-            for name in ("even-even", "odd-x", "odd-y", "odd-odd")
-        ] + [_worst("gauge-map", gauge, gauge_tol)]
-    return out
-
-
-def verify_identities(target, radius=4, tolerance=None):
-    """VerificationReport for a uniform or frustrated target.
-
-    target is ("uniform", k) or ("frustrated", S, version).  For uniform
-    targets the quadratic identities are evaluated on purely
-    oracle-derived correlations, and a table-vs-oracle row holds the
-    worst gap between build_table(k, radius + 1) and the oracle tables
-    over both families; for frustrated targets the oracle
-    correlations of the actual mixed-sign model are compared against the
-    dual-pair assembly formulas.  Every row's tolerance is 1e-6, except
-    the fixed-width gauge-map certification, which is oracle-internal and
-    gets 1e-10; tolerance, when given, replaces both.
-    """
-    tol = 1e-6 if tolerance is None else tolerance
-    if target[0] == "uniform":
-        k = float(target[1])
-        C, C_bar = oracle_pair_correlations(k, radius)
-        rows = (uniform_identity_rows(C, C_bar, k, radius, tol)
-                + _table_rows(k, radius, C, C_bar, tol))
-    elif target[0] == "frustrated":
-        version = target[2]
-        rows = _frustrated_rows(float(target[1]), (version,), radius,
-                                tolerance)[version]
-    else:
-        raise ValueError("target must be ('uniform', k) or ('frustrated', S, version)")
-    return VerificationReport(tuple(rows))
+        key, sign = (p, dx, dy), gauge_sign(0) * gauge_sign(dy)
+        value = _limit_deep(widths, [cyl.correlation((p, 0), (dx, dy))
+                                     for cyl in cyls])
+        limits["a"][key], limits["b"][key] = sign * value, value
+        gauge_map[key] = (chk.correlation((p, 0), (dx, dy))
+                          - sign * cyls[0].correlation((p, 0), (dx, dy)))
+    return limits, gauge_map

@@ -1,27 +1,60 @@
 """Self-verification suites behind the `verify` CLI subcommand.
 
-Each suite returns a VerificationReport.  The elliptic, coupling and
-susceptibility suites are seeded property checks against independent
-references (quadrature, algebraic identities, exact shift relations);
-the recurrence and frustrated suites delegate to the brute-force
-transfer-matrix comparisons in the oracle module.
+This module judges: each suite compares a computation with an
+independent reference, names its rows and sets their tolerances.  The
+recurrence and frustrated suites check build_table and ff_correlation
+against isingchi.oracle, which only computes; the others are seeded
+property checks against quadrature and exact identities.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
 from .chi import chi_column_gauge, chi_grid, chi_uniform
-from .correlations import build_table, lookup
+from .correlations import _identity_residuals, build_table, lookup
 from .couplings import RapidityLine, coupling_pair, orientation_flip
 from .elliptic import complete_elliptic_K, jacobi_elliptic, make_modulus
-from .oracle import VerificationReport, _frustrated_rows, _worst, verify_identities
+from .frustrated import FrustratedModel, dual_pair, ff_correlation, separation_class
+from .oracle import frustrated_pair_correlations, oracle_pair_correlations
 
-__all__ = ["SUITES", "run_suite"]
+__all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
 _SEED = 20240917
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    identity: str
+    location: str
+    residual: float
+    tolerance: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    rows: tuple
+
+    @property
+    def passed(self):
+        return all(r.passed for r in self.rows)
+
+    def lines(self):
+        out = ["%-24s %-14s residual %.3e  tol %.1e  %s"
+               % (r.identity, r.location, r.residual, r.tolerance,
+                  "pass" if r.passed else "FAIL") for r in self.rows]
+        out.append("overall: %s" % ("pass" if self.passed else "FAIL"))
+        return out
+
+
+def _worst(name, residuals, tol):
+    """Aggregate {location: residual} into one report row."""
+    loc, res = max(residuals.items(), key=lambda kv: abs(kv[1]))
+    res = abs(res)
+    return IdentityCheck(name, loc, res, tol, res <= tol)
 
 
 def _tol(tolerance, default):
@@ -116,16 +149,75 @@ def _suite_chi(tolerance):
     return VerificationReport(rows=tuple(rows))
 
 
-def _suite_recurrence(tolerance):
-    return verify_identities(("uniform", 0.5), radius=4, tolerance=tolerance)
+def _identity_rows(C, C_bar, k, radius, tol):
+    """Rows for the four pair identities on quadrant dicts C and C_bar."""
+
+    def c(m, n):
+        return C[(abs(m), abs(n))]
+
+    def cb(m, n):
+        return C_bar[(abs(m), abs(n))]
+
+    names = ("quad-recurrence-y", "quad-recurrence-x", "corner-determinant",
+             "neighbour-star")
+    residuals = {name: {} for name in names}
+    for m in range(radius + 1):
+        for n in range(radius + 1):
+            for name, r in _identity_residuals(k, c, cb, m, n).items():
+                residuals[name]["(%d %d)" % (m, n)] = r
+    return [_worst(name, residuals[name], tol) for name in names]
 
 
-def _suite_frustrated(tolerance):
-    # the two layouts share one set of cylinders, built for this call only
-    by_version = _frustrated_rows(1.0, ("a", "b"), 3, tolerance)
+def _table_rows(k, radius, C, C_bar, tol):
+    """Worst |build_table - oracle| over both families, m, n <= radius + 1."""
+    table = build_table(k, radius + 1)
+    gaps = {}
+    for label, fast, slow in (("C", table.C, C), ("Cbar", table.C_bar, C_bar)):
+        for (m, n), value in slow.items():
+            gaps["%s(%d %d)" % (label, m, n)] = float(fast[m][n]) - value
+    return [_worst("table-vs-oracle", gaps, tol)]
+
+
+def _suite_recurrence(tolerance, radius=4):
+    """Identities on the k = 0.5 oracle tables; build_table against them."""
+    tol = _tol(tolerance, 1e-6)
+    C, C_bar = oracle_pair_correlations(0.5, radius)
     return VerificationReport(rows=tuple(
-        replace(r, identity=r.identity + "-" + version)
-        for version, rows in by_version.items() for r in rows))
+        _identity_rows(C, C_bar, 0.5, radius, tol)
+        + _table_rows(0.5, radius, C, C_bar, tol)))
+
+
+# separation_class name -> report row name, in row order
+_FF_CLASS_ROWS = {"even-even": "even-even", "odd-even": "odd-x",
+                  "even-odd": "odd-y", "odd-odd": "odd-odd"}
+
+
+def _suite_frustrated(tolerance, radius=3):
+    """Assembly and gauge-map rows of both layouts at S = 1, version a first.
+
+    Each assembly row is the worst gap between ff_correlation and the
+    mixed-sign oracle over one separation class; the gauge-map row is the
+    oracle's own fixed-width certificate.  Both layouts read one set of
+    cylinders, built for this call only.
+    """
+    tol, gauge_tol = _tol(tolerance, 1e-6), _tol(tolerance, 1e-10)
+    S = 1.0
+    limits, gauge_map = frustrated_pair_correlations(S, radius)
+    table = build_table(dual_pair(S).k, radius // 2 + 2, precision_bits=128)
+    gauge = {"(%d %d)p%d" % (dx, dy, p): r
+             for (p, dx, dy), r in gauge_map.items()}
+    rows = []
+    for version, oracle in limits.items():
+        model = FrustratedModel(S=S, version=version)
+        classes = {name: {} for name in _FF_CLASS_ROWS}
+        for (p, dx, dy), value in oracle.items():
+            assembled = ff_correlation(model, table, dx, dy, base_parity=p)
+            classes[separation_class(dx, dy)]["(%d %d)p%d" % (dx, dy, p)] = (
+                value - assembled)
+        rows += [_worst("assembly-%s-%s" % (row, version), classes[name], tol)
+                 for name, row in _FF_CLASS_ROWS.items()]
+        rows.append(_worst("gauge-map-" + version, gauge, gauge_tol))
+    return VerificationReport(rows=tuple(rows))
 
 
 SUITES = {
@@ -143,10 +235,8 @@ def run_suite(name, tolerance=None):
     tolerance, when given, overrides every per-identity default.
     """
     if name == "all":
-        rows = []
-        for key in SUITES:
-            rows.extend(run_suite(key, tolerance).rows)
-        return VerificationReport(rows=tuple(rows))
+        return VerificationReport(rows=tuple(
+            r for key in SUITES for r in run_suite(key, tolerance).rows))
     if name not in SUITES:
         raise KeyError("unknown verification suite %r" % (name,))
     return SUITES[name](tolerance)

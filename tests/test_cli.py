@@ -96,6 +96,24 @@ def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k, code, message", [
+    ("1e-300", 1, "error: nearest-neighbour seed is not positive"),
+    ("1e300", 1, "error: nearest-neighbour seed is not positive"),
+    ("inf", 2, "error: modulus must be positive and finite, got inf"),
+])
+def test_extreme_moduli_fail_in_one_line(k, code, message, tmp_path, capsys):
+    # Onsager's closed form cancels to zero at k <= 1e-100, reached at
+    # k = 1e300 through the duality swap; the march must not divide by it
+    out = tmp_path / "x.csv"
+    assert run(["corr", "--k", k, "--radius", "4", "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(message)
+    if code == 1:
+        assert err[0].endswith("--precision above 256")
+    assert not out.exists()
+
+
 def test_missing_flag_is_usage_error(capsys):
     assert run(["corr", "--k", "0.5"]) == 2
     assert "--radius" in capsys.readouterr().err

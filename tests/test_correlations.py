@@ -107,7 +107,9 @@ def test_duality_swap(table_half):
     swapped = build_table(2.0, 8)
     assert swapped.swapped
     assert swapped.k_requested == 2.0
-    assert float(swapped.mod.k) == pytest.approx(0.5, rel=1e-15)
+    # served at 1/k = 0.5: every full-precision entry of the two families
+    # is exchanged
+    assert swapped.C == table_half.C_bar and swapped.C_bar == table_half.C
     assert not table_half.swapped
     for (m, n) in ((1, 0), (2, 3), (4, 4)):
         assert lookup(swapped, m, n) == lookup(table_half, m, n, "Cbar")

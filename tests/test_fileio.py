@@ -23,7 +23,7 @@ from isingchi.fileio import (
     write_pgm,
     write_verification_csv,
 )
-from isingchi.oracle import verify_identities
+from isingchi.verify import run_suite
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ def test_peaks_csv(tmp_path):
 
 
 def test_verification_csv(tmp_path):
-    rep = verify_identities(("uniform", 0.5), radius=2)
+    rep = run_suite("elliptic")
     path = tmp_path / "report.csv"
     write_verification_csv(path, rep)
     lines = path.read_text().splitlines()

@@ -11,10 +11,10 @@ from isingchi import (
     dual_pair,
     eight_vertex_weights,
     ff_correlation,
-    gauge_sign,
     make_modulus,
     separation_class,
 )
+from isingchi.oracle import gauge_sign
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -12,14 +14,12 @@ from isingchi.oracle import (
     enumerate_correlation,
     extrapolate,
     frustrated_lattice,
-    oracle_pair_correlations,
     square_lattice,
     torus_correlation,
-    uniform_identity_rows,
-    verify_identities,
 )
 from isingchi.oracle import _apply_bond_layer, _dense_bond_layer
-from isingchi.verify import run_suite
+from isingchi.verify import (_identity_rows, _suite_frustrated,
+                             _suite_recurrence, run_suite)
 
 
 def _per_site_bond_layer(v, W, K):
@@ -181,7 +181,7 @@ def test_pair_table_structure(oracle05):
 
 def test_identity_rows_accept_clean_reject_corrupt(oracle05):
     C, C_bar = oracle05
-    rows = uniform_identity_rows(C, C_bar, 0.5, 3, 1e-6)
+    rows = _identity_rows(C, C_bar, 0.5, 3, 1e-6)
     assert {r.identity for r in rows} == {
         "quad-recurrence-y", "quad-recurrence-x",
         "corner-determinant", "neighbour-star"}
@@ -189,13 +189,13 @@ def test_identity_rows_accept_clean_reject_corrupt(oracle05):
 
     poisoned = dict(C)
     poisoned[(1, 2)] += 1e-3
-    bad = uniform_identity_rows(poisoned, C_bar, 0.5, 3, 1e-6)
+    bad = _identity_rows(poisoned, C_bar, 0.5, 3, 1e-6)
     assert all(not r.passed for r in bad)
     assert max(r.residual for r in bad) > 1e-4
 
 
 def test_verify_identities_reports():
-    rep = verify_identities(("uniform", 0.5), radius=2)
+    rep = _suite_recurrence(None, radius=2)
     assert rep.passed
     table_rows = [r for r in rep.rows if r.identity == "table-vs-oracle"]
     assert len(table_rows) == 1 and table_rows[0].passed
@@ -204,19 +204,30 @@ def test_verify_identities_reports():
     assert all("pass" in ln for ln in lines)
     assert lines[-1] == "overall: pass"
 
-    frep = verify_identities(("frustrated", 1.0, "a"), radius=2)
-    assert frep.passed
-    assert any(r.identity == "gauge-map" for r in frep.rows)
-
-    with pytest.raises(ValueError):
-        verify_identities(("triangular", 0.5))
+    frows = [r for r in _suite_frustrated(None, radius=2).rows
+             if r.identity.endswith("-a")]
+    assert len(frows) == 5 and all(r.passed for r in frows)
+    assert any(r.identity == "gauge-map-a" for r in frows)
 
 
 def test_verify_identities_tolerance_overrides_every_row():
-    rep = verify_identities(("uniform", 0.5), radius=2, tolerance=1e-30)
+    rep = _suite_recurrence(1e-30, radius=2)
     assert {r.tolerance for r in rep.rows} == {1e-30}
     assert not rep.passed
     # the override also replaces the gauge-map row's own 1e-10 default
-    frep = verify_identities(("frustrated", 1.0, "b"), radius=2, tolerance=0.5)
-    assert {r.tolerance for r in frep.rows} == {0.5}
-    assert frep.passed
+    frows = [r for r in _suite_frustrated(0.5, radius=2).rows
+             if r.identity.endswith("-b")]
+    assert {r.tolerance for r in frows} == {0.5}
+    assert all(r.passed for r in frows)
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the oracle is the independent reference: it may not import the
+    # code that verify checks against it
+    tree = ast.parse(inspect.getsource(isingchi.oracle))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import in oracle"
+            assert node.module.split(".")[0] != "isingchi"
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "isingchi" for a in node.names)

@@ -178,13 +178,12 @@ def _table_rows(k, radius, C, C_bar, tol):
     return [_worst("table-vs-oracle", gaps, tol)]
 
 
-def _suite_recurrence(tolerance, radius=4):
+def _suite_recurrence(tolerance):
     """Identities on the k = 0.5 oracle tables; build_table against them."""
     tol = _tol(tolerance, 1e-6)
-    C, C_bar = oracle_pair_correlations(0.5, radius)
+    C, C_bar = oracle_pair_correlations(0.5, 4)
     return VerificationReport(rows=tuple(
-        _identity_rows(C, C_bar, 0.5, radius, tol)
-        + _table_rows(0.5, radius, C, C_bar, tol)))
+        _identity_rows(C, C_bar, 0.5, 4, tol) + _table_rows(0.5, 4, C, C_bar, tol)))
 
 
 # separation_class name -> report row name, in row order

@@ -15,11 +15,12 @@ from isingchi.oracle import (
     extrapolate,
     frustrated_lattice,
     square_lattice,
+    oracle_pair_correlations,
     torus_correlation,
 )
 from isingchi.oracle import _apply_bond_layer, _dense_bond_layer
-from isingchi.verify import (_identity_rows, _suite_frustrated,
-                             _suite_recurrence, run_suite)
+from isingchi.verify import (VerificationReport, _identity_rows,
+                             _suite_frustrated, _table_rows, run_suite)
 
 
 def _per_site_bond_layer(v, W, K):
@@ -194,8 +195,15 @@ def test_identity_rows_accept_clean_reject_corrupt(oracle05):
     assert max(r.residual for r in bad) > 1e-4
 
 
+def _uniform_report(tol):
+    # the recurrence suite's rows at radius 2 instead of 4
+    C, C_bar = oracle_pair_correlations(0.5, 2)
+    return VerificationReport(rows=tuple(_identity_rows(C, C_bar, 0.5, 2, tol)
+                                         + _table_rows(0.5, 2, C, C_bar, tol)))
+
+
 def test_verify_identities_reports():
-    rep = _suite_recurrence(None, radius=2)
+    rep = _uniform_report(1e-6)
     assert rep.passed
     table_rows = [r for r in rep.rows if r.identity == "table-vs-oracle"]
     assert len(table_rows) == 1 and table_rows[0].passed
@@ -211,7 +219,7 @@ def test_verify_identities_reports():
 
 
 def test_verify_identities_tolerance_overrides_every_row():
-    rep = _suite_recurrence(1e-30, radius=2)
+    rep = _uniform_report(1e-30)
     assert {r.tolerance for r in rep.rows} == {1e-30}
     assert not rep.passed
     # the override also replaces the gauge-map row's own 1e-10 default

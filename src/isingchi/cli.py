@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
-                           SeedInconsistency, build_table)
+                           build_table)
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
 from .frustrated import FrustratedModel, dual_pair
@@ -220,9 +220,8 @@ def run(argv=None):
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (PrecisionExhausted, SeedInconsistency) as exc:
-        advice = (_PRECISION_ADVICE.get(args.subcommand)
-                  if isinstance(exc, PrecisionExhausted) else None)
+    except PrecisionExhausted as exc:
+        advice = _PRECISION_ADVICE.get(args.subcommand)
         bits = getattr(args, "precision", None) or DEFAULT_PRECISION_BITS
         print("error: %s%s" % (exc, advice % bits if advice else ""),
               file=sys.stderr)

@@ -69,8 +69,12 @@ class PrecisionExhausted(ArithmeticError):
         self.where = where
 
 
-class SeedInconsistency(ArithmeticError):
-    """The relation left unused by the diagonal march failed to close."""
+class SeedInconsistency(PrecisionExhausted):
+    """The relation left unused by the diagonal march failed to close.
+
+    Inside build_table the seeds carry 64 guard bits, so there it means
+    the working precision ran out, and it takes the same remedy.
+    """
 
     def __init__(self, m, residual):
         super().__init__(

@@ -12,8 +12,18 @@ the bond layer factorizes over sites, so one application costs O(W 2^W)
 and W = 16 stays within memory.  It is applied as W perfect-shuffle
 passes: each mixes the even and odd entries (the lowest site) and writes
 the two results as the low and high halves, which moves the next site
-into the lowest place.  The eigenpair comes from Lanczos iteration with a
-fixed start vector, keeping results deterministic.
+into the lowest place.
+
+Each cylinder is solved once and walked once.  Lanczos iteration from a
+fixed, flip-even start vector finds the one leading eigenpair in an
+8-vector Krylov space, deterministically; the space never leaves the
+even sector, so the near-degenerate odd partner of the ordered phase
+never competes.  The transfer block is symmetric, so <a|T^n|b> =
+<T^n a|b>: one chain from the base spin, stepped out to the farthest
+axis distance, serves every separation up to it.  The repeated
+Aitken fits of the ordered table amplify rounding in the eigenvector
+about 10^4-fold, so its entries move at the 1e-12 level whenever the
+order of a contraction changes.
 
 All arithmetic here is float64.  The high-precision claims of the
 recurrence engine are never tested against this module beyond ~1e-10;
@@ -23,7 +33,6 @@ The oracle computes and never judges: it imports nothing from the rest
 of the package, and isingchi.verify compares the fast path with it.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +41,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 MAX_ENUM_SITES = 20
 MAX_CYLINDER_W = 16
 MAX_TRANSFER_DX = 256
-# Relative eigenvalue gap below which the cylinder is treated as ordered
-# (quasi-degenerate leading pair); values are still returned.
-DEGENERACY_RTOL = 1e-6
 
 __all__ = [
     "CylinderSpec",
-    "DegenerateTransferWarning",
     "ExtrapolationError",
     "FiniteLatticeSpec",
     "OracleCapacityError",
@@ -60,10 +65,6 @@ class OracleCapacityError(ValueError):
 
 class ExtrapolationError(RuntimeError):
     """Width sequence does not look like geometric convergence."""
-
-
-class DegenerateTransferWarning(RuntimeWarning):
-    """Leading transfer eigenvalues quasi-degenerate (ordered phase)."""
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +243,13 @@ def _column_ring_fields(spec):
 
 
 class _Cylinder:
-    """Symmetric transfer block and its leading eigenpair.
+    """Symmetric transfer block, its leading eigenpair and its one chain.
 
     For the uniform mode the block spans one column
     (D^1/2 B D^1/2); for the frustrated modes it spans the two-column
-    unit cell (D0^1/2 B D1 B D0^1/2).  Insertions of spin operators land
-    either at a block edge (even columns) or inside (odd columns).
+    unit cell (D0^1/2 B D1 B D0^1/2).  Spins at even columns sit at a
+    block edge, next to psi; spins at odd columns sit inside a block,
+    next to B D0^1/2 psi dressed with D1.
     """
 
     def __init__(self, spec):
@@ -261,36 +263,50 @@ class _Cylinder:
 
         op = LinearOperator((dim, dim), matvec=self._block, dtype=np.float64)
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
-        # Generous subspace: the ordered phase brings the two leading
-        # eigenvalues within e^-O(W) of each other.
-        vals, vecs = eigsh(op, k=2, which="LA", v0=v0, ncv=min(dim, 64))
-        top = np.argsort(vals)[::-1]
-        self.lam = float(vals[top[0]])
-        self.gap_ratio = float(vals[top[1]] / vals[top[0]])
-        psi = vecs[:, top[0]]
-        psi = psi / np.linalg.norm(psi)
-        if psi.sum() < 0:
-            psi = -psi
-        self.psi = psi
-        if self.gap_ratio > 1 - DEGENERACY_RTOL:
-            warnings.warn(
-                "leading cylinder eigenvalues quasi-degenerate "
-                "(ratio 1 - %.3g); ordered-phase plateau values returned"
-                % (1 - self.gap_ratio), DegenerateTransferWarning)
+        # The flip-even start keeps the Krylov space in the even sector,
+        # which holds the leading eigenvector alone.
+        vals, vecs = eigsh(op, k=1, which="LA", v0=v0, ncv=min(dim, 8))
+        self.lam = float(vals[0])
+        psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        self.psi = -psi if psi.sum() < 0 else psi
+        if self.two_column:
+            self.inner = _apply_bond_layer(self.half0 * self.psi, self.W,
+                                           spec.K)
 
-    def _block(self, v, insert=None):
+    def _block(self, v):
         v = self.half0 * np.asarray(v, dtype=np.float64).ravel()
         v = _apply_bond_layer(v, self.W, self.spec.K)
         if self.two_column:
-            d = self.d1 if insert is None else self.d1 * insert
-            v = _apply_bond_layer(d * v, self.W, self.spec.K)
-        elif insert is not None:
-            raise ValueError("uniform block has no interior column")
+            v = _apply_bond_layer(self.d1 * v, self.W, self.spec.K)
         return self.half0 * v
 
-    def step(self, v, insert=None):
-        """One normalized block application, optional interior insertion."""
-        return self._block(v, insert) / self.lam
+    def pair_table(self, base, dx_max, dys):
+        """{(dx, dy): <sigma_base sigma_(base+(dx, dy))>}, 0 <= dx <= dx_max.
+
+        The block is symmetric, so <a|T^n|b> = <T^n a|b>: one chain runs
+        from the base spin, and at each dx every far spin reads the same
+        pair (l, r) as l . (s_dy r).  On the two-column cell each step
+        crosses one bond layer, from an edge into a block or back out.
+        """
+        (x0, y0), W, K, lam = base, self.W, self.spec.K, self.lam
+        sa = _spin_diag(W, y0)
+        if self.two_column:
+            ends = (self.psi, self.d1 * self.inner)
+            steps = (lambda v: _apply_bond_layer(self.half0 * v, W, K) / lam,
+                     lambda v: self.half0 * _apply_bond_layer(self.d1 * v, W, K))
+            l = sa * self.inner / lam if x0 % 2 else sa * self.psi
+        else:
+            ends = (self.psi, self.psi)
+            steps = (lambda v: self._block(v) / lam,) * 2
+            l = sa * self.psi
+        spins = {dy: _spin_diag(W, y0 + dy) for dy in dys}
+        out = {}
+        for dx in range(dx_max + 1):
+            if dx:
+                l = steps[(x0 + dx - 1) % 2](l)
+            lr = l * ends[(x0 + dx) % 2]
+            out.update(((dx, dy), float(lr @ s)) for dy, s in spins.items())
+        return out
 
     def correlation(self, base, delta):
         """<sigma_base sigma_(base+delta)> on the infinite cylinder."""
@@ -300,35 +316,7 @@ class _Cylinder:
         if dx > MAX_TRANSFER_DX:
             raise OracleCapacityError("transfer distance %d exceeds %d"
                                       % (dx, MAX_TRANSFER_DX))
-        sa = _spin_diag(self.W, y0)
-        sb = _spin_diag(self.W, y0 + dy)
-        if not self.two_column:
-            return float((sa * self.psi) @ self._chain(sb * self.psi, dx))
-
-        # Two-column cell: parity of the absolute column decides whether a
-        # spin sits at a block edge or inside one.
-        p = x0 % 2
-        if p == 0:
-            if dx % 2 == 0:
-                v = self._chain(sb * self.psi, dx // 2)
-            else:
-                v = self._chain(self.step(self.psi, insert=sb), dx // 2)
-            return float((sa * self.psi) @ v)
-        if dx % 2 == 1:
-            # sa sits inside the block at the base end; the plain blocks
-            # lie between it and the sb edge
-            v = self._chain(sb * self.psi, dx // 2)
-            return float(self.psi @ self.step(v, insert=sa))
-        if dx == 0:
-            return float(self.psi @ self.step(self.psi, insert=sa * sb))
-        v = self.step(self.psi, insert=sb)
-        v = self._chain(v, dx // 2 - 1)
-        return float(self.psi @ self.step(v, insert=sa))
-
-    def _chain(self, v, t):
-        for _ in range(t):
-            v = self.step(v)
-        return v
+        return self.pair_table((x0, y0), dx, (dy,))[(dx, dy)]
 
 
 def cylinder_correlation(spec, delta, base=(0, 0)):
@@ -477,14 +465,8 @@ def oracle_pair_correlations(k, radius):
         def grid(mode, W, K=K):
             if (mode, W) not in cache:
                 cyl = _Cylinder(CylinderSpec(W, K, mode))
-                g = {}
-                for dy in range(min(top, W // 2) + 1):
-                    left = _spin_diag(W, 0) * cyl.psi
-                    v = _spin_diag(W, dy) * cyl.psi
-                    for dx in range(top + 1):
-                        g[(dx, dy)] = float(left @ v)
-                        v = cyl.step(v)
-                cache[(mode, W)] = g
+                cache[(mode, W)] = cyl.pair_table(
+                    (0, 0), top, range(min(top, W // 2) + 1))
             return cache[(mode, W)]
 
         raw = {}
@@ -544,22 +526,26 @@ def frustrated_pair_correlations(S, radius):
     # checkerboard row pattern has period 4: on W = 2 mod 4 rings its seam
     # carries a gauge defect and the width corrections alternate in sign.
     widths = (8, 10, 12, 14, 16)
-    cyls = [_Cylinder(CylinderSpec(W, K, "columnar")) for W in widths]
+    dys = range(-radius, radius + 1)
 
-    # base column parity p and one separation of each +-(dx, dy) pair
-    offsets = [(p, dx, dy) for p in (0, 1) for dx in range(radius + 1)
-               for dy in range(-radius, radius + 1) if dx > 0 or dy > 0]
+    def tables(W, mode):
+        cyl = _Cylinder(CylinderSpec(W, K, mode))
+        return [cyl.pair_table((p, 0), radius, dys) for p in (0, 1)]
 
+    columnar = [tables(W, "columnar") for W in widths]
     # Fixed-width certification of the gauge map: on a W = 8 ring the
     # checkerboard model is exactly the row-gauged columnar model, so
     # their correlations must agree to transfer-matrix precision.
-    chk = _Cylinder(CylinderSpec(8, K, "checkerboard"))
+    checker = tables(8, "checkerboard")
+
+    # base column parity p and one separation of each +-(dx, dy) pair
+    offsets = [(p, dx, dy) for p in (0, 1) for dx in range(radius + 1)
+               for dy in dys if dx > 0 or dy > 0]
     limits, gauge_map = {"a": {}, "b": {}}, {}
     for p, dx, dy in offsets:
         key, sign = (p, dx, dy), gauge_sign(0) * gauge_sign(dy)
-        value = _limit_deep(widths, [cyl.correlation((p, 0), (dx, dy))
-                                     for cyl in cyls])
+        value = _limit_deep(widths, [t[p][(dx, dy)] for t in columnar])
         limits["a"][key], limits["b"][key] = sign * value, value
-        gauge_map[key] = (chk.correlation((p, 0), (dx, dy))
-                          - sign * cyls[0].correlation((p, 0), (dx, dy)))
+        gauge_map[key] = (checker[p][(dx, dy)]
+                          - sign * columnar[0][p][(dx, dy)])
     return limits, gauge_map

@@ -99,6 +99,8 @@ def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
 @pytest.mark.parametrize("k, code, message", [
     ("1e-300", 1, "error: nearest-neighbour seed is not positive"),
     ("1e300", 1, "error: nearest-neighbour seed is not positive"),
+    # the diagonal march runs out of bits; --precision 1024 builds it
+    ("1e-30", 1, "error: cross-check relation residual"),
     ("inf", 2, "error: modulus must be positive and finite, got inf"),
 ])
 def test_extreme_moduli_fail_in_one_line(k, code, message, tmp_path, capsys):

@@ -18,7 +18,7 @@ from isingchi.oracle import (
     oracle_pair_correlations,
     torus_correlation,
 )
-from isingchi.oracle import _apply_bond_layer, _dense_bond_layer
+from isingchi.oracle import _apply_bond_layer, _Cylinder, _dense_bond_layer
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
 
@@ -127,6 +127,69 @@ def test_cylinder_agrees_with_long_torus():
     cyl = cylinder_correlation(CylinderSpec(4, Kw, "uniform"), (1, 0))
     assert cyl == pytest.approx(torus_correlation(4, 12, Kw, (0, 0), (1, 0)),
                                 abs=1e-8)
+
+
+def test_two_column_cylinder_agrees_with_long_torus():
+    # every branch of the two-column chain: base parity 0 and 1, dx = 0,
+    # odd dx and even dx >= 2, and a negative dx that moves the base
+    deltas = ((0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1), (4, 2), (-3, 1))
+    for mode in ("columnar", "checkerboard"):
+        spec = CylinderSpec(4, 0.3, mode)
+        for base in ((0, 0), (1, 0), (1, 1)):
+            for dx, dy in deltas:
+                far = (base[0] + dx, base[1] + dy)
+                cyl = cylinder_correlation(spec, (dx, dy), base)
+                tor = torus_correlation(4, 40, 0.3, base, far, mode)
+                assert cyl == pytest.approx(tor, abs=1e-12)
+
+
+def test_pair_table_matches_a_chain_per_ring_separation():
+    # the uniform grid oracle_pair_correlations records, against one
+    # literal chain <s_0 psi| T^dx |s_dy psi> per dy
+    K = math.asinh(math.sqrt(0.5)) / 2
+    cyl = _Cylinder(CylinderSpec(10, K, "uniform"))
+    table = cyl.pair_table((0, 0), 5, range(6))
+    for dy in range(6):
+        left = isingchi.oracle._spin_diag(10, 0) * cyl.psi
+        v = isingchi.oracle._spin_diag(10, dy) * cyl.psi
+        for dx in range(6):
+            assert table[(dx, dy)] == pytest.approx(float(left @ v), abs=1e-14)
+            v = cyl._block(v) / cyl.lam
+
+
+def test_leading_vector_is_flip_even():
+    # the start vector is flip-even, so the Krylov space never holds the
+    # flip-odd partner that nearly ties with psi in the ordered phase
+    for sinh2k in (math.sqrt(0.5), 1 / math.sqrt(0.5)):
+        cyl = _Cylinder(CylinderSpec(16, math.asinh(sinh2k) / 2, "uniform"))
+        assert np.array_equal(cyl.psi, cyl.psi[::-1])
+
+
+@pytest.mark.parametrize("suite, most", [("recurrence", 100),
+                                         ("frustrated", 50)])
+def test_suites_walk_each_cylinder_once(suite, most, monkeypatch):
+    eigsh, layer = isingchi.oracle.eigsh, isingchi.oracle._apply_bond_layer
+    solves, inside, chain = [], [], []
+
+    def solving(*args, **kwargs):
+        solves.append(kwargs["k"])
+        inside.append(1)
+        try:
+            return eigsh(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting(*args):
+        if not inside:
+            chain.append(1)
+        return layer(*args)
+
+    monkeypatch.setattr(isingchi.oracle, "eigsh", solving)
+    monkeypatch.setattr(isingchi.oracle, "_apply_bond_layer", counting)
+    assert run_suite(suite).passed
+    # one eigenpair per cylinder, and one short chain per cylinder and base
+    assert set(solves) == {1}
+    assert len(chain) <= most
 
 
 def test_extrapolate_geometric_and_constant():

@@ -264,7 +264,8 @@ class _Cylinder:
         op = LinearOperator((dim, dim), matvec=self._block, dtype=np.float64)
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
         # The flip-even start keeps the Krylov space in the even sector,
-        # which holds the leading eigenvector alone.
+        # where the leading eigenvalue has no near tie, so a small
+        # subspace suffices.
         vals, vecs = eigsh(op, k=1, which="LA", v0=v0, ncv=min(dim, 8))
         self.lam = float(vals[0])
         psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])

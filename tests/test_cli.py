@@ -81,9 +81,9 @@ def test_chi_rejects_modulus_outside_disordered_domain(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, advice", [
-    (["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "40",
+    (["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "48",
       "--grid", "2x2"], "smaller --radius"),
-    (["corr", "--k", "0.05", "--radius", "32"], "--precision above 256"),
+    (["corr", "--k", "0.05", "--radius", "48"], "--precision above 256"),
 ])
 def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
     # the library says "raise precision_bits"; the CLI adds what to pass

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from isingchi import (
     EllipticDomainError,
@@ -15,8 +16,10 @@ from isingchi import (
     onsager_nn,
 )
 from isingchi.correlations import (
+    _identity_residuals,
     _symbol_coefficients,
     _toeplitz_minors,
+    _worst_residual,
     diagonal_seeds,
     next_diagonal_seeds,
 )
@@ -133,10 +136,10 @@ def test_domain_guards():
 
 def test_precision_exhaustion_names_location():
     with pytest.raises(PrecisionExhausted) as err:
-        build_table(0.5, 12, precision_bits=24)
+        build_table(0.5, 16, precision_bits=24)
     assert err.value.where is not None
     m, n = err.value.where
-    assert max(m, n) <= 12
+    assert max(m, n) <= 16
 
 
 def test_seed_corruption_detected():
@@ -258,3 +261,82 @@ def test_seeds_are_rounded_once():
             for n in range(m, min(m + 2, 13)):
                 assert coarse.C[m][n] == +fine.C[m][n]
                 assert coarse.C_bar[m][n] == +fine.C_bar[m][n]
+
+
+@pytest.mark.parametrize("k, radius", [(0.05, 30), (0.0718, 34)])
+def test_edge_builds_match_deeper_build(k, radius):
+    # just inside the 256-bit frontier; 0.0718 is near the dual modulus
+    # that chi frustrated --S 1 builds
+    edge = build_table(k, radius)
+    deep = build_table(k, radius, precision_bits=768)
+    for fam_edge, fam_deep in ((edge.C, deep.C), (edge.C_bar, deep.C_bar)):
+        for row_edge, row_deep in zip(fam_edge, fam_deep):
+            for x, y in zip(row_edge, row_deep):
+                assert float(x) == pytest.approx(float(y), rel=1e-12, abs=0)
+
+
+def _worst_log2_error(table, deep):
+    with mp.workprec(2 * deep.precision_bits):
+        worst = max(abs(x - y) / y
+                    for fam, fam_deep in ((table.C, deep.C), (table.C_bar, deep.C_bar))
+                    for row, row_deep in zip(fam, fam_deep)
+                    for x, y in zip(row, row_deep))
+        return float(mp.log(worst, 2)) if worst else -math.inf
+
+
+@pytest.mark.parametrize("k, radius, bits, float_guard_log2", [
+    (0.5, 40, 256, -128),
+    (0.1, 32, 256, -43),
+    (0.5, 100, 512, -184),
+    (0.1, 100, 1024, -360),     # reaches C below 2^-300
+])
+def test_sweep_keeps_its_guard_bits(k, radius, bits, float_guard_log2):
+    # float_guard_log2 is the worst relative error of a sweep that rounds
+    # every step to precision_bits; the fixed-point sweep keeps the seeds'
+    # guard bits and must beat it by 50 bits
+    table = build_table(k, radius, bits)
+    deep = build_table(k, radius, 2 * bits)
+    assert _worst_log2_error(table, deep) <= float_guard_log2 - 50
+
+
+def test_identity_forms_agree():
+    table = build_table(0.5, 12)
+    bits = 256 + 64
+    one = 1 << bits
+    kf = to_fixed(mp.mpf(0.5)._mpf_, bits)
+    rk = math.isqrt(kf << bits)
+
+    def fc(m, n):
+        return lookup(table, m, n)
+
+    def fb(m, n):
+        return lookup(table, m, n, "Cbar")
+
+    def ic(m, n):
+        return to_fixed(table.C[abs(m)][abs(n)]._mpf_, bits)
+
+    def ib(m, n):
+        return to_fixed(table.C_bar[abs(m)][abs(n)]._mpf_, bits)
+
+    for m in range(12):
+        for n in range(m, 12):
+            floats = _identity_residuals(0.5, 0.5 ** 0.5, 1.0, fc, fb, m, n)
+            ints = _identity_residuals(kf, rk, one, ic, ib, m, n)
+            assert floats.keys() == ints.keys()
+            for name, r in floats.items():
+                assert abs(r - ints[name] / one ** 3) <= 1e-15, (m, n, name)
+
+
+def test_residual_report_scans_stored_entries():
+    table = build_table(0.5, 12)
+    bits = 256 + 64
+    with mp.workprec(256):
+        k = mp.mpf(0.5)
+        assert table.residual_report == _worst_residual(k, table.C,
+                                                        table.C_bar, bits)
+        c = [list(row) for row in table.C]
+        raised = c[5][7] * (1 + mp.mpf(2) ** -100)
+        c[5][7] = c[7][5] = raised
+        shift = float(raised - table.C[5][7])
+    assert table.residual_report < shift * 1e-30
+    assert _worst_residual(k, c, table.C_bar, bits) >= shift

@@ -284,19 +284,19 @@ def _worst_log2_error(table, deep):
         return float(mp.log(worst, 2)) if worst else -math.inf
 
 
-@pytest.mark.parametrize("k, radius, bits, float_guard_log2", [
+@pytest.mark.parametrize("k, radius, bits, rounded_sweep_log2", [
     (0.5, 40, 256, -128),
     (0.1, 32, 256, -43),
     (0.5, 100, 512, -184),
     (0.1, 100, 1024, -360),     # reaches C below 2^-300
 ])
-def test_sweep_keeps_its_guard_bits(k, radius, bits, float_guard_log2):
-    # float_guard_log2 is the worst relative error of a sweep that rounds
-    # every step to precision_bits; the fixed-point sweep keeps the seeds'
-    # guard bits and must beat it by 50 bits
+def test_sweep_keeps_its_guard_bits(k, radius, bits, rounded_sweep_log2):
+    # rounded_sweep_log2 is the worst relative error of an mpf sweep that
+    # rounds every step to precision_bits; the fixed-point sweep keeps the
+    # seeds' guard bits and must beat it by 50 bits
     table = build_table(k, radius, bits)
     deep = build_table(k, radius, 2 * bits)
-    assert _worst_log2_error(table, deep) <= float_guard_log2 - 50
+    assert _worst_log2_error(table, deep) <= rounded_sweep_log2 - 50
 
 
 def test_identity_forms_agree():

@@ -17,16 +17,17 @@ produces the next-to-diagonal entries; all these seeds carry guard bits
 and are rounded once.  Superdiagonal sweeps of the two quadratic
 recurrences fill the remaining octant.
 
-The seeds run under mpmath, the sweep in fixed point on Python integers.
-The recurrences cancel catastrophically, losing bits roughly linearly
-with distance from the diagonal, so double precision is only good to
-radius 12 or so.  The star and corner identities are not consumed by the
-sweep; the worst residual of these and of the two quadratic recurrences
-over the stored octant is recorded as a build-time health figure.
+The minors and the sweep run in fixed point on Python integers.  The
+recurrences cancel catastrophically, losing bits roughly linearly with
+distance from the diagonal, so double precision is only good to radius
+12 or so.  The star and corner identities are not consumed by the sweep;
+the worst residual of these and of the two quadratic recurrences over
+the stored octant is recorded as a build-time health figure.
 """
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import to_fixed
@@ -81,8 +82,7 @@ class SeedInconsistency(PrecisionExhausted):
         super().__init__(
             "cross-check relation residual %s at diagonal step m = %d"
             % (mp.nstr(residual, 6), m))
-        self.m = m
-        self.residual = residual
+        self.m, self.residual = m, residual
 
 
 class TableRangeError(IndexError):
@@ -91,9 +91,7 @@ class TableRangeError(IndexError):
 
 def _as_k(mod):
     """Accept a Modulus or a bare number; return k at working precision."""
-    if isinstance(mod, Modulus):
-        return mp.mpf(mod.k)
-    return mp.mpf(mod)
+    return mp.mpf(mod.k if isinstance(mod, Modulus) else mod)
 
 
 def onsager_nn(mod):
@@ -125,7 +123,8 @@ def _base_seeds(k):
 
 
 def _symbol_coefficients(k, n_top):
-    """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top.
+    """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top, and
+    the bits they carry.
 
     phi(z) = (1 - k/z)^(1/2) (1 - k z)^(-1/2) solves a first-order ODE, so
 
@@ -134,10 +133,10 @@ def _symbol_coefficients(k, n_top):
     for every integer n.  From a_0 = 2E/pi and a_{-1} = -2 [E - (1 - k^2) K]
     / (pi k) it runs outward both ways in O(n_top) steps for any k, with
     2 (n_top + 2) log2(1/k) + 32 guard bits against the k^-2|n| growth of
-    the unwanted solution.
+    the unwanted solution.  The minors run at the same bits.
     """
-    guard = int(2 * (n_top + 2) * mp.log(1 / k, 2)) + 32
-    with mp.workprec(mp.prec + guard):
+    bits = mp.prec + int(2 * (n_top + 2) * mp.log(1 / k, 2)) + 32
+    with mp.workprec(bits):
         k2 = k * k
         ell_e = mp.ellipe(k2)
         a = {0: 2 * ell_e / mp.pi,
@@ -148,29 +147,36 @@ def _symbol_coefficients(k, n_top):
                     - k * (n - 1.5) * a[n - 2]) / (k * (n + 0.5))
             a[-n] = (((1 + k2) * (1 - n) + k2) * a[1 - n]
                      - k * (2.5 - n) * a[2 - n]) / (k * (0.5 - n))
-    return a
+    return a, bits
 
 
-def _toeplitz_minors(t, order):
+def _toeplitz_minors(t, order, bits):
     """Yield det[t(i - j)] of orders 0..order (order >= 1) in O(order^2).
 
-    Nonsymmetric Levinson recursion: f and b are the first and last columns
-    of T_n^-1, and det T_{n+1} = det T_n (1 - e_f e_b) / f_0.  A caller can
-    stop at a minor it rejects before the division by 1 - e_f e_b.
+    Fixed point: t(j) and the minors are integers x 2^bits.  Nonsymmetric
+    Levinson recursion: f and b are the first and last columns of T_n^-1,
+    and det T_{n+1} = det T_n (1 - e_f e_b) / f_0, each value rounded once.
+    A vanishing minor raises PrecisionExhausted before anything divides by it.
     """
-    det = t(0)
-    f = b = [1 / det]
-    yield mp.one
+    def nonzero(det, n):
+        if not det:
+            raise PrecisionExhausted("Toeplitz minor of order %d vanishes; "
+                                     "raise precision_bits" % n, where=(n, n))
+        return det
+
+    one, det = 1 << bits, nonzero(t(0), 1)
+    f = b = [(one << bits) // det]
+    yield one
     yield det
     for n in range(1, order):
-        e_f = mp.fdot((t(n - j) for j in range(n)), f)
-        e_b = mp.fdot((t(-1 - j) for j in range(n)), b)
-        scale = 1 - e_f * e_b
-        det = det * scale / f[0]
+        e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
+        e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
+        scale = one - (e_f * e_b >> bits)
+        det = nonzero(det * scale // f[0], n + 1)
         yield det
         f_ext, b_ext = f + [0], [0] + b
-        f = [(x - e_f * y) / scale for x, y in zip(f_ext, b_ext)]
-        b = [(y - e_b * x) / scale for x, y in zip(f_ext, b_ext)]
+        f = [((x << bits) - e_f * y) // scale for x, y in zip(f_ext, b_ext)]
+        b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
 
 
 def diagonal_seeds(mod, n_max):
@@ -179,9 +185,9 @@ def diagonal_seeds(mod, n_max):
     The ordered diagonal is det[a_{i-j}] of order n; the disordered one
     picks up an index shift and an alternating sign, (-1)^n det[a_{i-j-1}].
     Both conventions are frozen against the transfer-matrix oracle.  One
-    Levinson recursion per family gives every order in O(n_max^2).  A
-    determinant that evaluates non-positive means the working precision
-    has been exhausted by cancellation, not that the model is sick.
+    fixed-point Levinson recursion per family, at the symbol's bits, gives
+    every order in O(n_max^2), each rounded once to the working precision.
+    A non-positive determinant means cancellation exhausted the precision.
     """
     k = _as_k(mod)
     if not 0 < k < 1:
@@ -189,9 +195,10 @@ def diagonal_seeds(mod, n_max):
                                   % mp.nstr(k, 8))
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    coeff = _symbol_coefficients(k, n_max)
-    minors = zip(_toeplitz_minors(coeff.__getitem__, n_max),
-                 _toeplitz_minors(lambda j: coeff[j - 1], n_max))
+    coeff, bits = _symbol_coefficients(k, n_max)
+    coeff = {j: to_fixed(a._mpf_, bits) for j, a in coeff.items()}
+    minors = zip(_toeplitz_minors(coeff.__getitem__, n_max, bits),
+                 _toeplitz_minors(lambda j: coeff[j - 1], n_max, bits))
     c_diag, cbar_diag = [], []
     for n, (d_bar, d) in enumerate(minors):
         d *= (-1) ** n
@@ -199,8 +206,8 @@ def diagonal_seeds(mod, n_max):
             raise PrecisionExhausted(
                 "Toeplitz determinant of order %d is non-positive; "
                 "raise precision_bits" % n, where=(n, n))
-        c_diag.append(d)
-        cbar_diag.append(d_bar)
+        c_diag.append(mp.mpf((d, -bits)))
+        cbar_diag.append(mp.mpf((d_bar, -bits)))
     return c_diag, cbar_diag
 
 
@@ -224,18 +231,14 @@ def next_diagonal_seeds(mod, diag, base):
     """
     k = _as_k(mod)
     c_diag, cbar_diag = diag
-    c10, cbar01 = base
-    rk = mp.sqrt(k)
-    n_max = len(c_diag) - 1
+    rk, n_max = mp.sqrt(k), len(c_diag) - 1
     check_tol = max(mp.mpf(10) ** (-(mp.prec // 4)), mp.mpf(2) ** (8 - mp.prec))
 
-    c_next = [mp.mpf(c10)]
-    cbar_next = [mp.mpf(cbar01)]
+    c_next, cbar_next = ([mp.mpf(v)] for v in base)
     for m in range(1, n_max):
         a, b = c_next[m - 1], cbar_next[m - 1]
         cm, cbm = c_diag[m], cbar_diag[m]
-        d = c_diag[m] * c_diag[m + 1]
-        d_bar = cbar_diag[m] * cbar_diag[m + 1]
+        d, d_bar = cm * c_diag[m + 1], cbm * cbar_diag[m + 1]
         p = (k + 1) * cm * cbm / rk
 
         a2 = b * b - k * a * a
@@ -257,9 +260,8 @@ def next_diagonal_seeds(mod, diag, base):
             raise PrecisionExhausted(
                 "no admissible positive root in the diagonal march; "
                 "raise precision_bits", where=(m, m + 1))
-        prev = c_next[m - 1]
-        # closest to the previous value; ties break toward the larger root
-        x = min(sorted(inside, reverse=True), key=lambda r: abs(r - prev))
+        # closest to the previous value a; ties break toward the larger root
+        x = min(sorted(inside, reverse=True), key=lambda r: abs(r - a))
         y = (p - b * x) / a
 
         residual = abs(k * (a * x - cm * cm) + (b * y - cbm * cbm))
@@ -304,11 +306,9 @@ def lookup(table, m, n, which="C"):
     if i > table.radius or j > table.radius:
         raise TableRangeError(
             "(%d, %d) outside table radius %d" % (m, n, table.radius))
-    if which == "C":
-        return float(table.C[i][j])
-    if which == "Cbar":
-        return float(table.C_bar[i][j])
-    raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
+    if which not in ("C", "Cbar"):
+        raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
+    return float((table.C if which == "C" else table.C_bar)[i][j])
 
 
 def _identity_residuals(k, rk, one, c, cb, m, n):
@@ -345,13 +345,7 @@ def _worst_residual(k, C, C_bar, bits):
     one, kf = 1 << bits, to_fixed(k._mpf_, bits)
     c, cb = ([[to_fixed(x._mpf_, bits) for x in row] for row in fam]
              for fam in (C, C_bar))
-
-    def gc(i, j):
-        return c[abs(i)][abs(j)]
-
-    def gb(i, j):
-        return cb[abs(i)][abs(j)]
-
+    gc, gb = (lambda i, j, v=v: v[abs(i)][abs(j)] for v in (c, cb))
     rk, radius = math.isqrt(kf << bits), len(C) - 1
     worst = max(abs(r) for m in range(radius) for n in range(m, radius)
                 for r in _identity_residuals(kf, rk, one, gc, gb, m, n).values())
@@ -379,7 +373,7 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
     and resolving negative first indices by symmetry.  Any entry leaving
     (0, 1], or any divisor with fewer than MIN_DIVISOR_BITS significant
     bits, aborts the build with a precision-exhaustion error naming the
-    offending entry.  Radius 100 at 512 bits takes about 0.5 s.
+    offending entry.  Radius 100 at 512 bits takes about 0.4 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")

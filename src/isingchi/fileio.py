@@ -9,6 +9,7 @@ identical inputs give byte-identical files.
 
 import os
 import tempfile
+from contextlib import suppress
 
 import numpy as np
 
@@ -36,10 +37,12 @@ def format_float(x):
 
 def _atomic_write(path, chunks):
     """Stream str (ASCII) or bytes chunks into a sibling temp file, then
-    rename it over path; if any chunk fails, path is left as it was."""
+    rename it over path; if any chunk fails, path is left as it was.  An
+    OSError that names a file names path, never the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk.encode("ascii") if isinstance(chunk, str)
@@ -48,11 +51,12 @@ def _atomic_write(path, chunks):
         os.umask(mask)
         os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -69,8 +73,9 @@ def write_corr_csv(path, table):
 def write_chi_csv(path, grid):
     """Grid samples as qx,qy,chi rows, row-major with qy as the outer loop.
 
-    Streamed one qy row at a time; each qx is formatted once.  A grid whose
-    arrays do not match (nx, ny) raises ValueError before anything is written.
+    Streamed one qy row at a time, each a single % call on a template that
+    holds the qx text.  A grid whose arrays do not match (nx, ny) raises
+    ValueError before anything is written.
     """
     qx, qy = np.asarray(grid.qx, float), np.asarray(grid.qy, float)
     values = np.asarray(grid.values, float)
@@ -79,14 +84,15 @@ def write_chi_csv(path, grid):
         raise ValueError("chi grid is %dx%d but qx, qy and values have shapes "
                          "%s, %s and %s" % (grid.nx, grid.ny, qx.shape,
                                             qy.shape, values.shape))
-    columns = [format_float(x) for x in qx.tolist()]
+    template = "".join("%s,%%s,%%.17g\n" % format_float(x)
+                       for x in qx.tolist()).encode("ascii")
 
     def rows():
-        yield "qx,qy,chi\n"
+        yield b"qx,qy,chi\n"
         for j, y in enumerate(qy.tolist()):
-            y = format_float(y)
-            yield "".join(["%s,%s,%.17g\n" % (x, y, v)
-                           for x, v in zip(columns, values[:, j].tolist())])
+            cells = [format_float(y).encode("ascii")] * (2 * grid.nx)
+            cells[1::2] = values[:, j].tolist()
+            yield template % tuple(cells)
 
     _atomic_write(path, rows())
 

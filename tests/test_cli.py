@@ -116,6 +116,21 @@ def test_extreme_moduli_fail_in_one_line(k, code, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["missing/o.csv", ""],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_names_the_path(name, tmp_path, capsys):
+    # a missing directory, or a directory where the file should go: the
+    # error names the path asked for, not the temp file written beside it
+    out = str(tmp_path / name)
+    assert run(["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid",
+                "4x4", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: [Errno ")
+    assert repr(out) in err[0] and ".tmp-" not in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == []
+
+
 def test_missing_flag_is_usage_error(capsys):
     assert run(["corr", "--k", "0.5"]) == 2
     assert "--radius" in capsys.readouterr().err

@@ -209,7 +209,7 @@ def test_symbol_coefficients_match_fourier_integral(k):
     # since phi(e^{-i theta}) is the conjugate of phi(e^{i theta})
     with mp.workprec(80):
         k = mp.mpf(k)
-        coeff = _symbol_coefficients(k, 6)
+        coeff, _ = _symbol_coefficients(k, 6)
         for j in range(-6, 7):
             def integrand(theta):
                 return (mp.sqrt(1 - k * mp.expj(-theta))
@@ -226,20 +226,56 @@ def _dense_minors(t, order):
 
 
 def test_toeplitz_minors_match_dense_determinants():
+    # fixed point at 2^256 against dense determinants of the same entries
     rng = random.Random(20261018)
-    with mp.workprec(256):
+    bits = 256
+    with mp.workprec(bits):
         cases = []
         for _ in range(8):
-            entries = {j: mp.mpf(rng.uniform(-1, 1)) for j in range(-12, 13)}
+            entries = {j: to_fixed(mp.mpf(rng.uniform(-1, 1))._mpf_, bits)
+                       for j in range(-12, 13)}
             cases.append(entries.__getitem__)
-        coeff = _symbol_coefficients(mp.mpf(0.9), 13)
+        coeff = {j: to_fixed(a._mpf_, bits)
+                 for j, a in _symbol_coefficients(mp.mpf(0.9), 13)[0].items()}
         cases += [coeff.__getitem__, lambda j: coeff[j - 1]]
+    with mp.workprec(2 * bits):
         for t in cases:
-            fast = list(_toeplitz_minors(t, 12))
-            dense = _dense_minors(t, 12)
+            fast = list(_toeplitz_minors(t, 12, bits))
+            dense = _dense_minors(lambda j: mp.ldexp(t(j), -bits), 12)
             assert len(fast) == 13
             for got, want in zip(fast, dense):
-                assert abs(got - want) <= abs(want) * mp.mpf(2) ** -200
+                assert (abs(mp.ldexp(got, -bits) - want)
+                        <= abs(want) * mp.mpf(2) ** -200)
+
+
+@pytest.mark.parametrize("t0, order", [(1, 2), (0, 1)])
+def test_vanishing_minor_is_precision_exhaustion(t0, order):
+    # t(0) = t(1) = t(-1) = 1 makes the order-2 minor vanish; t(0) = 0 the
+    # order-1 minor.  Either must stop the recursion before it divides.
+    bits = 64
+
+    def t(j):
+        return (t0 << bits) if j == 0 else (1 << bits) if abs(j) == 1 else 0
+
+    with pytest.raises(PrecisionExhausted, match="order %d vanishes" % order) as err:
+        list(_toeplitz_minors(t, 4, bits))
+    assert err.value.where == (order, order)
+
+
+@pytest.mark.parametrize("k, radius, bits", [(0.1, 32, 256), (0.05, 30, 256),
+                                             (0.5, 100, 512)])
+def test_seeds_match_deeper_build(k, radius, bits):
+    # diagonal_seeds as build_table calls it (bits + 64, radius + 1) keeps
+    # its guard bits: the minors run at the symbol's guard, which grows as
+    # log2(1/k) per order, since the C minors shrink like k^n.  A flat
+    # 64-bit guard reads 2^-270.7 at (0.1, 32, 256).
+    with mp.workprec(bits + 64):
+        seeds = diagonal_seeds(mp.mpf(k), radius + 1)
+    with mp.workprec(2 * bits):
+        deep = diagonal_seeds(mp.mpf(k), radius + 1)
+        worst = max(abs(lo - hi) / hi for lo_family, hi_family in zip(seeds, deep)
+                    for lo, hi in zip(lo_family, hi_family))
+        assert worst <= mp.mpf(2) ** -(bits + 40), mp.log(worst, 2)
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])

@@ -71,12 +71,13 @@ def test_chi_csv_row_major_qy_outer(tmp_path, table05_r30):
 
 
 def test_chi_csv_matches_per_sample_layout(tmp_path):
-    # non-square, with signed zero, subnormal-range and large values
+    # non-square, with signed zero, subnormal-range, large and non-finite values
     nx, ny = 7, 5
     qx = 2 * math.pi * np.arange(nx) / nx - math.pi
     qy = 2 * math.pi * np.arange(ny) / ny - math.pi
     values = np.random.default_rng(7).normal(size=(nx, ny))
     values[0, 0], values[3, 1], values[6, 4], values[2, 2] = -0.0, 1e-300, -1.5e17, 1 / 3
+    values[1, 0], values[4, 3], values[5, 2] = math.nan, math.inf, -math.inf
     grid = ChiGrid(nx=nx, ny=ny, qx=qx, qy=qy, values=values,
                    window_radius=0, tail_bound=0.0, source="synthetic")
     path = tmp_path / "chi.csv"
@@ -86,7 +87,8 @@ def test_chi_csv_matches_per_sample_layout(tmp_path):
         for i in range(nx):
             expect.append("%.17g,%.17g,%.17g" % (qx[i], qy[j], values[i, j]))
     assert path.read_bytes() == ("\n".join(expect) + "\n").encode("ascii")
-    for text in (",-0\n", ",1e-300\n", ",-1.5e+17\n"):
+    for text in (",-0\n", ",1e-300\n", ",-1.5e+17\n", ",nan\n", ",inf\n",
+                 ",-inf\n"):
         assert text in path.read_text()
 
 

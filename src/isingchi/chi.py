@@ -208,13 +208,12 @@ def find_peaks(grid):
     """
     v = grid.values
     nx, ny = grid.nx, grid.ny
+    wrapped = np.pad(v, 1, mode="wrap")
     best = np.full(v.shape, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            np.maximum(best, np.roll(np.roll(v, di, axis=0), dj, axis=1),
-                       out=best)
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            if di != 1 or dj != 1:
+                np.maximum(best, wrapped[di:di + nx, dj:dj + ny], out=best)
     spacing = math.pi / 2
     cell_x, cell_y = 2 * math.pi / nx, 2 * math.pi / ny
 

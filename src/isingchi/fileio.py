@@ -2,9 +2,21 @@
 
 Every writer streams its chunks into a sibling temp file that is renamed
 into place only when complete, so interrupted runs never leave truncated
-artifacts (the chi CSV goes one qy row at a time and is never held whole
-in memory), and every float is printed with 17 significant digits so
-identical inputs give byte-identical files.
+artifacts (the chi CSV goes a few qy rows at a time and is never held
+whole in memory), and every float is printed as `%.17g` prints it, so
+reading it back gives the same double and identical inputs give
+byte-identical files.
+
+The chi CSV formats its samples a block at a time with integer
+arithmetic on numpy arrays (`_format_g17`), because CPython's `%.17g`
+takes the slow bignum path of its dtoa for every value.  A value whose
+17-digit decimal exponent e lies in [-4, 16] prints in fixed notation
+with the digits D = round(|x| 10**(16 - e)), rounded half to even.  That
+power of ten is an exact double, Dekker's product gives |x| 10**(16 - e)
+as y + err exactly, and y >= 10**16 > 2**53 is an even integer, so D is
+y plus err rounded half to even: the same digits as `%.17g`, with no
+approximation anywhere.  Zeros, non-finite values and values that print
+in scientific notation go through `%.17g` one at a time.
 """
 
 import os
@@ -33,6 +45,95 @@ class ConfigError(ValueError):
 
 def format_float(x):
     return "%.17g" % float(x)
+
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
+_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])  # 10**0..10**20, exact
+# 4-digit ASCII chunks, each packed in a uint32 whose bytes are its text;
+# entry 10**4 holds the bytes "-", ".", "0" and NUL that _MAPS points at
+_CHUNKS = np.vstack([np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
+                     + 48, [45, 46, 48, 0]]).astype(np.uint8)
+_CHUNKS = _CHUNKS.view(np.uint32).ravel()
+
+
+def _column_maps():
+    """Source column of each of the 24 output bytes, one row per (e, sign,
+    digits kept), into a source row of 24 bytes: "000", the 17 digits of
+    D, then "-", ".", "0" and NUL."""
+    e = np.arange(-4, 17)[:, None, None, None]
+    neg = np.arange(2)[:, None, None]
+    keep = np.arange(1, 18)[:, None]
+    t = np.arange(24) - neg  # position after the sign
+    fixed = e >= 0
+    size = np.where(fixed, np.maximum(keep, e + 1) + (keep > e + 1),
+                    1 - e + keep)
+    digit = np.where(fixed, 3 + t - (t > e + 1), 2 + t + e)
+    col = np.select([t >= size, t < 0, fixed & (t == e + 1), fixed,
+                     t == 1, t < 1 - e], [23, 20, 21, digit, 21, 22], digit)
+    return col.reshape(-1, 24)
+
+
+_MAPS = _column_maps()
+# number of trailing zero digits of each 4-digit chunk, 4 for 0000
+_TRAILING_ZEROS = sum((np.arange(10 ** 4) % 10 ** k == 0) for k in range(1, 5))
+
+
+def _two_product(a, b):
+    """y, err with a*b == y + err exactly (Dekker), barring over/underflow."""
+    y = a * b
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    t = b * _SPLIT
+    bh = t - (t - b)
+    bl = b - bh
+    return y, ((ah * bh - y) + ah * bl + al * bh) + al * bl
+
+
+def _format_g17(x):
+    """`b"%.17g" % v` for every v of a float64 array, as a list of bytes."""
+    x = np.asarray(x, float).ravel()
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.log10(a)
+        ok = np.isfinite(e)
+        e = np.fmax(np.fmin(np.floor(e), 16), -4).astype(np.int64)
+        y, err = _two_product(a, _POW10[16 - e])
+        # floor(log10) can be one off: move e until 10**16 <= y + err < 10**17
+        low = (y < 1e16) | ((y == 1e16) & (err < 0))
+        high = (y > 1e17) | ((y == 1e17) & (err >= 0))
+        e += high.view(np.int8)
+        e -= low.view(np.int8)
+        ok &= (e >= -4) & (e <= 16)
+        fix = np.flatnonzero(ok & (low | high))
+        y[fix], err[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
+        # y >= 10**16 > 2**53 is an even integer, so rounding err half to
+        # even rounds y + err half to even
+        d = (np.where(ok, y, 1e16).astype(np.int64)
+             + np.where(ok, np.rint(err), 0).astype(np.int64))
+    # a carry to 10**17 is 10**16 at e + 1
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    e += carry.view(np.int8)
+    ok &= e <= 16
+    chunks = np.empty((len(x), 6), np.int64)
+    chunks[:, 5] = 10 ** 4
+    for i in (4, 3, 2, 1):
+        q = d // 10 ** 4
+        chunks[:, i] = d - q * 10 ** 4
+        d = q
+    chunks[:, 0] = d
+    zeros = _TRAILING_ZEROS[chunks[:, 4]]
+    for i in (3, 2, 1):
+        zeros += (zeros == 16 - 4 * i) * _TRAILING_ZEROS[chunks[:, i]]
+    group = np.where(ok, ((e + 4) * 2 + (x < 0)) * 17 + 16 - zeros, 0)
+    index = _MAPS[group]
+    index += np.arange(0, 24 * len(x), 24)[:, None]
+    texts = _CHUNKS[chunks].view(np.uint8).ravel().take(index)
+    texts = texts.view("S24").ravel().tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        texts[i] = b"%.17g" % x[i]
+    return texts
 
 
 def _atomic_write(path, chunks):
@@ -70,12 +171,16 @@ def write_corr_csv(path, table):
         for _, m, n in points])
 
 
+_CHI_BLOCK_ROWS = 8
+
+
 def write_chi_csv(path, grid):
     """Grid samples as qx,qy,chi rows, row-major with qy as the outer loop.
 
-    Streamed one qy row at a time, each a single % call on a template that
-    holds the qx text.  A grid whose arrays do not match (nx, ny) raises
-    ValueError before anything is written.
+    Formatted _CHI_BLOCK_ROWS qy rows at a time and streamed one row at a
+    time, each a single % call on a template that holds the qx text.  A
+    grid whose arrays do not match (nx, ny) raises ValueError before
+    anything is written.
     """
     qx, qy = np.asarray(grid.qx, float), np.asarray(grid.qy, float)
     values = np.asarray(grid.values, float)
@@ -84,15 +189,17 @@ def write_chi_csv(path, grid):
         raise ValueError("chi grid is %dx%d but qx, qy and values have shapes "
                          "%s, %s and %s" % (grid.nx, grid.ny, qx.shape,
                                             qy.shape, values.shape))
-    template = "".join("%s,%%s,%%.17g\n" % format_float(x)
-                       for x in qx.tolist()).encode("ascii")
+    template = b"".join(b"%s,%%s,%%s\n" % x for x in _format_g17(qx))
+    qy_texts = _format_g17(qy)
 
     def rows():
         yield b"qx,qy,chi\n"
-        for j, y in enumerate(qy.tolist()):
-            cells = [format_float(y).encode("ascii")] * (2 * grid.nx)
-            cells[1::2] = values[:, j].tolist()
-            yield template % tuple(cells)
+        for j0 in range(0, grid.ny, _CHI_BLOCK_ROWS):
+            texts = _format_g17(values[:, j0:j0 + _CHI_BLOCK_ROWS].T)
+            for j, y in enumerate(qy_texts[j0:j0 + _CHI_BLOCK_ROWS]):
+                cells = [y] * (2 * grid.nx)
+                cells[1::2] = texts[j * grid.nx:(j + 1) * grid.nx]
+                yield template % tuple(cells)
 
     _atomic_write(path, rows())
 

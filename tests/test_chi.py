@@ -184,6 +184,24 @@ def test_find_peaks_synthetic_grid():
     assert values == sorted(values, reverse=True)
 
 
+def test_find_peaks_wraps_around_the_zone():
+    # strict maxima over the 8 periodic neighbours, on a non-square grid
+    # with ties, against a direct scan
+    nx, ny = 7, 5
+    vals = np.random.default_rng(11).integers(0, 6, (nx, ny)).astype(float)
+    vals[0, 0], vals[-1, -1] = 10.0, 9.0  # neighbours across both edges
+    grid = ChiGrid(nx=nx, ny=ny, qx=np.arange(nx) * 0.9 - 3,
+                   qy=np.arange(ny) * 1.2 - 3, values=vals,
+                   window_radius=0, tail_bound=0.0, source="synthetic")
+    expect = sorted((-vals[i, j], i, j) for i in range(nx) for j in range(ny)
+                    if all(vals[i, j] > vals[(i + di) % nx, (j + dj) % ny]
+                           for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                           if di or dj))
+    got = sorted((-p.value, round((p.qx + 3) / 0.9), round((p.qy + 3) / 1.2))
+                 for p in find_peaks(grid))
+    assert expect and got == expect
+
+
 def test_tail_estimate_decays(table05_r30):
     bounds = [tail_estimate(table05_r30, R) for R in (6, 10, 14, 20)]
     assert all(b > 0 for b in bounds)

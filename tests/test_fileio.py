@@ -1,5 +1,7 @@
 import math
 import struct
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from isingchi import (
 from isingchi.fileio import (
     ConfigError,
     _atomic_write,
+    _format_g17,
     format_float,
     read_config,
     write_chi_csv,
@@ -78,6 +81,11 @@ def test_chi_csv_matches_per_sample_layout(tmp_path):
     values = np.random.default_rng(7).normal(size=(nx, ny))
     values[0, 0], values[3, 1], values[6, 4], values[2, 2] = -0.0, 1e-300, -1.5e17, 1 / 3
     values[1, 0], values[4, 3], values[5, 2] = math.nan, math.inf, -math.inf
+    # edges of the block formatter's fixed-notation range: the double next
+    # below 1e-4 (no double rounds up to 0.0001), the largest double below
+    # 1e17, 1e17 itself, an exact decimal tie and -0.0001
+    values[0, 1], values[1, 1] = 9.9999999999999995e-5, 99999999999999984.0
+    values[2, 1], values[4, 1], values[5, 1] = 1e17, 1000000000000000.25, -1e-4
     grid = ChiGrid(nx=nx, ny=ny, qx=qx, qy=qy, values=values,
                    window_radius=0, tail_bound=0.0, source="synthetic")
     path = tmp_path / "chi.csv"
@@ -88,8 +96,65 @@ def test_chi_csv_matches_per_sample_layout(tmp_path):
             expect.append("%.17g,%.17g,%.17g" % (qx[i], qy[j], values[i, j]))
     assert path.read_bytes() == ("\n".join(expect) + "\n").encode("ascii")
     for text in (",-0\n", ",1e-300\n", ",-1.5e+17\n", ",nan\n", ",inf\n",
-                 ",-inf\n"):
+                 ",-inf\n", ",9.9999999999999991e-05\n",
+                 ",99999999999999984\n", ",1e+17\n", ",1000000000000000.2\n",
+                 ",-0.0001\n"):
         assert text in path.read_text()
+
+
+def _exact_ties(rng, per_power):
+    """Doubles x with x * 10**p exactly half an odd integer in [1e16, 1e17):
+    x = M / 2**(p + 1) for odd M, so %.17g must round the tie to even."""
+    out = []
+    for p in range(1, 21):
+        lo = -(-2 * 10 ** 16 // 5 ** p)
+        hi = min(2 * 10 ** 17 // 5 ** p, 2 ** 53)
+        odd = rng.integers(lo // 2, hi // 2, per_power) * 2 + 1
+        out.append(np.ldexp(odd.astype(float), -(p + 1)))
+    return np.concatenate(out)
+
+
+def test_block_format_is_percent_17g():
+    rng = np.random.default_rng(2024)
+    n = 200_000
+    sweep = 10 ** rng.uniform(-330, 308.25, n) * rng.choice([-1.0, 1.0], n)
+    fixed_range = (10 ** rng.uniform(-5, 17.5, n // 2)
+                   * rng.choice([-1.0, 1.0], n // 2))
+    ties = _exact_ties(rng, 2000)
+    powers = 10.0 ** np.arange(-6, 19)
+    specials = np.concatenate([
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+         2.2250738585072014e-308, 9.9999999999999995e-5,
+         np.nextafter(1e-4, 0), 99999999999999984.0, 1e17,
+         1000000000000000.25, 123456789012345.125],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+        np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+    for x in (sweep, fixed_range, np.round(fixed_range[:n // 4], 3), ties,
+              specials):
+        assert _format_g17(x) == [b"%.17g" % v for v in x.tolist()]
+    assert all(Fraction(float(x)) * 10 ** p % 1 == Fraction(1, 2)
+               for p, x in zip(range(1, 21), ties[::2000]))
+    assert _format_g17(np.array([1000000000000000.25, 123456789012345.125,
+                                 9.9999999999999995e-5, 1e17])) == [
+        b"1000000000000000.2", b"123456789012345.12",
+        b"9.9999999999999991e-05", b"1e+17"]
+
+
+def test_chi_csv_streams(tmp_path):
+    # the 512x512 file is 14.8 MB; a writer that holds it whole fails this
+    nx = ny = 512
+    q = 2 * math.pi * np.arange(nx) / nx - math.pi
+    values = np.random.default_rng(5).uniform(0.1, 30.0, (nx, ny))
+    grid = ChiGrid(nx=nx, ny=ny, qx=q, qy=q, values=values,
+                   window_radius=0, tail_bound=0.0, source="synthetic")
+    tracemalloc.start()
+    try:
+        write_chi_csv(tmp_path / "chi.csv", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "chi.csv").stat().st_size > 10_000_000
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("shapes", [((7,), (5,), (7, 4)), ((7,), (5,), (5, 7)),

@@ -52,8 +52,7 @@ _POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])  # 10**0..10**20, exact
 # 4-digit ASCII chunks, each packed in a uint32 whose bytes are its text;
 # entry 10**4 holds the bytes "-", ".", "0" and NUL that _MAPS points at
 _CHUNKS = np.vstack([np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
-                     + 48, [45, 46, 48, 0]]).astype(np.uint8)
-_CHUNKS = _CHUNKS.view(np.uint32).ravel()
+                     + 48, [45, 46, 48, 0]]).astype(np.uint8).view(np.uint32)
 
 
 def _column_maps():
@@ -94,12 +93,15 @@ def _format_g17(x):
     """`b"%.17g" % v` for every v of a float64 array, as a list of bytes."""
     x = np.asarray(x, float).ravel()
     a = np.abs(x)
+    # zeros, nan, inf and values far outside the range run through junk
+    # arithmetic here; they are not ok and go through %.17g below
     with np.errstate(all="ignore"):
         e = np.log10(a)
         ok = np.isfinite(e)
         e = np.fmax(np.fmin(np.floor(e), 16), -4).astype(np.int64)
         y, err = _two_product(a, _POW10[16 - e])
-        # floor(log10) can be one off: move e until 10**16 <= y + err < 10**17
+        # floor(log10) can be one off: move e by one towards
+        # 10**16 <= y + err < 10**17 and recompute where it moved
         low = (y < 1e16) | ((y == 1e16) & (err < 0))
         high = (y > 1e17) | ((y == 1e17) & (err >= 0))
         e += high.view(np.int8)
@@ -129,7 +131,7 @@ def _format_g17(x):
     group = np.where(ok, ((e + 4) * 2 + (x < 0)) * 17 + 16 - zeros, 0)
     index = _MAPS[group]
     index += np.arange(0, 24 * len(x), 24)[:, None]
-    texts = _CHUNKS[chunks].view(np.uint8).ravel().take(index)
+    texts = _CHUNKS[chunks].view(np.uint8).take(index)
     texts = texts.view("S24").ravel().tolist()
     for i in np.flatnonzero(~ok).tolist():
         texts[i] = b"%.17g" % x[i]

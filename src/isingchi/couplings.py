@@ -12,11 +12,13 @@ one common modulus.  Reversing exactly one of the two lines shifts its
 effective rapidity by the quarter period K(k'), so the crossing sees the
 complementary difference K(k') - d; by the quarter-period identities of sc
 and cs that interchanges the two members of the pair.
+
+The map runs in float64: its inputs are read as floats, and the pair
+comes back as Python floats at any mpmath precision.
 """
 
+import math
 from dataclasses import dataclass, replace
-
-from mpmath import mp
 
 from .elliptic import EllipticDomainError, jacobi_elliptic
 
@@ -72,17 +74,17 @@ def coupling_pair(u1, u2, mod):
     if isinstance(u2, RapidityLine):
         flip ^= u2.reversed
         u2 = u2.u
-    d = mp.mpf(u1) - mp.mpf(u2)
+    span = float(mod.big_K_prime)
+    d = float(u1) - float(u2)
     if flip:
-        d = mod.big_K_prime - d
-    if not (0 < d < mod.big_K_prime):
+        d = span - d
+    if not (0 < d < span):
         raise EllipticDomainError(
-            "rapidity difference %s outside (0, K(k')) with K(k') = %s"
-            % (mp.nstr(d, 8), mp.nstr(mod.big_K_prime, 8)))
+            "rapidity difference %.8g outside (0, K(k')) with K(k') = %.8g"
+            % (d, span))
     sn, cn, _ = jacobi_elliptic(d, mod.k_prime)
     if sn == 0 or cn == 0:
         raise EllipticDomainError("sc/cs pole: %s vanishes at d = %s"
                                   % ("sn" if sn == 0 else "cn", d))
-    return CouplingPair(K=mp.asinh(mod.k * (sn / cn)) / 2,
-                        K_bar=mp.asinh(cn / sn) / 2)
-
+    return CouplingPair(K=math.asinh(float(mod.k) * (sn / cn)) / 2,
+                        K_bar=math.asinh(cn / sn) / 2)

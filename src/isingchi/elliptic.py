@@ -1,11 +1,12 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
-Everything here is built on the arithmetic-geometric mean, evaluated with
-mpmath real arithmetic at whatever binary precision the ambient mpmath
-context holds.  Callers that need more than double precision wrap calls in
-``mpmath.workprec(bits)``; the same code path serves both regimes.
+Everything here is built on the arithmetic-geometric mean.  The AGM, K
+and make_modulus follow the precision of the ambient mpmath context
+(wrap calls in ``mpmath.workprec(bits)``), since table seeds need
+hundreds of bits; jacobi_elliptic is float64 at any mpmath precision.
 """
 
+import math
 from dataclasses import dataclass
 
 from mpmath import mp
@@ -59,42 +60,39 @@ def complete_elliptic_K(m):
 def jacobi_elliptic(u, k):
     """Jacobi sn, cn, dn of real argument u at modulus k, 0 <= k < 1.
 
-    Descending Landen transformation: run the AGM scale sequence
-    (a_n, b_n, c_n) down until c_N is negligible, seed the amplitude
-    phi_N = 2^N a_N u, then recover phi_{n-1} from
+    Descending Landen transformation in float64: run the AGM scale
+    sequence (a_n, b_n, c_n) down until c_N is negligible, seed the
+    amplitude phi_N = 2^N a_N u, then recover phi_{n-1} from
     sin(2 phi_{n-1} - phi_n) = (c_n / a_n) sin phi_n.  dn comes from the
     last two amplitudes rather than from sqrt(1 - k^2 sn^2), so identity
     checks on the triple are not tautological.
     """
-    u = mp.mpf(u)
-    k = mp.mpf(k)
-    if not (0 <= k < 1):
-        raise EllipticDomainError("modulus must lie in [0, 1), got %s" % k)
+    u, k = float(u), float(k)
+    if not (math.isfinite(u) and 0 <= k < 1):
+        raise EllipticDomainError(
+            "need a finite u and a modulus in [0, 1), got (%r, %r)" % (u, k))
 
-    tol = mp.mpf(2) ** (4 - mp.prec)
-    a, b, c = mp.one, mp.sqrt(1 - k * k), k
+    a, b, c = 1.0, math.sqrt(1 - k * k), k
     scale = [(a, c)]
-    while abs(c) > tol * a:
-        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
+    while abs(c) > 2.0 ** (4 - 53) * a:
+        a, b, c = (a + b) / 2, math.sqrt(a * b), (a - b) / 2
         scale.append((a, c))
-        if len(scale) > mp.prec.bit_length() + 16:
+        if len(scale) > (53).bit_length() + 16:
             raise ArithmeticError("Landen sequence failed to converge")
 
     n_top = len(scale) - 1
-    phi = scale[n_top][0] * u * mp.mpf(2) ** n_top
-    phi_prev = phi
+    phi = phi_prev = scale[n_top][0] * u * 2.0 ** n_top
     for a_n, c_n in reversed(scale[1:]):
         phi_prev = phi
-        phi = (phi + mp.asin(c_n / a_n * mp.sin(phi))) / 2
+        phi = (phi + math.asin(c_n / a_n * math.sin(phi))) / 2
 
-    sn = mp.sin(phi)
-    cn = mp.cos(phi)
-    spread = mp.cos(phi_prev - phi)
-    if n_top == 0 or abs(spread) < mp.mpf(2) ** (-(mp.prec // 5)):
-        # k zero to working precision, or u within a vanishing window of
+    sn, cn = math.sin(phi), math.cos(phi)
+    spread = math.cos(phi_prev - phi)
+    if n_top == 0 or abs(spread) < 2.0 ** -(53 // 5):
+        # k zero to double precision, or u within a vanishing window of
         # an odd quarter period where the amplitude ratio is 0/0; both
         # collapse to the defining identity with the positive branch
-        dn = mp.sqrt(1 - k * k * sn * sn)
+        dn = math.sqrt(1 - k * k * sn * sn)
     else:
         dn = cn / spread
     return sn, cn, dn

@@ -81,7 +81,7 @@ def _suite_elliptic(tolerance):
     for _ in range(1000):
         k = rng.uniform(0.01, 0.99)
         u = rng.uniform(-3.0, 3.0)
-        sn, cn, dn = (float(v) for v in jacobi_elliptic(u, k))
+        sn, cn, dn = jacobi_elliptic(u, k)
         loc = "u=%.4f k=%.4f" % (u, k)
         sn_res[loc] = sn * sn + cn * cn - 1.0
         dn_res[loc] = dn * dn + k * k * sn * sn - 1.0
@@ -96,17 +96,14 @@ def _suite_couplings(tolerance):
     for _ in range(1000):
         k = rng.uniform(0.05, 0.95)
         mod = make_modulus(k)
-        span = float(mod.big_K_prime)
         u1 = rng.uniform(-2.0, 2.0)
-        u2 = u1 + rng.uniform(0.02, 0.98) * span
+        u2 = u1 + rng.uniform(0.02, 0.98) * float(mod.big_K_prime)
         pair = coupling_pair(u2, u1, mod)
         loc = "k=%.4f d=%.4f" % (k, u2 - u1)
-        prod_res[loc] = float(math.sinh(2 * float(pair.K))
-                              * math.sinh(2 * float(pair.K_bar)) - k)
-        line = RapidityLine(id=0, u=u2)
-        flipped = coupling_pair(orientation_flip(line), u1, mod)
-        flip_res[loc] = max(abs(float(flipped.K) - float(pair.K_bar)),
-                            abs(float(flipped.K_bar) - float(pair.K)))
+        prod_res[loc] = math.sinh(2 * pair.K) * math.sinh(2 * pair.K_bar) - k
+        flipped = coupling_pair(orientation_flip(RapidityLine(0, u2)), u1, mod)
+        flip_res[loc] = max(abs(flipped.K - pair.K_bar),
+                            abs(flipped.K_bar - pair.K))
     return VerificationReport(rows=(
         _worst("product-rule", prod_res, _tol(tolerance, 1e-12)),
         _worst("orientation-flip", flip_res, _tol(tolerance, 1e-12)),
@@ -231,8 +228,11 @@ SUITES = {
 def run_suite(name, tolerance=None):
     """Run one suite (or "all") and return its VerificationReport.
 
-    tolerance, when given, overrides every per-identity default.
+    tolerance, when given, overrides every per-identity default; nan
+    would fail every row and inf pass any, so it must be finite and >= 0.
     """
+    if tolerance is not None and not 0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be finite and >= 0, got %r" % tolerance)
     if name == "all":
         return VerificationReport(rows=tuple(
             r for key in SUITES for r in run_suite(key, tolerance).rows))

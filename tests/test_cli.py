@@ -241,6 +241,16 @@ def test_verify_failure_sets_exit_code(capsys):
     assert "overall: FAIL" in capsys.readouterr().out
 
 
+def test_verify_rejects_meaningless_tolerance(capsys):
+    # nan fails every row and inf passes any: a usage error, not a verdict
+    for tol in ("nan", "-1", "inf"):
+        assert run(["verify", "couplings", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: tolerance")
+
+
 def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "isingchi", "fib", "--j", "1",

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from mpmath import mp
 
 from isingchi import (
     EllipticDomainError,
@@ -12,6 +13,50 @@ from isingchi import (
     make_modulus,
 )
 from isingchi.elliptic import agm
+
+
+def _mpf_landen(u, k):
+    """The mpf descending Landen that jacobi_elliptic replaced, verbatim."""
+    u = mp.mpf(u)
+    k = mp.mpf(k)
+    tol = mp.mpf(2) ** (4 - mp.prec)
+    a, b, c = mp.one, mp.sqrt(1 - k * k), k
+    scale = [(a, c)]
+    while abs(c) > tol * a:
+        a, b, c = (a + b) / 2, mp.sqrt(a * b), (a - b) / 2
+        scale.append((a, c))
+    n_top = len(scale) - 1
+    phi = scale[n_top][0] * u * mp.mpf(2) ** n_top
+    phi_prev = phi
+    for a_n, c_n in reversed(scale[1:]):
+        phi_prev = phi
+        phi = (phi + mp.asin(c_n / a_n * mp.sin(phi))) / 2
+    sn = mp.sin(phi)
+    cn = mp.cos(phi)
+    spread = mp.cos(phi_prev - phi)
+    if n_top == 0 or abs(spread) < mp.mpf(2) ** (-(mp.prec // 5)):
+        dn = mp.sqrt(1 - k * k * sn * sn)
+    else:
+        dn = cn / spread
+    return sn, cn, dn
+
+
+def _landen_sweep():
+    """Seeded (u, k, near_pole) cases: the bulk, tiny k, odd quarter periods."""
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(400):
+        k = rng.uniform(0.0, 0.999)
+        K = float(complete_elliptic_K(k))
+        cases.append((rng.uniform(-4 * K, 4 * K), k, False))
+    for k in (0.0, 1e-20):  # c_0 = k is below the stopping tolerance
+        cases += [(u, k, False) for u in rng.uniform(-7.0, 7.0, 30)]
+    for _ in range(100):  # cos(phi_1 - phi_0) ~ 1e-9: the spread fallback
+        k = rng.uniform(0.01, 0.999)
+        odd = 2 * int(rng.integers(-2, 2)) + 1
+        u = odd * float(complete_elliptic_K(k)) + rng.uniform(-1e-9, 1e-9)
+        cases.append((u, k, True))
+    return cases
 
 
 def test_agm_basics():
@@ -133,3 +178,48 @@ def test_make_modulus_domain():
     for bad in (0.0, 1.0, -0.3, 1.7):
         with pytest.raises(EllipticDomainError):
             make_modulus(bad)
+
+
+def test_float_port_matches_mpf_landen():
+    with mp.workprec(53):
+        for u, k, near_pole in _landen_sweep():
+            got = jacobi_elliptic(u, k)
+            old = [float(v) for v in _mpf_landen(u, k)]
+            for x, y in zip(got, old):
+                assert abs(x - y) <= 4e-16 * max(1.0, abs(y)), (u, k)
+            if near_pole:  # dn came from the defining identity
+                sn, _, dn = got
+                assert dn == math.sqrt(1 - k * k * sn * sn)
+
+
+def test_jacobi_against_80_bit_ellipfun():
+    # The phase inherits a double's rounding of the quarter period, so
+    # the error grows with |u|; off the spread fallback dn = cn / spread
+    # carries cn's absolute error divided by |cn| (as the mpf code did)
+    with mp.workprec(80):
+        for u, k, _ in _landen_sweep()[::2]:
+            sn, cn, dn = jacobi_elliptic(u, k)
+            m = mp.mpf(k) ** 2
+            tol = 1e-14 * max(1.0, abs(u) / 4)
+            for name, got, bound in (("sn", sn, tol), ("cn", cn, tol),
+                                     ("dn", dn, tol / min(1.0, 4 * abs(cn)))):
+                ref = float(mp.ellipfun(name, mp.mpf(u), m))
+                assert abs(got - ref) <= bound, (name, u, k)
+
+
+def test_jacobi_is_double_precision_at_any_mp_precision():
+    mod = make_modulus(0.37)
+    cases = [(0.83, 0.37), (-2.5, 0.9), (1e-3, 0.0)]
+    plain = [jacobi_elliptic(u, k) for u, k in cases]
+    pair = coupling_pair(0.9, 0.2, mod)
+    assert all(type(v) is float for v in (*sum(plain, ()), pair.K, pair.K_bar))
+    with mp.workprec(256):
+        assert [jacobi_elliptic(u, k) for u, k in cases] == plain
+        assert coupling_pair(0.9, 0.2, mod) == pair
+
+
+def test_jacobi_rejects_non_finite_input():
+    for u, k in ((math.inf, 0.5), (-math.inf, 0.5), (math.nan, 0.5),
+                 (0.3, math.nan), (0.3, math.inf)):
+        with pytest.raises(EllipticDomainError):
+            jacobi_elliptic(u, k)

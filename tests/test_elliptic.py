@@ -16,7 +16,7 @@ from isingchi.elliptic import agm
 
 
 def _mpf_landen(u, k):
-    """The mpf descending Landen that jacobi_elliptic replaced, verbatim."""
+    """jacobi_elliptic's Landen descent in mpf, without the argument checks."""
     u = mp.mpf(u)
     k = mp.mpf(k)
     tol = mp.mpf(2) ** (4 - mp.prec)
@@ -181,8 +181,9 @@ def test_make_modulus_domain():
 
 
 def test_float_port_matches_mpf_landen():
+    cases = _landen_sweep()
     with mp.workprec(53):
-        for u, k, near_pole in _landen_sweep():
+        for u, k, near_pole in cases:
             got = jacobi_elliptic(u, k)
             old = [float(v) for v in _mpf_landen(u, k)]
             for x, y in zip(got, old):
@@ -196,8 +197,9 @@ def test_jacobi_against_80_bit_ellipfun():
     # The phase inherits a double's rounding of the quarter period, so
     # the error grows with |u|; off the spread fallback dn = cn / spread
     # carries cn's absolute error divided by |cn| (as the mpf code did)
+    cases = _landen_sweep()[::2]
     with mp.workprec(80):
-        for u, k, _ in _landen_sweep()[::2]:
+        for u, k, _ in cases:
             sn, cn, dn = jacobi_elliptic(u, k)
             m = mp.mpf(k) ** 2
             tol = 1e-14 * max(1.0, abs(u) / 4)

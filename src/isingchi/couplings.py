@@ -43,8 +43,8 @@ class RapidityLine:
 class CouplingPair:
     """The two couplings generated at a crossing of rapidity lines."""
 
-    K: object
-    K_bar: object
+    K: float
+    K_bar: float
 
 
 def orientation_flip(line):

@@ -1,21 +1,45 @@
 """Exact pair correlations and wavevector-resolved susceptibility for
 square-lattice Ising models, including the fully frustrated case and
-aperiodically sign-modulated columns.  The package root re-exports every
-name in the __all__ of the six modules below.  The oracle and the
-verification suites load scipy, so import them from isingchi.oracle and
-isingchi.verify.
+aperiodically sign-modulated columns.
+
+The package root offers every name in the __all__ of the six modules
+below, but imports a module only when a name is first looked up in it,
+so `import isingchi` loads neither numpy nor mpmath.  Each module loads
+what it uses: elliptic, couplings, correlations and frustrated need
+mpmath alone; quasiperiodic and chi add numpy.  The oracle and the
+verification suites are not re-exported: import them from isingchi.oracle
+(the only module that loads scipy) and isingchi.verify.
+
+The CLI follows suit: `corr` loads mpmath only, `chi` and `fib` add
+numpy, and only `verify recurrence`, `verify frustrated` and `verify all`
+load scipy, through the oracle.
 """
 
-from . import chi, correlations, couplings, elliptic, frustrated, quasiperiodic
-from .elliptic import *  # noqa: F403
-from .couplings import *  # noqa: F403
-from .correlations import *  # noqa: F403
-from .frustrated import *  # noqa: F403
-from .quasiperiodic import *  # noqa: F403
-from .chi import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for module in (elliptic, couplings, correlations,
-                                     frustrated, quasiperiodic, chi)
-                 for name in module.__all__)
+# searched in this order, so a name of the mpmath-only modules never
+# imports numpy
+_MODULES = ("elliptic", "couplings", "correlations", "frustrated",
+            "quasiperiodic", "chi")
+
+
+def _modules():
+    for name in _MODULES:
+        yield importlib.import_module("." + name, __name__)
+
+
+def __getattr__(name):
+    if name == "__all__":
+        return sorted(n for module in _modules() for n in module.__all__)
+    if name in _MODULES:  # isingchi.chi and the like, as submodules
+        return importlib.import_module("." + name, __name__)
+    for module in _modules():
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULES) | set(__getattr__("__all__")))

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 verification or computation failure, 2 usage or
 configuration errors (one-line diagnostic on stderr).  A config file
 named by --config supplies `key = value` defaults for any long flag;
 explicit flags win.
+
+Each subcommand imports the modules its work needs when it runs: `corr`
+loads mpmath alone, `chi` and `fib` add numpy, and only the oracle
+suites of `verify` load scipy.
 """
 
 import argparse
@@ -13,8 +17,6 @@ from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
                            build_table)
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
-from .frustrated import FrustratedModel, dual_pair
-from .quasiperiodic import FibonacciSpec, autocorrelation, fib_bits, sign_sequence
 
 __all__ = ["main", "run"]
 
@@ -145,6 +147,8 @@ def _cmd_corr(args):
 
 def _cmd_chi(args):
     from .chi import chi_grid, find_peaks
+    from .frustrated import FrustratedModel, dual_pair
+    from .quasiperiodic import FibonacciSpec, autocorrelation, sign_sequence
 
     if args.source is None:
         raise UsageError("chi needs a source: uniform, frustrated or gauge")
@@ -170,23 +174,35 @@ def _cmd_chi(args):
                                 args.radius + 1)
         source = ("gauge", table, kappa)
 
-    grid = chi_grid(source, nx, ny, args.radius)
-    write_chi_csv(args.out, grid)
-    if args.pgm is not None:
-        write_pgm(args.pgm, grid)
-    if args.peaks is not None:
-        write_peaks_csv(args.peaks, find_peaks(grid))
+    try:
+        grid = chi_grid(source, nx, ny, args.radius)
+        write_chi_csv(args.out, grid)
+        if args.pgm is not None:
+            write_pgm(args.pgm, grid)
+        if args.peaks is not None:
+            write_peaks_csv(args.peaks, find_peaks(grid))
+    except MemoryError:
+        print("error: a %dx%d grid does not fit in memory; pick a smaller "
+              "--grid" % (nx, ny), file=sys.stderr)
+        return 1
     return 0
 
 
 def _cmd_fib(args):
+    from .quasiperiodic import FibonacciSpec, fib_bits, sign_sequence
+
     _require(args, "j", "count")
     if args.count <= 0:
         raise UsageError("count must be positive")
     spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-    values = (sign_sequence(spec, args.count) if args.signs
-              else fib_bits(spec, args.count))
-    print("\n".join(str(int(v)) for v in values))
+    try:
+        values = (sign_sequence(spec, args.count) if args.signs
+                  else fib_bits(spec, args.count))
+        print("\n".join(str(int(v)) for v in values))
+    except MemoryError:
+        print("error: %d terms do not fit in memory; pick a smaller --count"
+              % args.count, file=sys.stderr)
+        return 1
     return 0
 
 

@@ -17,13 +17,17 @@ as y + err exactly, and y >= 10**16 > 2**53 is an even integer, so D is
 y plus err rounded half to even: the same digits as `%.17g`, with no
 approximation anywhere.  Zeros, non-finite values and values that print
 in scientific notation go through `%.17g` one at a time.
+
+numpy is imported only by the functions that use it (`_format_g17`, the
+chi CSV and PGM writers), and `_format_g17`'s lookup tables are built on
+its first call, so a `corr` table or a verification CSV is written
+without loading numpy.
 """
 
 import os
 import tempfile
 from contextlib import suppress
-
-import numpy as np
+from functools import cache
 
 from .correlations import lookup
 
@@ -48,17 +52,14 @@ def format_float(x):
 
 
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for 53-bit doubles
-_POW10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])  # 10**0..10**20, exact
-# 4-digit ASCII chunks, each packed in a uint32 whose bytes are its text;
-# entry 10**4 holds the bytes "-", ".", "0" and NUL that _MAPS points at
-_CHUNKS = np.vstack([np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
-                     + 48, [45, 46, 48, 0]]).astype(np.uint8).view(np.uint32)
 
 
 def _column_maps():
     """Source column of each of the 24 output bytes, one row per (e, sign,
     digits kept), into a source row of 24 bytes: "000", the 17 digits of
     D, then "-", ".", "0" and NUL."""
+    import numpy as np
+
     e = np.arange(-4, 17)[:, None, None, None]
     neg = np.arange(2)[:, None, None]
     keep = np.arange(1, 18)[:, None]
@@ -72,9 +73,21 @@ def _column_maps():
     return col.reshape(-1, 24)
 
 
-_MAPS = _column_maps()
-# number of trailing zero digits of each 4-digit chunk, 4 for 0000
-_TRAILING_ZEROS = sum((np.arange(10 ** 4) % 10 ** k == 0) for k in range(1, 5))
+@cache
+def _tables():
+    """_format_g17's lookup tables, built on its first call."""
+    import numpy as np
+
+    pow10 = np.cumprod(np.r_[1.0, np.full(20, 10.0)])  # 10**0..10**20, exact
+    # 4-digit ASCII chunks, each packed in a uint32 whose bytes are its
+    # text; entry 10**4 holds the bytes "-", ".", "0" and NUL that the
+    # column maps point at
+    chunks = np.vstack([np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10
+                        + 48, [45, 46, 48, 0]]).astype(np.uint8).view(np.uint32)
+    # number of trailing zero digits of each 4-digit chunk, 4 for 0000
+    trailing_zeros = sum((np.arange(10 ** 4) % 10 ** k == 0)
+                         for k in range(1, 5))
+    return pow10, chunks, _column_maps(), trailing_zeros
 
 
 def _two_product(a, b):
@@ -91,6 +104,9 @@ def _two_product(a, b):
 
 def _format_g17(x):
     """`b"%.17g" % v` for every v of a float64 array, as a list of bytes."""
+    import numpy as np
+
+    pow10, chunk_texts, maps, trailing_zeros = _tables()
     x = np.asarray(x, float).ravel()
     a = np.abs(x)
     # zeros, nan, inf and values far outside the range run through junk
@@ -99,7 +115,7 @@ def _format_g17(x):
         e = np.log10(a)
         ok = np.isfinite(e)
         e = np.fmax(np.fmin(np.floor(e), 16), -4).astype(np.int64)
-        y, err = _two_product(a, _POW10[16 - e])
+        y, err = _two_product(a, pow10[16 - e])
         # floor(log10) can be one off: move e by one towards
         # 10**16 <= y + err < 10**17 and recompute where it moved
         low = (y < 1e16) | ((y == 1e16) & (err < 0))
@@ -108,7 +124,7 @@ def _format_g17(x):
         e -= low.view(np.int8)
         ok &= (e >= -4) & (e <= 16)
         fix = np.flatnonzero(ok & (low | high))
-        y[fix], err[fix] = _two_product(a[fix], _POW10[16 - e[fix]])
+        y[fix], err[fix] = _two_product(a[fix], pow10[16 - e[fix]])
         # y >= 10**16 > 2**53 is an even integer, so rounding err half to
         # even rounds y + err half to even
         d = (np.where(ok, y, 1e16).astype(np.int64)
@@ -125,13 +141,13 @@ def _format_g17(x):
         chunks[:, i] = d - q * 10 ** 4
         d = q
     chunks[:, 0] = d
-    zeros = _TRAILING_ZEROS[chunks[:, 4]]
+    zeros = trailing_zeros[chunks[:, 4]]
     for i in (3, 2, 1):
-        zeros += (zeros == 16 - 4 * i) * _TRAILING_ZEROS[chunks[:, i]]
+        zeros += (zeros == 16 - 4 * i) * trailing_zeros[chunks[:, i]]
     group = np.where(ok, ((e + 4) * 2 + (x < 0)) * 17 + 16 - zeros, 0)
-    index = _MAPS[group]
+    index = maps[group]
     index += np.arange(0, 24 * len(x), 24)[:, None]
-    texts = _CHUNKS[chunks].view(np.uint8).take(index)
+    texts = chunk_texts[chunks].view(np.uint8).take(index)
     texts = texts.view("S24").ravel().tolist()
     for i in np.flatnonzero(~ok).tolist():
         texts[i] = b"%.17g" % x[i]
@@ -184,6 +200,8 @@ def write_chi_csv(path, grid):
     grid whose arrays do not match (nx, ny) raises ValueError before
     anything is written.
     """
+    import numpy as np
+
     qx, qy = np.asarray(grid.qx, float), np.asarray(grid.qy, float)
     values = np.asarray(grid.values, float)
     if (qx.shape, qy.shape, values.shape) != ((grid.nx,), (grid.ny,),
@@ -213,6 +231,8 @@ def write_pgm(path, grid):
     two bytes per sample, most significant first.  A constant grid maps to
     all zeros.
     """
+    import numpy as np
+
     v = np.asarray(grid.values, float)
     lo, hi = float(v.min()), float(v.max())
     if hi > lo:

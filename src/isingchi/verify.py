@@ -3,8 +3,9 @@
 This module judges: each suite compares a computation with an
 independent reference, names its rows and sets their tolerances.  The
 recurrence and frustrated suites check build_table and ff_correlation
-against isingchi.oracle, which only computes; the others are seeded
-property checks against quadrature and exact identities.
+against isingchi.oracle, which only computes, and import it (and with it
+scipy) when they run; the others are seeded property checks against
+quadrature and exact identities.
 """
 
 import math
@@ -18,7 +19,6 @@ from .correlations import _identity_residuals, build_table, lookup
 from .couplings import RapidityLine, coupling_pair, orientation_flip
 from .elliptic import complete_elliptic_K, jacobi_elliptic, make_modulus
 from .frustrated import FrustratedModel, dual_pair, ff_correlation, separation_class
-from .oracle import frustrated_pair_correlations, oracle_pair_correlations
 
 __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
@@ -177,6 +177,8 @@ def _table_rows(k, radius, C, C_bar, tol):
 
 def _suite_recurrence(tolerance):
     """Identities on the k = 0.5 oracle tables; build_table against them."""
+    from .oracle import oracle_pair_correlations
+
     tol = _tol(tolerance, 1e-6)
     C, C_bar = oracle_pair_correlations(0.5, 4)
     return VerificationReport(rows=tuple(
@@ -196,6 +198,8 @@ def _suite_frustrated(tolerance, radius=3):
     oracle's own fixed-width certificate.  Both layouts read one set of
     cylinders, built for this call only.
     """
+    from .oracle import frustrated_pair_correlations
+
     tol, gauge_tol = _tol(tolerance, 1e-6), _tol(tolerance, 1e-10)
     S = 1.0
     limits, gauge_map = frustrated_pair_correlations(S, radius)

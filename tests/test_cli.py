@@ -260,18 +260,65 @@ def test_installed_entry_point():
     assert proc.stdout == "0\n0\n1\n0\n"
 
 
-def test_corr_does_not_load_scipy(tmp_path):
-    # the oracle and verify suites need scipy; a table export must not
-    # pay for importing it
+@pytest.mark.parametrize("argv, absent", [
+    (["corr", "--k", "0.5", "--radius", "2", "--out", "{out}"],
+     ("numpy", "scipy")),
+    (["verify", "elliptic"], ("scipy",)),
+    (["verify", "couplings"], ("scipy",)),
+    (["verify", "chi"], ("scipy",)),
+    (["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2",
+      "--out", "{out}"], ("scipy",)),
+    # the oracle is imported inside the suite; it must still load there
+    (["verify", "recurrence"], ()),
+], ids=["corr", "verify-elliptic", "verify-couplings", "verify-chi",
+        "chi-uniform", "verify-recurrence"])
+def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
+    # each command imports only what its work needs: a table export pays
+    # for neither numpy nor scipy, and only the oracle suites load scipy
     code = ("import sys\n"
             "from isingchi.cli import run\n"
-            "assert run(['corr', '--k', '0.5', '--radius', '2', '--out',"
-            " sys.argv[1]]) == 0\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "c.csv")],
+            "rc = run(sys.argv[1:])\n"
+            "print(rc, sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'scipy'}))")
+    argv = [a.replace("{out}", str(tmp_path / "out.csv")) for a in argv]
+    proc = subprocess.run([sys.executable, "-c", code] + argv,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert rc == "0", proc.stdout
+    assert not set(absent) & set(eval(loaded)), loaded
+
+
+def test_oversized_grid_fails_in_one_line(tmp_path, monkeypatch, capsys):
+    # stands in for a grid too large to allocate; never allocate one here
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("isingchi.chi.chi_grid", no_memory)
+    out = tmp_path / "chi.csv"
+    assert run(["chi", "uniform", "--k", "0.5", "--radius", "3",
+                "--grid", "100000x100000", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: a 100000x100000 grid")
+    assert lines[0].endswith("pick a smaller --grid")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("signs", [[], ["--signs"]])
+def test_oversized_count_fails_in_one_line(signs, monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr("isingchi.quasiperiodic.fib_bits", no_memory)
+    assert run(["fib", "--j", "0", "--count", "10000000000000"] + signs) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: 10000000000000 terms")
+    assert lines[0].endswith("pick a smaller --count")
 
 
 def test_verify_does_not_load_scipy_integrate():

@@ -8,11 +8,10 @@ so `import isingchi` loads neither numpy nor mpmath.  Each module loads
 what it uses: elliptic, couplings, correlations and frustrated need
 mpmath alone; quasiperiodic and chi add numpy.  The oracle and the
 verification suites are not re-exported: import them from isingchi.oracle
-(the only module that loads scipy) and isingchi.verify.
+and isingchi.verify.  No module loads scipy.
 
-The CLI follows suit: `corr` loads mpmath only, `chi` and `fib` add
-numpy, and only `verify recurrence`, `verify frustrated` and `verify all`
-load scipy, through the oracle.
+The CLI follows suit: `corr` loads mpmath only, and `chi`, `fib` and
+`verify` add numpy.
 """
 
 import importlib

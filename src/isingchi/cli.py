@@ -6,8 +6,7 @@ named by --config supplies `key = value` defaults for any long flag;
 explicit flags win.
 
 Each subcommand imports the modules its work needs when it runs: `corr`
-loads mpmath alone, `chi` and `fib` add numpy, and only the oracle
-suites of `verify` load scipy.
+loads mpmath alone, and `chi`, `fib` and `verify` add numpy.
 """
 
 import argparse

@@ -12,22 +12,30 @@ the bond layer factorizes over sites, so one application costs O(W 2^W)
 and W = 16 stays within memory.  It is applied as W perfect-shuffle
 passes: each mixes the even and odd entries (the lowest site) and writes
 the two results as the low and high halves, which moves the next site
-into the lowest place.
+into the lowest place.  The passes ping-pong between the two rows of one
+buffer and form each product in one half-length scratch array, so a
+layer allocates twice per call, not five times per pass.
 
-Each cylinder is solved once and walked once.  Lanczos iteration from a
-fixed, flip-even start vector finds the one leading eigenpair in an
-8-vector Krylov space, deterministically; the space never leaves the
-even sector, so the near-degenerate odd partner of the ordered phase
-never competes.  The transfer block is symmetric, so <a|T^n|b> =
-<T^n a|b>: one chain from the base spin, stepped out to the farthest
-axis distance, serves every separation up to it.  The repeated
+Each cylinder is solved once and walked once.  eigsh, a restarted
+Lanczos iteration with full reorthogonalisation, finds the one leading
+eigenpair from a fixed, flip-even start vector in a Krylov space of at
+most 8 vectors.  It checks convergence after every step, through the
+residual |beta_j s_j| of the top Ritz pair of the small tridiagonal,
+and restarts from that Ritz vector when the space is full.  The space
+never leaves the even sector, so the near-degenerate odd partner of the
+ordered phase never competes.  The transfer block is symmetric, so
+<a|T^n|b> = <T^n a|b>: one chain from the base spin, stepped out to the
+farthest axis distance, serves every separation up to it.  The repeated
 Aitken fits of the ordered table amplify rounding in the eigenvector
 about 10^4-fold, so its entries move at the 1e-12 level whenever the
-order of a contraction changes.
+order of a contraction changes.  Every inner product is therefore an
+einsum with a fixed summation order, never a BLAS call whose order
+follows the thread count, and the results do not depend on it.
 
-All arithmetic here is float64.  The high-precision claims of the
-recurrence engine are never tested against this module beyond ~1e-10;
-that is the point: the oracle is independent, not sharper.
+All arithmetic here is float64, on numpy alone.  The high-precision
+claims of the recurrence engine are never tested against this module
+beyond ~1e-10; that is the point: the oracle is independent, not
+sharper.
 
 The oracle computes and never judges: it imports nothing from the rest
 of the package, and isingchi.verify compares the fast path with it.
@@ -36,11 +44,12 @@ of the package, and isingchi.verify compares the fast path with it.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 MAX_ENUM_SITES = 20
 MAX_CYLINDER_W = 16
 MAX_TRANSFER_DX = 256
+KRYLOV_VECTORS = 8
+MAX_RESTARTS = 100
 
 __all__ = [
     "CylinderSpec",
@@ -186,13 +195,66 @@ def _apply_bond_layer(v, W, K):
     """Multiply by the inter-column bond factor: W shuffle passes, low site first."""
     ep, em = np.exp(K), np.exp(-K)
     half = 1 << (W - 1)
-    for _ in range(W):
+    buf, tmp = np.empty((2, 1 << W)), np.empty(half)
+    for i in range(W):
         a0, a1 = v[0::2], v[1::2]
-        out = np.empty_like(v)
-        np.add(ep * a0, em * a1, out=out[:half])
-        np.add(em * a0, ep * a1, out=out[half:])
-        v = out
+        v = buf[i % 2]
+        np.multiply(ep, a0, out=v[:half])
+        v[:half] += np.multiply(em, a1, out=tmp)
+        np.multiply(em, a0, out=v[half:])
+        v[half:] += np.multiply(ep, a1, out=tmp)
     return v
+
+
+def _dot(a, b):
+    """a . b summed in a fixed order, whatever the BLAS thread count."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def eigsh(matvec, v0, spec):
+    """Leading eigenpair (lam, psi) of the symmetric block of a cylinder.
+
+    Restarted Lanczos from v0 with full reorthogonalisation in at most
+    KRYLOV_VECTORS vectors.  After every step the top Ritz pair (theta,
+    s) of the tridiagonal is tested: it has converged once the residual
+    |beta_j s_j| is at most 1e-14 theta.  A full space restarts from its
+    Ritz vector; MAX_RESTARTS spaces without convergence raise an error
+    naming the cylinder (spec) and the residual.  psi has unit norm.
+    """
+    n = v0.size
+    m = min(n, KRYLOV_VECTORS)
+    basis = np.empty((m, n))
+    x = v0
+    for _ in range(MAX_RESTARTS):
+        basis[0] = x / np.sqrt(_dot(x, x))
+        alpha, beta = np.zeros(m), np.zeros(m)
+        for j in range(m):
+            w = matvec(basis[j])
+            alpha[j] = _dot(w, basis[j])
+            w -= alpha[j] * basis[j]
+            if j:
+                w -= beta[j - 1] * basis[j - 1]
+            for u in basis[:j + 1]:
+                w -= _dot(w, u) * u
+            beta[j] = np.sqrt(_dot(w, w))
+            theta, s = np.linalg.eigh(np.diag(alpha[:j + 1])
+                                      + np.diag(beta[:j], 1)
+                                      + np.diag(beta[:j], -1))
+            residual = abs(beta[j] * s[-1, -1])
+            converged = residual <= 1e-14 * theta[-1]
+            if converged or j + 1 == m:
+                break
+            basis[j + 1] = w / beta[j]
+        x = s[0, -1] * basis[0]
+        for c, u in zip(s[1:, -1], basis[1:j + 1]):
+            x += c * u
+        if converged:
+            return float(theta[-1]), x / np.sqrt(_dot(x, x))
+    raise RuntimeError(
+        "Lanczos did not converge on the W = %d, K = %r %s cylinder in %d "
+        "restarts (residual %.3e, eigenvalue %.17g)"
+        % (spec.W, spec.K, spec.ring_mode, MAX_RESTARTS, residual,
+           theta[-1]))
 
 
 def _dense_bond_layer(W, K):
@@ -261,22 +323,18 @@ class _Cylinder:
         self.two_column = spec.ring_mode in ("columnar", "checkerboard")
         self.d1 = np.exp(spec.K * fields[1]) if self.two_column else None
 
-        op = LinearOperator((dim, dim), matvec=self._block, dtype=np.float64)
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
         # The flip-even start keeps the Krylov space in the even sector,
         # where the leading eigenvalue has no near tie, so a small
         # subspace suffices.
-        vals, vecs = eigsh(op, k=1, which="LA", v0=v0, ncv=min(dim, 8))
-        self.lam = float(vals[0])
-        psi = vecs[:, 0] / np.linalg.norm(vecs[:, 0])
+        self.lam, psi = eigsh(self._block, np.full(dim, 1.0 / np.sqrt(dim)),
+                              spec)
         self.psi = -psi if psi.sum() < 0 else psi
         if self.two_column:
             self.inner = _apply_bond_layer(self.half0 * self.psi, self.W,
                                            spec.K)
 
     def _block(self, v):
-        v = self.half0 * np.asarray(v, dtype=np.float64).ravel()
-        v = _apply_bond_layer(v, self.W, self.spec.K)
+        v = _apply_bond_layer(self.half0 * v, self.W, self.spec.K)
         if self.two_column:
             v = _apply_bond_layer(self.d1 * v, self.W, self.spec.K)
         return self.half0 * v
@@ -306,7 +364,7 @@ class _Cylinder:
             if dx:
                 l = steps[(x0 + dx - 1) % 2](l)
             lr = l * ends[(x0 + dx) % 2]
-            out.update(((dx, dy), float(lr @ s)) for dy, s in spins.items())
+            out.update(((dx, dy), _dot(lr, s)) for dy, s in spins.items())
         return out
 
     def correlation(self, base, delta):

@@ -3,9 +3,9 @@
 This module judges: each suite compares a computation with an
 independent reference, names its rows and sets their tolerances.  The
 recurrence and frustrated suites check build_table and ff_correlation
-against isingchi.oracle, which only computes, and import it (and with it
-scipy) when they run; the others are seeded property checks against
-quadrature and exact identities.
+against isingchi.oracle, which only computes, and import it when they
+run; the others are seeded property checks against quadrature and exact
+identities.
 """
 
 import math

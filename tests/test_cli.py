@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -268,13 +269,14 @@ def test_installed_entry_point():
     (["verify", "chi"], ("scipy",)),
     (["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2",
       "--out", "{out}"], ("scipy",)),
-    # the oracle is imported inside the suite; it must still load there
-    (["verify", "recurrence"], ()),
+    # the oracle suites solve their cylinders with numpy alone
+    (["verify", "recurrence"], ("scipy",)),
+    (["verify", "all", "--out", "{out}"], ("scipy",)),
 ], ids=["corr", "verify-elliptic", "verify-couplings", "verify-chi",
-        "chi-uniform", "verify-recurrence"])
+        "chi-uniform", "verify-recurrence", "verify-all"])
 def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
     # each command imports only what its work needs: a table export pays
-    # for neither numpy nor scipy, and only the oracle suites load scipy
+    # for neither numpy nor scipy, and no command loads scipy at all
     code = ("import sys\n"
             "from isingchi.cli import run\n"
             "rc = run(sys.argv[1:])\n"
@@ -321,13 +323,16 @@ def test_oversized_count_fails_in_one_line(signs, monkeypatch, capsys):
     assert lines[0].endswith("pick a smaller --count")
 
 
-def test_verify_does_not_load_scipy_integrate():
-    # K-vs-quadrature integrates with mpmath; scipy.integrate costs ~0.3 s
-    code = ("import sys\n"
-            "from isingchi.verify import run_suite\n"
-            "assert run_suite('elliptic').passed\n"
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # every reduction of the oracle runs in a fixed order, so the rows
+    # come out the same whatever the BLAS thread count
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("verify-%s.csv" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingchi", "verify", "all", "--out",
+             str(out)], capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

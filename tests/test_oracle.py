@@ -18,8 +18,8 @@ from isingchi.oracle import (
     oracle_pair_correlations,
     torus_correlation,
 )
-from isingchi.oracle import (_apply_bond_layer, _Cylinder, _dense_bond_layer,
-                             _spin_diag)
+from isingchi.oracle import (_apply_bond_layer, _column_ring_fields,
+                             _Cylinder, _dense_bond_layer, _spin_diag, eigsh)
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
 
@@ -73,8 +73,9 @@ def test_frustrated_transfer_matches_enumeration():
 
 
 def test_bond_layer_shuffle_is_bit_identical():
+    # up to the widest cylinder, where the buffered passes pay off
     rng = np.random.default_rng(31)
-    for W in range(2, 13):
+    for W in range(2, 17):
         for K in (0.3, 1.2):
             v = rng.standard_normal(1 << W)
             got = _apply_bond_layer(v, W, K)
@@ -166,19 +167,64 @@ def test_leading_vector_is_flip_even():
         assert np.array_equal(cyl.psi, cyl.psi[::-1])
 
 
+def _dense_block(spec):
+    """The symmetric transfer block of _Cylinder as a dense matrix."""
+    B = _dense_bond_layer(spec.W, spec.K)
+    fields = _column_ring_fields(spec)
+    half0 = np.exp(spec.K * fields[0] / 2)
+    if spec.ring_mode in ("columnar", "checkerboard"):
+        B = B @ (np.exp(spec.K * fields[1])[:, None] * B)
+    return half0[:, None] * B * half0[None, :]
+
+
+@pytest.mark.parametrize("mode", ["uniform", "antiperiodic", "columnar",
+                                  "checkerboard"])
+def test_eigsh_matches_dense_eigh(mode):
+    # both phases of the recurrence suite; deeper in the ordered phase the
+    # dense eigh mixes in the flip-odd partner, which eigsh never sees
+    for W in range(2, 9):
+        if mode in ("columnar", "checkerboard") and W % 2:
+            continue
+        for sinh2k in (math.sqrt(0.5), 1 / math.sqrt(0.5)):
+            spec = CylinderSpec(W, math.asinh(sinh2k) / 2, mode)
+            block = _dense_block(spec)
+            lam, psi = eigsh(lambda v: block @ v,
+                             np.full(1 << W, 2.0 ** (-W / 2)), spec)
+            vals, vecs = np.linalg.eigh(block)
+            want = vecs[:, -1] * np.sign(vecs[:, -1].sum())
+            assert lam == pytest.approx(vals[-1], rel=1e-14, abs=0)
+            assert np.abs(psi * np.sign(psi.sum()) - want).max() <= 1e-13
+            cyl = _Cylinder(spec)
+            assert cyl.lam == pytest.approx(vals[-1], rel=1e-14, abs=0)
+            assert np.abs(cyl.psi - want).max() <= 1e-13
+
+
+def test_eigsh_raises_at_the_restart_cap(monkeypatch):
+    # one 8-vector space cannot reach the 1e-14 residual at W = 12; the
+    # solver must say so instead of returning an unconverged pair
+    monkeypatch.setattr(isingchi.oracle, "MAX_RESTARTS", 1)
+    spec = CylinderSpec(12, 0.3, "uniform")
+    with pytest.raises(RuntimeError) as err:
+        _Cylinder(spec)
+    message = str(err.value)
+    assert "W = 12" in message and "K = 0.3" in message
+    assert "residual" in message
+
+
 @pytest.mark.parametrize("suite, most", [("recurrence", 100),
                                          ("frustrated", 50)])
 def test_suites_walk_each_cylinder_once(suite, most, monkeypatch):
-    eigsh, layer = isingchi.oracle.eigsh, isingchi.oracle._apply_bond_layer
+    solve, layer = isingchi.oracle.eigsh, isingchi.oracle._apply_bond_layer
     solves, inside, chain = [], [], []
 
-    def solving(*args, **kwargs):
-        solves.append(kwargs["k"])
+    def solving(matvec, v0, spec):
         inside.append(1)
         try:
-            return eigsh(*args, **kwargs)
+            lam, psi = solve(matvec, v0, spec)
         finally:
             inside.pop()
+        solves.append((spec, np.shape(lam), psi.shape))
+        return lam, psi
 
     def counting(*args):
         if not inside:
@@ -189,7 +235,10 @@ def test_suites_walk_each_cylinder_once(suite, most, monkeypatch):
     monkeypatch.setattr(isingchi.oracle, "_apply_bond_layer", counting)
     assert run_suite(suite).passed
     # one eigenpair per cylinder, and one short chain per cylinder and base
-    assert set(solves) == {1}
+    specs = [spec for spec, _, _ in solves]
+    assert len(set(specs)) == len(specs)
+    assert all((lam, psi) == ((), (1 << spec.W,))
+               for spec, lam, psi in solves)
     assert len(chain) <= most
 
 

@@ -8,13 +8,22 @@ Three independent routes, in increasing reach:
     W, extrapolated in W.
 
 The cylinder operator is never materialized as a dense 2^W x 2^W matrix;
-the bond layer factorizes over sites, so one application costs O(W 2^W)
-and W = 16 stays within memory.  It is applied as W perfect-shuffle
+the bond layer factorizes over sites.  It is applied as W perfect-shuffle
 passes: each mixes the even and odd entries (the lowest site) and writes
 the two results as the low and high halves, which moves the next site
 into the lowest place.  The passes ping-pong between the two rows of one
-buffer and form each product in one half-length scratch array, so a
-layer allocates twice per call, not five times per pass.
+buffer and form each product in one scratch array, so a layer allocates
+twice per call, not five times per pass.
+
+Every cylinder vector has a definite parity p under the global spin flip
+c -> 2^W - 1 - c, so only its 2^(W-1) entries whose top bit is 0 are
+stored: entry c's flip partner is p v[half - 1 - c].  psi and the dressed
+inner vector are even (p = +1); a chain started from one spin insertion
+is odd (p = -1).  A shuffle pass on the half writes the low half of the
+full result directly and the high half as the parity times its reversed
+partner, so one layer costs O(W 2^(W-1)) and every vector takes half the
+memory.  Every integrand is flip-even, so inner products over the stored
+half give the correlations unchanged.
 
 Each cylinder is solved once and walked once.  eigsh, a restarted
 Lanczos iteration with full reorthogonalisation, finds the one leading
@@ -169,15 +178,16 @@ def enumerate_correlation(lat, site_a, site_b):
 
 
 def _ring_fields(W):
-    """(uniform, alternating, seam) ring bond fields over 2^W configs.
+    """(uniform, alternating, seam) ring bond fields on the stored half.
 
     seam is the single wrap bond s_{W-1} s_0; subtracting twice its value
-    from the uniform field turns the ring antiperiodic.
+    from the uniform field turns the ring antiperiodic.  Fields are
+    flip-even.
     """
-    c = np.arange(1 << W, dtype=np.int64)
+    c = np.arange(1 << (W - 1), dtype=np.int64)
     s = [1 - 2 * ((c >> i) & 1) for i in range(W)]
-    f = np.zeros(1 << W, dtype=np.int64)
-    f_alt = np.zeros(1 << W, dtype=np.int64)
+    f = np.zeros(c.size, dtype=np.int64)
+    f_alt = np.zeros(c.size, dtype=np.int64)
     for i in range(W):
         prod = s[i] * s[(i + 1) % W]
         f += prod
@@ -187,22 +197,29 @@ def _ring_fields(W):
 
 
 def _spin_diag(W, y):
-    c = np.arange(1 << W, dtype=np.int64)
+    """The spin at ring site y on the stored half; it is flip-odd."""
+    c = np.arange(1 << (W - 1), dtype=np.int64)
     return (1 - 2 * ((c >> (y % W)) & 1)).astype(np.float64)
 
 
-def _apply_bond_layer(v, W, K):
-    """Multiply by the inter-column bond factor: W shuffle passes, low site first."""
+def _unfold(h, parity):
+    """The full 2^W vector of flip parity +-1 whose stored half is h."""
+    return np.concatenate((h, parity * h[::-1]))
+
+
+def _apply_bond_layer(v, W, K, parity):
+    """Multiply a folded vector of flip parity +-1 by the inter-column bond
+    factor: W shuffle passes, low site first."""
     ep, em = np.exp(K), np.exp(-K)
-    half = 1 << (W - 1)
-    buf, tmp = np.empty((2, 1 << W)), np.empty(half)
+    q = 1 << (W - 2)
+    buf, tmp = np.empty((2, 2 * q)), np.empty(q)
     for i in range(W):
         a0, a1 = v[0::2], v[1::2]
         v = buf[i % 2]
-        np.multiply(ep, a0, out=v[:half])
-        v[:half] += np.multiply(em, a1, out=tmp)
-        np.multiply(em, a0, out=v[half:])
-        v[half:] += np.multiply(ep, a1, out=tmp)
+        np.multiply(ep, a0, out=v[:q])
+        v[:q] += np.multiply(em, a1, out=tmp)
+        np.multiply(parity * em, a0[::-1], out=v[q:])
+        v[q:] += np.multiply(parity * ep, a1[::-1], out=tmp)
     return v
 
 
@@ -219,7 +236,8 @@ def eigsh(matvec, v0, spec):
     s) of the tridiagonal is tested: it has converged once the residual
     |beta_j s_j| is at most 1e-14 theta.  A full space restarts from its
     Ritz vector; MAX_RESTARTS spaces without convergence raise an error
-    naming the cylinder (spec) and the residual.  psi has unit norm.
+    naming the cylinder (spec) and the residual.  psi has unit norm over
+    the entries v0 has, which on a cylinder is the stored half.
     """
     n = v0.size
     m = min(n, KRYLOV_VECTORS)
@@ -311,13 +329,13 @@ class _Cylinder:
     (D^1/2 B D^1/2); for the frustrated modes it spans the two-column
     unit cell (D0^1/2 B D1 B D0^1/2).  Spins at even columns sit at a
     block edge, next to psi; spins at odd columns sit inside a block,
-    next to B D0^1/2 psi dressed with D1.
+    next to B D0^1/2 psi dressed with D1.  Every vector is stored folded.
     """
 
     def __init__(self, spec):
         self.spec = spec
         self.W = spec.W
-        dim = 1 << spec.W
+        half = 1 << (spec.W - 1)
         fields = _column_ring_fields(spec)
         self.half0 = np.exp(spec.K * fields[0] / 2)
         self.two_column = spec.ring_mode in ("columnar", "checkerboard")
@@ -326,17 +344,17 @@ class _Cylinder:
         # The flip-even start keeps the Krylov space in the even sector,
         # where the leading eigenvalue has no near tie, so a small
         # subspace suffices.
-        self.lam, psi = eigsh(self._block, np.full(dim, 1.0 / np.sqrt(dim)),
-                              spec)
+        self.lam, psi = eigsh(lambda v: self._block(v, 1),
+                              np.full(half, 1.0 / np.sqrt(half)), spec)
         self.psi = -psi if psi.sum() < 0 else psi
         if self.two_column:
             self.inner = _apply_bond_layer(self.half0 * self.psi, self.W,
-                                           spec.K)
+                                           spec.K, 1)
 
-    def _block(self, v):
-        v = _apply_bond_layer(self.half0 * v, self.W, self.spec.K)
+    def _block(self, v, parity):
+        v = _apply_bond_layer(self.half0 * v, self.W, self.spec.K, parity)
         if self.two_column:
-            v = _apply_bond_layer(self.d1 * v, self.W, self.spec.K)
+            v = _apply_bond_layer(self.d1 * v, self.W, self.spec.K, parity)
         return self.half0 * v
 
     def pair_table(self, base, dx_max, dys):
@@ -346,17 +364,19 @@ class _Cylinder:
         from the base spin, and at each dx every far spin reads the same
         pair (l, r) as l . (s_dy r).  On the two-column cell each step
         crosses one bond layer, from an edge into a block or back out.
+        The chain carries one spin insertion, so it is flip-odd.
         """
         (x0, y0), W, K, lam = base, self.W, self.spec.K, self.lam
         sa = _spin_diag(W, y0)
         if self.two_column:
             ends = (self.psi, self.d1 * self.inner)
-            steps = (lambda v: _apply_bond_layer(self.half0 * v, W, K) / lam,
-                     lambda v: self.half0 * _apply_bond_layer(self.d1 * v, W, K))
+            half0, d1 = self.half0, self.d1
+            steps = (lambda v: _apply_bond_layer(half0 * v, W, K, -1) / lam,
+                     lambda v: half0 * _apply_bond_layer(d1 * v, W, K, -1))
             l = sa * self.inner / lam if x0 % 2 else sa * self.psi
         else:
             ends = (self.psi, self.psi)
-            steps = (lambda v: self._block(v) / lam,) * 2
+            steps = (lambda v: self._block(v, -1) / lam,) * 2
             l = sa * self.psi
         spins = {dy: _spin_diag(W, y0 + dy) for dy in dys}
         out = {}
@@ -402,11 +422,11 @@ def torus_correlation(W, L, K, site_a, site_b, ring_mode="uniform"):
     dim = 1 << W
     B = _dense_bond_layer(W, K)
     fields = _column_ring_fields(CylinderSpec(W, K, ring_mode))
-    d = [np.exp(K * fields[0]), np.exp(K * fields[1])]
+    d = [np.exp(K * _unfold(f, 1)) for f in fields]
     ins = {}
     for (x, y) in (site_a, site_b):
         key = x % L
-        ins[key] = ins.get(key, np.ones(dim)) * _spin_diag(W, y)
+        ins[key] = ins.get(key, np.ones(dim)) * _unfold(_spin_diag(W, y), -1)
 
     def column(x):
         m = d[x % 2][:, None] * B

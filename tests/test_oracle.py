@@ -19,7 +19,8 @@ from isingchi.oracle import (
     torus_correlation,
 )
 from isingchi.oracle import (_apply_bond_layer, _column_ring_fields,
-                             _Cylinder, _dense_bond_layer, _spin_diag, eigsh)
+                             _Cylinder, _dense_bond_layer, _spin_diag,
+                             _unfold, eigsh)
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
 
@@ -73,16 +74,23 @@ def test_frustrated_transfer_matches_enumeration():
 
 
 def test_bond_layer_shuffle_is_bit_identical():
-    # up to the widest cylinder, where the buffered passes pay off
+    # the folded layer on a stored half h of parity p is the stored half
+    # of the per-site layer on the full vector (h, p h reversed), up to
+    # the widest cylinder; the reference's other half is p times the
+    # result reversed, so the output keeps its parity
     rng = np.random.default_rng(31)
     for W in range(2, 17):
         for K in (0.3, 1.2):
-            v = rng.standard_normal(1 << W)
-            got = _apply_bond_layer(v, W, K)
-            assert np.array_equal(got, _per_site_bond_layer(v, W, K))
-            if W <= 8:
-                dense = _dense_bond_layer(W, K) @ v
-                assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
+            for p in (1, -1):
+                h = rng.standard_normal(1 << (W - 1))
+                got = _apply_bond_layer(h, W, K, p)
+                want = _per_site_bond_layer(_unfold(h, p), W, K)
+                assert np.array_equal(got, want[:h.size])
+                assert np.array_equal(want[h.size:], p * got[::-1])
+                if W <= 8:
+                    dense = _dense_bond_layer(W, K) @ _unfold(h, p)
+                    assert (np.abs(_unfold(got, p) - dense).max()
+                            <= 1e-13 * np.abs(dense).max())
 
 
 def test_antiperiodic_torus_matches_enumeration():
@@ -117,13 +125,16 @@ def test_frustrated_suite_builds_cylinders_once_per_call(monkeypatch):
 
 
 def test_cylinder_agrees_with_long_torus():
+    # the antiperiodic ring puts its seam field on the stored half
     K = math.asinh(math.sqrt(0.2)) / 2
-    spec = CylinderSpec(4, K, "uniform")
-    for delta in ((1, 0), (0, 1), (2, 1)):
-        cyl = cylinder_correlation(spec, delta)
-        tor = torus_correlation(4, 24, K, (0, 0), delta)
-        assert cyl == pytest.approx(tor, abs=1e-10)
-    assert cylinder_correlation(spec, (0, 0)) == pytest.approx(1.0, abs=1e-12)
+    for mode in ("uniform", "antiperiodic"):
+        spec = CylinderSpec(4, K, mode)
+        for delta in ((1, 0), (0, 1), (2, 1)):
+            cyl = cylinder_correlation(spec, delta)
+            tor = torus_correlation(4, 24, K, (0, 0), delta, mode)
+            assert cyl == pytest.approx(tor, abs=1e-10)
+        assert cylinder_correlation(spec, (0, 0)) == pytest.approx(1.0,
+                                                                   abs=1e-12)
     # at weaker coupling the wrap correction dies out by L = 12 already
     Kw = math.asinh(math.sqrt(0.05)) / 2
     cyl = cylinder_correlation(CylinderSpec(4, Kw, "uniform"), (1, 0))
@@ -156,21 +167,26 @@ def test_pair_table_matches_a_chain_per_ring_separation():
         v = _spin_diag(10, dy) * cyl.psi
         for dx in range(6):
             assert table[(dx, dy)] == pytest.approx(float(left @ v), abs=1e-14)
-            v = cyl._block(v) / cyl.lam
+            v = cyl._block(v, -1) / cyl.lam
 
 
-def test_leading_vector_is_flip_even():
-    # the start vector is flip-even, so the Krylov space never holds the
-    # flip-odd partner that nearly ties with psi in the ordered phase
+def test_unfolded_leading_vector_is_an_eigenvector():
+    # the folded eigenpair, unfolded to the full 2^W vector, against the
+    # per-site reference layer at the widest cylinder, in both phases
+    W = 16
     for sinh2k in (math.sqrt(0.5), 1 / math.sqrt(0.5)):
-        cyl = _Cylinder(CylinderSpec(16, math.asinh(sinh2k) / 2, "uniform"))
-        assert np.array_equal(cyl.psi, cyl.psi[::-1])
+        spec = CylinderSpec(W, math.asinh(sinh2k) / 2, "uniform")
+        cyl = _Cylinder(spec)
+        psi = _unfold(cyl.psi, 1) / math.sqrt(2)
+        half0 = _unfold(cyl.half0, 1)
+        t_psi = half0 * _per_site_bond_layer(half0 * psi, W, spec.K)
+        assert np.linalg.norm(t_psi - cyl.lam * psi) <= 1e-13 * cyl.lam
 
 
 def _dense_block(spec):
     """The symmetric transfer block of _Cylinder as a dense matrix."""
     B = _dense_bond_layer(spec.W, spec.K)
-    fields = _column_ring_fields(spec)
+    fields = [_unfold(f, 1) for f in _column_ring_fields(spec)]
     half0 = np.exp(spec.K * fields[0] / 2)
     if spec.ring_mode in ("columnar", "checkerboard"):
         B = B @ (np.exp(spec.K * fields[1])[:, None] * B)
@@ -194,9 +210,11 @@ def test_eigsh_matches_dense_eigh(mode):
             want = vecs[:, -1] * np.sign(vecs[:, -1].sum())
             assert lam == pytest.approx(vals[-1], rel=1e-14, abs=0)
             assert np.abs(psi * np.sign(psi.sum()) - want).max() <= 1e-13
+            # the folded psi has unit norm on its stored half
             cyl = _Cylinder(spec)
             assert cyl.lam == pytest.approx(vals[-1], rel=1e-14, abs=0)
-            assert np.abs(cyl.psi - want).max() <= 1e-13
+            psi = _unfold(cyl.psi, 1) / math.sqrt(2)
+            assert np.abs(psi - want).max() <= 1e-13
 
 
 def test_eigsh_raises_at_the_restart_cap(monkeypatch):
@@ -234,10 +252,11 @@ def test_suites_walk_each_cylinder_once(suite, most, monkeypatch):
     monkeypatch.setattr(isingchi.oracle, "eigsh", solving)
     monkeypatch.setattr(isingchi.oracle, "_apply_bond_layer", counting)
     assert run_suite(suite).passed
-    # one eigenpair per cylinder, and one short chain per cylinder and base
+    # one eigenpair per cylinder, on the stored half, and one short chain
+    # per cylinder and base
     specs = [spec for spec, _, _ in solves]
     assert len(set(specs)) == len(specs)
-    assert all((lam, psi) == ((), (1 << spec.W,))
+    assert all((lam, psi) == ((), (1 << (spec.W - 1),))
                for spec, lam, psi in solves)
     assert len(chain) <= most
 

@@ -84,11 +84,12 @@ def test_bond_layer_shuffle_is_bit_identical():
             for p in (1, -1):
                 h = rng.standard_normal(1 << (W - 1))
                 got = _apply_bond_layer(h, W, K, p)
-                want = _per_site_bond_layer(_unfold(h, p), W, K)
+                full = _unfold(h, p)
+                want = _per_site_bond_layer(full, W, K)
                 assert np.array_equal(got, want[:h.size])
                 assert np.array_equal(want[h.size:], p * got[::-1])
                 if W <= 8:
-                    dense = _dense_bond_layer(W, K) @ _unfold(h, p)
+                    dense = _dense_bond_layer(W, K) @ full
                     assert (np.abs(_unfold(got, p) - dense).max()
                             <= 1e-13 * np.abs(dense).max())
 

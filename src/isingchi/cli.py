@@ -146,7 +146,7 @@ def _cmd_corr(args):
 
 def _cmd_chi(args):
     from .chi import chi_grid, find_peaks
-    from .frustrated import FrustratedModel, dual_pair
+    from .frustrated import FrustratedModel
     from .quasiperiodic import FibonacciSpec, autocorrelation, sign_sequence
 
     if args.source is None:
@@ -162,7 +162,7 @@ def _cmd_chi(args):
     elif args.source == "frustrated":
         _require(args, "S", "version")
         model = FrustratedModel(S=args.S, version=args.version)
-        table = build_table(dual_pair(args.S).k, args.radius)
+        table = build_table(model.k, args.radius)
         source = ("frustrated", model, table)
     else:
         _require(args, "k", "j")

@@ -3,7 +3,8 @@
 Two infinite-lattice correlation families are tabulated side by side:
 C(m,n) for the disordered model at sinh 2K = sqrt(k), and C_bar(m,n) for
 its ordered dual at sinh 2K = 1/sqrt(k).  The quadratic recurrences couple
-the two families, so the build always carries both.
+the two families, so the build always carries both.  Every function here
+takes that bare modulus k.
 
 The build proceeds in three stages.  Closed forms fix the nearest
 neighbour and, through the linear seed relation
@@ -32,7 +33,7 @@ from operator import mul
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .elliptic import EllipticDomainError, Modulus, complete_elliptic_K
+from .elliptic import EllipticDomainError, complete_elliptic_K
 
 __all__ = [
     "CorrelationTable",
@@ -89,12 +90,7 @@ class TableRangeError(IndexError):
     """Lookup outside the stored radius."""
 
 
-def _as_k(mod):
-    """Accept a Modulus or a bare number; return k at working precision."""
-    return mp.mpf(mod.k if isinstance(mod, Modulus) else mod)
-
-
-def onsager_nn(mod):
+def onsager_nn(k):
     """Nearest-neighbour correlation of the disordered model.
 
     Classical closed form at sinh 2K = sqrt(k):
@@ -103,7 +99,7 @@ def onsager_nn(mod):
 
     Tends to sqrt(2)/2 as k -> 1 and to sqrt(k)/2 as k -> 0.
     """
-    k = _as_k(mod)
+    k = mp.mpf(k)
     if not 0 < k < 1:
         raise EllipticDomainError("modulus must lie in (0, 1), got %s"
                                   % mp.nstr(k, 8))
@@ -179,7 +175,7 @@ def _toeplitz_minors(t, order, bits):
         b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
 
 
-def diagonal_seeds(mod, n_max):
+def diagonal_seeds(k, n_max):
     """C(n,n) and C_bar(n,n) for n = 0..n_max via Toeplitz determinants.
 
     The ordered diagonal is det[a_{i-j}] of order n; the disordered one
@@ -189,7 +185,7 @@ def diagonal_seeds(mod, n_max):
     every order in O(n_max^2), each rounded once to the working precision.
     A non-positive determinant means cancellation exhausted the precision.
     """
-    k = _as_k(mod)
+    k = mp.mpf(k)
     if not 0 < k < 1:
         raise EllipticDomainError("modulus must lie in (0, 1), got %s"
                                   % mp.nstr(k, 8))
@@ -211,7 +207,7 @@ def diagonal_seeds(mod, n_max):
     return c_diag, cbar_diag
 
 
-def next_diagonal_seeds(mod, diag, base):
+def next_diagonal_seeds(k, diag, base):
     """March C(m,m+1), C_bar(m,m+1) up the diagonal.
 
     At each m the star relation on the diagonal is linear in the unknown
@@ -229,7 +225,7 @@ def next_diagonal_seeds(mod, diag, base):
     the diagonal.  The quadratic recurrence on the diagonal itself is not
     consumed; its residual is checked and must close to rounding level.
     """
-    k = _as_k(mod)
+    k = mp.mpf(k)
     c_diag, cbar_diag = diag
     rk, n_max = mp.sqrt(k), len(c_diag) - 1
     check_tol = max(mp.mpf(10) ** (-(mp.prec // 4)), mp.mpf(2) ** (8 - mp.prec))
@@ -352,10 +348,10 @@ def _worst_residual(k, C, C_bar, bits):
     return worst / one ** 3
 
 
-def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
+def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     """Build the joint C / C_bar octant out to the given radius.
 
-    mod may be a Modulus or a bare modulus; a modulus above 1 is served by
+    k is the bare modulus, sinh 2K = sqrt(k); a modulus above 1 is served by
     building at 1/k and swapping the two families, which is exactly the
     duality of the pair.  Moduli within EPS_CRITICAL of 1 are refused: the
     correlation length diverges there and a fixed-radius table is
@@ -380,7 +376,7 @@ def build_table(mod, radius, precision_bits=DEFAULT_PRECISION_BITS):
     if precision_bits < 24:
         raise ValueError("precision_bits must be at least 24")
 
-    k_req = float(_as_k(mod))
+    k_req = float(k)
     if not 0 < k_req < math.inf:
         raise EllipticDomainError(
             "modulus must be positive and finite, got %r" % k_req)

@@ -13,21 +13,49 @@ effective rapidity by the quarter period K(k'), so the crossing sees the
 complementary difference K(k') - d; by the quarter-period identities of sc
 and cs that interchanges the two members of the pair.
 
-The map runs in float64: its inputs are read as floats, and the pair
-comes back as Python floats at any mpmath precision.
+A Modulus carries the k, k' and K(k') the map reads; make_modulus
+builds it at the ambient mpmath precision.  The map itself runs in
+float64: its inputs are read as floats, and the pair comes back as
+Python floats at any mpmath precision.  The tables take a bare k.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from .elliptic import EllipticDomainError, jacobi_elliptic
+from mpmath import mp
+
+from .elliptic import EllipticDomainError, complete_elliptic_K, jacobi_elliptic
 
 __all__ = [
     "CouplingPair",
+    "Modulus",
     "RapidityLine",
     "coupling_pair",
+    "make_modulus",
     "orientation_flip",
 ]
+
+
+@dataclass(frozen=True)
+class Modulus:
+    """An elliptic modulus, its complement and the quarter period K(k')."""
+
+    k: object
+    k_prime: object
+    big_K_prime: object
+
+
+def make_modulus(k):
+    """Build a Modulus at the current working precision.
+
+    k must lie strictly inside (0, 1): K(k') diverges at k = 0, and k = 1
+    is criticality.
+    """
+    k = mp.mpf(k)
+    if not (0 < k < 1):
+        raise EllipticDomainError("modulus must lie in (0, 1), got %s" % mp.nstr(k, 8))
+    kp = mp.sqrt(1 - k * k)
+    return Modulus(k=k, k_prime=kp, big_K_prime=complete_elliptic_K(kp))
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,20 @@
 """Complete elliptic integrals and Jacobi elliptic functions.
 
-Everything here is built on the arithmetic-geometric mean.  The AGM, K
-and make_modulus follow the precision of the ambient mpmath context
-(wrap calls in ``mpmath.workprec(bits)``), since table seeds need
-hundreds of bits; jacobi_elliptic is float64 at any mpmath precision.
+Everything here is built on the arithmetic-geometric mean.  The AGM and
+K follow the precision of the ambient mpmath context (wrap calls in
+``mpmath.workprec(bits)``), since table seeds need hundreds of bits;
+jacobi_elliptic is float64 at any mpmath precision.
 """
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp
 
 __all__ = [
     "EllipticDomainError",
-    "Modulus",
     "agm",
     "complete_elliptic_K",
     "jacobi_elliptic",
-    "make_modulus",
 ]
 
 
@@ -97,31 +94,3 @@ def jacobi_elliptic(u, k):
         dn = cn / spread
     return sn, cn, dn
 
-
-@dataclass(frozen=True)
-class Modulus:
-    """An elliptic modulus with its complement and both quarter periods."""
-
-    k: object
-    k_prime: object
-    big_K: object
-    big_K_prime: object
-
-    def __repr__(self):
-        return "Modulus(k=%s)" % mp.nstr(mp.mpf(self.k), 17)
-
-
-def make_modulus(k):
-    """Build a Modulus at the current working precision.
-
-    k must lie strictly inside (0, 1); k = 1 is criticality, where the
-    quarter period diverges, and is rejected here.  Moduli above 1 are
-    never represented directly; the correlation engine serves them through
-    the duality swap.
-    """
-    k = mp.mpf(k)
-    if not (0 < k < 1):
-        raise EllipticDomainError("modulus must lie in (0, 1), got %s" % mp.nstr(k, 8))
-    kp = mp.sqrt(1 - k * k)
-    return Modulus(k=k, k_prime=kp, big_K=complete_elliptic_K(k),
-                   big_K_prime=complete_elliptic_K(kp))

@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from .correlations import TableRangeError, lookup
 
 __all__ = [
-    "DualPair",
-    "EightVertexWeights",
     "FrustratedModel",
     "TableMismatchError",
-    "dual_pair",
-    "eight_vertex_weights",
     "ff_correlation",
     "separation_class",
 ]
@@ -54,57 +50,17 @@ class FrustratedModel:
             raise ValueError("version must be 'a' or 'b', got %r"
                              % (self.version,))
 
+    @property
+    def k(self):
+        """The modulus of the two dual Ising models the model factorizes into.
 
-@dataclass(frozen=True)
-class EightVertexWeights:
-    a: float
-    b: float
-    c: float
-    d: float
-    k_hat: float
-    k_hat_prime: float
-    k_hat4: float
-
-
-@dataclass(frozen=True)
-class DualPair:
-    """The two decoupled Ising couplings and their shared modulus."""
-
-    k_sigma: float
-    k_tau: float
-    k: float
-
-
-def eight_vertex_weights(S):
-    """Vertex weights and reduced couplings of the decimated model.
-
-    The weights satisfy a = b and the free-fermion condition
-    a^2 + b^2 = c^2 + d^2 identically in S: 2(S^2+1) = 1 + (2S^2+1).
-    """
-    if not S > 0:
-        raise ValueError("S must be positive, got %r" % (S,))
-    s2 = S * S
-    root = math.sqrt(2 * s2 + 1)
-    return EightVertexWeights(
-        a=math.sqrt(s2 + 1), b=math.sqrt(s2 + 1), c=1.0, d=root,
-        k_hat=-math.log(2 * s2 + 1) / 8,
-        k_hat_prime=math.log(2 * s2 + 1) / 8,
-        k_hat4=math.log((s2 + 1) / root) / 4)
-
-
-def dual_pair(S):
-    """The dual temperature pair the frustrated model factorizes into.
-
-    sqrt(k) = sinh(2 K_sigma) = S^2 / (S^2 + 1 + sqrt(2 S^2 + 1)), and
-    K_tau is its Kramers-Wannier partner, sinh(2 K_sigma) sinh(2 K_tau) = 1.
-    """
-    if not S > 0:
-        raise ValueError("S must be positive, got %r" % (S,))
-    s2 = S * S
-    rk = s2 / (s2 + 1 + math.sqrt(2 * s2 + 1))
-    return DualPair(k_sigma=math.asinh(rk) / 2,
-                    k_tau=math.asinh(1 / rk) / 2,
-                    k=rk * rk)
+        sqrt(k) = sinh(2 K_sigma) = S^2 / (S^2 + 1 + sqrt(2 S^2 + 1)), and
+        K_tau is its Kramers-Wannier partner, sinh(2 K_sigma) sinh(2 K_tau)
+        = 1, so one table at k carries both.
+        """
+        s2 = self.S * self.S
+        rk = s2 / (s2 + 1 + math.sqrt(2 * s2 + 1))
+        return rk * rk
 
 
 def separation_class(dx, dy):
@@ -128,9 +84,8 @@ def ff_correlation(model, table, dx, dy, base_parity):
     shift.  Only the even-odd class (dy odd) depends on it; averaging that
     class over the two parities gives exactly zero.
 
-    The table must be built at the modulus of dual_pair(model.S), or
-    TableMismatchError is raised.  With m, n the half-separations, the
-    classes assemble as
+    The table must be built at model.k, or TableMismatchError is raised.
+    With m, n the half-separations, the classes assemble as
 
         (2m, 2n)      sigma * C(m,n) C_bar(m,n)
         (odd, odd)    0
@@ -144,11 +99,11 @@ def ff_correlation(model, table, dx, dy, base_parity):
     """
     if base_parity not in (0, 1):
         raise ValueError("base_parity must be 0 or 1, got %r" % (base_parity,))
-    pair = dual_pair(model.S)
-    if abs(table.k_requested - pair.k) > 1e-9 * max(pair.k, 1e-30):
+    k = model.k
+    if abs(table.k_requested - k) > 1e-9 * max(k, 1e-30):
         raise TableMismatchError(
-            "table modulus %.12g does not match dual_pair(S=%g) modulus %.12g"
-            % (table.k_requested, model.S, pair.k))
+            "table modulus %.12g does not match the model's %.12g at S=%g"
+            % (table.k_requested, k, model.S))
     dx, dy = int(dx), int(dy)
     need = max((abs(dx) + 1) // 2, (abs(dy) + 1) // 2)
     if need > table.radius:

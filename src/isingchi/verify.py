@@ -16,9 +16,9 @@ import numpy as np
 
 from .chi import chi_column_gauge, chi_grid, chi_uniform
 from .correlations import _identity_residuals, build_table, lookup
-from .couplings import RapidityLine, coupling_pair, orientation_flip
-from .elliptic import complete_elliptic_K, jacobi_elliptic, make_modulus
-from .frustrated import FrustratedModel, dual_pair, ff_correlation, separation_class
+from .couplings import RapidityLine, coupling_pair, make_modulus, orientation_flip
+from .elliptic import complete_elliptic_K, jacobi_elliptic
+from .frustrated import FrustratedModel, ff_correlation, separation_class
 
 __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
@@ -112,7 +112,7 @@ def _suite_couplings(tolerance):
 
 def _suite_chi(tolerance):
     rng = np.random.default_rng(_SEED + 2)
-    table = build_table(make_modulus(0.5), 30)
+    table = build_table(0.5, 30)
     grid = chi_grid(("uniform", table), 64, 64, 30)
     v = grid.values
 
@@ -203,7 +203,8 @@ def _suite_frustrated(tolerance, radius=3):
     tol, gauge_tol = _tol(tolerance, 1e-6), _tol(tolerance, 1e-10)
     S = 1.0
     limits, gauge_map = frustrated_pair_correlations(S, radius)
-    table = build_table(dual_pair(S).k, radius // 2 + 2, precision_bits=128)
+    table = build_table(FrustratedModel(S=S, version="a").k, radius // 2 + 2,
+                        precision_bits=128)
     gauge = {"(%d %d)p%d" % (dx, dy, p): r
              for (p, dx, dy), r in gauge_map.items()}
     rows = []

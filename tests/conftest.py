@@ -1,13 +1,13 @@
 import pytest
 
-from isingchi import build_table, make_modulus
+from isingchi import build_table
 from isingchi.oracle import oracle_pair_correlations
 
 
 @pytest.fixture(scope="session")
 def table05_r30():
     """Shared k = 0.5 table, radius 30, default precision."""
-    return build_table(make_modulus(0.5), 30)
+    return build_table(0.5, 30)
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,9 @@ from isingchi import (
     chi_column_gauge,
     chi_grid,
     chi_uniform,
-    dual_pair,
     ff_correlation,
     find_peaks,
     lookup,
-    make_modulus,
     sign_sequence,
     tail_estimate,
 )
@@ -30,7 +28,7 @@ QS = [(0.0, 0.0), (0.3, 0.7), (-1.2, 2.0), (math.pi / 3, -math.pi / 5)]
 
 @pytest.fixture(scope="module")
 def table_s1():
-    return build_table(make_modulus(dual_pair(1.0).k), 6)
+    return build_table(FrustratedModel(S=1.0, version="a").k, 6)
 
 
 def test_uniform_matches_direct_sum(table05_r30):

@@ -12,7 +12,6 @@ from isingchi import (
     TableRangeError,
     build_table,
     lookup,
-    make_modulus,
     onsager_nn,
 )
 from isingchi.correlations import (
@@ -35,12 +34,11 @@ DIAG_CBAR_HALF = (0.93421545766769409, 0.93100462171789966, 0.930661735858,
 
 @pytest.fixture(scope="module")
 def table_half():
-    return build_table(make_modulus(0.5), 8)
+    return build_table(0.5, 8)
 
 
 def test_onsager_nn_values():
-    assert float(onsager_nn(make_modulus(0.5))) == pytest.approx(NN_HALF,
-                                                                 abs=1e-15)
+    assert float(onsager_nn(0.5)) == pytest.approx(NN_HALF, abs=1e-15)
     assert float(onsager_nn(0.999)) == pytest.approx(math.sqrt(2) / 2,
                                                      abs=2e-3)
     # weak-coupling asymptote sqrt(k)/2
@@ -99,8 +97,8 @@ def test_decay_and_bounds(table_half):
 
 
 def test_residual_report_scales_with_precision():
-    fine = build_table(make_modulus(0.5), 12)
-    coarse = build_table(make_modulus(0.5), 12, precision_bits=53)
+    fine = build_table(0.5, 12)
+    coarse = build_table(0.5, 12, precision_bits=53)
     assert fine.residual_report <= 1e-40
     assert coarse.residual_report <= 1e-12
     assert fine.residual_report < coarse.residual_report
@@ -143,24 +141,24 @@ def test_precision_exhaustion_names_location():
 
 
 def test_seed_corruption_detected():
-    mod = make_modulus(0.5)
+    k = 0.5
     with mp.workprec(256):
-        diag = diagonal_seeds(mod, 6)
-        c10 = onsager_nn(mod)
+        diag = diagonal_seeds(k, 6)
+        c10 = onsager_nn(k)
         cbar01 = mp.sqrt(mp.mpf(1.5)) - mp.sqrt(mp.mpf(0.5)) * c10
-        clean = next_diagonal_seeds(mod, diag, (c10, cbar01))
+        clean = next_diagonal_seeds(k, diag, (c10, cbar01))
         assert float(clean[0][1]) == pytest.approx(0.14741915511812642,
                                                    abs=1e-12)
         bad = list(diag[0])
         bad[3] = bad[3] * (1 + mp.mpf("1e-3"))
         with pytest.raises(SeedInconsistency) as err:
-            next_diagonal_seeds(mod, (bad, diag[1]), (c10, cbar01))
+            next_diagonal_seeds(k, (bad, diag[1]), (c10, cbar01))
         assert float(err.value.residual) > 1e-8
 
 
 def test_build_is_deterministic():
-    a = build_table(make_modulus(0.3), 6)
-    b = build_table(make_modulus(0.3), 6)
+    a = build_table(0.3, 6)
+    b = build_table(0.3, 6)
     for m in range(7):
         for n in range(7):
             assert lookup(a, m, n) == lookup(b, m, n)

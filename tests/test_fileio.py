@@ -12,7 +12,6 @@ from isingchi import (
     build_table,
     chi_grid,
     lookup,
-    make_modulus,
 )
 from isingchi.fileio import (
     ConfigError,
@@ -31,7 +30,7 @@ from isingchi.verify import run_suite
 
 @pytest.fixture(scope="module")
 def small_table():
-    return build_table(make_modulus(0.5), 2)
+    return build_table(0.5, 2)
 
 
 def test_float_format_round_trips():

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from isingchi import (
@@ -8,10 +7,7 @@ from isingchi import (
     TableMismatchError,
     TableRangeError,
     build_table,
-    dual_pair,
-    eight_vertex_weights,
     ff_correlation,
-    make_modulus,
     separation_class,
 )
 from isingchi.oracle import gauge_sign
@@ -19,45 +15,22 @@ from isingchi.oracle import gauge_sign
 
 @pytest.fixture(scope="module")
 def table_s1():
-    return build_table(make_modulus(dual_pair(1.0).k), 6)
-
-
-def test_free_fermion_condition_exact():
-    rng = np.random.default_rng(11)
-    for S in rng.uniform(0.05, 8.0, size=1000):
-        w = eight_vertex_weights(float(S))
-        assert w.a == w.b
-        assert w.c == 1.0
-        # 2(S^2+1) = 1 + (2S^2+1) holds identically, so the float
-        # residual is pure rounding
-        assert abs(w.a**2 + w.b**2 - w.c**2 - w.d**2) < 1e-12 * w.d**2
-
-
-def test_vertex_weight_couplings_consistent():
-    for S in (0.3, 1.0, 2.7):
-        w = eight_vertex_weights(S)
-        assert w.k_hat == -w.k_hat_prime
-        assert math.exp(8 * w.k_hat_prime) == pytest.approx(2 * S * S + 1,
-                                                            rel=1e-14)
-        assert math.exp(4 * w.k_hat4) == pytest.approx(
-            (S * S + 1) / math.sqrt(2 * S * S + 1), rel=1e-14)
+    return build_table(FrustratedModel(S=1.0, version="a").k, 6)
 
 
 def test_dual_pair_relations():
+    # sqrt(k) = sinh 2K_sigma, shared by both layouts
     for S in (0.4, 1.0, 3.1):
-        p = dual_pair(S)
         rk = S * S / (S * S + 1 + math.sqrt(2 * S * S + 1))
-        assert math.sinh(2 * p.k_sigma) == pytest.approx(rk, rel=1e-14)
-        # Kramers-Wannier partners
-        assert math.sinh(2 * p.k_sigma) * math.sinh(2 * p.k_tau) == (
-            pytest.approx(1.0, rel=1e-14))
-        assert p.k == pytest.approx(rk * rk, rel=1e-15)
+        for version in ("a", "b"):
+            k = FrustratedModel(S=S, version=version).k
+            assert k == pytest.approx(rk * rk, rel=1e-15)
 
 
 def test_dual_pair_at_unit_S():
     # sqrt(k) = 1/(2 + sqrt(3)) = 2 - sqrt(3)
-    p = dual_pair(1.0)
-    assert p.k == pytest.approx((2 - math.sqrt(3)) ** 2, rel=1e-15)
+    k = FrustratedModel(S=1.0, version="a").k
+    assert k == pytest.approx((2 - math.sqrt(3)) ** 2, rel=1e-15)
 
 
 def test_model_validation():

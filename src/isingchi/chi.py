@@ -99,8 +99,7 @@ def _gauge_grid(table, kappa, qxs, qys, R):
         raise WindowRangeError(
             "gauge autocorrelation covers lags < %d, window needs %d"
             % (kappa.shape[0], R))
-    m = np.array([[lookup(table, i, j) for j in range(R + 1)]
-                  for i in range(R + 1)]) * kappa[np.newaxis, :R + 1]
+    m = table.C_float[:R + 1, :R + 1] * kappa[np.newaxis, :R + 1]
     x = _cos_block(qxs, range(R + 1))
     y = _cos_block(qys, range(R + 1))
     return x @ m @ y.T

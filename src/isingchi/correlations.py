@@ -28,6 +28,7 @@ the stored octant is recorded as a build-time health figure.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 
 from mpmath import mp
@@ -277,7 +278,9 @@ class CorrelationTable:
     the caller's modulus; a modulus above 1 was served through the
     duality swap, at 1/k_requested.  residual_report is the worst absolute
     identity residual (corner, star, quadratic) of the stored entries over
-    the octant, evaluated exactly in fixed point.
+    the octant, evaluated exactly in fixed point.  C_float is C as a
+    read-only float64 array, converted on first use and kept, for the
+    chi sums; lookup reads C and C_bar themselves.
     """
 
     radius: int
@@ -290,6 +293,17 @@ class CorrelationTable:
     @property
     def swapped(self):
         return self.k_requested > 1
+
+    @cached_property
+    def C_float(self):
+        import numpy as np  # chi is the only reader; corr stays numpy-free
+
+        out = np.empty((self.radius + 1, self.radius + 1))
+        for i, row in enumerate(self.C):
+            for j in range(i, self.radius + 1):
+                out[i, j] = out[j, i] = float(row[j])
+        out.flags.writeable = False
+        return out
 
 
 def lookup(table, m, n, which="C"):

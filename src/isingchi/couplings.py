@@ -13,18 +13,15 @@ effective rapidity by the quarter period K(k'), so the crossing sees the
 complementary difference K(k') - d; by the quarter-period identities of sc
 and cs that interchanges the two members of the pair.
 
-A Modulus carries the k, k' and K(k') the map reads; make_modulus
-builds it at the ambient mpmath precision.  The map itself runs in
-float64: its inputs are read as floats, and the pair comes back as
-Python floats at any mpmath precision.  The tables take a bare k.
+A Modulus carries the k, k' and K(k') the map reads, as Python floats;
+make_modulus builds it in double precision at any mpmath precision, and
+the map itself runs in float64.  The tables take a bare k.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-from mpmath import mp
-
-from .elliptic import EllipticDomainError, complete_elliptic_K, jacobi_elliptic
+from .elliptic import EllipticDomainError, jacobi_elliptic
 
 __all__ = [
     "CouplingPair",
@@ -38,24 +35,34 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Modulus:
-    """An elliptic modulus, its complement and the quarter period K(k')."""
+    """An elliptic modulus, its complement and K(k'), all Python floats."""
 
-    k: object
-    k_prime: object
-    big_K_prime: object
+    k: float
+    k_prime: float
+    big_K_prime: float
 
 
 def make_modulus(k):
-    """Build a Modulus at the current working precision.
+    """Build a Modulus in double precision.
 
     k must lie strictly inside (0, 1): K(k') diverges at k = 0, and k = 1
-    is criticality.
+    is criticality.  K(k') repeats elliptic.agm's steps, stopping rule and
+    cap at 53 bits, where mpf rounds +, -, *, / and sqrt to nearest as IEEE
+    doubles do, so it equals complete_elliptic_K(k') bit for bit there.
     """
-    k = mp.mpf(k)
+    k = float(k)
     if not (0 < k < 1):
-        raise EllipticDomainError("modulus must lie in (0, 1), got %s" % mp.nstr(k, 8))
-    kp = mp.sqrt(1 - k * k)
-    return Modulus(k=k, k_prime=kp, big_K_prime=complete_elliptic_K(kp))
+        raise EllipticDomainError("modulus must lie in (0, 1), got %.8g" % k)
+    kp = math.sqrt(1 - k * k)
+    if kp == 1:
+        raise EllipticDomainError(
+            "K(k') diverges at k = %.8g: k' rounds to 1 in double precision" % k)
+    a, b = 1.0, math.sqrt(1 - kp * kp)
+    for _ in range(22):
+        if abs(a - b) < 2.0 ** -49 * a:
+            break
+        a, b = (a + b) / 2, math.sqrt(a * b)
+    return Modulus(k=k, k_prime=kp, big_K_prime=math.pi / (2 * ((a + b) / 2)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -224,6 +225,30 @@ class _StubTable:
             grid[s][0] = v
         self.C = grid
         self.C_bar = grid
+
+
+def test_float_view_matches_lookup_and_is_kept(table05_r30):
+    view = table05_r30.C_float
+    assert view is table05_r30.C_float
+    assert view.shape == (31, 31) and not view.flags.writeable
+    for i in range(31):
+        for j in range(31):
+            assert view[i, j] == lookup(table05_r30, i, j)
+
+
+def test_plain_tables_still_serve_lookup(table_s1):
+    # nested lists carrying only radius, C, C_bar and k_requested, as a
+    # reader of the `corr` CSVs assembles them; no float view is needed
+    model = FrustratedModel(S=1.0, version="a")
+    plain = types.SimpleNamespace(
+        radius=table_s1.radius, k_requested=table_s1.k_requested,
+        C=[[float(v) for v in row] for row in table_s1.C],
+        C_bar=[[float(v) for v in row] for row in table_s1.C_bar])
+    assert lookup(plain, -2, 3, "Cbar") == lookup(table_s1, 2, 3, "Cbar")
+    assert tail_estimate(plain, 6) == tail_estimate(table_s1, 6)
+    for dx, dy, p in ((0, 0, 0), (3, -4, 1), (-5, 2, 0), (4, 6, 1)):
+        assert ff_correlation(model, plain, dx, dy, p) == (
+            ff_correlation(model, table_s1, dx, dy, p))
 
 
 def test_tail_estimate_refuses_growth():

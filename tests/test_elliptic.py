@@ -166,17 +166,38 @@ def test_K_near_singular_modulus():
 
 def test_make_modulus_fields():
     mod = make_modulus(0.5)
-    assert float(mod.k) == 0.5
-    assert float(mod.k_prime) == pytest.approx(math.sqrt(0.75), rel=1e-14)
+    assert all(type(v) is float for v in (mod.k, mod.k_prime, mod.big_K_prime))
+    assert mod.k == 0.5
+    assert mod.k_prime == pytest.approx(math.sqrt(0.75), rel=1e-14)
     assert not hasattr(mod, "big_K")  # no caller reads K(k)
-    assert float(mod.big_K_prime) == pytest.approx(
-        float(complete_elliptic_K(float(mod.k_prime))), rel=1e-14)
+    assert mod.big_K_prime == pytest.approx(
+        float(complete_elliptic_K(mod.k_prime)), rel=1e-14)
+    with mp.workprec(256):
+        assert make_modulus(0.5) == mod
+
+
+def test_make_modulus_is_53_bit_complete_K():
+    # the float AGM rounds every step as 53-bit mpf does, so it agrees
+    # with complete_elliptic_K bit for bit, out to both ends of (0, 1)
+    rng = np.random.default_rng(2026)
+    ks = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                         10.0 ** rng.uniform(-7.9, -1.0, 300),
+                         1 - 10.0 ** rng.uniform(-15.0, -1.0, 300)])
+    with mp.workprec(53):
+        for k in ks[(ks > 0) & (ks < 1)]:
+            mod = make_modulus(k)
+            kp = mp.sqrt(1 - mp.mpf(k) ** 2)
+            assert mod.k_prime == float(kp), k
+            assert mod.big_K_prime == float(complete_elliptic_K(kp)), k
 
 
 def test_make_modulus_domain():
-    for bad in (0.0, 1.0, -0.3, 1.7):
+    for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
         with pytest.raises(EllipticDomainError):
             make_modulus(bad)
+    # k' rounds to 1, where K(k') diverges: the message names the k given
+    with pytest.raises(EllipticDomainError, match="k = 1e-09.*rounds to 1"):
+        make_modulus(1e-9)
 
 
 def test_float_port_matches_mpf_landen():

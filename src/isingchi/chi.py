@@ -11,9 +11,9 @@ Correlations are even in each separation component for all three sources
 sum to products of cosine matrices; imaginary parts are never formed and
 the grids are exactly 2pi-periodic and even in q by construction.
 
-The truncation error is controlled separately: an exponential fit to the
-table's axis decay gives a geometric bound on the omitted mass, carried
-on the grid as tail_bound.
+The truncation error is estimated separately: an exponential fit to the
+table's axis decay extrapolates the omitted mass geometrically, carried
+on the grid as tail_bound.  It is an estimate, not a bound.
 """
 
 import math
@@ -46,8 +46,8 @@ class ChiGrid:
     """Susceptibility samples over the uniform Brillouin-zone grid.
 
     Grid point (i, j) sits at q = (2 pi i/nx - pi, 2 pi j/ny - pi);
-    values[i, j] is chi there.  tail_bound bounds the truncation error of
-    every sample at window_radius.
+    values[i, j] is chi there.  tail_bound estimates the truncation error
+    of every sample at window_radius; it is not a bound.
     """
 
     nx: int
@@ -99,7 +99,7 @@ def _gauge_grid(table, kappa, qxs, qys, R):
         raise WindowRangeError(
             "gauge autocorrelation covers lags < %d, window needs %d"
             % (kappa.shape[0], R))
-    m = table.C_float[:R + 1, :R + 1] * kappa[np.newaxis, :R + 1]
+    m = table.floats.C[:R + 1, :R + 1] * kappa[np.newaxis, :R + 1]
     x = _cos_block(qxs, range(R + 1))
     y = _cos_block(qys, range(R + 1))
     return x @ m @ y.T
@@ -113,7 +113,7 @@ def _frustrated_grid(model, table, qxs, qys, R):
     y2 = _cos_block(qys, 2 * np.arange(R + 1))
 
     def term(dxs):
-        coef = np.array([[ff_correlation(model, table, dx, 2 * n, 0)
+        coef = np.array([[ff_correlation(model, table.floats, dx, 2 * n, 0)
                           for n in range(R + 1)] for dx in dxs])
         return _cos_block(qxs, dxs) @ coef @ y2.T
 
@@ -142,12 +142,12 @@ def chi_column_gauge(table, kappa, q, R):
 
 
 def tail_estimate(table, R):
-    """Geometric bound on the correlation mass omitted beyond radius R.
+    """Geometric estimate of the correlation mass omitted beyond radius R.
 
     Fits log C along both axes over the outer half of the window, then
-    bounds sum_{s > R} 8 s A r^s in closed form.  A non-negative fitted
-    slope means the table is not decaying over this window, which signals
-    a modulus too close to 1 for the chosen R.
+    extrapolates sum_{s > R} 8 s A r^s in closed form; it can fall short.
+    A non-negative fitted slope means the table is not decaying over this
+    window, which signals a modulus too close to 1 for the chosen R.
     """
     _require_window(table, R)
     if R < 4:
@@ -174,7 +174,7 @@ def chi_grid(source, nx, ny, R):
 
     source is ("uniform", table), ("frustrated", model, table) or
     ("gauge", table, kappa).  Returns a ChiGrid carrying the samples and
-    a truncation bound from tail_estimate.  The frustrated window covers
+    a truncation estimate from tail_estimate.  The frustrated window covers
     separations out to 2R using table entries within radius R; its
     coefficients are frustrated.ff_correlation averaged over sublattices.
     """
@@ -195,7 +195,7 @@ def chi_grid(source, nx, ny, R):
     else:
         raise ValueError("unknown chi source %r" % (kind,))
     return ChiGrid(nx=nx, ny=ny, qx=qxs, qy=qys, values=values,
-                   window_radius=R, tail_bound=tail_estimate(table, R),
+                   window_radius=R, tail_bound=tail_estimate(table.floats, R),
                    source=label)
 
 

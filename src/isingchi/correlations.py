@@ -27,7 +27,7 @@ the stored octant is recorded as a build-time health figure.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import mul
 
@@ -278,9 +278,9 @@ class CorrelationTable:
     the caller's modulus; a modulus above 1 was served through the
     duality swap, at 1/k_requested.  residual_report is the worst absolute
     identity residual (corner, star, quadratic) of the stored entries over
-    the octant, evaluated exactly in fixed point.  C_float is C as a
-    read-only float64 array, converted on first use and kept, for the
-    chi sums; lookup reads C and C_bar themselves.
+    the octant, evaluated exactly in fixed point.  floats is the same
+    table with C and C_bar as read-only float64 arrays, converted once on
+    first use and kept, for chi and verify; lookup serves either.
     """
 
     radius: int
@@ -295,15 +295,12 @@ class CorrelationTable:
         return self.k_requested > 1
 
     @cached_property
-    def C_float(self):
-        import numpy as np  # chi is the only reader; corr stays numpy-free
+    def floats(self):
+        import numpy as np  # corr never reads it and stays numpy-free
 
-        out = np.empty((self.radius + 1, self.radius + 1))
-        for i, row in enumerate(self.C):
-            for j in range(i, self.radius + 1):
-                out[i, j] = out[j, i] = float(row[j])
-        out.flags.writeable = False
-        return out
+        C, C_bar = (np.array(v, float) for v in (self.C, self.C_bar))
+        C.flags.writeable = C_bar.flags.writeable = False
+        return replace(self, C=C, C_bar=C_bar)
 
 
 def lookup(table, m, n, which="C"):

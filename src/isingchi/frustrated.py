@@ -46,6 +46,9 @@ class FrustratedModel:
     def __post_init__(self):
         if not self.S > 0:
             raise ValueError("S must be positive, got %r" % (self.S,))
+        if not 0 < self.k < 1:
+            raise ValueError("S = %r gives modulus %r, outside (0, 1)"
+                             % (self.S, self.k))
         if self.version not in ("a", "b"):
             raise ValueError("version must be 'a' or 'b', got %r"
                              % (self.version,))

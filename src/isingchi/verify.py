@@ -117,7 +117,7 @@ def _suite_chi(tolerance):
     v = grid.values
 
     rows = [_worst("sum-rule",
-                   {"64x64 R=30": float(v.mean()) - lookup(table, 0, 0)},
+                   {"64x64 R=30": float(v.mean()) - lookup(table.floats, 0, 0)},
                    _tol(tolerance, 1e-3))]
 
     flip = (-np.arange(64)) % 64
@@ -167,11 +167,11 @@ def _identity_rows(C, C_bar, k, radius, tol):
 
 def _table_rows(k, radius, C, C_bar, tol):
     """Worst |build_table - oracle| over both families, m, n <= radius + 1."""
-    table = build_table(k, radius + 1)
+    table = build_table(k, radius + 1).floats
     gaps = {}
-    for label, fast, slow in (("C", table.C, C), ("Cbar", table.C_bar, C_bar)):
+    for label, slow in (("C", C), ("Cbar", C_bar)):
         for (m, n), value in slow.items():
-            gaps["%s(%d %d)" % (label, m, n)] = float(fast[m][n]) - value
+            gaps["%s(%d %d)" % (label, m, n)] = lookup(table, m, n, label) - value
     return [_worst("table-vs-oracle", gaps, tol)]
 
 
@@ -204,7 +204,7 @@ def _suite_frustrated(tolerance, radius=3):
     S = 1.0
     limits, gauge_map = frustrated_pair_correlations(S, radius)
     table = build_table(FrustratedModel(S=S, version="a").k, radius // 2 + 2,
-                        precision_bits=128)
+                        precision_bits=128).floats
     gauge = {"(%d %d)p%d" % (dx, dy, p): r
              for (p, dx, dy), r in gauge_map.items()}
     rows = []

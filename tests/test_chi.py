@@ -227,13 +227,29 @@ class _StubTable:
         self.C_bar = grid
 
 
-def test_float_view_matches_lookup_and_is_kept(table05_r30):
-    view = table05_r30.C_float
-    assert view is table05_r30.C_float
-    assert view.shape == (31, 31) and not view.flags.writeable
-    for i in range(31):
-        for j in range(31):
-            assert view[i, j] == lookup(table05_r30, i, j)
+def test_float_twin_matches_lookup_and_is_kept(table05_r30):
+    twin = table05_r30.floats
+    assert twin is table05_r30.floats
+    assert (twin.radius, twin.k_requested) == (30, table05_r30.k_requested)
+    for which, view in (("C", twin.C), ("Cbar", twin.C_bar)):
+        assert view.shape == (31, 31) and not view.flags.writeable
+        for i in range(31):
+            for j in range(31):
+                assert view[i, j] == lookup(table05_r30, i, j, which)
+
+
+def test_frustrated_grid_converts_each_entry_once(float_calls):
+    # the float twin's 2 (R+1)^2 entries on the first grid, nothing after
+    model = FrustratedModel(S=1.0, version="a")
+    table = build_table(model.k, 6)
+    float_calls.clear()
+    first = chi_grid(("frustrated", model, table), 8, 8, 6)
+    assert len(float_calls) == 2 * 7 ** 2
+    float_calls.clear()
+    second = chi_grid(("frustrated", model, table), 8, 8, 6)
+    assert float_calls == []
+    assert np.array_equal(first.values, second.values)
+    assert first.tail_bound == second.tail_bound
 
 
 def test_plain_tables_still_serve_lookup(table_s1):

@@ -1,10 +1,11 @@
+import argparse
 import os
 import subprocess
 import sys
 
 import pytest
 
-from isingchi.cli import run
+from isingchi.cli import _CONFIG_KEYS, build_parser, run
 
 
 def test_fib_bits_prefix(capsys):
@@ -163,6 +164,48 @@ def test_library_domain_errors_are_usage_errors(argv, tmp_path, capsys):
     if "0.9999999" in argv:
         # the modulus is quoted unrounded, not as %g's "1"
         assert "modulus 0.9999999 is within" in err[0]
+
+
+@pytest.mark.parametrize("S", ["inf", "1e300", "1e-200"])
+def test_extreme_S_fails_in_one_line(S, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["chi", "frustrated", "--S", S, "--version", "a", "--radius",
+                "4", "--grid", "4x4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: S = ")
+    assert not out.exists()
+
+
+def _subcommands(parser):
+    action, = (a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_verify_choices_name_every_suite():
+    # kept by hand in cli so that `corr` never imports verify or numpy
+    from isingchi.verify import SUITES
+
+    positional, = (a for a in _subcommands(build_parser())["verify"]._actions
+                   if a.dest == "suite")
+    assert tuple(positional.choices) == (*SUITES, "all")
+
+
+def test_config_keys_are_the_long_flags():
+    # every long flag but --config, with the caster its value takes
+    flags = {}
+    parsers = [build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            elif action.option_strings and action.dest not in ("help", "config"):
+                caster = (bool if isinstance(action, argparse._StoreTrueAction)
+                          else action.type or str)
+                assert flags.setdefault(action.dest, caster) is caster
+    assert flags == _CONFIG_KEYS
 
 
 def test_no_subcommand_prints_usage(capsys):

@@ -40,6 +40,13 @@ def test_model_validation():
         FrustratedModel(S=1.0, version="c")
 
 
+@pytest.mark.parametrize("S", [math.inf, 1e300, 1e-200])
+def test_extreme_S_is_refused_by_name(S):
+    # S^2 overflows to a nan modulus or underflows to k = 0
+    with pytest.raises(ValueError, match=r"^S = "):
+        FrustratedModel(S=S, version="a")
+
+
 def test_separation_classes():
     assert separation_class(2, 4) == "even-even"
     assert separation_class(0, 0) == "even-even"

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from isingchi.cli import _CONFIG_KEYS, build_parser, run
+from isingchi.verify import SUITES
 
 
 def test_fib_bits_prefix(capsys):
@@ -177,19 +178,12 @@ def test_extreme_S_fails_in_one_line(S, tmp_path, capsys):
     assert not out.exists()
 
 
-def _subcommands(parser):
-    action, = (a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return action.choices
-
-
 def test_verify_choices_name_every_suite():
     # kept by hand in cli so that `corr` never imports verify or numpy
-    from isingchi.verify import SUITES
-
-    positional, = (a for a in _subcommands(build_parser())["verify"]._actions
-                   if a.dest == "suite")
-    assert tuple(positional.choices) == (*SUITES, "all")
+    sub, = (a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    suite, = (a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == (*SUITES, "all")
 
 
 def test_config_keys_are_the_long_flags():

@@ -23,7 +23,7 @@ recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius
 12 or so.  The star and corner identities are not consumed by the sweep;
 the worst residual of these and of the two quadratic recurrences over
-the stored octant is recorded as a build-time health figure.
+the stored octant is scanned when a table's residual_report is first read.
 """
 
 import math
@@ -278,16 +278,15 @@ class CorrelationTable:
     the caller's modulus; a modulus above 1 was served through the
     duality swap, at 1/k_requested.  residual_report is the worst absolute
     identity residual (corner, star, quadratic) of the stored entries over
-    the octant, evaluated exactly in fixed point.  floats is the same
-    table with C and C_bar as read-only float64 arrays, converted once on
-    first use and kept, for chi and verify; lookup serves either.
+    the octant, scanned exactly in fixed point on first read.  floats is
+    the same table with C and C_bar as read-only float64 arrays, converted
+    once on first use and kept, for chi and verify; lookup serves either.
     """
 
     radius: int
     C: tuple
     C_bar: tuple
     precision_bits: int
-    residual_report: float
     k_requested: float
 
     @property
@@ -301,6 +300,14 @@ class CorrelationTable:
         C, C_bar = (np.array(v, float) for v in (self.C, self.C_bar))
         C.flags.writeable = C_bar.flags.writeable = False
         return replace(self, C=C, C_bar=C_bar)
+
+    @cached_property
+    def residual_report(self):
+        if not isinstance(self.C, tuple):
+            raise TypeError("residual_report is read on the mpf table, not floats")
+        bits = self.precision_bits + _SEED_GUARD_BITS
+        fams = (self.C_bar, self.C) if self.swapped else (self.C, self.C_bar)
+        return _worst_residual(_working_k(self.k_requested, bits), *fams, bits)
 
 
 def lookup(table, m, n, which="C"):
@@ -359,6 +366,12 @@ def _worst_residual(k, C, C_bar, bits):
     return worst / one ** 3
 
 
+def _working_k(k_requested, bits):
+    """The modulus a build runs at: k_requested, or 1/k_requested above 1."""
+    with mp.workprec(bits):
+        return 1 / mp.mpf(k_requested) if k_requested > 1 else mp.mpf(k_requested)
+
+
 def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     """Build the joint C / C_bar octant out to the given radius.
 
@@ -396,11 +409,10 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
             "modulus %r is within %g of criticality; correlation length "
             "diverges and a fixed-radius table is meaningless"
             % (k_req, EPS_CRITICAL))
-    swap = k_req > 1
 
     bits = precision_bits + _SEED_GUARD_BITS
+    k = _working_k(k_req, bits)
     with mp.workprec(bits):
-        k = 1 / mp.mpf(k_req) if swap else mp.mpf(k_req)
         base = _base_seeds(k)
         diag = diagonal_seeds(k, radius + 1)
         next_diag = next_diagonal_seeds(k, diag, base)
@@ -443,8 +455,6 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         for m, n, x, y in seeds:
             c[m][n] = c[n][m] = +x
             cb[m][n] = cb[n][m] = +y
-    worst = _worst_residual(k, c, cb, bits)
-    C, C_bar = (tuple(map(tuple, fam)) for fam in ((cb, c) if swap else (c, cb)))
+    C, C_bar = (tuple(map(tuple, v)) for v in ((cb, c) if k_req > 1 else (c, cb)))
     return CorrelationTable(radius=radius, C=C, C_bar=C_bar,
-                            precision_bits=precision_bits,
-                            residual_report=worst, k_requested=k_req)
+                            precision_bits=precision_bits, k_requested=k_req)

@@ -374,3 +374,44 @@ def test_residual_report_scans_stored_entries():
         shift = float(raised - table.C[5][7])
     assert table.residual_report < shift * 1e-30
     assert _worst_residual(k, c, table.C_bar, bits) >= shift
+
+
+def test_builds_do_not_scan(monkeypatch, tmp_path):
+    import isingchi.correlations as correlations
+    from isingchi import FrustratedModel, chi_grid
+    from isingchi.fileio import write_corr_csv
+
+    scans, scan = [], correlations._worst_residual
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(correlations, "_worst_residual", counted)
+    model = FrustratedModel(S=1.0, version="a")
+    table, dual = build_table(0.5, 6), build_table(model.k, 6)
+    assert len(scans) == 0
+    write_corr_csv(tmp_path / "corr.csv", table)
+    assert len(scans) == 0
+    for source in (("uniform", table), ("gauge", table, [1.0] * 7),
+                   ("frustrated", model, dual)):
+        chi_grid(source, 4, 4, 6)
+        assert len(scans) == 0
+    twin = table.floats
+    assert len(scans) == 0
+    with pytest.raises(TypeError, match="read on the mpf table"):
+        twin.residual_report
+    assert len(scans) == 0
+    assert table.residual_report == table.residual_report
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("k, radius, precision_bits",
+                         [(2.0, 8, 256), (3.0, 10, 128), (0.3, 10, 53)])
+def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
+    table = build_table(k, radius, precision_bits)
+    bits = precision_bits + 64
+    with mp.workprec(bits):
+        inner = 1 / mp.mpf(k) if k > 1 else mp.mpf(k)
+    families = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
+    assert table.residual_report == _worst_residual(inner, *families, bits)

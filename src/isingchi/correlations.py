@@ -393,7 +393,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     and resolving negative first indices by symmetry.  Any entry leaving
     (0, 1], or any divisor with fewer than MIN_DIVISOR_BITS significant
     bits, aborts the build with a precision-exhaustion error naming the
-    offending entry.  Radius 100 at 512 bits takes about 0.4 s.
+    offending entry.  Radius 100 at 512 bits builds in about 0.25 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")

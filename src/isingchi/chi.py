@@ -36,6 +36,9 @@ __all__ = [
     "tail_estimate",
 ]
 
+# the tail fit reads separations R // 2 .. R, and needs at least three
+MIN_TAIL_RADIUS = 4
+
 
 class EstimationError(ArithmeticError):
     """The tail fit found non-decaying data; the window is too small for k."""
@@ -144,18 +147,18 @@ def chi_column_gauge(table, kappa, q, R):
 def tail_estimate(table, R):
     """Geometric estimate of the correlation mass omitted beyond radius R.
 
-    Fits log C along both axes over the outer half of the window, then
-    extrapolates sum_{s > R} 8 s A r^s in closed form; it can fall short.
+    Fits log C(0, s) over the outer half of the window (the table is
+    symmetric, so one axis serves both), then extrapolates
+    sum_{s > R} 8 s A r^s in closed form; it can fall short.
     A non-negative fitted slope means the table is not decaying over this
     window, which signals a modulus too close to 1 for the chosen R.
     """
     _require_window(table, R)
-    if R < 4:
-        raise ValueError("tail fit needs R >= 4, got %d" % R)
+    if R < MIN_TAIL_RADIUS:
+        raise ValueError("tail fit needs R >= %d, got %d" % (MIN_TAIL_RADIUS, R))
     lo = max(1, R // 2)
     seps = np.arange(lo, R + 1, dtype=float)
-    mags = np.array([max(lookup(table, 0, int(s)), lookup(table, int(s), 0))
-                     for s in seps])
+    mags = np.array([lookup(table, 0, int(s)) for s in seps])
     if np.any(mags <= 0):
         raise EstimationError("correlations hit the noise floor inside the window")
     slope, intercept = np.polyfit(seps, np.log(mags), 1)

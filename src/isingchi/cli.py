@@ -136,22 +136,23 @@ def _apply_config(args, path):
 
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
-    kwargs = {}
-    if args.precision is not None:
-        kwargs["precision_bits"] = args.precision
-    table = build_table(args.k, args.radius, **kwargs)
-    write_corr_csv(args.out, table)
+    bits = DEFAULT_PRECISION_BITS if args.precision is None else args.precision
+    write_corr_csv(args.out, build_table(args.k, args.radius, bits))
     return 0
 
 
 def _cmd_chi(args):
-    from .chi import chi_grid, find_peaks
+    from .chi import MIN_TAIL_RADIUS, chi_grid, find_peaks
     from .frustrated import FrustratedModel
     from .quasiperiodic import FibonacciSpec, autocorrelation, sign_sequence
 
     if args.source is None:
         raise UsageError("chi needs a source: uniform, frustrated or gauge")
     _require(args, "radius", "grid", "out")
+    if args.radius < MIN_TAIL_RADIUS:
+        raise UsageError("--radius must be at least %d for chi, got %d: the "
+                         "tail estimate fits the outer half of the window"
+                         % (MIN_TAIL_RADIUS, args.radius))
     nx, ny = _parse_grid(args.grid)
 
     if args.source == "uniform":

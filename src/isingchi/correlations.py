@@ -39,7 +39,6 @@ from .elliptic import EllipticDomainError, complete_elliptic_K
 __all__ = [
     "CorrelationTable",
     "PrecisionExhausted",
-    "SeedInconsistency",
     "TableRangeError",
     "build_table",
     "diagonal_seeds",
@@ -61,8 +60,9 @@ class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
     Raised when a nearest-neighbour seed or a Toeplitz determinant comes
-    out non-positive, a swept entry leaves (0, 1], or a divisor loses
-    nearly all of its significant bits.  The remedy is a higher
+    out non-positive, the diagonal march finds no admissible root or
+    fails its cross-check, a swept entry leaves (0, 1], or a divisor
+    loses nearly all of its significant bits.  The remedy is a higher
     precision_bits, not a smaller tolerance.
     """
 
@@ -71,20 +71,6 @@ class PrecisionExhausted(ArithmeticError):
             message = "%s at (m, n) = (%d, %d)" % (message, where[0], where[1])
         super().__init__(message)
         self.where = where
-
-
-class SeedInconsistency(PrecisionExhausted):
-    """The relation left unused by the diagonal march failed to close.
-
-    Inside build_table the seeds carry 64 guard bits, so there it means
-    the working precision ran out, and it takes the same remedy.
-    """
-
-    def __init__(self, m, residual):
-        super().__init__(
-            "cross-check relation residual %s at diagonal step m = %d"
-            % (mp.nstr(residual, 6), m))
-        self.m, self.residual = m, residual
 
 
 class TableRangeError(IndexError):
@@ -220,11 +206,12 @@ def next_diagonal_seeds(k, diag, base):
 
         k [C(m,m) C(m+1,m+1) - X^2] = C_bar(m,m) C_bar(m+1,m+1) - Y^2.
 
-    Eliminating Y leaves one quadratic in X.  Among its real roots inside
-    (0, 1) the one closest to the previous step's value is taken,
-    preferring the larger root on a tie: correlations vary smoothly along
-    the diagonal.  The quadratic recurrence on the diagonal itself is not
-    consumed; its residual is checked and must close to rounding level.
+    Eliminating Y leaves one quadratic in X; a sound march keeps its
+    leading coefficient positive.  Among its real roots inside (0, 1) the
+    one closest to the previous step's value is taken, preferring the
+    larger root on a tie: correlations vary smoothly along the diagonal.
+    The quadratic recurrence on the diagonal itself is not consumed; its
+    residual is checked and must close to rounding level.
     """
     k = mp.mpf(k)
     c_diag, cbar_diag = diag
@@ -241,16 +228,13 @@ def next_diagonal_seeds(k, diag, base):
         a2 = b * b - k * a * a
         a1 = -2 * p * b
         a0 = k * a * a * d - a * a * d_bar + p * p
-        if abs(a2) < mp.mpf(2) ** (MIN_DIVISOR_BITS - mp.prec):
-            roots = [-a0 / a1]
-        else:
-            disc = a1 * a1 - 4 * a2 * a0
-            if disc < 0:
-                raise PrecisionExhausted(
-                    "no real root in the diagonal march; raise precision_bits",
-                    where=(m, m + 1))
-            sq = mp.sqrt(disc)
-            roots = [(-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)]
+        disc = a1 * a1 - 4 * a2 * a0
+        if a2 <= 0 or disc < 0:
+            raise PrecisionExhausted(
+                "no real root in the diagonal march; raise precision_bits",
+                where=(m, m + 1))
+        sq = mp.sqrt(disc)
+        roots = [(-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)]
 
         inside = [r for r in roots if 0 < r < 1]
         if not inside:
@@ -263,7 +247,9 @@ def next_diagonal_seeds(k, diag, base):
 
         residual = abs(k * (a * x - cm * cm) + (b * y - cbm * cbm))
         if residual > check_tol:
-            raise SeedInconsistency(m, residual)
+            raise PrecisionExhausted(
+                "cross-check relation residual %s in the diagonal march; "
+                "raise precision_bits" % mp.nstr(residual, 6), where=(m, m + 1))
         c_next.append(x)
         cbar_next.append(y)
     return c_next, cbar_next

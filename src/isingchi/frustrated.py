@@ -66,16 +66,19 @@ class FrustratedModel:
         return rk * rk
 
 
+# the separation classes, in verify's row order: index dx % 2 + 2 (dy % 2)
+_CLASSES = ("even-even", "odd-x", "odd-y", "odd-odd")
+
+
 def separation_class(dx, dy):
-    """Parity class of a separation, named x-parity first."""
-    ex, ey = dx % 2 == 0, dy % 2 == 0
-    if ex and ey:
-        return "even-even"
-    if ex:
-        return "even-odd"
-    if ey:
-        return "odd-even"
-    return "odd-odd"
+    """Parity class of a separation; odd-x has dx odd and dy even."""
+    return _CLASSES[dx % 2 + 2 * (dy % 2)]
+
+
+def _cross(table, i, j, m, n):
+    """C(i,j) C_bar(m,n) + C(m,n) C_bar(i,j): a neighbour pair of entries."""
+    return (lookup(table, i, j) * lookup(table, m, n, "Cbar")
+            + lookup(table, m, n) * lookup(table, i, j, "Cbar"))
 
 
 def ff_correlation(model, table, dx, dy, base_parity):
@@ -84,21 +87,21 @@ def ff_correlation(model, table, dx, dy, base_parity):
     base_parity is the sublattice parity of the base site: (x0 + y0) mod 2
     for version "a", whose bond pattern repeats along the (1,1) diagonal,
     and x0 mod 2 for version "b", which is invariant under any vertical
-    shift.  Only the even-odd class (dy odd) depends on it; averaging that
-    class over the two parities gives exactly zero.
+    shift.  Only the odd-y class depends on it; averaging that class over
+    the two parities gives exactly zero.
 
     The table must be built at model.k, or TableMismatchError is raised.
-    With m, n the half-separations, the classes assemble as
+    Every class reads the half-separations m = (|dx| + 1) // 2 and
+    n = (dy + 1) // 2, n keeping the sign of dy, and assembles as
 
-        (2m, 2n)      sigma * C(m,n) C_bar(m,n)
-        (odd, odd)    0
-        (2m-1, 2n)    sigma * A [C(m-1,n) C_bar(m,n) + C(m,n) C_bar(m-1,n)]
-        (2m, 2n-1)    sigma * A [C(m,n-1) C_bar(m,n) + C(m,n) C_bar(m,n-1)]
+        even-even  (2m, 2n)      sigma C(m,n) C_bar(m,n)
+        odd-odd                  0
+        odd-x      (2m-1, 2n)    sigma A [C(m-1,n) C_bar(m,n) + C(m,n) C_bar(m-1,n)]
+        odd-y      (2m, 2n-1)    sigma' A [C(m,n-1) C_bar(m,n) + C(m,n) C_bar(m,n-1)]
 
-    with A = S / (2 sqrt(2 S^2 + 1)).  Version "b" has sigma = +1 except
-    for the parity sign (-1)^base_parity on the even-odd class; version
-    "a" multiplies in the gauge factors, which amount to (-1)^n on the
-    first and third classes and -(-1)^n (-1)^base_parity on the last.
+    with A = S / (2 sqrt(2 S^2 + 1)).  sigma is the gauge factor (-1)^n
+    for version "a" and +1 for version "b"; on the odd-y class
+    sigma' = sigma (-1)^base_parity, times a further -1 for version "a".
     """
     if base_parity not in (0, 1):
         raise ValueError("base_parity must be 0 or 1, got %r" % (base_parity,))
@@ -114,29 +117,17 @@ def ff_correlation(model, table, dx, dy, base_parity):
             "separation (%d, %d) needs table radius %d, have %d"
             % (dx, dy, need, table.radius))
 
-    staggered = model.version == "a"
     cls = separation_class(dx, dy)
     if cls == "odd-odd":
         return 0.0
-    amp = model.S / (2 * math.sqrt(2 * model.S ** 2 + 1))
-
+    staggered = model.version == "a"
+    m, n = (abs(dx) + 1) // 2, (dy + 1) // 2
+    sign = -1 if staggered and n % 2 else 1
     if cls == "even-even":
-        m, n = abs(dx) // 2, dy // 2
-        sign = (-1) ** n if staggered else 1
         return sign * lookup(table, m, n) * lookup(table, m, n, "Cbar")
-
-    if cls == "odd-even":
-        m, n = (abs(dx) + 1) // 2, abs(dy) // 2
-        sign = (-1) ** n if staggered else 1
-        mag = (lookup(table, m - 1, n) * lookup(table, m, n, "Cbar")
-               + lookup(table, m, n) * lookup(table, m - 1, n, "Cbar"))
-        return sign * amp * mag
-
-    # even-odd: n keeps the sign of dy, the only class where it matters
-    m, n = abs(dx) // 2, (dy + 1) // 2
-    mag = (lookup(table, m, n - 1) * lookup(table, m, n, "Cbar")
-           + lookup(table, m, n) * lookup(table, m, n - 1, "Cbar"))
-    parity_sign = -1 if base_parity else 1
-    if staggered:
-        return -((-1) ** n) * parity_sign * amp * mag
-    return parity_sign * amp * mag
+    amp = model.S / (2 * math.sqrt(2 * model.S ** 2 + 1))
+    if cls == "odd-x":
+        return sign * amp * _cross(table, m - 1, n, m, n)
+    if base_parity != staggered:
+        sign = -sign
+    return sign * amp * _cross(table, m, n - 1, m, n)

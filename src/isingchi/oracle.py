@@ -109,15 +109,12 @@ class FiniteLatticeSpec:
         return (x % self.width) + self.width * (y % self.height)
 
 
-def square_lattice(width, height, K, K_bar=None, periodic=(False, False),
-                   bond_sign=None):
-    """Square-lattice spec with couplings K along x and K_bar along y.
+def square_lattice(width, height, K, periodic=(False, False), bond_sign=None):
+    """Square-lattice spec with coupling K on every bond.
 
     bond_sign(x, y, axis) with axis 0 for the bond (x,y)-(x+1,y) and
     axis 1 for (x,y)-(x,y+1) multiplies the coupling; default all +1.
     """
-    if K_bar is None:
-        K_bar = K
     bonds = []
     for y in range(height):
         for x in range(width):
@@ -126,7 +123,7 @@ def square_lattice(width, height, K, K_bar=None, periodic=(False, False),
                 bonds.append((x + width * y, ((x + 1) % width) + width * y, s * K))
             if y + 1 < height or periodic[1]:
                 s = 1 if bond_sign is None else bond_sign(x, y, 1)
-                bonds.append((x + width * y, x + width * ((y + 1) % height), s * K_bar))
+                bonds.append((x + width * y, x + width * ((y + 1) % height), s * K))
     return FiniteLatticeSpec(width, height, tuple(bonds))
 
 
@@ -148,7 +145,7 @@ def frustrated_lattice(width, height, K, version, periodic=(True, True)):
             return 1
         return (-1) ** (x + y) if version == "a" else (-1) ** x
 
-    return square_lattice(width, height, K, K, periodic, sign)
+    return square_lattice(width, height, K, periodic, sign)
 
 
 def enumerate_correlation(lat, site_a, site_b):

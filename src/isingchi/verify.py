@@ -18,7 +18,8 @@ from .chi import chi_column_gauge, chi_grid, chi_uniform
 from .correlations import _identity_residuals, build_table, lookup
 from .couplings import RapidityLine, coupling_pair, make_modulus, orientation_flip
 from .elliptic import complete_elliptic_K, jacobi_elliptic
-from .frustrated import FrustratedModel, ff_correlation, separation_class
+from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
+                         separation_class)
 
 __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
@@ -185,38 +186,33 @@ def _suite_recurrence(tolerance):
         _identity_rows(C, C_bar, 0.5, 4, tol) + _table_rows(0.5, 4, C, C_bar, tol)))
 
 
-# separation_class name -> report row name, in row order
-_FF_CLASS_ROWS = {"even-even": "even-even", "odd-even": "odd-x",
-                  "even-odd": "odd-y", "odd-odd": "odd-odd"}
-
-
-def _suite_frustrated(tolerance, radius=3):
+def _suite_frustrated(tolerance):
     """Assembly and gauge-map rows of both layouts at S = 1, version a first.
 
     Each assembly row is the worst gap between ff_correlation and the
-    mixed-sign oracle over one separation class; the gauge-map row is the
-    oracle's own fixed-width certificate.  Both layouts read one set of
-    cylinders, built for this call only.
+    mixed-sign oracle over one separation class, |dx|, |dy| <= 3; the
+    gauge-map row is the oracle's own fixed-width certificate.  Both
+    layouts read one set of cylinders, built for this call only.
     """
     from .oracle import frustrated_pair_correlations
 
     tol, gauge_tol = _tol(tolerance, 1e-6), _tol(tolerance, 1e-10)
     S = 1.0
-    limits, gauge_map = frustrated_pair_correlations(S, radius)
-    table = build_table(FrustratedModel(S=S, version="a").k, radius // 2 + 2,
+    limits, gauge_map = frustrated_pair_correlations(S, 3)
+    table = build_table(FrustratedModel(S=S, version="a").k, 3,
                         precision_bits=128).floats
     gauge = {"(%d %d)p%d" % (dx, dy, p): r
              for (p, dx, dy), r in gauge_map.items()}
     rows = []
     for version, oracle in limits.items():
         model = FrustratedModel(S=S, version=version)
-        classes = {name: {} for name in _FF_CLASS_ROWS}
+        classes = {name: {} for name in _CLASSES}
         for (p, dx, dy), value in oracle.items():
             assembled = ff_correlation(model, table, dx, dy, base_parity=p)
             classes[separation_class(dx, dy)]["(%d %d)p%d" % (dx, dy, p)] = (
                 value - assembled)
-        rows += [_worst("assembly-%s-%s" % (row, version), classes[name], tol)
-                 for name, row in _FF_CLASS_ROWS.items()]
+        rows += [_worst("assembly-%s-%s" % (name, version), classes[name], tol)
+                 for name in _CLASSES]
         rows.append(_worst("gauge-map-" + version, gauge, gauge_tol))
     return VerificationReport(rows=tuple(rows))
 

@@ -178,6 +178,27 @@ def test_extreme_S_fails_in_one_line(S, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", [
+    ["uniform", "--k", "0.5"],
+    ["frustrated", "--S", "1", "--version", "a"],
+    ["gauge", "--k", "0.5", "--j", "0"],
+], ids=["uniform", "frustrated", "gauge"])
+@pytest.mark.parametrize("radius", ["2", "3"])
+def test_chi_refuses_a_radius_the_tail_fit_cannot_use(source, radius, tmp_path,
+                                                      capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a table was built before the radius check")
+
+    monkeypatch.setattr("isingchi.cli.build_table", no_build)
+    out = tmp_path / "x.csv"
+    assert run(["chi", *source, "--radius", radius, "--grid", "8x8",
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --radius must be at least 4 for chi, got %s: the tail "
+        "estimate fits the outer half of the window" % radius]
+    assert not out.exists()
+
+
 def test_verify_choices_name_every_suite():
     # kept by hand in cli so that `corr` never imports verify or numpy
     sub, = (a for a in build_parser()._actions
@@ -335,7 +356,7 @@ def test_oversized_grid_fails_in_one_line(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr("isingchi.chi.chi_grid", no_memory)
     out = tmp_path / "chi.csv"
-    assert run(["chi", "uniform", "--k", "0.5", "--radius", "3",
+    assert run(["chi", "uniform", "--k", "0.5", "--radius", "4",
                 "--grid", "100000x100000", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -8,7 +8,6 @@ from mpmath.libmp import to_fixed
 from isingchi import (
     EllipticDomainError,
     PrecisionExhausted,
-    SeedInconsistency,
     TableRangeError,
     build_table,
     lookup,
@@ -151,9 +150,35 @@ def test_seed_corruption_detected():
                                                    abs=1e-12)
         bad = list(diag[0])
         bad[3] = bad[3] * (1 + mp.mpf("1e-3"))
-        with pytest.raises(SeedInconsistency) as err:
+        with pytest.raises(PrecisionExhausted,
+                           match="^cross-check relation residual") as err:
             next_diagonal_seeds(k, (bad, diag[1]), (c10, cbar01))
-        assert float(err.value.residual) > 1e-8
+        assert err.value.where == (2, 3)
+
+
+@pytest.mark.parametrize("corrupt, message, where", [
+    # a negative C_bar(3,3) turns the discriminant at m = 2 negative
+    ("cbar33", "no real root", (2, 3)),
+    # C_bar(0,1) = 0 makes the leading coefficient -k C(1,0)^2 negative
+    # while the discriminant stays positive
+    ("cbar01-zero", "no real root", (1, 2)),
+    # a negative C_bar(0,1) mirrors both roots of the first step below 0
+    ("cbar01-negated", "no admissible positive root", (1, 2)),
+])
+def test_march_raises_name_the_entry(corrupt, message, where):
+    k = 0.5
+    with mp.workprec(256):
+        c_diag, cbar_diag = diagonal_seeds(k, 6)
+        c10 = onsager_nn(k)
+        cbar01 = mp.sqrt(mp.mpf(1.5)) - mp.sqrt(mp.mpf(0.5)) * c10
+        cbar_diag = list(cbar_diag)
+        if corrupt == "cbar33":
+            cbar_diag[3] = -cbar_diag[3]
+        else:
+            cbar01 = 0 * cbar01 if corrupt == "cbar01-zero" else -cbar01
+        with pytest.raises(PrecisionExhausted, match="^" + message) as err:
+            next_diagonal_seeds(k, (c_diag, cbar_diag), (c10, cbar01))
+        assert err.value.where == where
 
 
 def test_build_is_deterministic():

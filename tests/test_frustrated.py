@@ -1,4 +1,5 @@
 import math
+import types
 
 import pytest
 
@@ -51,8 +52,54 @@ def test_separation_classes():
     assert separation_class(2, 4) == "even-even"
     assert separation_class(0, 0) == "even-even"
     assert separation_class(3, 1) == "odd-odd"
-    assert separation_class(-3, 2) == "odd-even"
-    assert separation_class(2, -3) == "even-odd"
+    assert separation_class(-3, 2) == "odd-x"
+    assert separation_class(2, -3) == "odd-y"
+
+
+def _class_by_class(model, table, dx, dy, base_parity):
+    """ff_correlation written out per class, each with its own m and n."""
+    def c(i, j):
+        return float(table.C[abs(i)][abs(j)])
+
+    def cb(i, j):
+        return float(table.C_bar[abs(i)][abs(j)])
+
+    staggered = model.version == "a"
+    if dx % 2 and dy % 2:
+        return 0.0
+    amp = model.S / (2 * math.sqrt(2 * model.S ** 2 + 1))
+    if dx % 2 == 0 and dy % 2 == 0:
+        m, n = abs(dx) // 2, dy // 2
+        sign = (-1) ** n if staggered else 1
+        return sign * c(m, n) * cb(m, n)
+    if dy % 2 == 0:
+        m, n = (abs(dx) + 1) // 2, abs(dy) // 2
+        sign = (-1) ** n if staggered else 1
+        return sign * amp * (c(m - 1, n) * cb(m, n) + c(m, n) * cb(m - 1, n))
+    m, n = abs(dx) // 2, (dy + 1) // 2
+    mag = c(m, n - 1) * cb(m, n) + c(m, n) * cb(m, n - 1)
+    parity_sign = -1 if base_parity else 1
+    if staggered:
+        return -((-1) ** n) * parity_sign * amp * mag
+    return parity_sign * amp * mag
+
+
+def test_one_index_rule_matches_the_class_by_class_formula(table_s1):
+    twin = table_s1.floats
+    R = twin.radius
+    plain = types.SimpleNamespace(radius=R, C=twin.C, C_bar=twin.C_bar,
+                                  k_requested=twin.k_requested)
+    for version in ("a", "b"):
+        model = FrustratedModel(S=1.0, version=version)
+        for dx in range(-2 * R - 1, 2 * R + 2):
+            for dy in range(-2 * R - 1, 2 * R + 2):
+                for p in (0, 1):
+                    if max(abs(dx) + 1, abs(dy) + 1) // 2 > R:
+                        with pytest.raises(TableRangeError):
+                            ff_correlation(model, plain, dx, dy, p)
+                        continue
+                    assert ff_correlation(model, plain, dx, dy, p) == (
+                        _class_by_class(model, plain, dx, dy, p))
 
 
 def test_odd_odd_class_vanishes_exactly(table_s1):

@@ -345,7 +345,7 @@ def test_verify_identities_reports():
     assert all("pass" in ln for ln in lines)
     assert lines[-1] == "overall: pass"
 
-    frows = [r for r in _suite_frustrated(None, radius=2).rows
+    frows = [r for r in _suite_frustrated(None).rows
              if r.identity.endswith("-a")]
     assert len(frows) == 5 and all(r.passed for r in frows)
     assert any(r.identity == "gauge-map-a" for r in frows)
@@ -356,10 +356,21 @@ def test_verify_identities_tolerance_overrides_every_row():
     assert {r.tolerance for r in rep.rows} == {1e-30}
     assert not rep.passed
     # the override also replaces the gauge-map row's own 1e-10 default
-    frows = [r for r in _suite_frustrated(0.5, radius=2).rows
+    frows = [r for r in _suite_frustrated(0.5).rows
              if r.identity.endswith("-b")]
     assert {r.tolerance for r in frows} == {0.5}
     assert all(r.passed for r in frows)
+
+
+def test_frustrated_row_names_and_order():
+    # the benchmark's verify check matches these names by prefix
+    names = [r.identity for r in _suite_frustrated(None).rows]
+    assert names == [
+        "assembly-even-even-a", "assembly-odd-x-a", "assembly-odd-y-a",
+        "assembly-odd-odd-a", "gauge-map-a",
+        "assembly-even-even-b", "assembly-odd-x-b", "assembly-odd-y-b",
+        "assembly-odd-odd-b", "gauge-map-b",
+    ]
 
 
 def test_oracle_imports_nothing_from_the_package():

@@ -36,7 +36,7 @@ __all__ = [
     "tail_estimate",
 ]
 
-# the tail fit reads separations R // 2 .. R, and needs at least three
+# the tail fit reads separations R // 2 .. R and needs at least three of them
 MIN_TAIL_RADIUS = 4
 
 

@@ -13,6 +13,7 @@ from isingchi import (
     make_modulus,
 )
 from isingchi.elliptic import agm
+from isingchi.verify import run_suite
 
 
 def _mpf_landen(u, k):
@@ -89,6 +90,36 @@ def test_K_domain():
         complete_elliptic_K(1.0)
     with pytest.raises(EllipticDomainError):
         complete_elliptic_K(-0.25)
+
+
+def _elliptic_rows():
+    return {r.identity: r for r in run_suite("elliptic").rows}
+
+
+def test_elliptic_row_names_and_order():
+    # the benchmark's verify check matches these names by prefix
+    rows = run_suite("elliptic").rows
+    assert [r.identity for r in rows] == [
+        "K-at-zero", "K-vs-hypergeometric", "sn-cn-identity", "dn-identity"]
+    assert all(r.passed for r in rows)
+
+
+def test_K_row_catches_a_wrong_K(monkeypatch):
+    exact = complete_elliptic_K
+    with monkeypatch.context() as patch:
+        patch.setattr("isingchi.verify.complete_elliptic_K",
+                      lambda m: exact(m) * (1 + 1e-11) if m > 0 else exact(m))
+        rows = _elliptic_rows()
+        assert rows["K-at-zero"].passed
+        assert not rows["K-vs-hypergeometric"].passed
+    # a broken AGM fails the row too, so the reference does not use it; the
+    # arithmetic mean is right only at agm(1, 1), i.e. at m = 0
+    with monkeypatch.context() as patch:
+        patch.setattr("isingchi.elliptic.agm",
+                      lambda a, b: (mp.mpf(a) + mp.mpf(b)) / 2)
+        rows = _elliptic_rows()
+        assert rows["K-at-zero"].passed
+        assert not rows["K-vs-hypergeometric"].passed
 
 
 def test_jacobi_special_points():

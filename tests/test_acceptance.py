@@ -50,9 +50,9 @@ def _suite_checks(name):
 
 
 def test_criterion_01_elliptic_kernel():
-    # K(0) to 1e-15, K at 20 moduli against the 80-bit hypergeometric series
-    # to 1e-12, and the two Jacobi identities over 1000 draws of (u, k) to
-    # 1e-12
+    # K(0) to 1e-15; to 1e-12, K at 20 moduli against the 80-bit
+    # hypergeometric series and the two Jacobi identities over 1000 draws
+    # of (u, k)
     t0 = time.perf_counter()
     checks = _suite_checks("elliptic")
     _finish(1, "elliptic kernel", checks, time.perf_counter() - t0, 5)

@@ -30,14 +30,6 @@ _CONFIG_BOOLS = {"1": True, "true": True, "yes": True,
                  "0": False, "false": False, "no": False}
 
 
-# what the user can change when a table runs out of working precision
-_PRECISION_ADVICE = {
-    "corr": "; rerun with --precision above %d",
-    "chi": "; chi builds its table at the default %d bits, so rerun with a "
-           "smaller --radius",
-}
-
-
 class UsageError(Exception):
     """Bad flags, config, or parameter domain; maps to exit code 2."""
 
@@ -67,6 +59,23 @@ def _check_chi_modulus(k):
         raise UsageError(
             "susceptibility requires modulus k in (0, 1); k = %g is outside "
             "(k > 1 tables exist only through the duality swap on `corr`)" % k)
+
+
+def _precision_advice(args, where):
+    """What the user can change when a table runs out of working precision."""
+    if args.subcommand == "corr":
+        return "; rerun with --precision above %d" % (
+            args.precision or DEFAULT_PRECISION_BITS)
+    if args.subcommand != "chi":
+        return ""
+    from .chi import MIN_TAIL_RADIUS
+
+    # no smaller radius is accepted, and every table needs (1, 0)
+    remedy = ("at which this modulus is out of reach"
+              if args.radius <= MIN_TAIL_RADIUS or where == (1, 0)
+              else "so rerun with a smaller --radius")
+    return "; chi builds its table at the default %d bits, %s" % (
+        DEFAULT_PRECISION_BITS, remedy)
 
 
 def build_parser():
@@ -237,9 +246,7 @@ def run(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except PrecisionExhausted as exc:
-        advice = _PRECISION_ADVICE.get(args.subcommand)
-        bits = getattr(args, "precision", None) or DEFAULT_PRECISION_BITS
-        print("error: %s%s" % (exc, advice % bits if advice else ""),
+        print("error: %s%s" % (exc, _precision_advice(args, exc.where)),
               file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Complete elliptic integrals and Jacobi elliptic functions.
+"""Complete elliptic integrals and the Jacobi functions sn and cn.
 
 Everything here is built on the arithmetic-geometric mean.  The AGM and
 K follow the precision of the ambient mpmath context (wrap calls in
@@ -55,14 +55,12 @@ def complete_elliptic_K(m):
 
 
 def jacobi_elliptic(u, k):
-    """Jacobi sn, cn, dn of real argument u at modulus k, 0 <= k < 1.
+    """Jacobi sn and cn of real argument u at modulus k, 0 <= k < 1.
 
     Descending Landen transformation in float64: run the AGM scale
     sequence (a_n, b_n, c_n) down until c_N is negligible, seed the
     amplitude phi_N = 2^N a_N u, then recover phi_{n-1} from
-    sin(2 phi_{n-1} - phi_n) = (c_n / a_n) sin phi_n.  dn comes from the
-    last two amplitudes rather than from sqrt(1 - k^2 sn^2), so identity
-    checks on the triple are not tautological.
+    sin(2 phi_{n-1} - phi_n) = (c_n / a_n) sin phi_n down to phi_0 = am u.
     """
     u, k = float(u), float(k)
     if not (math.isfinite(u) and 0 <= k < 1):
@@ -78,19 +76,7 @@ def jacobi_elliptic(u, k):
             raise ArithmeticError("Landen sequence failed to converge")
 
     n_top = len(scale) - 1
-    phi = phi_prev = scale[n_top][0] * u * 2.0 ** n_top
+    phi = scale[n_top][0] * u * 2.0 ** n_top
     for a_n, c_n in reversed(scale[1:]):
-        phi_prev = phi
         phi = (phi + math.asin(c_n / a_n * math.sin(phi))) / 2
-
-    sn, cn = math.sin(phi), math.cos(phi)
-    spread = math.cos(phi_prev - phi)
-    if n_top == 0 or abs(spread) < 2.0 ** -(53 // 5):
-        # k zero to double precision, or u within a vanishing window of
-        # an odd quarter period where the amplitude ratio is 0/0; both
-        # collapse to the defining identity with the positive branch
-        dn = math.sqrt(1 - k * k * sn * sn)
-    else:
-        dn = cn / spread
-    return sn, cn, dn
-
+    return math.sin(phi), math.cos(phi)

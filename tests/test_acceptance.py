@@ -50,16 +50,16 @@ def _suite_checks(name):
 
 
 def test_criterion_01_elliptic_kernel():
-    # K(0) to 1e-15; to 1e-12, K at 20 moduli against the 80-bit
-    # hypergeometric series and the two Jacobi identities over 1000 draws
-    # of (u, k)
+    # K(0) to 1e-15, and to 1e-12 K at 20 moduli against the 80-bit
+    # hypergeometric series
     t0 = time.perf_counter()
     checks = _suite_checks("elliptic")
     _finish(1, "elliptic kernel", checks, time.perf_counter() - t0, 5)
 
 
 def test_criterion_02_coupling_parametrization():
-    # product rule and orientation flip over 1000 draws, both to 1e-12
+    # product rule and orientation flip (d -> K(k') - d swaps K and K_bar)
+    # over 1000 draws of (k, d), both to 1e-12
     t0 = time.perf_counter()
     checks = _suite_checks("couplings")
     _finish(2, "coupling parametrization", checks,

@@ -10,7 +10,7 @@ from isingchi import (
     complete_elliptic_K,
     coupling_pair,
     jacobi_elliptic,
-    make_modulus,
+    quarter_period,
 )
 from isingchi.elliptic import agm
 from isingchi.verify import run_suite
@@ -28,35 +28,26 @@ def _mpf_landen(u, k):
         scale.append((a, c))
     n_top = len(scale) - 1
     phi = scale[n_top][0] * u * mp.mpf(2) ** n_top
-    phi_prev = phi
     for a_n, c_n in reversed(scale[1:]):
-        phi_prev = phi
         phi = (phi + mp.asin(c_n / a_n * mp.sin(phi))) / 2
-    sn = mp.sin(phi)
-    cn = mp.cos(phi)
-    spread = mp.cos(phi_prev - phi)
-    if n_top == 0 or abs(spread) < mp.mpf(2) ** (-(mp.prec // 5)):
-        dn = mp.sqrt(1 - k * k * sn * sn)
-    else:
-        dn = cn / spread
-    return sn, cn, dn
+    return mp.sin(phi), mp.cos(phi)
 
 
 def _landen_sweep():
-    """Seeded (u, k, near_pole) cases: the bulk, tiny k, odd quarter periods."""
+    """Seeded (u, k) cases: the bulk, tiny k, odd quarter periods."""
     rng = np.random.default_rng(15)
     cases = []
     for _ in range(400):
         k = rng.uniform(0.0, 0.999)
         K = float(complete_elliptic_K(k))
-        cases.append((rng.uniform(-4 * K, 4 * K), k, False))
+        cases.append((rng.uniform(-4 * K, 4 * K), k))
     for k in (0.0, 1e-20):  # c_0 = k is below the stopping tolerance
-        cases += [(u, k, False) for u in rng.uniform(-7.0, 7.0, 30)]
-    for _ in range(100):  # cos(phi_1 - phi_0) ~ 1e-9: the spread fallback
+        cases += [(u, k) for u in rng.uniform(-7.0, 7.0, 30)]
+    for _ in range(100):  # within 1e-9 of a zero of cn
         k = rng.uniform(0.01, 0.999)
         odd = 2 * int(rng.integers(-2, 2)) + 1
         u = odd * float(complete_elliptic_K(k)) + rng.uniform(-1e-9, 1e-9)
-        cases.append((u, k, True))
+        cases.append((u, k))
     return cases
 
 
@@ -99,8 +90,7 @@ def _elliptic_rows():
 def test_elliptic_row_names_and_order():
     # the benchmark's verify check matches these names by prefix
     rows = run_suite("elliptic").rows
-    assert [r.identity for r in rows] == [
-        "K-at-zero", "K-vs-hypergeometric", "sn-cn-identity", "dn-identity"]
+    assert [r.identity for r in rows] == ["K-at-zero", "K-vs-hypergeometric"]
     assert all(r.passed for r in rows)
 
 
@@ -124,14 +114,11 @@ def test_K_row_catches_a_wrong_K(monkeypatch):
 
 def test_jacobi_special_points():
     k = 0.6
-    sn, cn, dn = (float(v) for v in jacobi_elliptic(0.0, k))
-    assert (sn, cn, dn) == (0.0, 1.0, 1.0)
+    assert jacobi_elliptic(0.0, k) == (0.0, 1.0)
 
-    big_k = complete_elliptic_K(k)
-    sn, cn, dn = (float(v) for v in jacobi_elliptic(big_k, k))
+    sn, cn = jacobi_elliptic(complete_elliptic_K(k), k)
     assert sn == pytest.approx(1.0, abs=1e-13)
     assert cn == pytest.approx(0.0, abs=1e-13)
-    assert dn == pytest.approx(math.sqrt(1 - k * k), abs=1e-13)
 
 
 def test_jacobi_identities_random():
@@ -139,9 +126,8 @@ def test_jacobi_identities_random():
     for _ in range(300):
         k = rng.uniform(0.01, 0.99)
         u = rng.uniform(-4.0, 4.0)
-        sn, cn, dn = (float(v) for v in jacobi_elliptic(u, k))
+        sn, cn = jacobi_elliptic(u, k)
         assert sn * sn + cn * cn == pytest.approx(1.0, abs=1e-12)
-        assert dn * dn + k * k * sn * sn == pytest.approx(1.0, abs=1e-12)
 
 
 def test_jacobi_against_mpmath():
@@ -149,23 +135,22 @@ def test_jacobi_against_mpmath():
     for _ in range(40):
         k = rng.uniform(0.05, 0.95)
         u = rng.uniform(-3.0, 3.0)
-        sn, cn, dn = (float(v) for v in jacobi_elliptic(u, k))
+        sn, cn = jacobi_elliptic(u, k)
         m = k * k
         assert sn == pytest.approx(float(mpmath.ellipfun("sn", u, m)), abs=1e-12)
         assert cn == pytest.approx(float(mpmath.ellipfun("cn", u, m)), abs=1e-12)
-        assert dn == pytest.approx(float(mpmath.ellipfun("dn", u, m)), abs=1e-12)
 
 
 def test_sc_cs_and_poles():
     k = 0.4
-    sn, cn, _ = jacobi_elliptic(0.37, k)
+    sn, cn = jacobi_elliptic(0.37, k)
     # sc * cs == 1 wherever both are finite
     assert float((sn / cn) * (cn / sn)) == pytest.approx(1.0, rel=1e-13)
     # the poles are exact zeros only at u = 0: sn(0) = 0 exactly, while
     # cn(K) merely underflows to ~6e-17 and sc stays finite
-    sn, _, _ = jacobi_elliptic(0.0, k)
+    sn, _ = jacobi_elliptic(0.0, k)
     assert sn == 0
-    _, cn, _ = jacobi_elliptic(complete_elliptic_K(k), k)
+    _, cn = jacobi_elliptic(complete_elliptic_K(k), k)
     assert cn != 0 and abs(float(cn)) < 1e-12
 
 
@@ -173,20 +158,17 @@ def test_half_argument_on_conjugate_modulus():
     # sc(K'/2, k') = 1/sqrt(k), so the crossing at d = K'/2 is symmetric:
     # sinh 2K = k sc = sqrt(k) and sinh 2K_bar = cs = sqrt(k)
     for k in (0.2, 0.5, 0.83):
-        mod = make_modulus(k)
-        pair = coupling_pair(mod.big_K_prime / 2, 0, mod)
-        assert math.sinh(2 * float(pair.K)) == pytest.approx(math.sqrt(k),
-                                                             rel=1e-12)
-        assert math.sinh(2 * float(pair.K_bar)) == pytest.approx(math.sqrt(k),
-                                                                 rel=1e-12)
+        K, K_bar = coupling_pair(quarter_period(k) / 2, k)
+        assert math.sinh(2 * K) == pytest.approx(math.sqrt(k), rel=1e-12)
+        assert math.sinh(2 * K_bar) == pytest.approx(math.sqrt(k), rel=1e-12)
 
 
 def test_sn_periodicity():
     k = 0.7
     four_K = 4 * complete_elliptic_K(k)
     for u in (-1.3, 0.24, 2.9):
-        a, _, _ = jacobi_elliptic(u, k)
-        b, _, _ = jacobi_elliptic(u + float(four_K), k)
+        a, _ = jacobi_elliptic(u, k)
+        b, _ = jacobi_elliptic(u + float(four_K), k)
         assert float(a) == pytest.approx(float(b), abs=1e-10)
 
 
@@ -195,19 +177,16 @@ def test_K_near_singular_modulus():
     assert float(complete_elliptic_K(1 - 1e-12)) > 14
 
 
-def test_make_modulus_fields():
-    mod = make_modulus(0.5)
-    assert all(type(v) is float for v in (mod.k, mod.k_prime, mod.big_K_prime))
-    assert mod.k == 0.5
-    assert mod.k_prime == pytest.approx(math.sqrt(0.75), rel=1e-14)
-    assert not hasattr(mod, "big_K")  # no caller reads K(k)
-    assert mod.big_K_prime == pytest.approx(
-        float(complete_elliptic_K(mod.k_prime)), rel=1e-14)
+def test_quarter_period_is_a_float_at_any_precision():
+    span = quarter_period(0.5)
+    assert type(span) is float
+    assert span == pytest.approx(float(complete_elliptic_K(math.sqrt(0.75))),
+                                 rel=1e-14)
     with mp.workprec(256):
-        assert make_modulus(0.5) == mod
+        assert quarter_period(0.5) == span
 
 
-def test_make_modulus_is_53_bit_complete_K():
+def test_quarter_period_is_53_bit_complete_K():
     # the float AGM rounds every step as 53-bit mpf does, so it agrees
     # with complete_elliptic_K bit for bit, out to both ends of (0, 1)
     rng = np.random.default_rng(2026)
@@ -216,59 +195,50 @@ def test_make_modulus_is_53_bit_complete_K():
                          1 - 10.0 ** rng.uniform(-15.0, -1.0, 300)])
     with mp.workprec(53):
         for k in ks[(ks > 0) & (ks < 1)]:
-            mod = make_modulus(k)
             kp = mp.sqrt(1 - mp.mpf(k) ** 2)
-            assert mod.k_prime == float(kp), k
-            assert mod.big_K_prime == float(complete_elliptic_K(kp)), k
+            assert quarter_period(k) == float(complete_elliptic_K(kp)), k
 
 
-def test_make_modulus_domain():
+def test_quarter_period_domain():
     for bad in (0.0, 1.0, -0.3, 1.7, math.nan):
         with pytest.raises(EllipticDomainError):
-            make_modulus(bad)
+            quarter_period(bad)
     # k' rounds to 1, where K(k') diverges: the message names the k given
     with pytest.raises(EllipticDomainError, match="k = 1e-09.*rounds to 1"):
-        make_modulus(1e-9)
+        quarter_period(1e-9)
 
 
 def test_float_port_matches_mpf_landen():
     cases = _landen_sweep()
     with mp.workprec(53):
-        for u, k, near_pole in cases:
+        for u, k in cases:
             got = jacobi_elliptic(u, k)
             old = [float(v) for v in _mpf_landen(u, k)]
             for x, y in zip(got, old):
                 assert abs(x - y) <= 4e-16 * max(1.0, abs(y)), (u, k)
-            if near_pole:  # dn came from the defining identity
-                sn, _, dn = got
-                assert dn == math.sqrt(1 - k * k * sn * sn)
 
 
 def test_jacobi_against_80_bit_ellipfun():
     # The phase inherits a double's rounding of the quarter period, so
-    # the error grows with |u|; off the spread fallback dn = cn / spread
-    # carries cn's absolute error divided by |cn| (as the mpf code did)
+    # the error grows with |u|
     cases = _landen_sweep()[::2]
     with mp.workprec(80):
-        for u, k, _ in cases:
-            sn, cn, dn = jacobi_elliptic(u, k)
+        for u, k in cases:
             m = mp.mpf(k) ** 2
             tol = 1e-14 * max(1.0, abs(u) / 4)
-            for name, got, bound in (("sn", sn, tol), ("cn", cn, tol),
-                                     ("dn", dn, tol / min(1.0, 4 * abs(cn)))):
+            for name, got in zip(("sn", "cn"), jacobi_elliptic(u, k)):
                 ref = float(mp.ellipfun(name, mp.mpf(u), m))
-                assert abs(got - ref) <= bound, (name, u, k)
+                assert abs(got - ref) <= tol, (name, u, k)
 
 
 def test_jacobi_is_double_precision_at_any_mp_precision():
-    mod = make_modulus(0.37)
     cases = [(0.83, 0.37), (-2.5, 0.9), (1e-3, 0.0)]
     plain = [jacobi_elliptic(u, k) for u, k in cases]
-    pair = coupling_pair(0.9, 0.2, mod)
-    assert all(type(v) is float for v in (*sum(plain, ()), pair.K, pair.K_bar))
+    pair = coupling_pair(0.7, 0.37)
+    assert all(type(v) is float for v in (*sum(plain, ()), *pair))
     with mp.workprec(256):
         assert [jacobi_elliptic(u, k) for u, k in cases] == plain
-        assert coupling_pair(0.9, 0.2, mod) == pair
+        assert coupling_pair(0.7, 0.37) == pair
 
 
 def test_jacobi_rejects_non_finite_input():

@@ -26,7 +26,7 @@ def _module_names():
 
 def test_all_is_the_union_of_the_modules_lists():
     names = _module_names()
-    assert len(names) == len(set(names)) == 36
+    assert len(names) == len(set(names)) == 32
     assert isingchi.__all__ == names
 
 

@@ -70,9 +70,10 @@ def _precision_advice(args, where):
         return ""
     from .chi import MIN_TAIL_RADIUS
 
-    # no smaller radius is accepted, and every table needs (1, 0)
+    # every radius chi accepts builds the entries out to MIN_TAIL_RADIUS
+    near = where is not None and max(where) <= MIN_TAIL_RADIUS
     remedy = ("at which this modulus is out of reach"
-              if args.radius <= MIN_TAIL_RADIUS or where == (1, 0)
+              if args.radius <= MIN_TAIL_RADIUS or near
               else "so rerun with a smaller --radius")
     return "; chi builds its table at the default %d bits, %s" % (
         DEFAULT_PRECISION_BITS, remedy)

@@ -99,14 +99,17 @@ def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("k, where", [
-    ("1e-30", "(3, 4)"), ("1e-20", "(1, 4)"), ("1e-300", "(1, 0)")])
-def test_chi_precision_error_at_the_smallest_radius(k, where, tmp_path, capsys):
-    # no smaller --radius is accepted, and no radius spares (1, 0), so the
-    # advice is that 256 bits cannot reach the modulus
+@pytest.mark.parametrize("k, radius, where", [
+    ("1e-30", "4", "(3, 4)"), ("1e-20", "4", "(1, 4)"),
+    ("1e-300", "4", "(1, 0)"), ("1e-30", "6", "(3, 4)"),
+    ("1e-300", "8", "(1, 0)")])
+def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,
+                                              capsys):
+    # no --radius below 4 is accepted, and every accepted radius builds the
+    # failing entry, so the advice is that 256 bits cannot reach the modulus
     out = tmp_path / "x.csv"
-    assert run(["chi", "uniform", "--k", k, "--radius", "4", "--grid", "2x2",
-                "--out", str(out)]) == 1
+    assert run(["chi", "uniform", "--k", k, "--radius", radius, "--grid",
+                "2x2", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "at (m, n) = %s; " % where in err[0]

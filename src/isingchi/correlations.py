@@ -6,24 +6,18 @@ its ordered dual at sinh 2K = 1/sqrt(k).  The quadratic recurrences couple
 the two families, so the build always carries both.  Every function here
 takes that bare modulus k.
 
-The build proceeds in three stages.  Closed forms fix the nearest
-neighbour and, through the linear seed relation
-
-    sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k),
-
-the dual nearest neighbour.  Toeplitz minors of the diagonal symbol,
-whose coefficients obey a three-term recurrence, supply C(n,n) and
-C_bar(n,n) in O(R^2) by Levinson recursion.  A joint corner/star march
-produces the next-to-diagonal entries; all these seeds carry guard bits
-and are rounded once.  Superdiagonal sweeps of the two quadratic
-recurrences fill the remaining octant.
-
-The minors and the sweep run in fixed point on Python integers.  The
-recurrences cancel catastrophically, losing bits roughly linearly with
-distance from the diagonal, so double precision is only good to radius
-12 or so.  The star and corner identities are not consumed by the sweep;
-the worst residual of these and of the two quadratic recurrences over
-the stored octant is scanned when a table's residual_report is first read.
+Closed forms fix the nearest neighbour and, through the linear relation
+sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Toeplitz minors
+of the diagonal symbol, whose coefficients obey a three-term recurrence,
+supply C(n,n) and C_bar(n,n) in O(R^2) by Levinson recursion, a joint
+corner/star march the next-to-diagonal entries, and superdiagonal sweeps
+of the two quadratic recurrences the rest of the octant.  After the
+symbol series all of it, the stored table included, is fixed point on
+Python integers.  The recurrences cancel catastrophically, losing bits
+roughly linearly with distance from the diagonal, so double precision is
+only good to radius 12 or so.  The star and corner identities are not
+consumed; their residuals and the recurrences' are scanned when a
+table's residual_report is first read.
 """
 
 import math
@@ -61,9 +55,10 @@ class PrecisionExhausted(ArithmeticError):
 
     Raised when a nearest-neighbour seed or a Toeplitz determinant comes
     out non-positive, the diagonal march finds no admissible root or
-    fails its cross-check, a swept entry leaves (0, 1], or a divisor
-    loses nearly all of its significant bits.  The remedy is a higher
-    precision_bits, not a smaller tolerance.
+    fails its cross-check, a swept entry leaves (0, 1], a divisor loses
+    nearly all of its significant bits, or the estimated small-k loss
+    leaves too few.  The remedy is a higher precision_bits, not a smaller
+    tolerance.
     """
 
     def __init__(self, message, where=None):
@@ -93,16 +88,6 @@ def onsager_nn(k):
     arg = 2 * mp.sqrt(k) / (1 + k)
     bracket = 1 + (2 / mp.pi) * ((k - 1) / (k + 1)) * complete_elliptic_K(arg)
     return mp.sqrt((1 + k) / k) * bracket / 2
-
-
-def _base_seeds(k):
-    """C(1,0) from the closed form, C_bar(0,1) from the linear relation."""
-    c10 = onsager_nn(k)
-    if not c10 > 0:
-        # the closed form cancels to ~sqrt(k)/2, which rounds to 0 at tiny k
-        raise PrecisionExhausted("nearest-neighbour seed is not positive; "
-                                 "raise precision_bits", where=(1, 0))
-    return c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10
 
 
 def _symbol_coefficients(k, n_top):
@@ -169,8 +154,9 @@ def diagonal_seeds(k, n_max):
     picks up an index shift and an alternating sign, (-1)^n det[a_{i-j-1}].
     Both conventions are frozen against the transfer-matrix oracle.  One
     fixed-point Levinson recursion per family, at the symbol's bits, gives
-    every order in O(n_max^2), each rounded once to the working precision.
-    A non-positive determinant means cancellation exhausted the precision.
+    every order in O(n_max^2).  Returns (C, C_bar, bits): the two diagonals
+    as unrounded integers x 2^bits.  A non-positive determinant means
+    cancellation exhausted the precision.
     """
     k = mp.mpf(k)
     if not 0 < k < 1:
@@ -189,16 +175,18 @@ def diagonal_seeds(k, n_max):
             raise PrecisionExhausted(
                 "Toeplitz determinant of order %d is non-positive; "
                 "raise precision_bits" % n, where=(n, n))
-        c_diag.append(mp.mpf((d, -bits)))
-        cbar_diag.append(mp.mpf((d_bar, -bits)))
-    return c_diag, cbar_diag
+        c_diag.append(d)
+        cbar_diag.append(d_bar)
+    return c_diag, cbar_diag, bits
 
 
 def next_diagonal_seeds(k, diag, base):
-    """March C(m,m+1), C_bar(m,m+1) up the diagonal.
+    """March C(m,m+1), C_bar(m,m+1) up the diagonal on integers.
 
-    At each m the star relation on the diagonal is linear in the unknown
-    pair (X, Y) = (C(m,m+1), C_bar(m,m+1)),
+    diag is diagonal_seeds' (C, C_bar, bits); the mpf k and base =
+    (C(1,0), C_bar(0,1)) are read at its 2^bits, and both next diagonals
+    come back at that scale.  At each m the star relation on the diagonal
+    is linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
 
         X C_bar(m-1,m) + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
 
@@ -206,50 +194,48 @@ def next_diagonal_seeds(k, diag, base):
 
         k [C(m,m) C(m+1,m+1) - X^2] = C_bar(m,m) C_bar(m+1,m+1) - Y^2.
 
-    Eliminating Y leaves one quadratic in X; a sound march keeps its
-    leading coefficient positive.  Among its real roots inside (0, 1) the
-    one closest to the previous step's value is taken, preferring the
-    larger root on a tie: correlations vary smoothly along the diagonal.
-    The quadratic recurrence on the diagonal itself is not consumed; its
-    residual is checked and must close to rounding level.
+    Eliminating Y leaves one quadratic in X with exact integer coefficients,
+    the leading one positive in a sound march; its roots take one isqrt.
+    The root inside (0, 1) closest to the previous value is taken, the
+    larger on a tie: correlations vary smoothly along the diagonal.  The
+    quadratic recurrence on the diagonal is not consumed; its residual must
+    close to rounding level at mp.prec.
     """
-    k = mp.mpf(k)
-    c_diag, cbar_diag = diag
-    rk, n_max = mp.sqrt(k), len(c_diag) - 1
-    check_tol = max(mp.mpf(10) ** (-(mp.prec // 4)), mp.mpf(2) ** (8 - mp.prec))
+    def exhausted(what, m):
+        return PrecisionExhausted("%s in the diagonal march; raise precision_bits"
+                                  % what, where=(m, m + 1))
 
-    c_next, cbar_next = ([mp.mpf(v)] for v in base)
-    for m in range(1, n_max):
-        a, b = c_next[m - 1], cbar_next[m - 1]
+    c_diag, cbar_diag, bits = diag
+    one, (kf, a, b) = 1 << bits, (to_fixed(v._mpf_, bits) for v in (k, *base))
+    rk = math.isqrt(kf << bits)
+    check_tol = max(one ** 3 // 10 ** (mp.prec // 4), one ** 3 >> (mp.prec - 8))
+
+    c_next, cbar_next = [a], [b]
+    for m in range(1, len(c_diag) - 1):
         cm, cbm = c_diag[m], cbar_diag[m]
-        d, d_bar = cm * c_diag[m + 1], cbm * cbar_diag[m + 1]
-        p = (k + 1) * cm * cbm / rk
-
-        a2 = b * b - k * a * a
-        a1 = -2 * p * b
-        a0 = k * a * a * d - a * a * d_bar + p * p
-        disc = a1 * a1 - 4 * a2 * a0
+        p = (kf + one) * cm * cbm // (rk << bits)
+        # a2 X^2 - 2 h X + a0 = 0 for X at 2^bits, all three exact
+        a2 = (b * b << bits) - kf * a * a
+        h = p * b << 2 * bits
+        a0 = ((kf * cm * c_diag[m + 1] - (cbm * cbar_diag[m + 1] << bits)) * a * a
+              + (p * p << 3 * bits))
+        disc = h * h - a2 * a0
         if a2 <= 0 or disc < 0:
-            raise PrecisionExhausted(
-                "no real root in the diagonal march; raise precision_bits",
-                where=(m, m + 1))
-        sq = mp.sqrt(disc)
-        roots = [(-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)]
+            raise exhausted("no real root", m)
+        sq = math.isqrt(disc)
 
-        inside = [r for r in roots if 0 < r < 1]
+        inside = [r for r in ((h + sq) // a2, (h - sq) // a2) if 0 < r < one]
         if not inside:
-            raise PrecisionExhausted(
-                "no admissible positive root in the diagonal march; "
-                "raise precision_bits", where=(m, m + 1))
+            raise exhausted("no admissible positive root", m)
         # closest to the previous value a; ties break toward the larger root
         x = min(sorted(inside, reverse=True), key=lambda r: abs(r - a))
-        y = (p - b * x) / a
+        y = ((p << bits) - b * x) // a
 
-        residual = abs(k * (a * x - cm * cm) + (b * y - cbm * cbm))
-        if residual > check_tol:
-            raise PrecisionExhausted(
-                "cross-check relation residual %s in the diagonal march; "
-                "raise precision_bits" % mp.nstr(residual, 6), where=(m, m + 1))
+        residual = kf * (a * x - cm * cm) + ((b * y - cbm * cbm) << bits)
+        if abs(residual) > check_tol:
+            raise exhausted("cross-check relation residual %.6g"
+                            % (abs(residual) / one ** 3), m)
+        a, b = x, y
         c_next.append(x)
         cbar_next.append(y)
     return c_next, cbar_next
@@ -259,14 +245,14 @@ def next_diagonal_seeds(k, diag, base):
 class CorrelationTable:
     """A finished octant of C and C_bar values, immutable once built.
 
-    C and C_bar are full (radius+1)-square nested tuples, symmetric in
-    (m, n); entries are mpmath reals at precision_bits.  k_requested keeps
-    the caller's modulus; a modulus above 1 was served through the
-    duality swap, at 1/k_requested.  residual_report is the worst absolute
-    identity residual (corner, star, quadratic) of the stored entries over
-    the octant, scanned exactly in fixed point on first read.  floats is
-    the same table with C and C_bar as read-only float64 arrays, converted
-    once on first use and kept, for chi and verify; lookup serves either.
+    C and C_bar are full (radius+1)-square nested tuples of integers,
+    symmetric in (m, n); entry / scale is the value, rounded half to even
+    to precision_bits significant bits as mpf rounds.  A k_requested above
+    1 was served through the duality swap, at 1/k_requested.
+    residual_report is the worst absolute identity residual (corner, star,
+    quadratic) over the octant, scanned exactly on first read.  floats is
+    the same table as read-only float64 arrays at scale 1, divided once on
+    first use and kept, for chi and verify; lookup serves either.
     """
 
     radius: int
@@ -274,6 +260,7 @@ class CorrelationTable:
     C_bar: tuple
     precision_bits: int
     k_requested: float
+    scale: int
 
     @property
     def swapped(self):
@@ -283,24 +270,26 @@ class CorrelationTable:
     def floats(self):
         import numpy as np  # corr never reads it and stays numpy-free
 
-        C, C_bar = (np.array(v, float) for v in (self.C, self.C_bar))
+        C, C_bar = (np.array([[x / self.scale for x in row] for row in v])
+                    for v in (self.C, self.C_bar))
         C.flags.writeable = C_bar.flags.writeable = False
-        return replace(self, C=C, C_bar=C_bar)
+        return replace(self, C=C, C_bar=C_bar, scale=1)
 
     @cached_property
     def residual_report(self):
         if not isinstance(self.C, tuple):
-            raise TypeError("residual_report is read on the mpf table, not floats")
+            raise TypeError("residual_report is read on the integer table")
         bits = self.precision_bits + _SEED_GUARD_BITS
         fams = (self.C_bar, self.C) if self.swapped else (self.C, self.C_bar)
-        return _worst_residual(_working_k(self.k_requested, bits), *fams, bits)
+        return _worst_residual(_working_k(self.k_requested, bits), *fams,
+                               self.scale, bits)
 
 
 def lookup(table, m, n, which="C"):
     """Symmetry-reduced table access: C(m,n) = C(n,m) = C(|m|,|n|).
 
-    which selects the family, "C" or "Cbar".  Values come back as floats;
-    the full-precision entries stay available on the table itself.
+    which selects the family, "C" or "Cbar".  The float is the entry divided
+    by the table's scale (1 if it has none), which Python rounds correctly.
     """
     i, j = abs(int(m)), abs(int(n))
     if i > table.radius or j > table.radius:
@@ -308,7 +297,8 @@ def lookup(table, m, n, which="C"):
             "(%d, %d) outside table radius %d" % (m, n, table.radius))
     if which not in ("C", "Cbar"):
         raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
-    return float((table.C if which == "C" else table.C_bar)[i][j])
+    fam = table.C if which == "C" else table.C_bar
+    return float(fam[i][j] / getattr(table, "scale", 1))
 
 
 def _identity_residuals(k, rk, one, c, cb, m, n):
@@ -340,11 +330,10 @@ def _identity_residuals(k, rk, one, c, cb, m, n):
     }
 
 
-def _worst_residual(k, C, C_bar, bits):
-    """Worst identity residual of stored C and C_bar, exact at scale 2^bits."""
-    one, kf = 1 << bits, to_fixed(k._mpf_, bits)
-    c, cb = ([[to_fixed(x._mpf_, bits) for x in row] for row in fam]
-             for fam in (C, C_bar))
+def _worst_residual(k, C, C_bar, scale, bits):
+    """Worst identity residual of C and C_bar (x scale), exact at 2^bits."""
+    one, kf, shift = 1 << bits, to_fixed(k._mpf_, bits), scale.bit_length() - 1 - bits
+    c, cb = ([[x >> shift for x in row] for row in fam] for fam in (C, C_bar))
     gc, gb = (lambda i, j, v=v: v[abs(i)][abs(j)] for v in (c, cb))
     rk, radius = math.isqrt(kf << bits), len(C) - 1
     worst = max(abs(r) for m in range(radius) for n in range(m, radius)
@@ -367,19 +356,20 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     correlation length diverges there and a fixed-radius table is
     meaningless.
 
-    The seeds (nearest neighbours, diagonal, next diagonal) and the
-    fixed-point sweep carry 64 more bits and each entry is rounded once, so
-    the table depends on (k, radius, precision_bits) alone.  The sweep fills
-    superdiagonal d = n - m = 2, 3, ... with m ascending, rearranging the
-    two quadratic recurrences as
+    The seeds and the sweep carry guard bits and each stored entry is
+    rounded once, so the table depends on (k, radius, precision_bits)
+    alone.  The sweep fills superdiagonal d = n - m = 2, 3, ... with m
+    ascending, rearranging the two quadratic recurrences as
 
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
-    and resolving negative first indices by symmetry.  Any entry leaving
-    (0, 1], or any divisor with fewer than MIN_DIVISOR_BITS significant
-    bits, aborts the build with a precision-exhaustion error naming the
-    offending entry.  Radius 100 at 512 bits builds in about 0.25 s.
+    and resolving negative first indices by symmetry.  An entry leaving
+    (0, 1], a divisor with fewer than MIN_DIVISOR_BITS significant bits, or
+    a radius at which the loss model's small-k estimate, 2 R log2(1/k) bits,
+    leaves fewer than MIN_DIVISOR_BITS aborts the build with a
+    precision-exhaustion error naming an entry.  Radius 100 at 512 bits
+    builds in about 0.15 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -399,20 +389,23 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     bits = precision_bits + _SEED_GUARD_BITS
     k = _working_k(k_req, bits)
     with mp.workprec(bits):
-        base = _base_seeds(k)
+        # the closed form cancels to ~sqrt(k)/2, which rounds to 0 at tiny k
+        c10 = onsager_nn(k)
+        if not c10 > 0:
+            raise PrecisionExhausted("nearest-neighbour seed is not positive; "
+                                     "raise precision_bits", where=(1, 0))
         diag = diagonal_seeds(k, radius + 1)
-        next_diag = next_diagonal_seeds(k, diag, base)
-    # (m, n, C, C_bar) on the diagonal and the next diagonal
-    seeds = [(m, m + d, x, y) for d, pair in enumerate((diag, next_diag))
-             for m, (x, y) in enumerate(zip(*pair)) if m + d <= radius]
+        next_diag = next_diagonal_seeds(
+            k, diag, (c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10))
+    seeds, shift = (diag, next_diag), diag[2] - bits  # seeds[n - m][family][m]
 
     # x -> floor(x 2^bits); products are exact at 2^(2 bits), so each swept
-    # entry is rounded once, by the floor division.  The sweep reads and
-    # writes only n >= m.
+    # entry is rounded once, by the floor division; it reads and writes n >= m
     one, kf, size = 1 << bits, to_fixed(k._mpf_, bits), radius + 1
     c, cb = ([[0] * size for _ in range(size)] for _ in range(2))
-    for m, n, x, y in seeds:
-        c[m][n], cb[m][n] = to_fixed(x._mpf_, bits), to_fixed(y._mpf_, bits)
+    for d, (xs, ys, *_) in enumerate(seeds):
+        for m in range(size - d):
+            c[m][m + d], cb[m][m + d] = xs[m] >> shift, ys[m] >> shift
     tiny = 1 << (bits - precision_bits + MIN_DIVISOR_BITS)
     for d in range(2, size):
         for m in range(size - d):
@@ -432,15 +425,22 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
                     where=(m, n + 1))
             c[m][n + 1], cb[m][n + 1] = cv, bv
 
-    with mp.workprec(precision_bits):
-        # back to symmetric mpf tables, each entry rounded once
-        for v in (c, cb):
-            for m in range(size):
-                for n in range(m + 2, size):
-                    v[m][n] = v[n][m] = mp.mpf((v[m][n], -bits))
-        for m, n, x, y in seeds:
-            c[m][n] = c[n][m] = +x
-            cb[m][n] = cb[n][m] = +y
+    n = int((bits - MIN_DIVISOR_BITS) / (2 * abs(math.log2(k_req)))) + 1
+    if radius >= n:  # n: the first radius the small-k loss estimate rules out
+        raise PrecisionExhausted(
+            "estimated small-k loss leaves fewer than %d of %d bits; raise "
+            "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
+
+    # symmetric at the seeds' scale, rounded half to even as mpf rounds
+    for fam, v in enumerate((c, cb)):
+        for m in range(size):
+            for n in range(m, size):
+                x = seeds[n - m][fam][m] if n - m < 2 else v[m][n] << shift
+                cut = x.bit_length() - precision_bits
+                if cut > 0:
+                    x = (x + (1 << cut - 1) - 1 + (x >> cut & 1)) >> cut << cut
+                v[m][n] = v[n][m] = x
     C, C_bar = (tuple(map(tuple, v)) for v in ((cb, c) if k_req > 1 else (c, cb)))
     return CorrelationTable(radius=radius, C=C, C_bar=C_bar,
-                            precision_bits=precision_bits, k_requested=k_req)
+                            precision_bits=precision_bits, k_requested=k_req,
+                            scale=1 << diag[2])

@@ -1,5 +1,6 @@
+from dataclasses import replace
+
 import pytest
-from mpmath.ctx_mp_python import _mpf
 
 from isingchi import build_table
 from isingchi.oracle import oracle_pair_correlations
@@ -18,14 +19,24 @@ def oracle05():
 
 
 @pytest.fixture
-def float_calls(monkeypatch):
-    """A list that grows by one for every float(mpf) made in the test."""
+def counted_entries():
+    """counted_entries(table) -> (copy, calls): a copy of the table whose
+    integer entries each append to the list calls whenever they become a
+    float, by division or by float()."""
     calls = []
-    convert = _mpf.__float__
 
-    def counted(x):
-        calls.append(None)
-        return convert(x)
+    class Entry(int):
+        def __truediv__(self, other):
+            calls.append(None)
+            return int(self) / other
 
-    monkeypatch.setattr(_mpf, "__float__", counted)
-    return calls
+        def __float__(self):
+            calls.append(None)
+            return float(int(self))
+
+    def count(table):
+        C, C_bar = (tuple(tuple(map(Entry, row)) for row in fam)
+                    for fam in (table.C, table.C_bar))
+        return replace(table, C=C, C_bar=C_bar), calls
+
+    return count

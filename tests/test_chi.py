@@ -238,16 +238,15 @@ def test_float_twin_matches_lookup_and_is_kept(table05_r30):
                 assert view[i, j] == lookup(table05_r30, i, j, which)
 
 
-def test_frustrated_grid_converts_each_entry_once(float_calls):
+def test_frustrated_grid_converts_each_entry_once(counted_entries):
     # the float twin's 2 (R+1)^2 entries on the first grid, nothing after
     model = FrustratedModel(S=1.0, version="a")
-    table = build_table(model.k, 6)
-    float_calls.clear()
+    table, calls = counted_entries(build_table(model.k, 6))
     first = chi_grid(("frustrated", model, table), 8, 8, 6)
-    assert len(float_calls) == 2 * 7 ** 2
-    float_calls.clear()
+    assert len(calls) == 2 * 7 ** 2
+    calls.clear()
     second = chi_grid(("frustrated", model, table), 8, 8, 6)
-    assert float_calls == []
+    assert calls == []
     assert np.array_equal(first.values, second.values)
     assert first.tail_bound == second.tail_bound
 
@@ -258,8 +257,8 @@ def test_plain_tables_still_serve_lookup(table_s1):
     model = FrustratedModel(S=1.0, version="a")
     plain = types.SimpleNamespace(
         radius=table_s1.radius, k_requested=table_s1.k_requested,
-        C=[[float(v) for v in row] for row in table_s1.C],
-        C_bar=[[float(v) for v in row] for row in table_s1.C_bar])
+        C=[[v / table_s1.scale for v in row] for row in table_s1.C],
+        C_bar=[[v / table_s1.scale for v in row] for row in table_s1.C_bar])
     assert lookup(plain, -2, 3, "Cbar") == lookup(table_s1, 2, 3, "Cbar")
     assert tail_estimate(plain, 6) == tail_estimate(table_s1, 6)
     for dx, dy, p in ((0, 0, 0), (3, -4, 1), (-5, 2, 0), (4, 6, 1)):

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -17,6 +18,21 @@ def test_fib_bits_prefix(capsys):
 def test_fib_signs(capsys):
     assert run(["fib", "--j", "0", "--count", "5", "--signs"]) == 0
     assert capsys.readouterr().out == "1\n-1\n1\n-1\n-1\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--k", "0.5", "--radius", "40"], "5a375b5bdd063220"),
+    (["--k", "0.1", "--radius", "32"], "a1566d4bd58cfbd4"),
+    (["--k", "2.0", "--radius", "16"], "801f2b74e5d7b44d"),
+    (["--k", "0.99", "--radius", "24"], "07efffcf7911ed5e"),
+    (["--k", "0.5", "--radius", "100", "--precision", "512"], "fb503e727882bcb5"),
+])
+def test_corr_bytes_are_pinned(argv, digest, tmp_path):
+    # SHA-256 prefixes of the CSVs written when the table was still stored
+    # as mpf values; the integer table must print the same floats
+    out = tmp_path / "corr.csv"
+    assert run(["corr"] + argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
 
 
 def test_corr_deterministic_output(tmp_path):
@@ -100,7 +116,9 @@ def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("k, radius, where", [
-    ("1e-30", "4", "(3, 4)"), ("1e-20", "4", "(1, 4)"),
+    # 1e-20 is refused by the small-k loss estimate, which names the first
+    # radius it rules out
+    ("1e-30", "4", "(3, 4)"), ("1e-20", "4", "(1, 3)"),
     ("1e-300", "4", "(1, 0)"), ("1e-30", "6", "(3, 4)"),
     ("1e-300", "8", "(1, 0)")])
 def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,

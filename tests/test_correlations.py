@@ -3,6 +3,7 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.ctx_mp_python import _mpf
 from mpmath.libmp import to_fixed
 
 from isingchi import (
@@ -34,6 +35,24 @@ DIAG_CBAR_HALF = (0.93421545766769409, 0.93100462171789966, 0.930661735858,
 @pytest.fixture(scope="module")
 def table_half():
     return build_table(0.5, 8)
+
+
+def _entry(x, scale):
+    """An integer x scale read as an mpf, exact at any precision that holds
+    its significant bits."""
+    return mp.mpf((x, 1 - scale.bit_length()))
+
+
+def _march(k, n_max, corrupt=lambda diag, base: None):
+    """diagonal_seeds and next_diagonal_seeds as build_table runs them at
+    256 bits, after corrupt(diag, base) may edit the two lists in place."""
+    with mp.workprec(256):
+        k = mp.mpf(k)
+        c_diag, cbar_diag, bits = diagonal_seeds(k, n_max)
+        c10 = onsager_nn(k)
+        base = [c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10]
+        corrupt((c_diag, cbar_diag), base)
+        return next_diagonal_seeds(k, (c_diag, cbar_diag, bits), base), bits
 
 
 def test_onsager_nn_values():
@@ -139,21 +158,58 @@ def test_precision_exhaustion_names_location():
     assert max(m, n) <= 16
 
 
+@pytest.mark.parametrize("k, radius, builds", [
+    (1e-20, 4, False), (0.1, 48, False), (0.05, 48, False), (0.01, 32, False),
+    (0.05, 30, True), (0.0718, 34, True), (1e-10, 4, True)])
+def test_refusal_frontier(k, radius, builds):
+    if builds:
+        assert build_table(k, radius).radius == radius
+    else:
+        with pytest.raises(PrecisionExhausted):
+            build_table(k, radius)
+
+
+@pytest.mark.parametrize("k, radius, where", [(1e-20, 4, (1, 3)),
+                                              (0.1, 48, (45, 47))])
+def test_loss_estimate_refuses_what_the_sweep_passes(k, radius, where):
+    # both sweeps finish with entries far off a deeper build (C(1,4) by a
+    # factor of 8e4, C(45,48) by 24%); the estimate names the first radius
+    # it rules out, and the one below it still builds
+    with pytest.raises(PrecisionExhausted, match="^estimated small-k loss") as err:
+        build_table(k, radius)
+    assert err.value.where == where
+    build_table(k, where[1] - 1)
+
+
+def test_build_makes_no_mpf_per_entry(monkeypatch):
+    # the march, the sweep and the stored table run on integers: only the
+    # closed forms make mpf values, as many at radius 80 as at radius 20
+    made, new = [], _mpf.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(_mpf, "__new__", counted)
+    counts = []
+    for radius in (20, 40, 80):
+        made.clear()
+        build_table(0.5, radius)
+        counts.append(len(made))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
 def test_seed_corruption_detected():
-    k = 0.5
-    with mp.workprec(256):
-        diag = diagonal_seeds(k, 6)
-        c10 = onsager_nn(k)
-        cbar01 = mp.sqrt(mp.mpf(1.5)) - mp.sqrt(mp.mpf(0.5)) * c10
-        clean = next_diagonal_seeds(k, diag, (c10, cbar01))
-        assert float(clean[0][1]) == pytest.approx(0.14741915511812642,
-                                                   abs=1e-12)
-        bad = list(diag[0])
-        bad[3] = bad[3] * (1 + mp.mpf("1e-3"))
-        with pytest.raises(PrecisionExhausted,
-                           match="^cross-check relation residual") as err:
-            next_diagonal_seeds(k, (bad, diag[1]), (c10, cbar01))
-        assert err.value.where == (2, 3)
+    (clean, _), bits = _march(0.5, 6)
+    assert clean[1] / 2 ** bits == pytest.approx(0.14741915511812642, abs=1e-12)
+
+    def corrupt(diag, base):
+        diag[0][3] += diag[0][3] // 1000    # C(3,3) up by 1e-3
+
+    with pytest.raises(PrecisionExhausted,
+                       match="^cross-check relation residual") as err:
+        _march(0.5, 6, corrupt)
+    assert err.value.where == (2, 3)
 
 
 @pytest.mark.parametrize("corrupt, message, where", [
@@ -166,19 +222,15 @@ def test_seed_corruption_detected():
     ("cbar01-negated", "no admissible positive root", (1, 2)),
 ])
 def test_march_raises_name_the_entry(corrupt, message, where):
-    k = 0.5
-    with mp.workprec(256):
-        c_diag, cbar_diag = diagonal_seeds(k, 6)
-        c10 = onsager_nn(k)
-        cbar01 = mp.sqrt(mp.mpf(1.5)) - mp.sqrt(mp.mpf(0.5)) * c10
-        cbar_diag = list(cbar_diag)
+    def edit(diag, base):
         if corrupt == "cbar33":
-            cbar_diag[3] = -cbar_diag[3]
+            diag[1][3] = -diag[1][3]
         else:
-            cbar01 = 0 * cbar01 if corrupt == "cbar01-zero" else -cbar01
-        with pytest.raises(PrecisionExhausted, match="^" + message) as err:
-            next_diagonal_seeds(k, (c_diag, cbar_diag), (c10, cbar01))
-        assert err.value.where == where
+            base[1] = 0 * base[1] if corrupt == "cbar01-zero" else -base[1]
+
+    with pytest.raises(PrecisionExhausted, match="^" + message) as err:
+        _march(0.5, 6, edit)
+    assert err.value.where == where
 
 
 def test_build_is_deterministic():
@@ -293,23 +345,25 @@ def test_seeds_match_deeper_build(k, radius, bits):
     # log2(1/k) per order, since the C minors shrink like k^n.  A flat
     # 64-bit guard reads 2^-270.7 at (0.1, 32, 256).
     with mp.workprec(bits + 64):
-        seeds = diagonal_seeds(mp.mpf(k), radius + 1)
+        *seeds, lo_bits = diagonal_seeds(mp.mpf(k), radius + 1)
     with mp.workprec(2 * bits):
-        deep = diagonal_seeds(mp.mpf(k), radius + 1)
-        worst = max(abs(lo - hi) / hi for lo_family, hi_family in zip(seeds, deep)
-                    for lo, hi in zip(lo_family, hi_family))
-        assert worst <= mp.mpf(2) ** -(bits + 40), mp.log(worst, 2)
+        *deep, hi_bits = diagonal_seeds(mp.mpf(k), radius + 1)
+    # integers x 2^lo_bits and x 2^hi_bits, compared exactly
+    worst = max(mp.mpf(abs((lo << hi_bits - lo_bits) - hi)) / hi
+                for lo_family, hi_family in zip(seeds, deep)
+                for lo, hi in zip(lo_family, hi_family))
+    assert worst <= mp.mpf(2) ** -(bits + 40), mp.log(worst, 2)
 
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
 def test_diagonal_seeds_agree_across_precision(k):
     with mp.workprec(256):
-        coarse = diagonal_seeds(mp.mpf(k), 40)
+        *coarse, lo_bits = diagonal_seeds(mp.mpf(k), 40)
     with mp.workprec(512):
-        fine = diagonal_seeds(mp.mpf(k), 40)
-        for lo_family, hi_family in zip(coarse, fine):
-            for lo, hi in zip(lo_family, hi_family):
-                assert abs(lo - hi) <= hi * mp.mpf(2) ** -240
+        *fine, hi_bits = diagonal_seeds(mp.mpf(k), 40)
+    for lo_family, hi_family in zip(coarse, fine):
+        for lo, hi in zip(lo_family, hi_family):
+            assert abs((lo << hi_bits - lo_bits) - hi) <= hi >> 240
 
 
 def test_seeds_are_rounded_once():
@@ -318,8 +372,10 @@ def test_seeds_are_rounded_once():
     with mp.workprec(53):
         for m in range(13):
             for n in range(m, min(m + 2, 13)):
-                assert coarse.C[m][n] == +fine.C[m][n]
-                assert coarse.C_bar[m][n] == +fine.C_bar[m][n]
+                for fam in ("C", "C_bar"):
+                    x, y = getattr(coarse, fam)[m][n], getattr(fine, fam)[m][n]
+                    assert (_entry(x, coarse.scale)
+                            == _entry(y, fine.scale)), (fam, m, n)
 
 
 @pytest.mark.parametrize("k, radius", [(0.05, 30), (0.0718, 34)])
@@ -331,12 +387,14 @@ def test_edge_builds_match_deeper_build(k, radius):
     for fam_edge, fam_deep in ((edge.C, deep.C), (edge.C_bar, deep.C_bar)):
         for row_edge, row_deep in zip(fam_edge, fam_deep):
             for x, y in zip(row_edge, row_deep):
-                assert float(x) == pytest.approx(float(y), rel=1e-12, abs=0)
+                assert x / edge.scale == pytest.approx(y / deep.scale,
+                                                       rel=1e-12, abs=0)
 
 
 def _worst_log2_error(table, deep):
     with mp.workprec(2 * deep.precision_bits):
-        worst = max(abs(x - y) / y
+        worst = max(abs(_entry(x, table.scale) - _entry(y, deep.scale))
+                    / _entry(y, deep.scale)
                     for fam, fam_deep in ((table.C, deep.C), (table.C_bar, deep.C_bar))
                     for row, row_deep in zip(fam, fam_deep)
                     for x, y in zip(row, row_deep))
@@ -371,11 +429,13 @@ def test_identity_forms_agree():
     def fb(m, n):
         return lookup(table, m, n, "Cbar")
 
+    shift = table.scale.bit_length() - 1 - bits
+
     def ic(m, n):
-        return to_fixed(table.C[abs(m)][abs(n)]._mpf_, bits)
+        return table.C[abs(m)][abs(n)] >> shift
 
     def ib(m, n):
-        return to_fixed(table.C_bar[abs(m)][abs(n)]._mpf_, bits)
+        return table.C_bar[abs(m)][abs(n)] >> shift
 
     for m in range(12):
         for n in range(m, 12):
@@ -391,14 +451,14 @@ def test_residual_report_scans_stored_entries():
     bits = 256 + 64
     with mp.workprec(256):
         k = mp.mpf(0.5)
-        assert table.residual_report == _worst_residual(k, table.C,
-                                                        table.C_bar, bits)
-        c = [list(row) for row in table.C]
-        raised = c[5][7] * (1 + mp.mpf(2) ** -100)
-        c[5][7] = c[7][5] = raised
-        shift = float(raised - table.C[5][7])
+    assert table.residual_report == _worst_residual(k, table.C, table.C_bar,
+                                                    table.scale, bits)
+    c = [list(row) for row in table.C]
+    raised = c[5][7] + (c[5][7] >> 100)    # up by 2^-100 relative
+    c[5][7] = c[7][5] = raised
+    shift = (raised - table.C[5][7]) / table.scale
     assert table.residual_report < shift * 1e-30
-    assert _worst_residual(k, c, table.C_bar, bits) >= shift
+    assert _worst_residual(k, c, table.C_bar, table.scale, bits) >= shift
 
 
 def test_builds_do_not_scan(monkeypatch, tmp_path):
@@ -424,7 +484,7 @@ def test_builds_do_not_scan(monkeypatch, tmp_path):
         assert len(scans) == 0
     twin = table.floats
     assert len(scans) == 0
-    with pytest.raises(TypeError, match="read on the mpf table"):
+    with pytest.raises(TypeError, match="read on the integer table"):
         twin.residual_report
     assert len(scans) == 0
     assert table.residual_report == table.residual_report
@@ -439,4 +499,5 @@ def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     with mp.workprec(bits):
         inner = 1 / mp.mpf(k) if k > 1 else mp.mpf(k)
     families = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
-    assert table.residual_report == _worst_residual(inner, *families, bits)
+    assert table.residual_report == _worst_residual(inner, *families,
+                                                    table.scale, bits)

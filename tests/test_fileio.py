@@ -53,12 +53,11 @@ def test_corr_csv_layout(tmp_path, small_table):
     assert float(row12[2]) == lookup(small_table, 1, 2)
 
 
-def test_corr_csv_converts_each_entry_once(tmp_path, float_calls):
+def test_corr_csv_converts_each_entry_once(tmp_path, counted_entries):
     R = 5
-    table = build_table(0.5, R)
-    float_calls.clear()
+    table, calls = counted_entries(build_table(0.5, R))
     write_corr_csv(tmp_path / "corr.csv", table)
-    assert len(float_calls) == (R + 1) * (R + 2)  # C and Cbar per octant entry
+    assert len(calls) == (R + 1) * (R + 2)  # C and Cbar per octant entry
 
 
 def test_chi_csv_row_major_qy_outer(tmp_path, table05_r30):

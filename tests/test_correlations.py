@@ -38,8 +38,8 @@ def table_half():
 
 
 def _entry(x, scale):
-    """An integer x scale read as an mpf, exact at any precision that holds
-    its significant bits."""
+    """The value of a stored entry x at the given scale as an mpf, exact at
+    any precision that holds its significant bits."""
     return mp.mpf((x, 1 - scale.bit_length()))
 
 

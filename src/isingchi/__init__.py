@@ -4,22 +4,22 @@ aperiodically sign-modulated columns.
 
 The package root offers every name in the __all__ of the six modules
 below, but imports a module only when a name is first looked up in it,
-so `import isingchi` loads neither numpy nor mpmath.  Each module loads
-what it uses: elliptic, couplings, correlations and frustrated need
-mpmath alone; quasiperiodic and chi add numpy.  The oracle and the
+so `import isingchi` loads no numpy.  Each module loads what it uses:
+elliptic, couplings, correlations and frustrated need only the standard
+library; quasiperiodic and chi add numpy.  The oracle and the
 verification suites are not re-exported: import them from isingchi.oracle
-and isingchi.verify.  No module loads scipy.
+and isingchi.verify.  No module loads scipy or mpmath.
 
-The CLI follows suit: `corr` loads mpmath only, and `chi`, `fib` and
-`verify` add numpy.
+The CLI follows suit: `corr` loads only the standard library, and `chi`,
+`fib` and `verify` add numpy.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-# searched in this order, so a name of the mpmath-only modules never
-# imports numpy
+# searched in this order, so a name of the standard-library-only modules
+# never imports numpy
 _MODULES = ("elliptic", "couplings", "correlations", "frustrated",
             "quasiperiodic", "chi")
 

@@ -6,7 +6,7 @@ named by --config supplies `key = value` defaults for any long flag;
 explicit flags win.
 
 Each subcommand imports the modules its work needs when it runs: `corr`
-loads mpmath alone, and `chi`, `fib` and `verify` add numpy.
+loads only the standard library, and `chi`, `fib` and `verify` add numpy.
 """
 
 import argparse

@@ -11,13 +11,14 @@ sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Toeplitz minors
 of the diagonal symbol, whose coefficients obey a three-term recurrence,
 supply C(n,n) and C_bar(n,n) in O(R^2) by Levinson recursion, a joint
 corner/star march the next-to-diagonal entries, and superdiagonal sweeps
-of the two quadratic recurrences the rest of the octant.  After the
-symbol series all of it, the stored table included, is fixed point on
-Python integers.  The recurrences cancel catastrophically, losing bits
-roughly linearly with distance from the diagonal, so double precision is
-only good to radius 12 or so.  The star and corner identities are not
-consumed; their residuals and the recurrences' are scanned when a
-table's residual_report is first read.
+of the two quadratic recurrences the rest of the octant.  All of it, from
+the closed forms to the stored table, is fixed point on Python integers:
+the modulus enters as an exact ratio, which each stage floors at its own
+bits, and the AGM at modulus k gives every closed form.  The recurrences
+cancel catastrophically, losing bits roughly linearly with distance from
+the diagonal, so double precision is only good to radius 12 or so.  The
+star and corner identities are not consumed; their residuals and the
+recurrences' are scanned when a table's residual_report is first read.
 """
 
 import math
@@ -25,10 +26,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import mul
 
-from mpmath import mp
-from mpmath.libmp import to_fixed
-
-from .elliptic import EllipticDomainError, complete_elliptic_K
+from .elliptic import EllipticDomainError, agm
 
 __all__ = [
     "CorrelationTable",
@@ -38,7 +36,6 @@ __all__ = [
     "diagonal_seeds",
     "lookup",
     "next_diagonal_seeds",
-    "onsager_nn",
 ]
 
 EPS_CRITICAL = 1e-6
@@ -72,49 +69,39 @@ class TableRangeError(IndexError):
     """Lookup outside the stored radius."""
 
 
-def onsager_nn(k):
-    """Nearest-neighbour correlation of the disordered model.
-
-    Classical closed form at sinh 2K = sqrt(k):
-
-        C(1,0) = 1/2 sqrt((1+k)/k) [1 + (2/pi)((k-1)/(k+1)) K(2 sqrt(k)/(1+k))]
-
-    Tends to sqrt(2)/2 as k -> 1 and to sqrt(k)/2 as k -> 0.
-    """
-    k = mp.mpf(k)
-    if not 0 < k < 1:
-        raise EllipticDomainError("modulus must lie in (0, 1), got %s"
-                                  % mp.nstr(k, 8))
-    arg = 2 * mp.sqrt(k) / (1 + k)
-    bracket = 1 + (2 / mp.pi) * ((k - 1) / (k + 1)) * complete_elliptic_K(arg)
-    return mp.sqrt((1 + k) / k) * bracket / 2
+def _fixed(k, bits):
+    """floor(k 2^bits) of a modulus given as an exact ratio (num, den)."""
+    num, den = k
+    return (num << bits) // den
 
 
-def _symbol_coefficients(k, n_top):
-    """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top, and
-    the bits they carry.
+def _symbol_coefficients(k, n_top, precision):
+    """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top, as
+    integers x 2^bits, and those bits.
 
     phi(z) = (1 - k/z)^(1/2) (1 - k z)^(-1/2) solves a first-order ODE, so
 
-        k (n + 1/2) a_n = [(1 + k^2)(n - 1) + k^2] a_{n-1} - k (n - 3/2) a_{n-2}
+        k (j + 1/2) a_j = [(1 + k^2)(j - s) + k^2] a_{j-s} - k (j - 2s + 1/2) a_{j-2s}
 
-    for every integer n.  From a_0 = 2E/pi and a_{-1} = -2 [E - (1 - k^2) K]
-    / (pi k) it runs outward both ways in O(n_top) steps for any k, with
-    2 (n_top + 2) log2(1/k) + 32 guard bits against the k^-2|n| growth of
-    the unwanted solution.  The minors run at the same bits.
+    for every integer j and either step s = +1 or -1.  From the closed forms
+    a_0 = 2E/pi = (1 - S)/M and a_{-1} = -2 [E - (1 - k^2) K] / (pi k) =
+    -(k^2 - S)/(k M), with M and S from one AGM (the pi in front of K and E
+    cancels), it runs outward both ways in O(n_top) steps for any k, with
+    2 (n_top + 2) log2(1/k) + 32 guard bits over precision against the
+    k^-2|j| growth of the unwanted solution.  The minors run at the same bits.
     """
-    bits = mp.prec + int(2 * (n_top + 2) * mp.log(1 / k, 2)) + 32
-    with mp.workprec(bits):
-        k2 = k * k
-        ell_e = mp.ellipe(k2)
-        a = {0: 2 * ell_e / mp.pi,
-             -1: -2 * (ell_e - (1 - k2) * complete_elliptic_K(k)) / (mp.pi * k)}
-        a[1] = (2 * k * a[0] + a[-1]) / 3
-        for n in range(2, n_top + 1):
-            a[n] = (((1 + k2) * (n - 1) + k2) * a[n - 1]
-                    - k * (n - 1.5) * a[n - 2]) / (k * (n + 0.5))
-            a[-n] = (((1 + k2) * (1 - n) + k2) * a[1 - n]
-                     - k * (2.5 - n) * a[2 - n]) / (k * (0.5 - n))
+    num, den = k
+    bits = precision + int(2 * (n_top + 2) * (math.log2(den) - math.log2(num))) + 32
+    kf = _fixed(k, bits)
+    m, s = agm(kf, bits)
+    k2, o2 = kf * kf, 1 << 2 * bits
+    a = {0: (((1 << bits) - s) << bits) // m,
+         -1: -(((k2 - (s << bits)) << bits) // (kf * m))}
+    for j in (*range(1, n_top + 1), *range(-2, -n_top - 1, -1)):
+        step = 1 if j > 0 else -1
+        a[j] = (((o2 + k2) * (j - step) + k2) * 2 * a[j - step]
+                - (kf * (2 * j - 4 * step + 1) * a[j - 2 * step] << bits)
+                ) // (kf * (2 * j + 1) << bits)
     return a, bits
 
 
@@ -147,25 +134,25 @@ def _toeplitz_minors(t, order, bits):
         b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
 
 
-def diagonal_seeds(k, n_max):
+def diagonal_seeds(k, n_max, precision):
     """C(n,n) and C_bar(n,n) for n = 0..n_max via Toeplitz determinants.
 
-    The ordered diagonal is det[a_{i-j}] of order n; the disordered one
-    picks up an index shift and an alternating sign, (-1)^n det[a_{i-j-1}].
-    Both conventions are frozen against the transfer-matrix oracle.  One
-    fixed-point Levinson recursion per family, at the symbol's bits, gives
-    every order in O(n_max^2).  Returns (C, C_bar, bits): the two diagonals
-    as unrounded integers x 2^bits.  A non-positive determinant means
-    cancellation exhausted the precision.
+    k is the modulus as an exact ratio (num, den), precision the working
+    bits.  The ordered diagonal is det[a_{i-j}] of order n; the disordered
+    one picks up an index shift and an alternating sign, (-1)^n
+    det[a_{i-j-1}].  Both conventions are frozen against the
+    transfer-matrix oracle.  One fixed-point Levinson recursion per family,
+    at the symbol's bits, gives every order in O(n_max^2).  Returns (C,
+    C_bar, bits): the two diagonals as unrounded integers x 2^bits.  A
+    non-positive determinant means cancellation exhausted the precision.
     """
-    k = mp.mpf(k)
-    if not 0 < k < 1:
-        raise EllipticDomainError("modulus must lie in (0, 1), got %s"
-                                  % mp.nstr(k, 8))
+    num, den = k
+    if not 0 < num < den:
+        raise EllipticDomainError("modulus must lie in (0, 1), got %.8g"
+                                  % (num / den))
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    coeff, bits = _symbol_coefficients(k, n_max)
-    coeff = {j: to_fixed(a._mpf_, bits) for j, a in coeff.items()}
+    coeff, bits = _symbol_coefficients(k, n_max, precision)
     minors = zip(_toeplitz_minors(coeff.__getitem__, n_max, bits),
                  _toeplitz_minors(lambda j: coeff[j - 1], n_max, bits))
     c_diag, cbar_diag = [], []
@@ -180,13 +167,29 @@ def diagonal_seeds(k, n_max):
     return c_diag, cbar_diag, bits
 
 
-def next_diagonal_seeds(k, diag, base):
+def _nearest_neighbours(k, bits):
+    """C(1,0) and C_bar(0,1) of the ratio k, as integers x 2^bits.
+
+    Onsager's closed form at sinh 2K = sqrt(k), after one Landen step, is
+    C(1,0) = 1/2 sqrt((1+k)/k) [1 - (1-k)/M] with M = AGM(1, k'); then
+    C_bar(0,1) = sqrt(1 + k) - sqrt(k) C(1,0).  The bracket cancels to about
+    k, so C(1,0) tends to sqrt(k)/2 as k -> 0, and to sqrt(2)/2 as k -> 1.
+    """
+    one, kf = 1 << bits, _fixed(k, bits)
+    m, _ = agm(kf, bits)
+    bracket = one - ((one - kf) << bits) // m
+    c10 = math.isqrt(((one + kf) << 2 * bits) // kf) * bracket >> (bits + 1)
+    cbar01 = math.isqrt((one + kf) << bits) - (math.isqrt(kf << bits) * c10 >> bits)
+    return c10, cbar01
+
+
+def next_diagonal_seeds(k, diag, precision):
     """March C(m,m+1), C_bar(m,m+1) up the diagonal on integers.
 
-    diag is diagonal_seeds' (C, C_bar, bits); the mpf k and base =
-    (C(1,0), C_bar(0,1)) are read at its 2^bits, and both next diagonals
-    come back at that scale.  At each m the star relation on the diagonal
-    is linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
+    diag is diagonal_seeds(k, n_max, precision); the march starts from the
+    closed-form C(1,0) and C_bar(0,1), and both next diagonals come back at
+    its 2^bits.  At each m the star relation on the diagonal is linear in
+    (X, Y) = (C(m,m+1), C_bar(m,m+1)),
 
         X C_bar(m-1,m) + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
 
@@ -199,16 +202,19 @@ def next_diagonal_seeds(k, diag, base):
     The root inside (0, 1) closest to the previous value is taken, the
     larger on a tie: correlations vary smoothly along the diagonal.  The
     quadratic recurrence on the diagonal is not consumed; its residual must
-    close to rounding level at mp.prec.
+    close to rounding level at the working precision.
     """
     def exhausted(what, m):
         return PrecisionExhausted("%s in the diagonal march; raise precision_bits"
                                   % what, where=(m, m + 1))
 
     c_diag, cbar_diag, bits = diag
-    one, (kf, a, b) = 1 << bits, (to_fixed(v._mpf_, bits) for v in (k, *base))
+    one, kf, (a, b) = 1 << bits, _fixed(k, bits), _nearest_neighbours(k, bits)
+    if a <= 0:
+        raise PrecisionExhausted("nearest-neighbour seed is not positive; "
+                                 "raise precision_bits", where=(1, 0))
     rk = math.isqrt(kf << bits)
-    check_tol = max(one ** 3 // 10 ** (mp.prec // 4), one ** 3 >> (mp.prec - 8))
+    check_tol = max(one ** 3 // 10 ** (precision // 4), one ** 3 >> (precision - 8))
 
     c_next, cbar_next = [a], [b]
     for m in range(1, len(c_diag) - 1):
@@ -247,12 +253,12 @@ class CorrelationTable:
 
     C and C_bar are full (radius+1)-square nested tuples of integers,
     symmetric in (m, n); entry / scale is the value, rounded half to even
-    to precision_bits significant bits as mpf rounds.  A k_requested above
-    1 was served through the duality swap, at 1/k_requested.
-    residual_report is the worst absolute identity residual (corner, star,
-    quadratic) over the octant, scanned exactly on first read.  floats is
-    the same table as read-only float64 arrays at scale 1, divided once on
-    first use and kept, for chi and verify; lookup serves either.
+    to precision_bits significant bits.  A k_requested above 1 was served
+    through the duality swap, at 1/k_requested.  residual_report is the
+    worst absolute identity residual (corner, star, quadratic) over the
+    octant, scanned exactly on first read.  floats is the same table as
+    read-only float64 arrays at scale 1, divided once on first use and
+    kept, for chi and verify; lookup serves either.
     """
 
     radius: int
@@ -281,8 +287,8 @@ class CorrelationTable:
             raise TypeError("residual_report is read on the integer table")
         bits = self.precision_bits + _SEED_GUARD_BITS
         fams = (self.C_bar, self.C) if self.swapped else (self.C, self.C_bar)
-        return _worst_residual(_working_k(self.k_requested, bits), *fams,
-                               self.scale, bits)
+        return _worst_residual(sorted(self.k_requested.as_integer_ratio()),
+                               *fams, self.scale, bits)
 
 
 def lookup(table, m, n, which="C"):
@@ -332,19 +338,13 @@ def _identity_residuals(k, rk, one, c, cb, m, n):
 
 def _worst_residual(k, C, C_bar, scale, bits):
     """Worst identity residual of C and C_bar (x scale), exact at 2^bits."""
-    one, kf, shift = 1 << bits, to_fixed(k._mpf_, bits), scale.bit_length() - 1 - bits
+    one, kf, shift = 1 << bits, _fixed(k, bits), scale.bit_length() - 1 - bits
     c, cb = ([[x >> shift for x in row] for row in fam] for fam in (C, C_bar))
     gc, gb = (lambda i, j, v=v: v[abs(i)][abs(j)] for v in (c, cb))
     rk, radius = math.isqrt(kf << bits), len(C) - 1
     worst = max(abs(r) for m in range(radius) for n in range(m, radius)
                 for r in _identity_residuals(kf, rk, one, gc, gb, m, n).values())
     return worst / one ** 3
-
-
-def _working_k(k_requested, bits):
-    """The modulus a build runs at: k_requested, or 1/k_requested above 1."""
-    with mp.workprec(bits):
-        return 1 / mp.mpf(k_requested) if k_requested > 1 else mp.mpf(k_requested)
 
 
 def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
@@ -364,12 +364,12 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
-    and resolving negative first indices by symmetry.  An entry leaving
-    (0, 1], a divisor with fewer than MIN_DIVISOR_BITS significant bits, or
-    a radius at which the loss model's small-k estimate, 2 R log2(1/k) bits,
-    leaves fewer than MIN_DIVISOR_BITS aborts the build with a
-    precision-exhaustion error naming an entry.  Radius 100 at 512 bits
-    builds in about 0.15 s.
+    and resolving negative first indices by symmetry.  A radius at which
+    the loss model's small-k estimate, 2 R log2(1/k) bits, leaves fewer
+    than MIN_DIVISOR_BITS is refused before any work; an entry leaving
+    (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
+    aborts the sweep.  Each is a precision-exhaustion error naming an
+    entry.  Radius 100 at 512 bits builds in about 0.15 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -387,21 +387,19 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
             % (k_req, EPS_CRITICAL))
 
     bits = precision_bits + _SEED_GUARD_BITS
-    k = _working_k(k_req, bits)
-    with mp.workprec(bits):
-        # the closed form cancels to ~sqrt(k)/2, which rounds to 0 at tiny k
-        c10 = onsager_nn(k)
-        if not c10 > 0:
-            raise PrecisionExhausted("nearest-neighbour seed is not positive; "
-                                     "raise precision_bits", where=(1, 0))
-        diag = diagonal_seeds(k, radius + 1)
-        next_diag = next_diagonal_seeds(
-            k, diag, (c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10))
-    seeds, shift = (diag, next_diag), diag[2] - bits  # seeds[n - m][family][m]
+    n = int((bits - MIN_DIVISOR_BITS) / (2 * abs(math.log2(k_req)))) + 1
+    if radius >= n:  # n: the first radius the small-k loss estimate rules out
+        raise PrecisionExhausted(
+            "estimated small-k loss leaves fewer than %d of %d bits; raise "
+            "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
+
+    k = sorted(k_req.as_integer_ratio())  # exact; 1/k_req above 1
+    diag = diagonal_seeds(k, radius + 1, bits)
+    seeds = diag, next_diagonal_seeds(k, diag, bits)  # seeds[n - m][family][m]
 
     # x -> floor(x 2^bits); products are exact at 2^(2 bits), so each swept
     # entry is rounded once, by the floor division; it reads and writes n >= m
-    one, kf, size = 1 << bits, to_fixed(k._mpf_, bits), radius + 1
+    one, kf, size, shift = 1 << bits, _fixed(k, bits), radius + 1, diag[2] - bits
     c, cb = ([[0] * size for _ in range(size)] for _ in range(2))
     for d, (xs, ys, *_) in enumerate(seeds):
         for m in range(size - d):
@@ -425,13 +423,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
                     where=(m, n + 1))
             c[m][n + 1], cb[m][n + 1] = cv, bv
 
-    n = int((bits - MIN_DIVISOR_BITS) / (2 * abs(math.log2(k_req)))) + 1
-    if radius >= n:  # n: the first radius the small-k loss estimate rules out
-        raise PrecisionExhausted(
-            "estimated small-k loss leaves fewer than %d of %d bits; raise "
-            "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
-
-    # symmetric at the seeds' scale, rounded half to even as mpf rounds
+    # symmetric at the seeds' scale, rounded half to even
     for fam, v in enumerate((c, cb)):
         for m in range(size):
             for n in range(m, size):

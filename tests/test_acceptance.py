@@ -20,7 +20,6 @@ from isingchi import (
     find_peaks,
     lookup,
     metallic_alpha,
-    onsager_nn,
     sign_sequence,
 )
 from isingchi.oracle import (
@@ -75,14 +74,14 @@ def test_criterion_03_nearest_neighbour_closed_form(table05_r30):
                                           (1, 0)))
             for w in widths]
     limit, _ = extrapolate(widths, vals)
-    checks = {"cylinder extrapolation":
-              abs(onsager_nn(0.5) - limit) <= 1e-6}
+    # C(1,0) of a radius-2 table is Onsager's closed form
+    nn = {k: lookup(build_table(k, 2), 1, 0) for k in (0.5, 0.999)}
+    checks = {"cylinder extrapolation": abs(nn[0.5] - limit) <= 1e-6}
 
     seed = abs(math.sqrt(0.5) * lookup(table05_r30, 1, 0)
                + lookup(table05_r30, 0, 1, "Cbar") - math.sqrt(1.5))
     checks["seed identity"] = seed <= 1e-12
-    checks["strong-coupling limit"] = abs(onsager_nn(0.999)
-                                          - math.sqrt(2) / 2) <= 2e-3
+    checks["strong-coupling limit"] = abs(nn[0.999] - math.sqrt(2) / 2) <= 2e-3
     _finish(3, "nearest-neighbour closed form", checks,
             time.perf_counter() - t0, 120)
 

@@ -26,6 +26,9 @@ def test_fib_signs(capsys):
     (["--k", "2.0", "--radius", "16"], "801f2b74e5d7b44d"),
     (["--k", "0.99", "--radius", "24"], "07efffcf7911ed5e"),
     (["--k", "0.5", "--radius", "100", "--precision", "512"], "fb503e727882bcb5"),
+    (["--k", "0.3", "--radius", "60"], "941fd25f2d5156ce"),
+    # served at the exact ratio 1/3, not a rounded 1/3
+    (["--k", "3.0", "--radius", "30"], "699d685c582ecf99"),
 ])
 def test_corr_bytes_are_pinned(argv, digest, tmp_path):
     # SHA-256 prefixes of the CSVs written when the table was still stored
@@ -99,28 +102,38 @@ def test_chi_rejects_modulus_outside_disordered_domain(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
-@pytest.mark.parametrize("argv, advice", [
+_LOSS = ("error: estimated small-k loss leaves fewer than 8 of 320 bits; "
+         "raise precision_bits")
+_SWEPT = "error: swept entry left (0, 1]; raise precision_bits"
+
+
+@pytest.mark.parametrize("argv, message, advice", [
     (["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "48",
-      "--grid", "2x2"], "smaller --radius"),
-    (["corr", "--k", "0.05", "--radius", "48"], "--precision above 256"),
-])
-def test_precision_errors_name_a_flag(argv, advice, tmp_path, capsys):
+      "--grid", "2x2"], _LOSS + " at (m, n) = (40, 42)", "smaller --radius"),
+    (["corr", "--k", "0.05", "--radius", "48"], _LOSS + " at (m, n) = (35, 37)",
+     "--precision above 256"),
+    # the loss estimate passes k = 0.5 at radius 120; the sweep refuses it
+    (["corr", "--k", "0.5", "--radius", "120"], _SWEPT + " at (m, n) = (72, 120)",
+     "--precision above 256"),
+], ids=["argv0-smaller --radius", "argv1---precision above 256",
+        "argv2---precision above 256"])
+def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys):
     # the library says "raise precision_bits"; the CLI adds what to pass
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
-    assert err[0].startswith("error: swept entry left (0, 1]; raise precision_bits")
+    assert err[0].startswith(message)
     assert err[0].endswith(advice)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("k, radius, where", [
-    # 1e-20 is refused by the small-k loss estimate, which names the first
-    # radius it rules out
-    ("1e-30", "4", "(3, 4)"), ("1e-20", "4", "(1, 3)"),
-    ("1e-300", "4", "(1, 0)"), ("1e-30", "6", "(3, 4)"),
-    ("1e-300", "8", "(1, 0)")])
+    # the small-k loss estimate refuses each before any work, and names the
+    # first radius it rules out
+    ("1e-30", "4", "(0, 2)"), ("1e-20", "4", "(1, 3)"),
+    ("1e-300", "4", "(0, 1)"), ("1e-30", "6", "(0, 2)"),
+    ("1e-300", "8", "(0, 1)")])
 def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,
                                               capsys):
     # no --radius below 4 is accepted, and every accepted radius builds the
@@ -137,15 +150,16 @@ def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,
 
 
 @pytest.mark.parametrize("k, code, message", [
-    ("1e-300", 1, "error: nearest-neighbour seed is not positive"),
-    ("1e300", 1, "error: nearest-neighbour seed is not positive"),
-    # the diagonal march runs out of bits; --precision 1024 builds it
-    ("1e-30", 1, "error: cross-check relation residual"),
+    ("1e-300", 1, "error: estimated small-k loss"),
+    ("1e300", 1, "error: estimated small-k loss"),
+    # 256 bits cannot reach it; --precision 1024 builds it
+    ("1e-30", 1, "error: estimated small-k loss"),
     ("inf", 2, "error: modulus must be positive and finite, got inf"),
 ])
 def test_extreme_moduli_fail_in_one_line(k, code, message, tmp_path, capsys):
-    # Onsager's closed form cancels to zero at k <= 1e-100, reached at
-    # k = 1e300 through the duality swap; the march must not divide by it
+    # below 2^-320 the working modulus floors to zero, reached at k = 1e300
+    # through the duality swap; the loss estimate refuses it before any
+    # stage divides by it
     out = tmp_path / "x.csv"
     assert run(["corr", "--k", k, "--radius", "4", "--out", str(out)]) == code
     err = capsys.readouterr().err.splitlines()
@@ -358,25 +372,25 @@ def test_installed_entry_point():
 
 @pytest.mark.parametrize("argv, absent", [
     (["corr", "--k", "0.5", "--radius", "2", "--out", "{out}"],
-     ("numpy", "scipy")),
-    (["verify", "elliptic"], ("scipy",)),
-    (["verify", "couplings"], ("scipy",)),
-    (["verify", "chi"], ("scipy",)),
+     ("numpy", "scipy", "mpmath")),
+    (["verify", "elliptic"], ("scipy", "mpmath")),
+    (["verify", "couplings"], ("scipy", "mpmath")),
+    (["verify", "chi"], ("scipy", "mpmath")),
     (["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2",
-      "--out", "{out}"], ("scipy",)),
+      "--out", "{out}"], ("scipy", "mpmath")),
     # the oracle suites solve their cylinders with numpy alone
-    (["verify", "recurrence"], ("scipy",)),
-    (["verify", "all", "--out", "{out}"], ("scipy",)),
+    (["verify", "recurrence"], ("scipy", "mpmath")),
+    (["verify", "all", "--out", "{out}"], ("scipy", "mpmath")),
 ], ids=["corr", "verify-elliptic", "verify-couplings", "verify-chi",
         "chi-uniform", "verify-recurrence", "verify-all"])
 def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
     # each command imports only what its work needs: a table export pays
-    # for neither numpy nor scipy, and no command loads scipy at all
+    # for neither numpy nor scipy, and no command loads scipy or mpmath
     code = ("import sys\n"
             "from isingchi.cli import run\n"
             "rc = run(sys.argv[1:])\n"
             "print(rc, sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'numpy', 'scipy'}))")
+            " & {'numpy', 'scipy', 'mpmath'}))")
     argv = [a.replace("{out}", str(tmp_path / "out.csv")) for a in argv]
     proc = subprocess.run([sys.executable, "-c", code] + argv,
                           capture_output=True, text=True, timeout=120)

@@ -3,16 +3,14 @@ import random
 
 import pytest
 from mpmath import mp
-from mpmath.ctx_mp_python import _mpf
-from mpmath.libmp import to_fixed
 
+import isingchi.correlations as correlations
 from isingchi import (
     EllipticDomainError,
     PrecisionExhausted,
     TableRangeError,
     build_table,
     lookup,
-    onsager_nn,
 )
 from isingchi.correlations import (
     _identity_residuals,
@@ -43,26 +41,28 @@ def _entry(x, scale):
     return mp.mpf((x, 1 - scale.bit_length()))
 
 
-def _march(k, n_max, corrupt=lambda diag, base: None):
+def _march(k, n_max, corrupt=lambda diag: None):
     """diagonal_seeds and next_diagonal_seeds as build_table runs them at
-    256 bits, after corrupt(diag, base) may edit the two lists in place."""
-    with mp.workprec(256):
-        k = mp.mpf(k)
-        c_diag, cbar_diag, bits = diagonal_seeds(k, n_max)
-        c10 = onsager_nn(k)
-        base = [c10, mp.sqrt(1 + k) - mp.sqrt(k) * c10]
-        corrupt((c_diag, cbar_diag), base)
-        return next_diagonal_seeds(k, (c_diag, cbar_diag, bits), base), bits
+    256 working bits, after corrupt(diag) may edit the two lists in place."""
+    k = k.as_integer_ratio()
+    c_diag, cbar_diag, bits = diagonal_seeds(k, n_max, 256)
+    corrupt((c_diag, cbar_diag))
+    return next_diagonal_seeds(k, (c_diag, cbar_diag, bits), 256), bits
+
+
+def _c10(k):
+    """C(1,0) of the smallest table, which holds Onsager's closed form."""
+    return lookup(build_table(k, 2), 1, 0)
 
 
 def test_onsager_nn_values():
-    assert float(onsager_nn(0.5)) == pytest.approx(NN_HALF, abs=1e-15)
-    assert float(onsager_nn(0.999)) == pytest.approx(math.sqrt(2) / 2,
-                                                     abs=2e-3)
+    assert _c10(0.5) == pytest.approx(NN_HALF, abs=1e-15)
+    assert _c10(0.999) == pytest.approx(math.sqrt(2) / 2, abs=2e-3)
     # weak-coupling asymptote sqrt(k)/2
-    assert float(onsager_nn(1e-4)) == pytest.approx(0.5e-2, rel=2e-2)
+    assert _c10(1e-4) == pytest.approx(0.5e-2, rel=2e-2)
+    # the seed stages take the working modulus, which lies in (0, 1)
     with pytest.raises(EllipticDomainError):
-        onsager_nn(1.2)
+        diagonal_seeds((6, 5), 2, 64)
 
 
 def test_base_seed_identity(table_half):
@@ -181,29 +181,11 @@ def test_loss_estimate_refuses_what_the_sweep_passes(k, radius, where):
     build_table(k, where[1] - 1)
 
 
-def test_build_makes_no_mpf_per_entry(monkeypatch):
-    # the march, the sweep and the stored table run on integers: only the
-    # closed forms make mpf values, as many at radius 80 as at radius 20
-    made, new = [], _mpf.__new__
-
-    def counted(cls, *args, **kwargs):
-        made.append(None)
-        return new(cls, *args, **kwargs)
-
-    monkeypatch.setattr(_mpf, "__new__", counted)
-    counts = []
-    for radius in (20, 40, 80):
-        made.clear()
-        build_table(0.5, radius)
-        counts.append(len(made))
-    assert counts[0] == counts[1] == counts[2], counts
-
-
 def test_seed_corruption_detected():
     (clean, _), bits = _march(0.5, 6)
     assert clean[1] / 2 ** bits == pytest.approx(0.14741915511812642, abs=1e-12)
 
-    def corrupt(diag, base):
+    def corrupt(diag):
         diag[0][3] += diag[0][3] // 1000    # C(3,3) up by 1e-3
 
     with pytest.raises(PrecisionExhausted,
@@ -221,13 +203,19 @@ def test_seed_corruption_detected():
     # a negative C_bar(0,1) mirrors both roots of the first step below 0
     ("cbar01-negated", "no admissible positive root", (1, 2)),
 ])
-def test_march_raises_name_the_entry(corrupt, message, where):
-    def edit(diag, base):
+def test_march_raises_name_the_entry(corrupt, message, where, monkeypatch):
+    closed_form = correlations._nearest_neighbours
+
+    def edited_base(k, bits):
+        c10, cbar01 = closed_form(k, bits)
+        return c10, 0 * cbar01 if corrupt == "cbar01-zero" else -cbar01
+
+    def edit(diag):
         if corrupt == "cbar33":
             diag[1][3] = -diag[1][3]
-        else:
-            base[1] = 0 * base[1] if corrupt == "cbar01-zero" else -base[1]
 
+    if corrupt != "cbar33":
+        monkeypatch.setattr(correlations, "_nearest_neighbours", edited_base)
     with pytest.raises(PrecisionExhausted, match="^" + message) as err:
         _march(0.5, 6, edit)
     assert err.value.where == where
@@ -282,16 +270,17 @@ def test_star_relation_excludes_origin(table_half):
 def test_symbol_coefficients_match_fourier_integral(k):
     # a_j = (1/pi) Re int_0^pi phi(e^{i theta}) e^{-i j theta} d theta,
     # since phi(e^{-i theta}) is the conjugate of phi(e^{i theta})
+    coeff, bits = _symbol_coefficients(k.as_integer_ratio(), 6, 80)
     with mp.workprec(80):
         k = mp.mpf(k)
-        coeff, _ = _symbol_coefficients(k, 6)
         for j in range(-6, 7):
             def integrand(theta):
                 return (mp.sqrt(1 - k * mp.expj(-theta))
                         / mp.sqrt(1 - k * mp.expj(theta))
                         * mp.expj(-j * theta)).real
             a_j = mp.quad(integrand, [0, mp.pi / 2, mp.pi]) / mp.pi
-            assert abs(coeff[j] - a_j) < 1e-22, (j, coeff[j], a_j)
+            got = mp.ldexp(coeff[j], -bits)
+            assert abs(got - a_j) < 1e-22, (j, got, a_j)
 
 
 def _dense_minors(t, order):
@@ -304,15 +293,15 @@ def test_toeplitz_minors_match_dense_determinants():
     # fixed point at 2^256 against dense determinants of the same entries
     rng = random.Random(20261018)
     bits = 256
-    with mp.workprec(bits):
-        cases = []
-        for _ in range(8):
-            entries = {j: to_fixed(mp.mpf(rng.uniform(-1, 1))._mpf_, bits)
-                       for j in range(-12, 13)}
-            cases.append(entries.__getitem__)
-        coeff = {j: to_fixed(a._mpf_, bits)
-                 for j, a in _symbol_coefficients(mp.mpf(0.9), 13)[0].items()}
-        cases += [coeff.__getitem__, lambda j: coeff[j - 1]]
+    cases = []
+    for _ in range(8):
+        # a double times 2^256 is exact, so floor takes nothing off
+        entries = {j: math.floor(rng.uniform(-1, 1) * 2 ** bits)
+                   for j in range(-12, 13)}
+        cases.append(entries.__getitem__)
+    coeff, own_bits = _symbol_coefficients((0.9).as_integer_ratio(), 13, bits)
+    coeff = {j: a >> own_bits - bits for j, a in coeff.items()}
+    cases += [coeff.__getitem__, lambda j: coeff[j - 1]]
     with mp.workprec(2 * bits):
         for t in cases:
             fast = list(_toeplitz_minors(t, 12, bits))
@@ -344,10 +333,9 @@ def test_seeds_match_deeper_build(k, radius, bits):
     # its guard bits: the minors run at the symbol's guard, which grows as
     # log2(1/k) per order, since the C minors shrink like k^n.  A flat
     # 64-bit guard reads 2^-270.7 at (0.1, 32, 256).
-    with mp.workprec(bits + 64):
-        *seeds, lo_bits = diagonal_seeds(mp.mpf(k), radius + 1)
-    with mp.workprec(2 * bits):
-        *deep, hi_bits = diagonal_seeds(mp.mpf(k), radius + 1)
+    k = k.as_integer_ratio()
+    *seeds, lo_bits = diagonal_seeds(k, radius + 1, bits + 64)
+    *deep, hi_bits = diagonal_seeds(k, radius + 1, 2 * bits)
     # integers x 2^lo_bits and x 2^hi_bits, compared exactly
     worst = max(mp.mpf(abs((lo << hi_bits - lo_bits) - hi)) / hi
                 for lo_family, hi_family in zip(seeds, deep)
@@ -357,10 +345,8 @@ def test_seeds_match_deeper_build(k, radius, bits):
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
 def test_diagonal_seeds_agree_across_precision(k):
-    with mp.workprec(256):
-        *coarse, lo_bits = diagonal_seeds(mp.mpf(k), 40)
-    with mp.workprec(512):
-        *fine, hi_bits = diagonal_seeds(mp.mpf(k), 40)
+    *coarse, lo_bits = diagonal_seeds(k.as_integer_ratio(), 40, 256)
+    *fine, hi_bits = diagonal_seeds(k.as_integer_ratio(), 40, 512)
     for lo_family, hi_family in zip(coarse, fine):
         for lo, hi in zip(lo_family, hi_family):
             assert abs((lo << hi_bits - lo_bits) - hi) <= hi >> 240
@@ -420,7 +406,7 @@ def test_identity_forms_agree():
     table = build_table(0.5, 12)
     bits = 256 + 64
     one = 1 << bits
-    kf = to_fixed(mp.mpf(0.5)._mpf_, bits)
+    kf = one // 2
     rk = math.isqrt(kf << bits)
 
     def fc(m, n):
@@ -449,8 +435,7 @@ def test_identity_forms_agree():
 def test_residual_report_scans_stored_entries():
     table = build_table(0.5, 12)
     bits = 256 + 64
-    with mp.workprec(256):
-        k = mp.mpf(0.5)
+    k = (1, 2)
     assert table.residual_report == _worst_residual(k, table.C, table.C_bar,
                                                     table.scale, bits)
     c = [list(row) for row in table.C]
@@ -496,8 +481,7 @@ def test_builds_do_not_scan(monkeypatch, tmp_path):
 def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     table = build_table(k, radius, precision_bits)
     bits = precision_bits + 64
-    with mp.workprec(bits):
-        inner = 1 / mp.mpf(k) if k > 1 else mp.mpf(k)
+    inner = (1, int(k)) if k > 1 else k.as_integer_ratio()
     families = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
     assert table.residual_report == _worst_residual(inner, *families,
                                                     table.scale, bits)

@@ -52,14 +52,37 @@ def _landen_sweep():
 
 
 def test_agm_basics():
-    assert float(agm(3.0, 3.0)) == pytest.approx(3.0, abs=1e-15)
-    assert float(agm(1.0, 2.0)) == pytest.approx(float(agm(2.0, 1.0)), abs=1e-15)
-    # scaling: agm(ca, cb) = c agm(a, b)
-    assert float(agm(5.0, 10.0)) == pytest.approx(5 * float(agm(1.0, 2.0)),
-                                                  rel=1e-14)
-    # Gauss's constant
-    assert float(agm(1.0, math.sqrt(2.0))) == pytest.approx(1.1981402347355923,
-                                                            abs=1e-14)
+    bits = 200
+    one = 1 << bits
+    # k = 0: AGM(1, 1) = 1, and every c_n vanishes
+    assert agm(0, bits) == (one, 0)
+    # the same M and S at 100 and 200 bits, to a few units at 2^-100
+    for k in (0.05, 0.5, 0.95):
+        num, den = k.as_integer_ratio()
+        coarse = agm((num << 100) // den, 100)
+        fine = agm((num << bits) // den, bits)
+        for x, y in zip(coarse, fine):
+            assert abs(x - (y >> 100)) <= 16
+    # Gauss's constant AGM(1, sqrt 2) = sqrt 2 AGM(1, k') at k = 1/sqrt 2
+    m, _ = agm(math.isqrt(one * one // 2), bits)
+    assert math.sqrt(2) * m / one == pytest.approx(1.1981402347355923,
+                                                   abs=1e-14)
+    with pytest.raises(EllipticDomainError):
+        agm(one, bits)
+
+
+@pytest.mark.parametrize("k", [0.05, 0.3, 0.5, 0.777, 0.95, 0.9999])
+def test_agm_gives_K_and_E(k):
+    # K = pi / (2 M) and E = (1 - S) K against mpmath at 256 bits
+    bits = 256
+    num, den = k.as_integer_ratio()
+    m, s = agm((num << bits) // den, bits)
+    with mp.workprec(bits):
+        k2 = mp.mpf(k) ** 2
+        K = mp.pi / (2 * mp.ldexp(m, -bits))
+        assert abs(K / mp.ellipk(k2) - 1) < mp.mpf(2) ** -240
+        E = (1 - mp.ldexp(s, -bits)) * K
+        assert abs(E / mp.ellipe(k2) - 1) < mp.mpf(2) ** -240
 
 
 def test_K_at_zero_and_growth():
@@ -103,10 +126,12 @@ def test_K_row_catches_a_wrong_K(monkeypatch):
         assert rows["K-at-zero"].passed
         assert not rows["K-vs-hypergeometric"].passed
     # a broken AGM fails the row too, so the reference does not use it; the
-    # arithmetic mean is right only at agm(1, 1), i.e. at m = 0
+    # arithmetic mean (1 + k')/2 is right only at AGM(1, 1), i.e. at m = 0
+    def arithmetic_mean(k, bits):
+        return ((1 << bits) + math.isqrt((1 << 2 * bits) - k * k)) >> 1, 0
+
     with monkeypatch.context() as patch:
-        patch.setattr("isingchi.elliptic.agm",
-                      lambda a, b: (mp.mpf(a) + mp.mpf(b)) / 2)
+        patch.setattr("isingchi.elliptic.agm", arithmetic_mean)
         rows = _elliptic_rows()
         assert rows["K-at-zero"].passed
         assert not rows["K-vs-hypergeometric"].passed
@@ -186,9 +211,22 @@ def test_quarter_period_is_a_float_at_any_precision():
         assert quarter_period(0.5) == span
 
 
+def _mpf_53_bit_K(kp):
+    """K(kp) by an AGM in 53-bit mpf arithmetic: the stopping rule
+    |a - b| < 2^-49 a, capped at 22 steps, and pi / (2 AGM(1, sqrt(1 - kp^2)))."""
+    with mp.workprec(53):
+        a, b = mp.one, mp.sqrt(1 - kp * kp)
+        tol = mp.mpf(2) ** (4 - mp.prec)
+        for _ in range(mp.prec.bit_length() + 16):
+            if abs(a - b) < tol * a:
+                break
+            a, b = (a + b) / 2, mp.sqrt(a * b)
+        return mp.pi / (2 * ((a + b) / 2))
+
+
 def test_quarter_period_is_53_bit_complete_K():
     # the float AGM rounds every step as 53-bit mpf does, so it agrees
-    # with complete_elliptic_K bit for bit, out to both ends of (0, 1)
+    # with a 53-bit mpf K bit for bit, out to both ends of (0, 1)
     rng = np.random.default_rng(2026)
     ks = np.concatenate([rng.uniform(0.0, 1.0, 2000),
                          10.0 ** rng.uniform(-7.9, -1.0, 300),
@@ -196,7 +234,7 @@ def test_quarter_period_is_53_bit_complete_K():
     with mp.workprec(53):
         for k in ks[(ks > 0) & (ks < 1)]:
             kp = mp.sqrt(1 - mp.mpf(k) ** 2)
-            assert quarter_period(k) == float(complete_elliptic_K(kp)), k
+            assert quarter_period(k) == float(_mpf_53_bit_K(kp)), k
 
 
 def test_quarter_period_domain():

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import subprocess
 import sys
@@ -26,7 +27,7 @@ def _module_names():
 
 def test_all_is_the_union_of_the_modules_lists():
     names = _module_names()
-    assert len(names) == len(set(names)) == 32
+    assert len(names) == len(set(names)) == 31
     assert isingchi.__all__ == names
 
 
@@ -55,6 +56,20 @@ def test_bare_import_loads_neither_numpy_nor_mpmath():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_no_module_imports_mpmath():
+    # every module runs on the standard library and numpy; tests may still
+    # use mpmath as a reference
+    for path in sorted(_PACKAGE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "mpmath" not in roots, "%s:%d" % (path.name, node.lineno)
 
 
 # every module of the package but the `python -m` entry point, which runs

@@ -81,9 +81,9 @@ def _symbol_coefficients(k, n_top, precision):
 
     phi(z) = (1 - k/z)^(1/2) (1 - k z)^(-1/2) solves a first-order ODE, so
 
-        k (j + 1/2) a_j = [(1 + k^2)(j - s) + k^2] a_{j-s} - k (j - 2s + 1/2) a_{j-2s}
+        k (j + 1/2) a_j = [(1 + k^2)(j - e) + k^2] a_{j-e} - k (j - 2e + 1/2) a_{j-2e}
 
-    for every integer j and either step s = +1 or -1.  From the closed forms
+    for every integer j and either step e = +1 or -1.  From the closed forms
     a_0 = 2E/pi = (1 - S)/M and a_{-1} = -2 [E - (1 - k^2) K] / (pi k) =
     -(k^2 - S)/(k M), with M and S from one AGM (the pi in front of K and E
     cancels), it runs outward both ways in O(n_top) steps for any k, with
@@ -98,9 +98,9 @@ def _symbol_coefficients(k, n_top, precision):
     a = {0: (((1 << bits) - s) << bits) // m,
          -1: -(((k2 - (s << bits)) << bits) // (kf * m))}
     for j in (*range(1, n_top + 1), *range(-2, -n_top - 1, -1)):
-        step = 1 if j > 0 else -1
-        a[j] = (((o2 + k2) * (j - step) + k2) * 2 * a[j - step]
-                - (kf * (2 * j - 4 * step + 1) * a[j - 2 * step] << bits)
+        e = 1 if j > 0 else -1
+        a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
+                - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
                 ) // (kf * (2 * j + 1) << bits)
     return a, bits
 

@@ -62,17 +62,17 @@ def _tol(tolerance, default):
     return default if tolerance is None else tolerance
 
 
-def _hypergeometric_K(m, bits=100):
-    """K(m) = pi/2 2F1(1/2, 1/2; 1; m^2), summed on integers x 2^bits and
-    rounded once: a series that shares nothing with the package's AGM."""
+def _hypergeometric_K(m):
+    """K(m) = pi/2 2F1(1/2, 1/2; 1; m^2): the series summed on integers x
+    2^100, times floor(pi 2^96), rounded once; it shares nothing with agm."""
     num, den = float(m).as_integer_ratio()
-    term = total = 1 << bits
+    term = total = 1 << 100
     n = 0
     while term:  # term_n = term_{n-1} ((2n - 1) / (2n))^2 m^2
         n += 1
         term = term * ((2 * n - 1) * num) ** 2 // (2 * n * den) ** 2
         total += term
-    return 0x3243F6A8885A308D313198A2E * total / (1 << bits + 97)  # pi 2^96
+    return 0x3243F6A8885A308D313198A2E * total / (1 << 96 + 100 + 1)
 
 
 def _suite_elliptic(tolerance):

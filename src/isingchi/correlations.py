@@ -7,23 +7,24 @@ the two families, so the build always carries both.  Every function here
 takes that bare modulus k.
 
 Closed forms fix the nearest neighbour and, through the linear relation
-sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Toeplitz minors
-of the diagonal symbol, whose coefficients obey a three-term recurrence,
-supply C(n,n) and C_bar(n,n) in O(R^2) by Levinson recursion, a joint
-corner/star march the next-to-diagonal entries, and superdiagonal sweeps
-of the two quadratic recurrences the rest of the octant.  All of it, from
-the closed forms to the stored table, is fixed point on Python integers:
-the modulus enters as an exact ratio, which each stage floors at its own
-bits, and the AGM at modulus k gives every closed form.  The recurrences
-cancel catastrophically, losing bits roughly linearly with distance from
-the diagonal, so double precision is only good to radius 12 or so.  The
-star and corner identities are not consumed; their residuals and the
+sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  One Levinson
+recursion over the diagonal symbol gives C_bar(n,n) as Toeplitz minors
+and C(n,n) as their cofactors in O(R^2); a joint corner/star march gives
+the next-to-diagonal entries, and superdiagonal sweeps of the two
+quadratic recurrences the rest of the octant.  All of it, from the closed
+forms to the stored table, is fixed point on Python integers: the modulus
+enters as an exact ratio, which each stage floors at its own bits, and
+the AGM at modulus k gives every closed form.  The recurrences cancel
+catastrophically, losing bits roughly linearly with distance from the
+diagonal, so double precision is only good to radius 12 or so.  The star
+and corner identities are not consumed; their residuals and the
 recurrences' are scanned when a table's residual_report is first read.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import count
 from operator import mul
 
 from .elliptic import EllipticDomainError, agm
@@ -105,13 +106,16 @@ def _symbol_coefficients(k, n_top, precision):
     return a, bits
 
 
-def _toeplitz_minors(t, order, bits):
-    """Yield det[t(i - j)] of orders 0..order (order >= 1) in O(order^2).
+def _toeplitz_minors(t, bits):
+    """Yield (det T_n, e_b) for n = 1, 2, ... until the caller stops.
 
-    Fixed point: t(j) and the minors are integers x 2^bits.  Nonsymmetric
-    Levinson recursion: f and b are the first and last columns of T_n^-1,
-    and det T_{n+1} = det T_n (1 - e_f e_b) / f_0, each value rounded once.
-    A vanishing minor raises PrecisionExhausted before anything divides by it.
+    T_n = [t(i - j)]; t(j), the minors and e_b are integers x 2^bits.
+    Nonsymmetric Levinson recursion: f and b are the first and last columns
+    of T_n^-1, e_b = sum_i t(-1 - i) b_i, det T_{n+1} = det T_n (1 - e_f e_b)
+    / f_0, each value rounded once.  det[t(i - j - 1)]_n is the (n, 0) minor
+    of T_{n+1}; its cofactor over det T_{n+1} is the next b's top entry,
+    -e_b f_0 / (1 - e_f e_b), so (-1)^n det[t(i - j - 1)]_n = -e_b det T_n.
+    A vanishing minor raises PrecisionExhausted before anything divides.
     """
     def nonzero(det, n):
         if not det:
@@ -121,14 +125,12 @@ def _toeplitz_minors(t, order, bits):
 
     one, det = 1 << bits, nonzero(t(0), 1)
     f = b = [(one << bits) // det]
-    yield one
-    yield det
-    for n in range(1, order):
-        e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
+    for n in count(1):
         e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
+        yield det, e_b
+        e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
         scale = one - (e_f * e_b >> bits)
         det = nonzero(det * scale // f[0], n + 1)
-        yield det
         f_ext, b_ext = f + [0], [0] + b
         f = [((x << bits) - e_f * y) // scale for x, y in zip(f_ext, b_ext)]
         b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
@@ -138,13 +140,11 @@ def diagonal_seeds(k, n_max, precision):
     """C(n,n) and C_bar(n,n) for n = 0..n_max via Toeplitz determinants.
 
     k is the modulus as an exact ratio (num, den), precision the working
-    bits.  The ordered diagonal is det[a_{i-j}] of order n; the disordered
-    one picks up an index shift and an alternating sign, (-1)^n
-    det[a_{i-j-1}].  Both conventions are frozen against the
-    transfer-matrix oracle.  One fixed-point Levinson recursion per family,
-    at the symbol's bits, gives every order in O(n_max^2).  Returns (C,
-    C_bar, bits): the two diagonals as unrounded integers x 2^bits.  A
-    non-positive determinant means cancellation exhausted the precision.
+    bits.  C_bar(n,n) = det[a_{i-j}] of order n, and C(n,n) = -e_b C_bar(n,n)
+    by the cofactor identity of _toeplitz_minors (both frozen against the
+    transfer-matrix oracle), so one Levinson recursion at the symbol's bits
+    gives both diagonals in O(n_max^2).  Returns (C, C_bar, bits), unrounded
+    integers x 2^bits; a non-positive seed means the precision ran out.
     """
     num, den = k
     if not 0 < num < den:
@@ -153,11 +153,10 @@ def diagonal_seeds(k, n_max, precision):
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     coeff, bits = _symbol_coefficients(k, n_max, precision)
-    minors = zip(_toeplitz_minors(coeff.__getitem__, n_max, bits),
-                 _toeplitz_minors(lambda j: coeff[j - 1], n_max, bits))
-    c_diag, cbar_diag = [], []
-    for n, (d_bar, d) in enumerate(minors):
-        d *= (-1) ** n
+    c_diag, cbar_diag = [1 << bits], [1 << bits]
+    minors = _toeplitz_minors(coeff.__getitem__, bits)
+    for n, (d_bar, e_b) in zip(range(1, n_max + 1), minors):
+        d = -e_b * d_bar >> bits
         if d <= 0 or d_bar <= 0:
             raise PrecisionExhausted(
                 "Toeplitz determinant of order %d is non-positive; "

@@ -29,6 +29,9 @@ def test_fib_signs(capsys):
     (["--k", "0.3", "--radius", "60"], "941fd25f2d5156ce"),
     # served at the exact ratio 1/3, not a rounded 1/3
     (["--k", "3.0", "--radius", "30"], "699d685c582ecf99"),
+    (["--k", "0.9", "--radius", "100", "--precision", "512"], "d823811ff9ea3cd8"),
+    # the build whose cost the Toeplitz minors dominate
+    (["--k", "0.1", "--radius", "100", "--precision", "1024"], "9c47b042c067b75f"),
 ])
 def test_corr_bytes_are_pinned(argv, digest, tmp_path):
     # SHA-256 prefixes of the CSVs written when the table was still stored

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 from mpmath import mp
@@ -283,14 +284,19 @@ def test_symbol_coefficients_match_fourier_integral(k):
             assert abs(got - a_j) < 1e-22, (j, got, a_j)
 
 
-def _dense_minors(t, order):
-    return [mp.one] + [mp.det(mp.matrix([[t(i - j) for j in range(n)]
-                                         for i in range(n)]))
-                       for n in range(1, order + 1)]
+def _dense_det(x, n, shift=0):
+    """det[x(i - j - shift)] of order n >= 1."""
+    return mp.det(mp.matrix([[x(i - j - shift) for j in range(n)]
+                             for i in range(n)]))
+
+
+def _assert_close(got, bits, want):
+    assert abs(mp.ldexp(got, -bits) - want) <= abs(want) * mp.mpf(2) ** -200
 
 
 def test_toeplitz_minors_match_dense_determinants():
-    # fixed point at 2^256 against dense determinants of the same entries
+    # fixed point at 2^256 against dense determinants of the same entries:
+    # det T_n, and -e_b det T_n against the cofactor (-1)^n det[t(i-j-1)]_n
     rng = random.Random(20261018)
     bits = 256
     cases = []
@@ -299,17 +305,28 @@ def test_toeplitz_minors_match_dense_determinants():
         entries = {j: math.floor(rng.uniform(-1, 1) * 2 ** bits)
                    for j in range(-12, 13)}
         cases.append(entries.__getitem__)
-    coeff, own_bits = _symbol_coefficients((0.9).as_integer_ratio(), 13, bits)
-    coeff = {j: a >> own_bits - bits for j, a in coeff.items()}
-    cases += [coeff.__getitem__, lambda j: coeff[j - 1]]
-    with mp.workprec(2 * bits):
+    k = (0.9).as_integer_ratio()
+    coeff, own_bits = _symbol_coefficients(k, 12, bits)
+    cases.append({j: a >> own_bits - bits for j, a in coeff.items()}.__getitem__)
+    with mp.workprec(2 * own_bits):
         for t in cases:
-            fast = list(_toeplitz_minors(t, 12, bits))
-            dense = _dense_minors(lambda j: mp.ldexp(t(j), -bits), 12)
-            assert len(fast) == 13
-            for got, want in zip(fast, dense):
-                assert (abs(mp.ldexp(got, -bits) - want)
-                        <= abs(want) * mp.mpf(2) ** -200)
+            def x(j):
+                return mp.ldexp(t(j), -bits)
+
+            for n, (det, e_b) in zip(range(1, 13), _toeplitz_minors(t, bits)):
+                _assert_close(det, bits, _dense_det(x, n))
+                _assert_close(-e_b * det >> bits, bits,
+                              (-1) ** n * _dense_det(x, n, 1))
+
+        # diagonal_seeds stores the same two forms at the symbol's own bits
+        def a(j):
+            return mp.ldexp(coeff[j], -own_bits)
+
+        c_diag, cbar_diag, seed_bits = diagonal_seeds(k, 12, bits)
+        assert seed_bits == own_bits and len(c_diag) == len(cbar_diag) == 13
+        for n in range(1, 13):
+            _assert_close(cbar_diag[n], own_bits, _dense_det(a, n))
+            _assert_close(c_diag[n], own_bits, (-1) ** n * _dense_det(a, n, 1))
 
 
 @pytest.mark.parametrize("t0, order", [(1, 2), (0, 1)])
@@ -322,16 +339,17 @@ def test_vanishing_minor_is_precision_exhaustion(t0, order):
         return (t0 << bits) if j == 0 else (1 << bits) if abs(j) == 1 else 0
 
     with pytest.raises(PrecisionExhausted, match="order %d vanishes" % order) as err:
-        list(_toeplitz_minors(t, 4, bits))
+        list(islice(_toeplitz_minors(t, bits), 4))
     assert err.value.where == (order, order)
 
 
 @pytest.mark.parametrize("k, radius, bits", [(0.1, 32, 256), (0.05, 30, 256),
-                                             (0.5, 100, 512)])
+                                             (0.5, 100, 512), (0.0718, 40, 256),
+                                             (0.9, 100, 512)])
 def test_seeds_match_deeper_build(k, radius, bits):
     # diagonal_seeds as build_table calls it (bits + 64, radius + 1) keeps
     # its guard bits: the minors run at the symbol's guard, which grows as
-    # log2(1/k) per order, since the C minors shrink like k^n.  A flat
+    # log2(1/k) per order, since the C seeds shrink like k^n.  A flat
     # 64-bit guard reads 2^-270.7 at (0.1, 32, 256).
     k = k.as_integer_ratio()
     *seeds, lo_bits = diagonal_seeds(k, radius + 1, bits + 64)

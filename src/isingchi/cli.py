@@ -35,11 +35,8 @@ class UsageError(Exception):
 
 
 def _parse_grid(text):
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise UsageError("grid must look like 64x64, got %r" % text)
     try:
-        nx, ny = int(parts[0]), int(parts[1])
+        nx, ny = map(int, text.lower().split("x"))
     except ValueError:
         raise UsageError("grid must look like 64x64, got %r" % text)
     if nx < 2 or ny < 2:
@@ -236,13 +233,8 @@ def run(argv=None):
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
-        if args.subcommand == "corr":
-            return _cmd_corr(args)
-        if args.subcommand == "chi":
-            return _cmd_chi(args)
-        if args.subcommand == "fib":
-            return _cmd_fib(args)
-        return _cmd_verify(args)
+        commands = {"corr": _cmd_corr, "chi": _cmd_chi, "fib": _cmd_fib}
+        return commands.get(args.subcommand, _cmd_verify)(args)
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

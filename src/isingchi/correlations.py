@@ -14,7 +14,13 @@ the next-to-diagonal entries, and superdiagonal sweeps of the two
 quadratic recurrences the rest of the octant.  All of it, from the closed
 forms to the stored table, is fixed point on Python integers: the modulus
 enters as an exact ratio, which each stage floors at its own bits, and
-the AGM at modulus k gives every closed form.  The recurrences cancel
+the AGM at modulus k gives every closed form.  One guard rule, _loss_bits
+= n log2(1/k), sets those bits: the symbol's forward recurrence, which
+computes a minimal solution (about k^|j|) against a dominant k^-|j| one
+(Gautschi 1967), carries twice it; the Levinson minors and the march,
+whose C seeds shrink like k^n, carry it once; and build_table refuses a
+radius R where twice it at R, the sweep's small-k loss estimate, leaves
+too few bits.  The recurrences cancel
 catastrophically, losing bits roughly linearly with distance from the
 diagonal, so double precision is only good to radius 12 or so.  The star
 and corner identities are not consumed; their residuals and the
@@ -76,6 +82,13 @@ def _fixed(k, bits):
     return (num << bits) // den
 
 
+def _loss_bits(k, n):
+    """n log2(1/k) of the ratio k, the one guard rule of the build: see the
+    module docstring."""
+    num, den = k
+    return n * (math.log2(den) - math.log2(num))
+
+
 def _symbol_coefficients(k, n_top, precision):
     """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top, as
     integers x 2^bits, and those bits.
@@ -88,11 +101,12 @@ def _symbol_coefficients(k, n_top, precision):
     a_0 = 2E/pi = (1 - S)/M and a_{-1} = -2 [E - (1 - k^2) K] / (pi k) =
     -(k^2 - S)/(k M), with M and S from one AGM (the pi in front of K and E
     cancels), it runs outward both ways in O(n_top) steps for any k, with
-    2 (n_top + 2) log2(1/k) + 32 guard bits over precision against the
-    k^-2|j| growth of the unwanted solution.  The minors run at the same bits.
+    2 _loss_bits(k, n_top + 2) + 32 guard bits over precision against the
+    k^-2|j| growth of the unwanted solution, then one shift hands them on at
+    half that guard, the minors' bits.
     """
-    num, den = k
-    bits = precision + int(2 * (n_top + 2) * (math.log2(den) - math.log2(num))) + 32
+    loss = _loss_bits(k, n_top + 2)
+    bits = precision + int(2 * loss) + 32
     kf = _fixed(k, bits)
     m, s = agm(kf, bits)
     k2, o2 = kf * kf, 1 << 2 * bits
@@ -103,7 +117,8 @@ def _symbol_coefficients(k, n_top, precision):
         a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
                 - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
                 ) // (kf * (2 * j + 1) << bits)
-    return a, bits
+    out = precision + int(loss) + 32
+    return {j: x >> bits - out for j, x in a.items()}, out
 
 
 def _toeplitz_minors(t, bits):
@@ -142,9 +157,10 @@ def diagonal_seeds(k, n_max, precision):
     k is the modulus as an exact ratio (num, den), precision the working
     bits.  C_bar(n,n) = det[a_{i-j}] of order n, and C(n,n) = -e_b C_bar(n,n)
     by the cofactor identity of _toeplitz_minors (both frozen against the
-    transfer-matrix oracle), so one Levinson recursion at the symbol's bits
-    gives both diagonals in O(n_max^2).  Returns (C, C_bar, bits), unrounded
-    integers x 2^bits; a non-positive seed means the precision ran out.
+    transfer-matrix oracle), so one Levinson recursion at the symbol's
+    coefficient bits, precision + _loss_bits(k, n_max + 2) + 32, gives both
+    diagonals in O(n_max^2).  Returns (C, C_bar, bits), unrounded integers
+    x 2^bits; a non-positive seed means the precision ran out.
     """
     num, den = k
     if not 0 < num < den:
@@ -364,11 +380,11 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
     and resolving negative first indices by symmetry.  A radius at which
-    the loss model's small-k estimate, 2 R log2(1/k) bits, leaves fewer
+    the loss model's small-k estimate, 2 _loss_bits(k, R), leaves fewer
     than MIN_DIVISOR_BITS is refused before any work; an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in about 0.15 s.
+    entry.  Radius 100 at 512 bits builds in about 0.12 s.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -385,14 +401,14 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
             "diverges and a fixed-radius table is meaningless"
             % (k_req, EPS_CRITICAL))
 
+    k = sorted(k_req.as_integer_ratio())  # exact; 1/k_req above 1
     bits = precision_bits + _SEED_GUARD_BITS
-    n = int((bits - MIN_DIVISOR_BITS) / (2 * abs(math.log2(k_req)))) + 1
+    n = int((bits - MIN_DIVISOR_BITS) / _loss_bits(k, 2)) + 1
     if radius >= n:  # n: the first radius the small-k loss estimate rules out
         raise PrecisionExhausted(
             "estimated small-k loss leaves fewer than %d of %d bits; raise "
             "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
 
-    k = sorted(k_req.as_integer_ratio())  # exact; 1/k_req above 1
     diag = diagonal_seeds(k, radius + 1, bits)
     seeds = diag, next_diagonal_seeds(k, diag, bits)  # seeds[n - m][family][m]
 

@@ -29,8 +29,6 @@ import tempfile
 from contextlib import suppress
 from functools import cache
 
-from .correlations import lookup
-
 __all__ = [
     "ConfigError",
     "format_float",
@@ -180,13 +178,13 @@ def _atomic_write(path, chunks):
 
 
 def write_corr_csv(path, table):
-    """Octant of a correlation table, rows ordered by (n - m, m)."""
-    points = sorted((n - m, m, n) for m in range(table.radius + 1)
-                    for n in range(m, table.radius + 1))
-    _atomic_write(path, ["m,n,C,Cbar\n"] + [
-        "%d,%d,%s,%s\n" % (m, n, format_float(lookup(table, m, n)),
-                           format_float(lookup(table, m, n, "Cbar")))
-        for _, m, n in points])
+    """Octant of a correlation table, rows ordered by (n - m, m), each entry
+    divided by the table's scale once and printed as format_float does."""
+    C, C_bar, scale, size = table.C, table.C_bar, table.scale, table.radius + 1
+    _atomic_write(path, ["m,n,C,Cbar\n" + "".join([
+        "%d,%d,%.17g,%.17g\n" % (m, m + d, C[m][m + d] / scale,
+                                 C_bar[m][m + d] / scale)
+        for d in range(size) for m in range(size - d)])])
 
 
 _CHI_BLOCK_ROWS = 8

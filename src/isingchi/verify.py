@@ -143,13 +143,7 @@ def _suite_chi(tolerance):
 
 def _identity_rows(C, C_bar, k, radius, tol):
     """Rows for the four pair identities on quadrant dicts C and C_bar."""
-
-    def c(m, n):
-        return C[(abs(m), abs(n))]
-
-    def cb(m, n):
-        return C_bar[(abs(m), abs(n))]
-
+    c, cb = (lambda m, n, v=v: v[(abs(m), abs(n))] for v in (C, C_bar))
     names = ("quad-recurrence-y", "quad-recurrence-x", "corner-determinant",
              "neighbour-star")
     residuals = {name: {} for name in names}

@@ -345,18 +345,25 @@ def test_vanishing_minor_is_precision_exhaustion(t0, order):
 
 @pytest.mark.parametrize("k, radius, bits", [(0.1, 32, 256), (0.05, 30, 256),
                                              (0.5, 100, 512), (0.0718, 40, 256),
-                                             (0.9, 100, 512)])
+                                             (0.9, 100, 512), (0.1, 100, 1024),
+                                             (0.01, 40, 256)])
 def test_seeds_match_deeper_build(k, radius, bits):
-    # diagonal_seeds as build_table calls it (bits + 64, radius + 1) keeps
-    # its guard bits: the minors run at the symbol's guard, which grows as
-    # log2(1/k) per order, since the C seeds shrink like k^n.  A flat
-    # 64-bit guard reads 2^-270.7 at (0.1, 32, 256).
+    # diagonal_seeds and next_diagonal_seeds as build_table calls them
+    # (bits + 64, radius + 1) keep their guard bits against seeds 512 bits
+    # deeper.  The minors and the march run at log2(1/k) guard bits per
+    # order, half the symbol's, since the C seeds shrink like k^n.  With a
+    # flat 32-bit guard the march fails its cross-check at (0.1, 32, 256)
+    # and the seeds read 2^-502.9 at (0.5, 100, 512).  build_table refuses
+    # (0.01, 40, 256) by its sweep estimate, so the seeds are called directly.
     k = k.as_integer_ratio()
-    *seeds, lo_bits = diagonal_seeds(k, radius + 1, bits + 64)
-    *deep, hi_bits = diagonal_seeds(k, radius + 1, 2 * bits)
+    diag = diagonal_seeds(k, radius + 1, bits + 64)
+    deep = diagonal_seeds(k, radius + 1, bits + 64 + 512)
+    lo_bits, hi_bits = diag[2], deep[2]
+    seeds = (*diag[:2], *next_diagonal_seeds(k, diag, bits + 64))
+    deeper = (*deep[:2], *next_diagonal_seeds(k, deep, bits + 64 + 512))
     # integers x 2^lo_bits and x 2^hi_bits, compared exactly
     worst = max(mp.mpf(abs((lo << hi_bits - lo_bits) - hi)) / hi
-                for lo_family, hi_family in zip(seeds, deep)
+                for lo_family, hi_family in zip(seeds, deeper)
                 for lo, hi in zip(lo_family, hi_family))
     assert worst <= mp.mpf(2) ** -(bits + 40), mp.log(worst, 2)
 

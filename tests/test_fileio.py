@@ -60,6 +60,23 @@ def test_corr_csv_converts_each_entry_once(tmp_path, counted_entries):
     assert len(calls) == (R + 1) * (R + 2)  # C and Cbar per octant entry
 
 
+@pytest.mark.parametrize("k, radius, precision_bits",
+                         [(2.0, 8, 256), (0.5, 12, 53), (0.05, 30, 256)])
+def test_corr_csv_rows_match_lookup_rendering(tmp_path, k, radius, precision_bits):
+    # the writer divides the integers itself; each row must read as
+    # format_float of lookup does, on a swapped table, a 53-bit table and
+    # one whose far entries are the smallest a 256-bit table holds
+    table = build_table(k, radius, precision_bits)
+    path = tmp_path / "corr.csv"
+    write_corr_csv(path, table)
+    points = sorted((n - m, m, n) for m in range(radius + 1)
+                    for n in range(m, radius + 1))
+    assert path.read_text().splitlines()[1:] == [
+        "%d,%d,%s,%s" % (m, n, format_float(lookup(table, m, n)),
+                         format_float(lookup(table, m, n, "Cbar")))
+        for _, m, n in points]
+
+
 def test_chi_csv_row_major_qy_outer(tmp_path, table05_r30):
     grid = chi_grid(("uniform", table05_r30), 4, 3, 5)
     path = tmp_path / "chi.csv"

@@ -117,8 +117,8 @@ def _symbol_coefficients(k, n_top, precision):
         a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
                 - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
                 ) // (kf * (2 * j + 1) << bits)
-    out = precision + int(loss) + 32
-    return {j: x >> bits - out for j, x in a.items()}, out
+    seed_bits = precision + int(loss) + 32
+    return {j: x >> bits - seed_bits for j, x in a.items()}, seed_bits
 
 
 def _toeplitz_minors(t, bits):

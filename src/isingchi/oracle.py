@@ -11,9 +11,7 @@ The cylinder operator is never materialized as a dense 2^W x 2^W matrix;
 the bond layer factorizes over sites.  It is applied as W perfect-shuffle
 passes: each mixes the even and odd entries (the lowest site) and writes
 the two results as the low and high halves, which moves the next site
-into the lowest place.  The passes ping-pong between the two rows of one
-buffer and form each product in one scratch array, so a layer allocates
-twice per call, not five times per pass.
+into the lowest place.
 
 Every cylinder vector has a definite parity p under the global spin flip
 c -> 2^W - 1 - c, so only its 2^(W-1) entries whose top bit is 0 are
@@ -22,8 +20,12 @@ inner vector are even (p = +1); a chain started from one spin insertion
 is odd (p = -1).  A shuffle pass on the half writes the low half of the
 full result directly and the high half as the parity times its reversed
 partner, so one layer costs O(W 2^(W-1)) and every vector takes half the
-memory.  Every integrand is flip-even, so inner products over the stored
-half give the correlations unchanged.
+memory.  Each pass forms two products over the whole half, x = e^K v and
+y = p e^-K v, and joins them with one add or subtract per output half:
+low = x_even + p y_odd, high reversed = y_even + p x_odd.  IEEE negation
+is exact, so folding the parity into that one sign changes no bit of the
+per-site sums.  Every integrand is flip-even, so inner products over the
+stored half give the correlations unchanged.
 
 Each cylinder is solved once and walked once.  eigsh, a restarted
 Lanczos iteration with full reorthogonalisation, finds the one leading
@@ -179,24 +181,26 @@ def _ring_fields(W):
 
     seam is the single wrap bond s_{W-1} s_0; subtracting twice its value
     from the uniform field turns the ring antiperiodic.  Fields are
-    flip-even.
+    flip-even.  Bit i of c ^ rot(c), the index turned right by one, is set
+    where bond s_i s_{i+1 mod W} is broken; the fields count those bits.
     """
     c = np.arange(1 << (W - 1), dtype=np.int64)
-    s = [1 - 2 * ((c >> i) & 1) for i in range(W)]
-    f = np.zeros(c.size, dtype=np.int64)
-    f_alt = np.zeros(c.size, dtype=np.int64)
-    for i in range(W):
-        prod = s[i] * s[(i + 1) % W]
-        f += prod
-        f_alt += (-1) ** i * prod
-    seam = s[W - 1] * s[0]
-    return f.astype(np.float64), f_alt.astype(np.float64), seam.astype(np.float64)
+    broken = c ^ ((c >> 1) | ((c & 1) << (W - 1)))
+    # all broken bonds and the even ones, summed in ever wider bit fields
+    evens = sum(1 << i for i in range(0, W, 2))
+    counts, w = np.stack((broken, broken & evens)), 1
+    while w < W:
+        m = sum(((1 << w) - 1) << j for j in range(0, W, 2 * w))
+        counts, w = (counts & m) + ((counts >> w) & m), 2 * w
+    n, n_even = counts
+    fields = W - 2 * n, W % 2 - 2 * (2 * n_even - n), 1 - 2 * (broken >> (W - 1))
+    return tuple(f.astype(np.float64) for f in fields)
 
 
-def _spin_diag(W, y):
-    """The spin at ring site y on the stored half; it is flip-odd."""
+def _spin_diags(W, ys):
+    """The spins at ring sites ys on the stored half; they are flip-odd."""
     c = np.arange(1 << (W - 1), dtype=np.int64)
-    return (1 - 2 * ((c >> (y % W)) & 1)).astype(np.float64)
+    return [(1 - 2 * ((c >> (y % W)) & 1)).astype(np.float64) for y in ys]
 
 
 def _unfold(h, parity):
@@ -207,16 +211,16 @@ def _unfold(h, parity):
 def _apply_bond_layer(v, W, K, parity):
     """Multiply a folded vector of flip parity +-1 by the inter-column bond
     factor: W shuffle passes, low site first."""
-    ep, em = np.exp(K), np.exp(-K)
+    ep, em = np.exp(K), parity * np.exp(-K)
+    join = np.add if parity == 1 else np.subtract
     q = 1 << (W - 2)
-    buf, tmp = np.empty((2, 2 * q)), np.empty(q)
-    for i in range(W):
-        a0, a1 = v[0::2], v[1::2]
-        v = buf[i % 2]
-        np.multiply(ep, a0, out=v[:q])
-        v[:q] += np.multiply(em, a1, out=tmp)
-        np.multiply(parity * em, a0[::-1], out=v[q:])
-        v[q:] += np.multiply(parity * ep, a1[::-1], out=tmp)
+    (x, y), out = np.empty((2, 2 * q)), np.empty(2 * q)
+    for _ in range(W):
+        np.multiply(ep, v, out=x)
+        np.multiply(em, v, out=y)
+        v = out
+        join(x[0::2], y[1::2], out=v[:q])
+        join(y[0::2], x[1::2], out=v[q:][::-1])
     return v
 
 
@@ -364,7 +368,7 @@ class _Cylinder:
         The chain carries one spin insertion, so it is flip-odd.
         """
         (x0, y0), W, K, lam = base, self.W, self.spec.K, self.lam
-        sa = _spin_diag(W, y0)
+        sa, *far = _spin_diags(W, [y0] + [y0 + dy for dy in dys])
         if self.two_column:
             ends = (self.psi, self.d1 * self.inner)
             half0, d1 = self.half0, self.d1
@@ -375,13 +379,12 @@ class _Cylinder:
             ends = (self.psi, self.psi)
             steps = (lambda v: self._block(v, -1) / lam,) * 2
             l = sa * self.psi
-        spins = {dy: _spin_diag(W, y0 + dy) for dy in dys}
         out = {}
         for dx in range(dx_max + 1):
             if dx:
                 l = steps[(x0 + dx - 1) % 2](l)
             lr = l * ends[(x0 + dx) % 2]
-            out.update(((dx, dy), _dot(lr, s)) for dy, s in spins.items())
+            out.update(((dx, dy), _dot(lr, s)) for dy, s in zip(dys, far))
         return out
 
     def correlation(self, base, delta):
@@ -423,7 +426,7 @@ def torus_correlation(W, L, K, site_a, site_b, ring_mode="uniform"):
     ins = {}
     for (x, y) in (site_a, site_b):
         key = x % L
-        ins[key] = ins.get(key, np.ones(dim)) * _unfold(_spin_diag(W, y), -1)
+        ins[key] = ins.get(key, np.ones(dim)) * _unfold(_spin_diags(W, [y])[0], -1)
 
     def column(x):
         m = d[x % 2][:, None] * B
@@ -547,11 +550,8 @@ def oracle_pair_correlations(k, radius):
 
         raw = {}
         for dy in range(top + 1):
-            if averaged:
-                ws = [w for w in even if w >= 2 * dy]
-                if len(ws) < 3:
-                    ws = list(range(max(8, 2 * dy), MAX_CYLINDER_W + 1))
-            else:
+            ws = [w for w in even if w >= 2 * dy] if averaged else []
+            if len(ws) < 3:
                 ws = list(range(max(8, 2 * dy), MAX_CYLINDER_W + 1))
             for dx in range(top + 1):
                 series = []

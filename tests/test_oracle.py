@@ -19,7 +19,7 @@ from isingchi.oracle import (
     torus_correlation,
 )
 from isingchi.oracle import (_apply_bond_layer, _column_ring_fields,
-                             _Cylinder, _dense_bond_layer, _spin_diag,
+                             _Cylinder, _dense_bond_layer, _spin_diags,
                              _unfold, eigsh)
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
@@ -34,6 +34,20 @@ def _per_site_bond_layer(v, W, K):
         dn = em * v[:, 0, :] + ep * v[:, 1, :]
         v = np.stack((up, dn), axis=1)
     return v.reshape(-1)
+
+
+def _per_site_ring_fields(W):
+    """(uniform, alternating, seam) ring fields as a product per bond."""
+    c = np.arange(1 << (W - 1), dtype=np.int64)
+    s = [1 - 2 * ((c >> i) & 1) for i in range(W)]
+    f = np.zeros(c.size, dtype=np.int64)
+    f_alt = np.zeros(c.size, dtype=np.int64)
+    for i in range(W):
+        prod = s[i] * s[(i + 1) % W]
+        f += prod
+        f_alt += (-1) ** i * prod
+    seam = s[W - 1] * s[0]
+    return f.astype(np.float64), f_alt.astype(np.float64), seam.astype(np.float64)
 
 
 def test_two_site_chain_is_tanh():
@@ -80,7 +94,10 @@ def test_bond_layer_shuffle_is_bit_identical():
     # result reversed, so the output keeps its parity
     rng = np.random.default_rng(31)
     for W in range(2, 17):
-        for K in (0.3, 1.2):
+        # two generic couplings, no coupling, and the three the verify
+        # suites solve: sinh 2K = sqrt(0.5), 1/sqrt(0.5) and 1
+        for K in (0.3, 1.2, 0.0, math.asinh(math.sqrt(0.5)) / 2,
+                  math.asinh(1 / math.sqrt(0.5)) / 2, math.asinh(1) / 2):
             for p in (1, -1):
                 h = rng.standard_normal(1 << (W - 1))
                 got = _apply_bond_layer(h, W, K, p)
@@ -89,9 +106,25 @@ def test_bond_layer_shuffle_is_bit_identical():
                 assert np.array_equal(got, want[:h.size])
                 assert np.array_equal(want[h.size:], p * got[::-1])
                 if W <= 8:
-                    dense = _dense_bond_layer(W, K) @ full
-                    assert (np.abs(_unfold(got, p) - dense).max()
-                            <= 1e-13 * np.abs(dense).max())
+                    # rounding is relative to B |v| (B is positive): at
+                    # K = 0 an odd vector maps to exactly zero
+                    B = _dense_bond_layer(W, K)
+                    assert (np.abs(_unfold(got, p) - B @ full).max()
+                            <= 1e-13 * (B @ np.abs(full)).max())
+
+
+def test_ring_fields_match_the_per_bond_products():
+    # the broken-bond count gives the same floats as one product per
+    # bond, for every width and ring mode the cylinders take
+    for W in range(2, 17):
+        f, f_alt, seam = _per_site_ring_fields(W)
+        want = {"uniform": [f, f], "antiperiodic": [f - 2 * seam] * 2,
+                "columnar": [f, -f], "checkerboard": [f_alt, -f_alt]}
+        for mode, fields in want.items():
+            if mode in ("columnar", "checkerboard") and W % 2:
+                continue
+            got = _column_ring_fields(CylinderSpec(W, 0.3, mode))
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in fields]
 
 
 def test_antiperiodic_torus_matches_enumeration():
@@ -164,8 +197,8 @@ def test_pair_table_matches_a_chain_per_ring_separation():
     cyl = _Cylinder(CylinderSpec(10, K, "uniform"))
     table = cyl.pair_table((0, 0), 5, range(6))
     for dy in range(6):
-        left = _spin_diag(10, 0) * cyl.psi
-        v = _spin_diag(10, dy) * cyl.psi
+        s0, s_dy = _spin_diags(10, [0, dy])
+        left, v = s0 * cyl.psi, s_dy * cyl.psi
         for dx in range(6):
             assert table[(dx, dy)] == pytest.approx(float(left @ v), abs=1e-14)
             v = cyl._block(v, -1) / cyl.lam

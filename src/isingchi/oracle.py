@@ -21,11 +21,11 @@ is odd (p = -1).  A shuffle pass on the half writes the low half of the
 full result directly and the high half as the parity times its reversed
 partner, so one layer costs O(W 2^(W-1)) and every vector takes half the
 memory.  Each pass forms two products over the whole half, x = e^K v and
-y = p e^-K v, and joins them with one add or subtract per output half:
-low = x_even + p y_odd, high reversed = y_even + p x_odd.  IEEE negation
-is exact, so folding the parity into that one sign changes no bit of the
-per-site sums.  Every integrand is flip-even, so inner products over the
-stored half give the correlations unchanged.
+y = p e^-K v, and joins them with one add or subtract per output half
+(low = x_even + p y_odd, high reversed = y_even + p x_odd); IEEE negation
+is exact, so folding the parity into that one sign changes no bit.  Every
+integrand is flip-even, so inner products over the stored half give the
+correlations unchanged.
 
 Each cylinder is solved once and walked once.  eigsh, a restarted
 Lanczos iteration with full reorthogonalisation, finds the one leading
@@ -53,6 +53,7 @@ of the package, and isingchi.verify compares the fast path with it.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -176,6 +177,14 @@ def enumerate_correlation(lat, site_a, site_b):
 # factors [[e^K, e^-K], [e^-K, e^K]] joining the column to the next one.
 
 
+@cache
+def _half_index(W):
+    """The indices c of the stored half, built once per width (read-only)."""
+    c = np.arange(1 << (W - 1), dtype=np.int64)
+    c.flags.writeable = False
+    return c
+
+
 def _ring_fields(W):
     """(uniform, alternating, seam) ring bond fields on the stored half.
 
@@ -184,23 +193,21 @@ def _ring_fields(W):
     flip-even.  Bit i of c ^ rot(c), the index turned right by one, is set
     where bond s_i s_{i+1 mod W} is broken; the fields count those bits.
     """
-    c = np.arange(1 << (W - 1), dtype=np.int64)
+    c = _half_index(W)
     broken = c ^ ((c >> 1) | ((c & 1) << (W - 1)))
-    # all broken bonds and the even ones, summed in ever wider bit fields
-    evens = sum(1 << i for i in range(0, W, 2))
-    counts, w = np.stack((broken, broken & evens)), 1
-    while w < W:
-        m = sum(((1 << w) - 1) << j for j in range(0, W, 2 * w))
-        counts, w = (counts & m) + ((counts >> w) & m), 2 * w
-    n, n_even = counts
+    n, n_even = np.zeros((2, c.size), dtype=np.int64)
+    for i in range(W):
+        bit = (broken >> i) & 1
+        n += bit
+        if i % 2 == 0:
+            n_even += bit
     fields = W - 2 * n, W % 2 - 2 * (2 * n_even - n), 1 - 2 * (broken >> (W - 1))
     return tuple(f.astype(np.float64) for f in fields)
 
 
-def _spin_diags(W, ys):
-    """The spins at ring sites ys on the stored half; they are flip-odd."""
-    c = np.arange(1 << (W - 1), dtype=np.int64)
-    return [(1 - 2 * ((c >> (y % W)) & 1)).astype(np.float64) for y in ys]
+def _spin_diag(W, y):
+    """The spin at ring site y on the stored half; it is flip-odd."""
+    return (1 - 2 * ((_half_index(W) >> (y % W)) & 1)).astype(np.float64)
 
 
 def _unfold(h, parity):
@@ -314,13 +321,10 @@ class CylinderSpec:
 def _column_ring_fields(spec):
     """Ring field per column parity: [column x even, column x odd]."""
     f, f_alt, seam = _ring_fields(spec.W)
-    if spec.ring_mode == "uniform":
-        return [f, f]
-    if spec.ring_mode == "antiperiodic":
-        return [f - 2 * seam, f - 2 * seam]
-    if spec.ring_mode == "columnar":
-        return [f, -f]
-    return [f_alt, -f_alt]
+    if spec.ring_mode in ("uniform", "antiperiodic"):
+        g = f if spec.ring_mode == "uniform" else f - 2 * seam
+        return [g, g]
+    return [f, -f] if spec.ring_mode == "columnar" else [f_alt, -f_alt]
 
 
 class _Cylinder:
@@ -368,7 +372,7 @@ class _Cylinder:
         The chain carries one spin insertion, so it is flip-odd.
         """
         (x0, y0), W, K, lam = base, self.W, self.spec.K, self.lam
-        sa, *far = _spin_diags(W, [y0] + [y0 + dy for dy in dys])
+        sa = _spin_diag(W, y0)
         if self.two_column:
             ends = (self.psi, self.d1 * self.inner)
             half0, d1 = self.half0, self.d1
@@ -379,12 +383,13 @@ class _Cylinder:
             ends = (self.psi, self.psi)
             steps = (lambda v: self._block(v, -1) / lam,) * 2
             l = sa * self.psi
+        spins = {dy: _spin_diag(W, y0 + dy) for dy in dys}
         out = {}
         for dx in range(dx_max + 1):
             if dx:
                 l = steps[(x0 + dx - 1) % 2](l)
             lr = l * ends[(x0 + dx) % 2]
-            out.update(((dx, dy), _dot(lr, s)) for dy, s in zip(dys, far))
+            out.update(((dx, dy), _dot(lr, s)) for dy, s in spins.items())
         return out
 
     def correlation(self, base, delta):
@@ -426,7 +431,7 @@ def torus_correlation(W, L, K, site_a, site_b, ring_mode="uniform"):
     ins = {}
     for (x, y) in (site_a, site_b):
         key = x % L
-        ins[key] = ins.get(key, np.ones(dim)) * _unfold(_spin_diags(W, [y])[0], -1)
+        ins[key] = ins.get(key, np.ones(dim)) * _unfold(_spin_diag(W, y), -1)
 
     def column(x):
         m = d[x % 2][:, None] * B
@@ -434,12 +439,10 @@ def torus_correlation(W, L, K, site_a, site_b, ring_mode="uniform"):
             m = ins[x][:, None] * m
         return m
 
-    prod = np.eye(dim)
-    prod_plain = np.eye(dim)
+    prod, prod_plain = np.eye(dim), np.eye(dim)
     for x in range(L):
         prod = column(x) @ prod
-        m = d[x % 2][:, None] * B
-        prod_plain = m @ prod_plain
+        prod_plain = (d[x % 2][:, None] * B) @ prod_plain
         scale = np.abs(prod_plain).max()
         prod /= scale
         prod_plain /= scale
@@ -567,11 +570,8 @@ def oracle_pair_correlations(k, radius):
                     raw[(dx, dy)] = _limit_single(ws, series)
                 else:
                     raw[(dx, dy)] = _limit_deep(ws, series)
-        if averaged:
-            out.append(raw)
-        else:
-            out.append({key: 0.5 * (raw[key] + raw[key[::-1]])
-                        for key in raw})
+        out.append(raw if averaged else
+                   {key: 0.5 * (raw[key] + raw[key[::-1]]) for key in raw})
     return out[0], out[1]
 
 

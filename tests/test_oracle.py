@@ -19,7 +19,7 @@ from isingchi.oracle import (
     torus_correlation,
 )
 from isingchi.oracle import (_apply_bond_layer, _column_ring_fields,
-                             _Cylinder, _dense_bond_layer, _spin_diags,
+                             _Cylinder, _dense_bond_layer, _spin_diag,
                              _unfold, eigsh)
 from isingchi.verify import (VerificationReport, _identity_rows,
                              _suite_frustrated, _table_rows, run_suite)
@@ -106,11 +106,13 @@ def test_bond_layer_shuffle_is_bit_identical():
                 assert np.array_equal(got, want[:h.size])
                 assert np.array_equal(want[h.size:], p * got[::-1])
                 if W <= 8:
-                    # rounding is relative to B |v| (B is positive): at
-                    # K = 0 an odd vector maps to exactly zero
                     B = _dense_bond_layer(W, K)
-                    assert (np.abs(_unfold(got, p) - B @ full).max()
-                            <= 1e-13 * (B @ np.abs(full)).max())
+                    dense = B @ full
+                    # at K = 0 an odd vector maps to exactly zero, so
+                    # only there is the rounding measured against B |v|
+                    scale = B @ np.abs(full) if K == 0 else dense
+                    assert (np.abs(_unfold(got, p) - dense).max()
+                            <= 1e-13 * np.abs(scale).max())
 
 
 def test_ring_fields_match_the_per_bond_products():
@@ -197,8 +199,8 @@ def test_pair_table_matches_a_chain_per_ring_separation():
     cyl = _Cylinder(CylinderSpec(10, K, "uniform"))
     table = cyl.pair_table((0, 0), 5, range(6))
     for dy in range(6):
-        s0, s_dy = _spin_diags(10, [0, dy])
-        left, v = s0 * cyl.psi, s_dy * cyl.psi
+        left = _spin_diag(10, 0) * cyl.psi
+        v = _spin_diag(10, dy) * cyl.psi
         for dx in range(6):
             assert table[(dx, dy)] == pytest.approx(float(left @ v), abs=1e-14)
             v = cyl._block(v, -1) / cyl.lam

@@ -10,8 +10,8 @@ library; quasiperiodic and chi add numpy.  The oracle and the
 verification suites are not re-exported: import them from isingchi.oracle
 and isingchi.verify.  No module loads scipy or mpmath.
 
-The CLI follows suit: `corr` loads only the standard library, and `chi`,
-`fib` and `verify` add numpy.
+The CLI follows suit: `corr` and `verify elliptic` load only the
+standard library; `chi`, `fib` and the other `verify` suites add numpy.
 """
 
 import importlib

@@ -6,7 +6,8 @@ named by --config supplies `key = value` defaults for any long flag;
 explicit flags win.
 
 Each subcommand imports the modules its work needs when it runs: `corr`
-loads only the standard library, and `chi`, `fib` and `verify` add numpy.
+and `verify elliptic` load only the standard library, and `chi`, `fib`
+and the other `verify` suites add numpy.
 """
 
 import argparse

@@ -3,17 +3,18 @@
 This module judges: each suite compares a computation with an
 independent reference, names its rows and sets their tolerances.  The
 recurrence and frustrated suites check build_table and ff_correlation
-against isingchi.oracle, which only computes, and import it when they
-run; the others are seeded property checks against a hypergeometric
-series and exact identities.
+against isingchi.oracle, which only computes; the others are seeded
+property checks against a hypergeometric series and exact identities.
+Each suite imports what it alone uses when it runs: the oracle (and so
+numpy) for recurrence and frustrated, numpy for couplings, and numpy and
+isingchi.chi for chi.  The module and the elliptic suite need only the
+standard library.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .chi import chi_column_gauge, chi_grid, chi_uniform
 from .correlations import _identity_residuals, build_table, lookup
 from .couplings import coupling_pair, quarter_period
 from .elliptic import complete_elliptic_K
@@ -76,8 +77,9 @@ def _hypergeometric_K(m):
 
 
 def _suite_elliptic(tolerance):
+    rng = random.Random(_SEED)
     res = {"m=%.6f" % m: complete_elliptic_K(m) - _hypergeometric_K(m)
-           for m in np.random.default_rng(_SEED).uniform(0.01, 0.98, 20)}
+           for m in (rng.uniform(0.01, 0.98) for _ in range(20))}
     zero = {"m=0": complete_elliptic_K(0.0) - math.pi / 2}
     return VerificationReport(rows=(
         _worst("K-at-zero", zero, _tol(tolerance, 1e-15)),
@@ -86,6 +88,7 @@ def _suite_elliptic(tolerance):
 
 
 def _suite_couplings(tolerance):
+    import numpy as np
     rng = np.random.default_rng(_SEED + 1)
     prod_res, flip_res = {}, {}
     for _ in range(1000):
@@ -106,6 +109,9 @@ def _suite_couplings(tolerance):
 
 
 def _suite_chi(tolerance):
+    import numpy as np
+    from .chi import chi_column_gauge, chi_grid, chi_uniform
+
     rng = np.random.default_rng(_SEED + 2)
     table = build_table(0.5, 30)
     grid = chi_grid(("uniform", table), 64, 64, 30)
@@ -154,24 +160,25 @@ def _identity_rows(C, C_bar, k, radius, tol):
     return [_worst(name, residuals[name], tol) for name in names]
 
 
-def _table_rows(k, radius, C, C_bar, tol):
-    """Worst |build_table - oracle| over both families, m, n <= radius + 1."""
+def _table_rows(k, radius, C, C_bar, tolerance):
+    """Worst |build_table - oracle| per family, m, n <= radius + 1: C to
+    1e-7, C_bar (the oracle's slower, two-orientation limit) to 1e-6."""
     table = build_table(k, radius + 1).floats
-    gaps = {}
-    for label, slow in (("C", C), ("Cbar", C_bar)):
-        for (m, n), value in slow.items():
-            gaps["%s(%d %d)" % (label, m, n)] = lookup(table, m, n, label) - value
-    return [_worst("table-vs-oracle", gaps, tol)]
+    return [_worst("table-vs-oracle-" + label,
+                   {"(%d %d)" % mn: lookup(table, *mn, label) - value
+                    for mn, value in slow.items()},
+                   _tol(tolerance, default))
+            for label, slow, default in (("C", C, 1e-7), ("Cbar", C_bar, 1e-6))]
 
 
 def _suite_recurrence(tolerance):
     """Identities on the k = 0.5 oracle tables; build_table against them."""
     from .oracle import oracle_pair_correlations
 
-    tol = _tol(tolerance, 1e-6)
     C, C_bar = oracle_pair_correlations(0.5, 4)
     return VerificationReport(rows=tuple(
-        _identity_rows(C, C_bar, 0.5, 4, tol) + _table_rows(0.5, 4, C, C_bar, tol)))
+        _identity_rows(C, C_bar, 0.5, 4, _tol(tolerance, 1e-6))
+        + _table_rows(0.5, 4, C, C_bar, tolerance)))
 
 
 def _suite_frustrated(tolerance):

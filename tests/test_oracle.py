@@ -373,8 +373,14 @@ def _uniform_report(tol):
 def test_verify_identities_reports():
     rep = _uniform_report(1e-6)
     assert rep.passed
-    table_rows = [r for r in rep.rows if r.identity == "table-vs-oracle"]
-    assert len(table_rows) == 1 and table_rows[0].passed
+    table_rows = [r for r in rep.rows if r.identity.startswith("table-vs-oracle")]
+    assert [r.identity for r in table_rows] == ["table-vs-oracle-C",
+                                                "table-vs-oracle-Cbar"]
+    assert all(r.passed for r in table_rows)
+    # without an override C is held to 1e-7 and C_bar to 1e-6
+    defaults = _table_rows(0.5, 2, *oracle_pair_correlations(0.5, 2), None)
+    assert [(r.tolerance, r.passed) for r in defaults] == [(1e-7, True),
+                                                            (1e-6, True)]
     lines = rep.lines()
     assert len(lines) == len(rep.rows) + 1
     assert all("pass" in ln for ln in lines)

@@ -58,6 +58,18 @@ def test_bare_import_loads_neither_numpy_nor_mpmath():
     assert proc.stdout == "[]\n"
 
 
+def test_verify_import_loads_no_numpy():
+    # its suites import numpy, the oracle and isingchi.chi when they run,
+    # so a module-level import would make `verify elliptic` pay for numpy
+    code = ("import sys, isingchi.verify\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}"
+            " & {'numpy', 'mpmath', 'scipy'}))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_no_module_imports_mpmath():
     # every module runs on the standard library and numpy; tests may still
     # use mpmath as a reference

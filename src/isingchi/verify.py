@@ -111,7 +111,6 @@ def _suite_couplings(tolerance):
 def _suite_chi(tolerance):
     import numpy as np
     from .chi import chi_column_gauge, chi_grid, chi_uniform
-
     rng = np.random.default_rng(_SEED + 2)
     table = build_table(0.5, 30)
     grid = chi_grid(("uniform", table), 64, 64, 30)

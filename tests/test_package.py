@@ -48,26 +48,25 @@ def test_unknown_name_is_an_attribute_error():
     assert not hasattr(isingchi, "no_such_name")
 
 
-def test_bare_import_loads_neither_numpy_nor_mpmath():
-    code = ("import sys, isingchi\n"
+def _heavy_modules_loaded_by(module):
+    """numpy, mpmath and scipy, those a fresh `import module` loads."""
+    code = ("import sys, %s\n"
             "print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'numpy', 'mpmath', 'scipy'}))")
+            " & {'numpy', 'mpmath', 'scipy'}))" % module)
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_bare_import_loads_neither_numpy_nor_mpmath():
+    assert _heavy_modules_loaded_by("isingchi") == "[]\n"
 
 
 def test_verify_import_loads_no_numpy():
     # its suites import numpy, the oracle and isingchi.chi when they run,
     # so a module-level import would make `verify elliptic` pay for numpy
-    code = ("import sys, isingchi.verify\n"
-            "print(sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'numpy', 'mpmath', 'scipy'}))")
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _heavy_modules_loaded_by("isingchi.verify") == "[]\n"
 
 
 def test_no_module_imports_mpmath():

@@ -12,6 +12,8 @@ and isingchi.verify.  No module loads scipy or mpmath.
 
 The CLI follows suit: `corr` and `verify elliptic` load only the
 standard library; `chi`, `fib` and the other `verify` suites add numpy.
+The records (CorrelationTable, ChiGrid, the specs and the verify rows)
+are namedtuple subclasses, and no module imports dataclasses.
 """
 
 import importlib

@@ -17,7 +17,7 @@ on the grid as tail_bound.  It is an estimate, not a bound.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,31 +44,26 @@ class EstimationError(ArithmeticError):
     """The tail fit found non-decaying data; the window is too small for k."""
 
 
-@dataclass(frozen=True)
-class ChiGrid:
+class ChiGrid(namedtuple("ChiGrid", "nx ny qx qy values window_radius "
+                                   "tail_bound source")):
     """Susceptibility samples over the uniform Brillouin-zone grid.
 
     Grid point (i, j) sits at q = (2 pi i/nx - pi, 2 pi j/ny - pi);
     values[i, j] is chi there.  tail_bound estimates the truncation error
-    of every sample at window_radius; it is not a bound.
+    of every sample at window_radius; it is not a bound.  Its repr
+    leaves out the three arrays.
     """
 
-    nx: int
-    ny: int
-    qx: np.ndarray = field(repr=False)
-    qy: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    window_radius: int
-    tail_bound: float
-    source: str
+    __slots__ = ()
+
+    def __repr__(self):
+        return ("ChiGrid(nx=%r, ny=%r, window_radius=%r, tail_bound=%r, "
+                "source=%r)" % (self.nx, self.ny, self.window_radius,
+                                self.tail_bound, self.source))
 
 
-@dataclass(frozen=True)
-class Peak:
-    qx: float
-    qy: float
-    value: float
-    commensurate: bool
+class Peak(namedtuple("Peak", "qx qy value commensurate")):
+    __slots__ = ()
 
 
 def _cos_block(qs, seps):

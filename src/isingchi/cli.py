@@ -7,7 +7,8 @@ explicit flags win.
 
 Each subcommand imports the modules its work needs when it runs: `corr`
 and `verify elliptic` load only the standard library, and `chi`, `fib`
-and the other `verify` suites add numpy.
+and the other `verify` suites add numpy.  The package's records are
+namedtuples, so no command loads dataclasses or inspect for them.
 """
 
 import argparse

@@ -28,7 +28,7 @@ recurrences' are scanned when a table's residual_report is first read.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from itertools import count
 from operator import mul
@@ -262,8 +262,8 @@ def next_diagonal_seeds(k, diag, precision):
     return c_next, cbar_next
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
+class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
+                                 "precision_bits k_requested scale")):
     """A finished octant of C and C_bar values, immutable once built.
 
     C and C_bar are full (radius+1)-square nested tuples of integers,
@@ -276,13 +276,8 @@ class CorrelationTable:
     kept, for chi and verify; lookup serves either.
     """
 
-    radius: int
-    C: tuple
-    C_bar: tuple
-    precision_bits: int
-    k_requested: float
-    scale: int
-
+    # no __slots__: the two cached properties keep their values in the
+    # instance dict
     @property
     def swapped(self):
         return self.k_requested > 1
@@ -294,7 +289,7 @@ class CorrelationTable:
         C, C_bar = (np.array([[x / self.scale for x in row] for row in v])
                     for v in (self.C, self.C_bar))
         C.flags.writeable = C_bar.flags.writeable = False
-        return replace(self, C=C, C_bar=C_bar, scale=1)
+        return self._replace(C=C, C_bar=C_bar, scale=1)
 
     @cached_property
     def residual_report(self):
@@ -384,7 +379,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     than MIN_DIVISOR_BITS is refused before any work; an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in about 0.12 s.
+    entry.  Radius 100 at 512 bits takes 0.12-0.14 s (2-vCPU Xeon VM).
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")

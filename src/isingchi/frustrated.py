@@ -20,7 +20,7 @@ every separation class.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .correlations import TableRangeError, lookup
 
@@ -36,14 +36,13 @@ class TableMismatchError(ValueError):
     """The supplied table was built at a different modulus than the model's."""
 
 
-@dataclass(frozen=True)
-class FrustratedModel:
+class FrustratedModel(namedtuple("FrustratedModel", "S version")):
     """Model parameters: S = sinh(2J/kT) and the bond layout version."""
 
-    S: float
-    version: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, S, version):
+        self = super().__new__(cls, S, version)
         if not self.S > 0:
             raise ValueError("S must be positive, got %r" % (self.S,))
         if not 0 < self.k < 1:
@@ -52,6 +51,7 @@ class FrustratedModel:
         if self.version not in ("a", "b"):
             raise ValueError("version must be 'a' or 'b', got %r"
                              % (self.version,))
+        return self
 
     @property
     def k(self):

@@ -52,7 +52,7 @@ The oracle computes and never judges: it imports nothing from the rest
 of the package, and isingchi.verify compares the fast path with it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 import numpy as np
@@ -92,17 +92,14 @@ class ExtrapolationError(RuntimeError):
 # finite lattices and exhaustive enumeration
 
 
-@dataclass(frozen=True)
-class FiniteLatticeSpec:
+class FiniteLatticeSpec(namedtuple("FiniteLatticeSpec", "width height bonds")):
     """Explicit finite Ising instance: sites on a width x height grid.
 
     bonds is a tuple of (site_a, site_b, coupling) with couplings in units
     of beta*J; site index of (x, y) is x + width*y.
     """
 
-    width: int
-    height: int
-    bonds: tuple
+    __slots__ = ()
 
     @property
     def n_sites(self):
@@ -291,8 +288,7 @@ def _dense_bond_layer(W, K):
     return B
 
 
-@dataclass(frozen=True)
-class CylinderSpec:
+class CylinderSpec(namedtuple("CylinderSpec", "W K ring_mode")):
     """Infinite cylinder: circumference W (the ring), coupling scale K.
 
     ring_mode selects the in-column bond signs: "uniform" for the plain
@@ -303,11 +299,10 @@ class CylinderSpec:
     The frustrated modes have a two-column unit cell and require even W.
     """
 
-    W: int
-    K: float
-    ring_mode: str = "uniform"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, W, K, ring_mode="uniform"):
+        self = super().__new__(cls, W, K, ring_mode)
         if not 2 <= self.W <= MAX_CYLINDER_W:
             raise OracleCapacityError("circumference %d outside [2, %d]"
                                       % (self.W, MAX_CYLINDER_W))
@@ -316,6 +311,7 @@ class CylinderSpec:
             raise ValueError("unknown ring_mode %r" % (self.ring_mode,))
         if self.ring_mode in ("columnar", "checkerboard") and self.W % 2:
             raise ValueError("frustrated ring pattern needs even W")
+        return self
 
 
 def _column_ring_fields(spec):

@@ -13,7 +13,7 @@ sign autocorrelation computed here.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -38,19 +38,19 @@ def metallic_alpha(j):
     return ((j + 1) + math.sqrt((j + 1) ** 2 + 4)) / 2
 
 
-@dataclass(frozen=True)
-class FibonacciSpec:
+class FibonacciSpec(namedtuple("FibonacciSpec", "j gamma")):
     """Family index j and phase offset gamma of a generalized Fibonacci word."""
 
-    j: int
-    gamma: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, j, gamma=0.0):
+        self = super().__new__(cls, j, gamma)
         if self.j < 0 or self.j != int(self.j):
             raise ValueError("j must be a non-negative integer, got %r"
                              % (self.j,))
         if not 0 <= self.gamma < 1:
             raise ValueError("gamma must lie in [0, 1), got %r" % (self.gamma,))
+        return self
 
     @property
     def alpha(self):

@@ -13,7 +13,7 @@ standard library.
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .correlations import _identity_residuals, build_table, lookup
 from .couplings import coupling_pair, quarter_period
@@ -26,18 +26,13 @@ __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 _SEED = 20240917
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    identity: str
-    location: str
-    residual: float
-    tolerance: float
-    passed: bool
+class IdentityCheck(namedtuple(
+        "IdentityCheck", "identity location residual tolerance passed")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    rows: tuple
+class VerificationReport(namedtuple("VerificationReport", "rows")):
+    __slots__ = ()
 
     @property
     def passed(self):

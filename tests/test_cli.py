@@ -375,26 +375,27 @@ def test_installed_entry_point():
 
 @pytest.mark.parametrize("argv, absent", [
     (["corr", "--k", "0.5", "--radius", "2", "--out", "{out}"],
-     ("numpy", "scipy", "mpmath")),
+     ("numpy", "scipy", "mpmath", "dataclasses")),
     # the elliptic suite draws its moduli with the standard library
-    (["verify", "elliptic"], ("numpy", "scipy", "mpmath")),
-    (["verify", "couplings"], ("scipy", "mpmath")),
-    (["verify", "chi"], ("scipy", "mpmath")),
+    (["verify", "elliptic"], ("numpy", "scipy", "mpmath", "dataclasses")),
+    (["verify", "couplings"], ("scipy", "mpmath", "dataclasses")),
+    (["verify", "chi"], ("scipy", "mpmath", "dataclasses")),
     (["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2",
-      "--out", "{out}"], ("scipy", "mpmath")),
+      "--out", "{out}"], ("scipy", "mpmath", "dataclasses")),
     # the oracle suites solve their cylinders with numpy alone
-    (["verify", "recurrence"], ("scipy", "mpmath")),
-    (["verify", "all", "--out", "{out}"], ("scipy", "mpmath")),
+    (["verify", "recurrence"], ("scipy", "mpmath", "dataclasses")),
+    (["verify", "all", "--out", "{out}"], ("scipy", "mpmath", "dataclasses")),
 ], ids=["corr", "verify-elliptic", "verify-couplings", "verify-chi",
         "chi-uniform", "verify-recurrence", "verify-all"])
 def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
     # each command imports only what its work needs: a table export pays
-    # for neither numpy nor scipy, and no command loads scipy or mpmath
+    # for neither numpy nor scipy, no command loads scipy or mpmath, and
+    # none loads dataclasses (numpy imports inspect, but not dataclasses)
     code = ("import sys\n"
             "from isingchi.cli import run\n"
             "rc = run(sys.argv[1:])\n"
             "print(rc, sorted({m.split('.')[0] for m in sys.modules}"
-            " & {'numpy', 'scipy', 'mpmath'}))")
+            " & {'numpy', 'scipy', 'mpmath', 'dataclasses'}))")
     argv = [a.replace("{out}", str(tmp_path / "out.csv")) for a in argv]
     proc = subprocess.run([sys.executable, "-c", code] + argv,
                           capture_output=True, text=True, timeout=120)

@@ -4,9 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import isingchi
+from isingchi.chi import ChiGrid, Peak
+from isingchi.correlations import CorrelationTable, build_table
+from isingchi.frustrated import FrustratedModel
+from isingchi.oracle import CylinderSpec, FiniteLatticeSpec
+from isingchi.quasiperiodic import FibonacciSpec
+from isingchi.verify import IdentityCheck, VerificationReport
 
 _RE_EXPORTED = ("elliptic", "couplings", "correlations", "frustrated",
                 "quasiperiodic", "chi")
@@ -71,7 +78,9 @@ def test_verify_import_loads_no_numpy():
 
 def test_no_module_imports_mpmath():
     # every module runs on the standard library and numpy; tests may still
-    # use mpmath as a reference
+    # use mpmath as a reference.  Records are namedtuples: dataclasses and
+    # the inspect module it loads would cost every command ~10 ms to start
+    banned = {"mpmath", "dataclasses", "inspect"}
     for path in sorted(_PACKAGE_DIR.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -80,7 +89,7 @@ def test_no_module_imports_mpmath():
                 roots = [(node.module or "").split(".")[0]]
             else:
                 continue
-            assert "mpmath" not in roots, "%s:%d" % (path.name, node.lineno)
+            assert not banned & set(roots), "%s:%d" % (path.name, node.lineno)
 
 
 # every module of the package but the `python -m` entry point, which runs
@@ -98,3 +107,58 @@ def test_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", code, module],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_Q = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+# each record with one value per field, in field order
+_RECORDS = [
+    (CorrelationTable, dict(radius=2, C=((1, 2), (2, 1)), C_bar=((1,),),
+                            precision_bits=64, k_requested=0.5, scale=4)),
+    (FrustratedModel, dict(S=1.0, version="a")),
+    (IdentityCheck, dict(identity="quadratic", location="(1 2)",
+                         residual=1e-12, tolerance=1e-9, passed=True)),
+    (VerificationReport, dict(rows=())),
+    (ChiGrid, dict(nx=512, ny=512, qx=_Q, qy=_Q, values=np.ones((512, 512)),
+                   window_radius=16, tail_bound=1e-9, source="uniform")),
+    (Peak, dict(qx=0.0, qy=np.pi, value=2.5, commensurate=True)),
+    (FibonacciSpec, dict(j=1, gamma=0.25)),
+    (FiniteLatticeSpec, dict(width=2, height=1, bonds=((0, 1, 0.3),))),
+    (CylinderSpec, dict(W=4, K=0.3, ring_mode="columnar")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", _RECORDS,
+                         ids=[cls.__name__ for cls, _ in _RECORDS])
+def test_record_behaviour(cls, fields):
+    # the records are namedtuples: positional and keyword construction,
+    # field order and read-only fields as the frozen dataclasses had them
+    record = cls(**fields)
+    assert type(record) is cls and record._fields == tuple(fields)
+    assert record == cls(*fields.values())
+    for name, value in fields.items():
+        assert getattr(record, name) is value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
+def test_record_defaults():
+    assert FibonacciSpec(j=0).gamma == 0.0
+    assert CylinderSpec(4, 0.3).ring_mode == "uniform"
+
+
+def test_chi_grid_repr_leaves_out_the_arrays():
+    grid = ChiGrid(**_RECORDS[4][1])
+    assert repr(grid) == ("ChiGrid(nx=512, ny=512, window_radius=16, "
+                          "tail_bound=1e-09, source='uniform')")
+
+
+def test_table_floats_and_residual_report_are_cached():
+    table = build_table(0.5, 4)
+    floats = table.floats
+    assert type(floats) is CorrelationTable and floats.scale == 1
+    assert floats is table.floats and floats.radius == table.radius
+    assert not floats.C.flags.writeable and not floats.C_bar.flags.writeable
+    report = table.residual_report
+    assert vars(table)["residual_report"] is report is table.residual_report
+    with pytest.raises(TypeError):
+        floats.residual_report

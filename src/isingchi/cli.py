@@ -1,9 +1,11 @@
 """Command-line front end: one binary, subcommands, deterministic files.
 
 Exit codes: 0 success, 1 verification or computation failure, 2 usage or
-configuration errors (one-line diagnostic on stderr).  A config file
-named by --config supplies `key = value` defaults for any long flag;
-explicit flags win.
+configuration errors (one-line diagnostic on stderr).  `run()` returns
+every code, argparse's included (0 for --help), and raises none.  A config
+file named by --config supplies `key = value` defaults for any long flag;
+explicit flags win.  The parser is built once per process, on the first
+`run()`; each call parses into a new Namespace.
 
 Each subcommand imports the modules its work needs when it runs: `corr`
 and `verify elliptic` load only the standard library, and `chi`, `fib`
@@ -12,6 +14,7 @@ namedtuples, so no command loads dataclasses or inspect for them.
 """
 
 import argparse
+import functools
 import sys
 
 from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
@@ -127,6 +130,9 @@ def build_parser():
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def _apply_config(args, path):
     values = read_config(path)
     for key, raw in values.items():
@@ -227,8 +233,11 @@ def _cmd_verify(args):
 
 
 def run(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser = _parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return exc.code
     try:
         if args.config is not None:
             _apply_config(args, args.config)

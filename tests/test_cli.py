@@ -277,6 +277,26 @@ def test_config_keys_are_the_long_flags():
     assert flags == _CONFIG_KEYS
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["corr", "--k", "abc"], 2, "err",
+     "isingchi corr: error: argument --k: invalid float value: 'abc'"),
+    (["verify", "nosuch"], 2, "err", "argument suite: invalid choice"),
+    (["--help"], 0, "out", "usage: isingchi [-h] [--config PATH]"),
+], ids=["bad-float", "bad-suite", "help"])
+def test_argparse_exits_are_returned(argv, code, stream, text, monkeypatch,
+                                     capsys):
+    # run() returns argparse's status; the console script exits with it
+    # and prints the same bytes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert text in getattr(captured, stream)
+    proc = subprocess.run([sys.executable, "-m", "isingchi"] + argv,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, captured.out, captured.err)
+
+
 def test_no_subcommand_prints_usage(capsys):
     assert run([]) == 2
     assert "usage" in capsys.readouterr().err.lower()
@@ -403,6 +423,62 @@ def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
     rc, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
     assert rc == "0", proc.stdout
     assert not set(absent) & set(eval(loaded)), loaded
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    run(["corr", "--k", "0.5", "--radius", "2", "--out",
+         str(tmp_path / "warm.csv")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["corr", "--k", "0.5", "--radius", "4", "--out",
+                str(tmp_path / "corr.csv")]) == 0
+    assert run(["verify", "elliptic"]) == 0
+    assert run(["chi", "uniform", "--k", "0.5", "--radius", "2", "--grid",
+                "8x8", "--out", str(tmp_path / "chi.csv")]) == 2
+    capsys.readouterr()
+    assert built == []
+
+
+def test_shared_parser_keeps_no_precision(tmp_path):
+    # the pinned bytes of `corr --k 0.5 --radius 40` at the default 256 bits
+    argv = ["corr", "--k", "0.5", "--radius", "40", "--out",
+            str(tmp_path / "corr.csv")]
+    assert run(argv + ["--precision", "300"]) == 0
+    assert run(argv) == 0
+    digest = hashlib.sha256((tmp_path / "corr.csv").read_bytes()).hexdigest()
+    assert digest[:16] == "5a375b5bdd063220"
+
+
+def test_shared_parser_keeps_no_config(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius = 4\n")
+    argv = ["corr", "--k", "0.5", "--out", str(tmp_path / "corr.csv")]
+    assert run(["--config", str(cfg)] + argv) == 0
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: missing required option --radius (flag or config file)\n")
+
+
+def test_shared_parser_keeps_no_gamma(tmp_path):
+    def gauge(name, *extra):
+        return ["chi", "gauge", "--k", "0.5", "--j", "0", "--radius", "5",
+                "--grid", "8x8", "--out", str(tmp_path / name), *extra]
+
+    assert run(gauge("half.csv", "--gamma", "0.5")) == 0
+    assert run(gauge("after.csv")) == 0
+    proc = subprocess.run([sys.executable, "-m", "isingchi"]
+                          + gauge("fresh.csv"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert (tmp_path / "after.csv").read_bytes() == fresh
+    assert (tmp_path / "half.csv").read_bytes() != fresh
 
 
 def test_oversized_grid_fails_in_one_line(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,25 @@ def test_record_behaviour(cls, fields):
 def test_record_defaults():
     assert FibonacciSpec(j=0).gamma == 0.0
     assert CylinderSpec(4, 0.3).ring_mode == "uniform"
+
+
+@pytest.mark.parametrize("record, bad, good", [
+    (CylinderSpec(4, 0.3), dict(W=40), dict(W=6, ring_mode="columnar")),
+    (FrustratedModel(1.0, "a"), dict(version="z"), dict(S=2.0)),
+    (FibonacciSpec(1), dict(gamma=5.0), dict(gamma=0.5)),
+], ids=["CylinderSpec", "FrustratedModel", "FibonacciSpec"])
+def test_replace_validates_like_the_constructor(record, bad, good):
+    # _replace builds through _make, which these records route through
+    # __new__, so it refuses what the constructor refuses, in its words
+    fields = dict(record._asdict(), **bad)
+    with pytest.raises(ValueError) as built:
+        type(record)(**fields)
+    with pytest.raises(type(built.value), match="^%s$" % re.escape(
+            str(built.value))):
+        record._replace(**bad)
+    replaced = record._replace(**good)
+    assert type(replaced) is type(record)
+    assert replaced == type(record)(**dict(record._asdict(), **good))
 
 
 def test_chi_grid_repr_leaves_out_the_arrays():

@@ -40,7 +40,7 @@ class FrustratedModel(namedtuple("FrustratedModel", "S version")):
     """Model parameters: S = sinh(2J/kT) and the bond layout version."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
     def __new__(cls, S, version):
         self = super().__new__(cls, S, version)

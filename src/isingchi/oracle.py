@@ -300,7 +300,7 @@ class CylinderSpec(namedtuple("CylinderSpec", "W K ring_mode")):
     """
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
     def __new__(cls, W, K, ring_mode="uniform"):
         self = super().__new__(cls, W, K, ring_mode)

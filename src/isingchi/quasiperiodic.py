@@ -42,7 +42,7 @@ class FibonacciSpec(namedtuple("FibonacciSpec", "j gamma")):
     """Family index j and phase offset gamma of a generalized Fibonacci word."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace checks
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates
 
     def __new__(cls, j, gamma=0.0):
         self = super().__new__(cls, j, gamma)

@@ -8,22 +8,24 @@ takes that bare modulus k.
 
 Closed forms fix the nearest neighbour and, through the linear relation
 sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  One Levinson
-recursion over the diagonal symbol gives C_bar(n,n) as Toeplitz minors
-and C(n,n) as their cofactors in O(R^2); a joint corner/star march gives
-the next-to-diagonal entries, and superdiagonal sweeps of the two
-quadratic recurrences the rest of the octant.  All of it, from the closed
-forms to the stored table, is fixed point on Python integers: the modulus
-enters as an exact ratio, which each stage floors at its own bits, and
-the AGM at modulus k gives every closed form.  One guard rule, _loss_bits
-= n log2(1/k), sets those bits: the symbol's forward recurrence, which
-computes a minimal solution (about k^|j|) against a dominant k^-|j| one
-(Gautschi 1967), carries twice it; the Levinson minors and the march,
-whose C seeds shrink like k^n, carry it once; and build_table refuses a
-radius R where twice it at R, the sweep's small-k loss estimate, leaves
-too few bits.  The recurrences cancel
-catastrophically, losing bits roughly linearly with distance from the
-diagonal, so double precision is only good to radius 12 or so.  The star
-and corner identities are not consumed; their residuals and the
+recursion over the diagonal symbol gives C_bar(n,n) as Toeplitz minors and
+C(n,n) as their cofactors in O(R^2); a joint corner/star march gives the
+next-to-diagonal entries, and superdiagonal sweeps of the two quadratic
+recurrences the rest of the octant.  All of it, from the closed forms to the
+stored table, is fixed point on Python integers: the modulus enters as an
+exact ratio, which each stage floors at its own bits to kf = floor(k 2^bits)
+= kn 2^(bits - g) with kn odd (53 bits at most for a float k < 1, about as
+wide as kf for a non-dyadic k such as 1/3); the symbol step, the march and
+the sweep multiply by kn and cancel or shift the power of two exactly, and
+the AGM at modulus k gives every closed form.  One guard rule,
+_loss_bits = n log2(1/k), sets those bits: the symbol's forward recurrence,
+which computes a minimal solution (about k^|j|) against a dominant k^-|j| one
+(Gautschi 1967), carries twice it; the Levinson minors and the march, whose C
+seeds shrink like k^n, carry it once; and build_table refuses a radius R
+where twice it at R, the sweep's small-k loss estimate, leaves too few bits.
+The recurrences cancel catastrophically, losing bits roughly linearly with
+distance from the diagonal, so double precision is only good to radius 12 or
+so.  The star and corner identities are not consumed; their residuals and the
 recurrences' are scanned when a table's residual_report is first read.
 """
 
@@ -82,6 +84,12 @@ def _fixed(k, bits):
     return (num << bits) // den
 
 
+def _odd_part(kf, bits):
+    """(kn, g) with kf = kn 2^(bits - g), kn odd, for kf = _fixed(k, bits)."""
+    zeros = (kf & -kf).bit_length() - 1
+    return kf >> zeros, bits - zeros
+
+
 def _loss_bits(k, n):
     """n log2(1/k) of the ratio k, the one guard rule of the build: see the
     module docstring."""
@@ -109,14 +117,15 @@ def _symbol_coefficients(k, n_top, precision):
     bits = precision + int(2 * loss) + 32
     kf = _fixed(k, bits)
     m, s = agm(kf, bits)
-    k2, o2 = kf * kf, 1 << 2 * bits
     a = {0: (((1 << bits) - s) << bits) // m,
-         -1: -(((k2 - (s << bits)) << bits) // (kf * m))}
+         -1: -(((kf * kf - (s << bits)) << bits) // (kf * m))}
+    kn, g = _odd_part(kf, bits)
+    k2, o2 = kn * kn, 1 << 2 * g
     for j in (*range(1, n_top + 1), *range(-2, -n_top - 1, -1)):
         e = 1 if j > 0 else -1
         a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
-                - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
-                ) // (kf * (2 * j + 1) << bits)
+                - (kn * (2 * j - 4 * e + 1) * a[j - 2 * e] << g)
+                ) // (kn * (2 * j + 1) << g)
     seed_bits = precision + int(loss) + 32
     return {j: x >> bits - seed_bits for j, x in a.items()}, seed_bits
 
@@ -228,18 +237,18 @@ def next_diagonal_seeds(k, diag, precision):
     if a <= 0:
         raise PrecisionExhausted("nearest-neighbour seed is not positive; "
                                  "raise precision_bits", where=(1, 0))
-    rk = math.isqrt(kf << bits)
+    rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
     check_tol = max(one ** 3 // 10 ** (precision // 4), one ** 3 >> (precision - 8))
 
     c_next, cbar_next = [a], [b]
     for m in range(1, len(c_diag) - 1):
         cm, cbm = c_diag[m], cbar_diag[m]
-        p = (kf + one) * cm * cbm // (rk << bits)
+        p = ((kn + (1 << g)) * cm * cbm >> g) // rk
         # a2 X^2 - 2 h X + a0 = 0 for X at 2^bits, all three exact
-        a2 = (b * b << bits) - kf * a * a
+        a2 = (b * b << bits) - (kn * a * a << bits - g)
         h = p * b << 2 * bits
-        a0 = ((kf * cm * c_diag[m + 1] - (cbm * cbar_diag[m + 1] << bits)) * a * a
-              + (p * p << 3 * bits))
+        a0 = (((kn * cm * c_diag[m + 1] << bits - g)
+               - (cbm * cbar_diag[m + 1] << bits)) * a * a + (p * p << 3 * bits))
         disc = h * h - a2 * a0
         if a2 <= 0 or disc < 0:
             raise exhausted("no real root", m)
@@ -252,7 +261,7 @@ def next_diagonal_seeds(k, diag, precision):
         x = min(sorted(inside, reverse=True), key=lambda r: abs(r - a))
         y = ((p << bits) - b * x) // a
 
-        residual = kf * (a * x - cm * cm) + ((b * y - cbm * cbm) << bits)
+        residual = (kn * (a * x - cm * cm) << bits - g) + ((b * y - cbm * cbm) << bits)
         if abs(residual) > check_tol:
             raise exhausted("cross-check relation residual %.6g"
                             % (abs(residual) / one ** 3), m)
@@ -379,7 +388,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     than MIN_DIVISOR_BITS is refused before any work; an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in 0.08 s (2-vCPU Xeon VM).
+    entry.  Radius 100 at 512 bits builds in 0.11 reference s (2-vCPU Xeon VM).
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -407,9 +416,10 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     diag = diagonal_seeds(k, radius + 1, bits)
     seeds = diag, next_diagonal_seeds(k, diag, bits)  # seeds[n - m][family][m]
 
-    # x -> floor(x 2^bits); products are exact at 2^(2 bits), so each swept
+    # x -> floor(x 2^bits), k -> kn / 2^g; products are exact, so each swept
     # entry is rounded once, by the floor division; it reads and writes n >= m
-    one, kf, size, shift = 1 << bits, _fixed(k, bits), radius + 1, diag[2] - bits
+    one, size, shift = 1 << bits, radius + 1, diag[2] - bits
+    kn, g = _odd_part(_fixed(k, bits), bits)
     c, cb = ([[0] * size for _ in range(size)] for _ in range(2))
     for d, (xs, ys, *_) in enumerate(seeds):
         for m in range(size - d):
@@ -423,10 +433,10 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
                     "sweep divisor below %d significant bits; raise "
                     "precision_bits" % MIN_DIVISOR_BITS, where=(m, n + 1))
             c0, b0, lo = c[m][n], cb[m][n], abs(m - 1)
-            cv = ((kf * c0 * c0 - ((cb[m + 1][n] * cb[lo][n] - b0 * b0) << bits))
-                  // (kf * c[m][n - 1]))
-            bv = ((((b0 * b0) << bits) - kf * (c[m + 1][n] * c[lo][n] - c0 * c0))
-                  // (cb[m][n - 1] << bits))
+            cv = ((kn * c0 * c0 - ((cb[m + 1][n] * cb[lo][n] - b0 * b0) << g))
+                  // (kn * c[m][n - 1]))
+            bv = ((((b0 * b0) << g) - kn * (c[m + 1][n] * c[lo][n] - c0 * c0))
+                  // (cb[m][n - 1] << g))
             if not (0 < cv <= one) or not (0 < bv <= one):
                 raise PrecisionExhausted(
                     "swept entry left (0, 1]; raise precision_bits",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import islice
@@ -14,7 +15,9 @@ from isingchi import (
     lookup,
 )
 from isingchi.correlations import (
+    _fixed,
     _identity_residuals,
+    _odd_part,
     _symbol_coefficients,
     _toeplitz_minors,
     _worst_residual,
@@ -510,3 +513,135 @@ def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     families = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
     assert table.residual_report == _worst_residual(inner, *families,
                                                     table.scale, bits)
+
+
+def _sha256(x):
+    """SHA-256 of an integer or of nested lists and tuples of them, by hex."""
+    def walk(v):
+        return hex(v) if isinstance(v, int) else "(%s)" % ",".join(map(walk, v))
+    return hashlib.sha256(walk(x).encode()).hexdigest()
+
+
+# SHA-256 of (C, C_bar, scale) and of the diagonal_seeds and
+# next_diagonal_seeds outputs of each build, recorded from the full-width
+# floor(k 2^bits) formulas; the CSV digests of test_cli see only 17 digits
+PINNED_BUILDS = [
+    ((0.5, 40),
+     '06421f13a6e2bcf2ee4c027d62ca602e04545841a22910e01def1be7ede26362',
+     '396ab7957e54b5da52c66b2a3652904420f86014fa43b4e200e12a4b056b9d8d',
+     '0088f95050e03b8d387a37fa4f5ec5526d17f2963efdda7fcfdebe5d907a5404'),
+    ((0.99, 24),
+     '99c9ec39c4414d7e3c4a4be657e9d41a830d1732fce4ee109bb90315009311c8',
+     '38f0ee777c9a5867c2eb9adc8babb76b2d612a59743113eb30c4a9f85919709b',
+     '1434c34bdaf150912cbea34a3151f51ae105276f5457c158a52343cc83e59edc'),
+    ((0.1, 32),
+     '3eb1c8f06fb3223be42296e35552fba45311274f7e37f78dec935ca47cd293e9',
+     '20af7b273380b49ea7ef1fcf859b67bb4e6c6d45bf9c240059702727d52ca2e5',
+     '20b560dd2c313bf0d7c1fd78422ddd6af8e9161bd0db6520ec60579b258c54ea'),
+    ((2.0, 16),
+     'bb7c2c0d302e46343dc1cfb4d09b7c4923391780962c1644e32daadfad3095ab',
+     '8b6d13ab02dec6e10a35ca32af09be564ea7193d18f3894110e1beb0de010ec8',
+     '38e32236a57f44582141784f6cf6c9a77ce8cb40dee39d090ce99836002a9330'),
+    ((3.0, 30),
+     'd873fa85d5aeb316a26381baa0c2cc08ce129883f80eb1d1feab5c39c287aac3',
+     '880457fcb14c98639e627c3d6101b3aff11400fd78e5b3547de2268b28f0ee83',
+     '1f9bed604f65a8bad105d4f347c59ab2cfa9494e82205d45515514906c1c2bf2'),
+    ((0.0718, 40),
+     '7dcf143e166e64077d00b7809239ec5012f1171ff0f434e923b1a530815e1ef8',
+     '621e4452bf1eb74c6e123ba83803f8a37f45b28c0cd00c706a788c20e1a40917',
+     '9c4abe202fc75314f4d4a5d9b2448d3fbafe20a13f0cf4eb04fd0807781e0ddd'),
+    ((0.1, 100, 1024),
+     'aa83bbb329394c1f3c7b64b07649e3ba946ee682091b7015627fc554bc72b11d',
+     '3b649c3acc65e790e1db6fb9558063bc08653a321a5ba4d98dca38abcdeb5b43',
+     '55a1b1aba59b1c61bdd5da74b4b94744568aedd0fc166754f76873f16f1390f6'),
+    ((1e-20, 2, 2048),
+     'fd73d9230ffece8a0e68ae880e54ca3208c8d4e9b3c175a593e119b21d2c8543',
+     '97d96bf36bfd4e3c1f286b158c884ee4217e543beaacce42397d12bed1158112',
+     '58c6fb29d8dee85aff921b1c770f0953d2ff647b2fada857666b30e7d8b6c99e'),
+]
+
+
+@pytest.mark.parametrize("args, table, diag, march", PINNED_BUILDS,
+                         ids=[str(row[0]) for row in PINNED_BUILDS])
+def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
+    seen = []
+    for name in ("diagonal_seeds", "next_diagonal_seeds"):
+        stage = getattr(correlations, name)
+        monkeypatch.setattr(correlations, name, lambda *a, stage=stage:
+                            seen.append(stage(*a)) or seen[-1])
+    t = build_table(*args)
+    assert [_sha256(x) for x in ((t.C, t.C_bar, t.scale), *seen)] == [
+        table, diag, march]
+
+
+def test_dyadic_modulus_identities():
+    rng = random.Random(3434)
+    wide = lambda n: rng.randint(-(1 << n), 1 << n)  # noqa: E731
+    # N // (d << s) == (N >> s) // d for d > 0 and N of either sign (the
+    # march's star product shifts before it divides by rk > 0), but not for
+    # d < 0, where N >> s is a multiple of d and N one of 2^s is not; the
+    # symbol step, whose 2j + 1 is negative for j < 0, divides by d << g
+    for _ in range(2000):
+        N, s = wide(600), rng.randint(0, 200)
+        for d in (rng.randint(1, 7), rng.randint(1, 1 << 80)):
+            assert N // (d << s) == (N >> s) // d
+    assert (7 >> 1) // -3 != 7 // (-3 << 1)
+
+    for _ in range(500):
+        # a float in (0, 1) or a non-dyadic ratio, floored at random bits
+        k = rng.choice([rng.random(), 10 ** rng.uniform(-30, -1)])
+        k = rng.choice([k.as_integer_ratio(), (1, 3), (2, 7), (5, 11)])
+        bits = rng.randint(100, 1200)
+        kf = _fixed(k, bits)
+        kn, g = _odd_part(kf, bits)
+        assert kn & 1 and kn << (bits - g) == kf
+        one = 1 << bits
+        c0, b0, cm, cbm = (rng.randint(1, one) for _ in range(4))
+        x, y = wide(2 * bits), wide(2 * bits)
+        cd, bd = rng.randint(1, one), rng.randint(1, one)
+        # the two sweep quotients
+        assert ((kf * c0 * c0 - (x << bits)) // (kf * cd)
+                == (kn * c0 * c0 - (x << g)) // (kn * cd))
+        assert (((b0 * b0) << bits) - kf * y) // (cd << bits) == (
+            ((b0 * b0) << g) - kn * y) // (cd << g)
+        # the symbol step, either way from the centre
+        j = rng.choice([1, -1]) * rng.randint(2, 200)
+        e = 1 if j > 0 else -1
+        a1, a2 = wide(bits), wide(bits)
+        full = ((((1 << 2 * bits) + kf * kf) * (j - e) + kf * kf) * 2 * a1
+                - (kf * (2 * j - 4 * e + 1) * a2 << bits)
+                ) // (kf * (2 * j + 1) << bits)
+        k2 = kn * kn
+        assert full == ((((1 << 2 * g) + k2) * (j - e) + k2) * 2 * a1
+                        - (kn * (2 * j - 4 * e + 1) * a2 << g)
+                        ) // (kn * (2 * j + 1) << g)
+        # the march's star product
+        rk = math.isqrt(kf << bits)
+        assert ((kf + one) * cm * cbm // (rk << bits)
+                == ((kn + (1 << g)) * cm * cbm >> g) // rk)
+
+    # the march's minus root is not scale-invariant: a2, h and disc over
+    # 4, 4 and 16 describe the same quadratic, but isqrt floors differently,
+    # so its coefficients keep their full scale
+    a2, h, disc = 4, 12, 32
+    assert (h - math.isqrt(disc)) // a2 == 1
+    assert (h // 4 - math.isqrt(disc // 16)) // (a2 // 4) == 2
+
+
+@pytest.mark.parametrize("k", [(1, 3), (2, 7), (1, 10),
+                               (0.1).as_integer_ratio(),
+                               (1e-20).as_integer_ratio()])
+def test_symbol_coefficients_match_full_width_step(k):
+    coeff, seed_bits = _symbol_coefficients(k, 30, 256)
+    bits = 256 + int(2 * correlations._loss_bits(k, 32)) + 32
+    kf = _fixed(k, bits)
+    m, s = correlations.agm(kf, bits)
+    k2, o2 = kf * kf, 1 << 2 * bits
+    a = {0: (((1 << bits) - s) << bits) // m,
+         -1: -(((k2 - (s << bits)) << bits) // (kf * m))}
+    for j in (*range(1, 31), *range(-2, -31, -1)):
+        e = 1 if j > 0 else -1
+        a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
+                - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
+                ) // (kf * (2 * j + 1) << bits)
+    assert coeff == {j: x >> bits - seed_bits for j, x in a.items()}

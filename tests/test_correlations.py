@@ -576,7 +576,10 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
 
 def test_dyadic_modulus_identities():
     rng = random.Random(3434)
-    wide = lambda n: rng.randint(-(1 << n), 1 << n)  # noqa: E731
+
+    def wide(n):
+        return rng.randint(-(1 << n), 1 << n)
+
     # N // (d << s) == (N >> s) // d for d > 0 and N of either sign (the
     # march's star product shifts before it divides by rk > 0), but not for
     # d < 0, where N >> s is a multiple of d and N one of 2^s is not; the
@@ -602,8 +605,8 @@ def test_dyadic_modulus_identities():
         # the two sweep quotients
         assert ((kf * c0 * c0 - (x << bits)) // (kf * cd)
                 == (kn * c0 * c0 - (x << g)) // (kn * cd))
-        assert (((b0 * b0) << bits) - kf * y) // (cd << bits) == (
-            ((b0 * b0) << g) - kn * y) // (cd << g)
+        assert (((b0 * b0) << bits) - kf * y) // (bd << bits) == (
+            ((b0 * b0) << g) - kn * y) // (bd << g)
         # the symbol step, either way from the centre
         j = rng.choice([1, -1]) * rng.randint(2, 200)
         e = 1 if j > 0 else -1

@@ -9,15 +9,16 @@ takes that bare modulus k.
 Closed forms fix the nearest neighbour and, through the linear relation
 sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  One Levinson
 recursion over the diagonal symbol gives C_bar(n,n) as Toeplitz minors and
-C(n,n) as their cofactors in O(R^2); a joint corner/star march gives the
-next-to-diagonal entries, and superdiagonal sweeps of the two quadratic
-recurrences the rest of the octant.  All of it, from the closed forms to the
-stored table, is fixed point on Python integers: the modulus enters as an
-exact ratio, which each stage floors at its own bits to kf = floor(k 2^bits)
-= kn 2^(bits - g) with kn odd (53 bits at most for a float k < 1, about as
-wide as kf for a non-dyadic k such as 1/3); the symbol step, the march and
-the sweep multiply by kn and cancel or shift the power of two exactly, and
-the AGM at modulus k gives every closed form.  One guard rule,
+C(n,n) as their cofactors in O(R^2); a march solving the star relation and
+a quadratic recurrence as one 2x2 linear system gives the next-to-diagonal
+entries, and superdiagonal sweeps of the two recurrences the rest of the
+octant.  All of it, from the closed forms to the stored table, is fixed
+point on Python integers: the modulus enters as an exact ratio, which each
+stage floors at its own bits to kf = floor(k 2^bits) = kn 2^(bits - g) with
+kn odd (53 bits at most for a float k < 1, about as wide as kf for a
+non-dyadic k such as 1/3); the symbol step, the march and the sweep multiply
+by kn and cancel or shift the power of two exactly, and the AGM at modulus k
+gives every closed form.  One guard rule,
 _loss_bits = n log2(1/k), sets those bits: the symbol's forward recurrence,
 which computes a minimal solution (about k^|j|) against a dominant k^-|j| one
 (Gautschi 1967), carries twice it; the Levinson minors and the march, whose C
@@ -25,8 +26,9 @@ seeds shrink like k^n, carry it once; and build_table refuses a radius R
 where twice it at R, the sweep's small-k loss estimate, leaves too few bits.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
-so.  The star and corner identities are not consumed; their residuals and the
-recurrences' are scanned when a table's residual_report is first read.
+so.  The corner identity, and the star off the diagonal, are not consumed;
+their residuals and the recurrences' are scanned when a table's
+residual_report is first read.
 """
 
 import math
@@ -60,9 +62,9 @@ class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
     Raised when a nearest-neighbour seed or a Toeplitz determinant comes
-    out non-positive, the diagonal march finds no admissible root or
-    fails its cross-check, a swept entry leaves (0, 1], a divisor loses
-    nearly all of its significant bits, or the estimated small-k loss
+    out non-positive, the diagonal march meets a singular system, leaves
+    (0, 1) or fails its cross-check, a swept entry leaves (0, 1], a divisor
+    loses nearly all of its significant bits, or the estimated small-k loss
     leaves too few.  The remedy is a higher precision_bits, not a smaller
     tolerance.
     """
@@ -212,21 +214,18 @@ def next_diagonal_seeds(k, diag, precision):
 
     diag is diagonal_seeds(k, n_max, precision); the march starts from the
     closed-form C(1,0) and C_bar(0,1), and both next diagonals come back at
-    its 2^bits.  At each m the star relation on the diagonal is linear in
-    (X, Y) = (C(m,m+1), C_bar(m,m+1)),
+    its 2^bits.  At each m the star relation and the quadratic recurrence on
+    the diagonal are both linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
 
-        X C_bar(m-1,m) + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
+        C_bar(m-1,m) X + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
+        k C(m-1,m) X + C_bar(m-1,m) Y = k C(m,m)^2 + C_bar(m,m)^2,
 
-    and the corner relation is quadratic,
+    so one exact 2x2 solve gives both, its determinant positive in a sound
+    march.  The corner relation is not consumed; its residual,
 
-        k [C(m,m) C(m+1,m+1) - X^2] = C_bar(m,m) C_bar(m+1,m+1) - Y^2.
+        k [C(m,m) C(m+1,m+1) - X^2] - [C_bar(m,m) C_bar(m+1,m+1) - Y^2],
 
-    Eliminating Y leaves one quadratic in X with exact integer coefficients,
-    the leading one positive in a sound march; its roots take one isqrt.
-    The root inside (0, 1) closest to the previous value is taken, the
-    larger on a tie: correlations vary smoothly along the diagonal.  The
-    quadratic recurrence on the diagonal is not consumed; its residual must
-    close to rounding level at the working precision.
+    must close to rounding level at the working precision.
     """
     def exhausted(what, m):
         return PrecisionExhausted("%s in the diagonal march; raise precision_bits"
@@ -244,24 +243,17 @@ def next_diagonal_seeds(k, diag, precision):
     for m in range(1, len(c_diag) - 1):
         cm, cbm = c_diag[m], cbar_diag[m]
         p = ((kn + (1 << g)) * cm * cbm >> g) // rk
-        # a2 X^2 - 2 h X + a0 = 0 for X at 2^bits, all three exact
-        a2 = (b * b << bits) - (kn * a * a << bits - g)
-        h = p * b << 2 * bits
-        a0 = (((kn * cm * c_diag[m + 1] << bits - g)
-               - (cbm * cbar_diag[m + 1] << bits)) * a * a + (p * p << 3 * bits))
-        disc = h * h - a2 * a0
-        if a2 <= 0 or disc < 0:
-            raise exhausted("no real root", m)
-        sq = math.isqrt(disc)
+        # b X + a Y = p 2^bits and kn a X + 2^g b Y = q for X, Y at 2^bits
+        q, det = kn * cm * cm + (cbm * cbm << g), (b * b << g) - kn * a * a
+        if det <= 0:
+            raise exhausted("singular star/recurrence system", m)
+        x = ((p * b << g + bits) - a * q) // det
+        y = (b * q - (kn * a * p << bits)) // det
+        if not (0 < x < one and 0 < y < one):
+            raise exhausted("next-diagonal entry outside (0, 1)", m)
 
-        inside = [r for r in ((h + sq) // a2, (h - sq) // a2) if 0 < r < one]
-        if not inside:
-            raise exhausted("no admissible positive root", m)
-        # closest to the previous value a; ties break toward the larger root
-        x = min(sorted(inside, reverse=True), key=lambda r: abs(r - a))
-        y = ((p << bits) - b * x) // a
-
-        residual = (kn * (a * x - cm * cm) << bits - g) + ((b * y - cbm * cbm) << bits)
+        residual = ((kn * (cm * c_diag[m + 1] - x * x) << bits - g)
+                    - ((cbm * cbar_diag[m + 1] - y * y) << bits))
         if abs(residual) > check_tol:
             raise exhausted("cross-check relation residual %.6g"
                             % (abs(residual) / one ** 3), m)

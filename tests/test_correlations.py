@@ -199,14 +199,13 @@ def test_seed_corruption_detected():
 
 
 @pytest.mark.parametrize("corrupt, message, where", [
-    # a negative C_bar(3,3) turns the discriminant at m = 2 negative
-    ("cbar33", "no real root", (2, 3)),
-    # C_bar(0,1) = 0 makes the leading coefficient -k C(1,0)^2 negative
-    # while the discriminant stays positive
-    ("cbar01-zero", "no real root", (1, 2)),
-    # a negative C_bar(0,1) mirrors both roots of the first step below 0
-    ("cbar01-negated", "no admissible positive root", (1, 2)),
-])
+    # a negative C_bar(3,3) enters only the corner relation at m = 2
+    ("cbar33", "cross-check relation residual", (2, 3)),
+    # C_bar(0,1) = 0 leaves the determinant -k C(1,0)^2 of the first step
+    ("cbar01-zero", "singular star/recurrence system", (1, 2)),
+    # a negative C_bar(0,1) sends the first step's X below 0
+    ("cbar01-negated", r"next-diagonal entry outside \(0, 1\)", (1, 2)),
+], ids=["cbar33", "cbar01-zero", "cbar01-negated"])
 def test_march_raises_name_the_entry(corrupt, message, where, monkeypatch):
     closed_form = correlations._nearest_neighbours
 
@@ -523,41 +522,42 @@ def _sha256(x):
 
 
 # SHA-256 of (C, C_bar, scale) and of the diagonal_seeds and
-# next_diagonal_seeds outputs of each build, recorded from the full-width
-# floor(k 2^bits) formulas; the CSV digests of test_cli see only 17 digits
+# next_diagonal_seeds outputs of each build, the first two recorded from the
+# full-width floor(k 2^bits) formulas and the third from the march's 2x2
+# linear solve; the CSV digests of test_cli see only 17 digits
 PINNED_BUILDS = [
     ((0.5, 40),
      '06421f13a6e2bcf2ee4c027d62ca602e04545841a22910e01def1be7ede26362',
      '396ab7957e54b5da52c66b2a3652904420f86014fa43b4e200e12a4b056b9d8d',
-     '0088f95050e03b8d387a37fa4f5ec5526d17f2963efdda7fcfdebe5d907a5404'),
+     '0b75eb84f0814222b3e6153d8a445d1dabeb3586b61160d7c222747f49e91144'),
     ((0.99, 24),
      '99c9ec39c4414d7e3c4a4be657e9d41a830d1732fce4ee109bb90315009311c8',
      '38f0ee777c9a5867c2eb9adc8babb76b2d612a59743113eb30c4a9f85919709b',
-     '1434c34bdaf150912cbea34a3151f51ae105276f5457c158a52343cc83e59edc'),
+     '5a74120d6a438bdc672477fa8c42bad74d8585210d7d1a3bf1d328c60b041eca'),
     ((0.1, 32),
      '3eb1c8f06fb3223be42296e35552fba45311274f7e37f78dec935ca47cd293e9',
      '20af7b273380b49ea7ef1fcf859b67bb4e6c6d45bf9c240059702727d52ca2e5',
-     '20b560dd2c313bf0d7c1fd78422ddd6af8e9161bd0db6520ec60579b258c54ea'),
+     'dba58cf640a7de9830cb16a88a977057f842c191b42dc4dbaf69a0d10a994cde'),
     ((2.0, 16),
      'bb7c2c0d302e46343dc1cfb4d09b7c4923391780962c1644e32daadfad3095ab',
      '8b6d13ab02dec6e10a35ca32af09be564ea7193d18f3894110e1beb0de010ec8',
-     '38e32236a57f44582141784f6cf6c9a77ce8cb40dee39d090ce99836002a9330'),
+     '4659c22f7cd3892bea8bce0388c6e227e31a533bdf18101082e1099b7b3aeef3'),
     ((3.0, 30),
      'd873fa85d5aeb316a26381baa0c2cc08ce129883f80eb1d1feab5c39c287aac3',
      '880457fcb14c98639e627c3d6101b3aff11400fd78e5b3547de2268b28f0ee83',
-     '1f9bed604f65a8bad105d4f347c59ab2cfa9494e82205d45515514906c1c2bf2'),
+     '43c0c26ac8b196e46253d03e0c1b0da2fef531a1368fc24736fb3df4cd535610'),
     ((0.0718, 40),
      '7dcf143e166e64077d00b7809239ec5012f1171ff0f434e923b1a530815e1ef8',
      '621e4452bf1eb74c6e123ba83803f8a37f45b28c0cd00c706a788c20e1a40917',
-     '9c4abe202fc75314f4d4a5d9b2448d3fbafe20a13f0cf4eb04fd0807781e0ddd'),
+     'c96d1fa0e07ae96ec2d0463637d06ba8cc2492a5d7d0f10ce048fbb1554e7f81'),
     ((0.1, 100, 1024),
      'aa83bbb329394c1f3c7b64b07649e3ba946ee682091b7015627fc554bc72b11d',
      '3b649c3acc65e790e1db6fb9558063bc08653a321a5ba4d98dca38abcdeb5b43',
-     '55a1b1aba59b1c61bdd5da74b4b94744568aedd0fc166754f76873f16f1390f6'),
+     '6d611e89c58eafa1d3b9c6084df833f15952df218c75c31988156dfa92536f81'),
     ((1e-20, 2, 2048),
      'fd73d9230ffece8a0e68ae880e54ca3208c8d4e9b3c175a593e119b21d2c8543',
      '97d96bf36bfd4e3c1f286b158c884ee4217e543beaacce42397d12bed1158112',
-     '58c6fb29d8dee85aff921b1c770f0953d2ff647b2fada857666b30e7d8b6c99e'),
+     '94e162667dc3fec0e7697b72323d23634e87f50e691414c9951932f418fb0072'),
 ]
 
 
@@ -572,6 +572,43 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
     t = build_table(*args)
     assert [_sha256(x) for x in ((t.C, t.C_bar, t.scale), *seen)] == [
         table, diag, march]
+
+
+def _quadratic_march(k, diag):
+    """The next diagonals as the march once found them: the star relation
+    and the corner relation at (m, m) eliminated to one quadratic in X, of
+    which the minus root was the one taken in a sound march."""
+    c_diag, cbar_diag, bits = diag
+    kf, (a, b) = _fixed(k, bits), correlations._nearest_neighbours(k, bits)
+    rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
+    c_next, cbar_next = [a], [b]
+    for m in range(1, len(c_diag) - 1):
+        cm, cbm = c_diag[m], cbar_diag[m]
+        p = ((kn + (1 << g)) * cm * cbm >> g) // rk
+        a2 = (b * b << bits) - (kn * a * a << bits - g)
+        h = p * b << 2 * bits
+        a0 = (((kn * cm * c_diag[m + 1] << bits - g)
+               - (cbm * cbar_diag[m + 1] << bits)) * a * a + (p * p << 3 * bits))
+        x = (h - math.isqrt(h * h - a2 * a0)) // a2
+        a, b = x, ((p << bits) - b * x) // a
+        c_next.append(a)
+        cbar_next.append(b)
+    return c_next, cbar_next
+
+
+@pytest.mark.parametrize("args", [row[0] for row in PINNED_BUILDS]
+                         + [(0.9, 100, 512)], ids=str)
+def test_linear_march_matches_quadratic_march(args):
+    # both seed families of the linear solve, as build_table calls it, agree
+    # with the quadratic's minus root to the bound of the deeper-build test
+    k, radius, precision_bits = (*args, 256)[:3]
+    k = sorted(k.as_integer_ratio())
+    diag = diagonal_seeds(k, radius + 1, precision_bits + 64)
+    linear = next_diagonal_seeds(k, diag, precision_bits + 64)
+    for new, old in zip(linear, _quadratic_march(k, diag)):
+        assert len(new) == len(old) == radius + 1
+        for x, ref in zip(new, old):
+            assert abs(x - ref) << precision_bits + 40 <= ref
 
 
 def test_dyadic_modulus_identities():
@@ -622,13 +659,6 @@ def test_dyadic_modulus_identities():
         rk = math.isqrt(kf << bits)
         assert ((kf + one) * cm * cbm // (rk << bits)
                 == ((kn + (1 << g)) * cm * cbm >> g) // rk)
-
-    # the march's minus root is not scale-invariant: a2, h and disc over
-    # 4, 4 and 16 describe the same quadratic, but isqrt floors differently,
-    # so its coefficients keep their full scale
-    a2, h, disc = 4, 12, 32
-    assert (h - math.isqrt(disc)) // a2 == 1
-    assert (h // 4 - math.isqrt(disc // 16)) // (a2 // 4) == 2
 
 
 @pytest.mark.parametrize("k", [(1, 3), (2, 7), (1, 10),

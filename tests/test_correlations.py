@@ -354,9 +354,11 @@ def test_seeds_match_deeper_build(k, radius, bits):
     # (bits + 64, radius + 1) keep their guard bits against seeds 512 bits
     # deeper.  The minors and the march run at log2(1/k) guard bits per
     # order, half the symbol's, since the C seeds shrink like k^n.  With a
-    # flat 32-bit guard the march fails its cross-check at (0.1, 32, 256)
-    # and the seeds read 2^-502.9 at (0.5, 100, 512).  build_table refuses
-    # (0.01, 40, 256) by its sweep estimate, so the seeds are called directly.
+    # flat 32-bit guard the seeds read 2^-237.3 at (0.1, 32, 256) and
+    # 2^-501.5 at (0.5, 100, 512), and the march's corner cross-check, an
+    # absolute residual that the small C seeds barely enter, does not fire.
+    # build_table refuses (0.01, 40, 256) by its sweep estimate, so the
+    # seeds are called directly.
     k = k.as_integer_ratio()
     diag = diagonal_seeds(k, radius + 1, bits + 64)
     deep = diagonal_seeds(k, radius + 1, bits + 64 + 512)

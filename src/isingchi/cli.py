@@ -123,7 +123,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run a self-verification suite")
     ver.add_argument("suite", choices=("elliptic", "couplings", "recurrence",
-                                       "frustrated", "chi", "all"))
+                                       "frustrated", "chi", "seeds", "all"))
     ver.add_argument("--tol", type=float,
                      help="override every per-identity tolerance")
     ver.add_argument("--out", help="also write the report as CSV")

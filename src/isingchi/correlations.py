@@ -7,23 +7,25 @@ the two families, so the build always carries both.  Every function here
 takes that bare modulus k.
 
 Closed forms fix the nearest neighbour and, through the linear relation
-sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  One Levinson
-recursion over the diagonal symbol gives C_bar(n,n) as Toeplitz minors and
-C(n,n) as their cofactors in O(R^2); a march solving the star relation and
-a quadratic recurrence as one 2x2 linear system gives the next-to-diagonal
-entries, and superdiagonal sweeps of the two recurrences the rest of the
-octant.  All of it, from the closed forms to the stored table, is fixed
-point on Python integers: the modulus enters as an exact ratio, which each
-stage floors at its own bits to kf = floor(k 2^bits) = kn 2^(bits - g) with
-kn odd (53 bits at most for a float k < 1, about as wide as kf for a
-non-dyadic k such as 1/3); the symbol step, the march and the sweep multiply
-by kn and cancel or shift the power of two exactly, and the AGM at modulus k
-gives every closed form.  One guard rule,
-_loss_bits = n log2(1/k), sets those bits: the symbol's forward recurrence,
-which computes a minimal solution (about k^|j|) against a dominant k^-|j| one
-(Gautschi 1967), carries twice it; the Levinson minors and the march, whose C
-seeds shrink like k^n, carry it once; and build_table refuses a radius R
-where twice it at R, the sweep's small-k loss estimate, leaves too few bits.
+sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Two recurrences on
+the reflection coefficients of the diagonal symbol's Toeplitz matrices give
+C_bar(n,n) as their minors and C(n,n) as cofactors in O(R); a march solving
+the star relation and a quadratic recurrence as one 2x2 linear system gives
+the next-to-diagonal entries, and superdiagonal sweeps of the two
+recurrences the rest of the octant.  All of it, from the closed forms to the
+stored table, is fixed point on Python integers: the modulus enters as an
+exact ratio (num, den), which the diagonal's recurrences take as it is and
+each other stage floors at its own bits to
+kf = floor(k 2^bits) = kn 2^(bits - g) with kn odd (53 bits at most for a
+float k < 1, about as wide as kf for a non-dyadic k such as 1/3); the symbol
+step, the next-diagonal march and the sweep multiply by kn and cancel or
+shift the power of two exactly, and the AGM at modulus k gives every closed
+form.  One guard rule, _loss_bits = n log2(1/k), sets those bits: the
+symbol's forward recurrence and the diagonal's, which compute minimal
+solutions (about k^n) against dominant k^-n ones (Gautschi 1967), carry
+twice it; the seeds, which shrink like k^n, and the next diagonal carry it
+once; and build_table refuses a radius R where twice it at R, the sweep's
+small-k loss estimate, leaves too few bits.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
 so.  The corner identity, and the star off the diagonal, are not consumed;
@@ -34,8 +36,6 @@ residual_report is first read.
 import math
 from collections import namedtuple
 from functools import cached_property
-from itertools import count
-from operator import mul
 
 from .elliptic import EllipticDomainError, agm
 
@@ -61,8 +61,9 @@ MIN_DIVISOR_BITS = 8
 class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
-    Raised when a nearest-neighbour seed or a Toeplitz determinant comes
-    out non-positive, the diagonal march meets a singular system, leaves
+    Raised when a nearest-neighbour seed, a diagonal seed or 1 - x_n y_n of
+    the diagonal's recurrences comes out non-positive, C(n,n) fails to fall
+    with n, the next-diagonal march meets a singular system, leaves
     (0, 1) or fails its cross-check, a swept entry leaves (0, 1], a divisor
     loses nearly all of its significant bits, or the estimated small-k loss
     leaves too few.  The remedy is a higher precision_bits, not a smaller
@@ -113,7 +114,8 @@ def _symbol_coefficients(k, n_top, precision):
     cancels), it runs outward both ways in O(n_top) steps for any k, with
     2 _loss_bits(k, n_top + 2) + 32 guard bits over precision against the
     k^-2|j| growth of the unwanted solution, then one shift hands them on at
-    half that guard, the minors' bits.
+    half that guard, the bits of the seeds that verify's Levinson minors
+    check; diagonal_seeds takes a_{-1..1} at its march's bits.
     """
     loss = _loss_bits(k, n_top + 2)
     bits = precision + int(2 * loss) + 32
@@ -132,65 +134,56 @@ def _symbol_coefficients(k, n_top, precision):
     return {j: x >> bits - seed_bits for j, x in a.items()}, seed_bits
 
 
-def _toeplitz_minors(t, bits):
-    """Yield (det T_n, e_b) for n = 1, 2, ... until the caller stops.
-
-    T_n = [t(i - j)]; t(j), the minors and e_b are integers x 2^bits.
-    Nonsymmetric Levinson recursion: f and b are the first and last columns
-    of T_n^-1, e_b = sum_i t(-1 - i) b_i, det T_{n+1} = det T_n (1 - e_f e_b)
-    / f_0, each value rounded once.  det[t(i - j - 1)]_n is the (n, 0) minor
-    of T_{n+1}; its cofactor over det T_{n+1} is the next b's top entry,
-    -e_b f_0 / (1 - e_f e_b), so (-1)^n det[t(i - j - 1)]_n = -e_b det T_n.
-    A vanishing minor raises PrecisionExhausted before anything divides.
-    """
-    def nonzero(det, n):
-        if not det:
-            raise PrecisionExhausted("Toeplitz minor of order %d vanishes; "
-                                     "raise precision_bits" % n, where=(n, n))
-        return det
-
-    one, det = 1 << bits, nonzero(t(0), 1)
-    f = b = [(one << bits) // det]
-    for n in count(1):
-        e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
-        yield det, e_b
-        e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
-        scale = one - (e_f * e_b >> bits)
-        det = nonzero(det * scale // f[0], n + 1)
-        f_ext, b_ext = f + [0], [0] + b
-        f = [((x << bits) - e_f * y) // scale for x, y in zip(f_ext, b_ext)]
-        b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
-
-
 def diagonal_seeds(k, n_max, precision):
-    """C(n,n) and C_bar(n,n) for n = 0..n_max via Toeplitz determinants.
+    """C(n,n) and C_bar(n,n) for n = 0..n_max in O(n_max).
 
     k is the modulus as an exact ratio (num, den), precision the working
-    bits.  C_bar(n,n) = det[a_{i-j}] of order n, and C(n,n) = -e_b C_bar(n,n)
-    by the cofactor identity of _toeplitz_minors (both frozen against the
-    transfer-matrix oracle), so one Levinson recursion at the symbol's
-    coefficient bits, precision + _loss_bits(k, n_max + 2) + 32, gives both
-    diagonals in O(n_max^2).  Returns (C, C_bar, bits), unrounded integers
-    x 2^bits; a non-positive seed means the precision ran out.
+    bits.  C_bar(n,n) = D_n = det[a_{i-j}]_n and C(n,n) = -y_n D_n, with x_n
+    and y_n the reflection coefficients e_f and e_b of Levinson's recursion
+    (verify._toeplitz_minors).  As z phi'/phi is rational, from x_0 = y_0 =
+    -1, D_0 = 1, D_1 = a_0 and (x_1, y_1) = (a_1, a_{-1}) / a_0 (Magnus 1995)
+
+        (2n - 1) s_n y_{n+1} = 2n [(1 + k^2) y_n - 2 x_n] / k - (2n + 1) s_n y_{n-1}
+        (2n + 3) y_n x_{n+1} = (2n + 1) x_n y_{n+1} + (2n - 1) y_{n-1} x_n
+                               - (2n - 3) x_{n-1} y_n
+        D_{n+1} D_{n-1} = D_n^2 s_n,    s_n = 1 - x_n y_n.
+
+    y_n ~ k^n is the first's minimal solution, so the march carries the
+    symbol series' guard and returns (C, C_bar, bits) at half it, unrounded
+    integers x 2^bits.  A non-positive seed or s_n, or C(n,n) not below
+    C(n-1,n-1), means the precision ran out.
     """
+    def exhausted(n):
+        return PrecisionExhausted("diagonal seed or 1 - x_n y_n out of range; "
+                                  "raise precision_bits", where=(n, n))
+
     num, den = k
     if not 0 < num < den:
         raise EllipticDomainError("modulus must lie in (0, 1), got %.8g"
                                   % (num / den))
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    coeff, bits = _symbol_coefficients(k, n_max, precision)
-    c_diag, cbar_diag = [1 << bits], [1 << bits]
-    minors = _toeplitz_minors(coeff.__getitem__, bits)
-    for n, (d_bar, e_b) in zip(range(1, n_max + 1), minors):
-        d = -e_b * d_bar >> bits
-        if d <= 0 or d_bar <= 0:
-            raise PrecisionExhausted(
-                "Toeplitz determinant of order %d is non-positive; "
-                "raise precision_bits" % n, where=(n, n))
-        c_diag.append(d)
-        cbar_diag.append(d_bar)
-    return c_diag, cbar_diag, bits
+    loss = _loss_bits(k, n_max + 2)
+    a, bits = _symbol_coefficients(k, 1, precision + int(2 * loss))
+    one, seed_bits = 1 << bits, precision + int(loss) + 32
+    shift, d0, d = bits - seed_bits, one, a[0]
+    if d >> shift <= 0:
+        raise exhausted(1)
+    x, y, x0, y0 = (a[1] << bits) // d, (a[-1] << bits) // d, -one, -one
+    c_diag, cbar_diag = [1 << seed_bits], [1 << seed_bits]
+    for n in range(1, n_max + 1):
+        c_diag.append(-y * d >> bits + shift)
+        cbar_diag.append(d >> shift)
+        s = one - (x * y >> bits)
+        if min(c_diag[-1], cbar_diag[-1], s) <= 0 or c_diag[-1] >= c_diag[-2]:
+            raise exhausted(n)
+        # the first recurrence times num den; s, d0 > 0 and y < 0 divide
+        y1 = ((n * (2 * (num * num + den * den) * y - 4 * den * den * x) << bits)
+              - num * den * (2 * n + 1) * s * y0) // (num * den * (2 * n - 1) * s)
+        x1 = ((2 * n + 1) * x * y1 + (2 * n - 1) * y0 * x
+              - (2 * n - 3) * x0 * y) // ((2 * n + 3) * y)
+        x0, y0, x, y, d0, d = x, y, x1, y1, d, d * d * s // (d0 << bits)
+    return c_diag, cbar_diag, seed_bits
 
 
 def _nearest_neighbours(k, bits):
@@ -380,7 +373,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     than MIN_DIVISOR_BITS is refused before any work; an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in 0.11 reference s (2-vCPU Xeon VM).
+    entry.  Radius 100 at 512 bits builds in 0.06 reference s (2-vCPU Xeon VM).
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")

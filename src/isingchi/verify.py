@@ -3,19 +3,24 @@
 This module judges: each suite compares a computation with an
 independent reference, names its rows and sets their tolerances.  The
 recurrence and frustrated suites check build_table and ff_correlation
-against isingchi.oracle, which only computes; the others are seeded
-property checks against a hypergeometric series and exact identities.
-Each suite imports what it alone uses when it runs: the oracle (and so
-numpy) for recurrence and frustrated, numpy for couplings, and numpy and
-isingchi.chi for chi.  The module and the elliptic suite need only the
-standard library.
+against isingchi.oracle, which only computes; the seeds suite checks the
+build's diagonal seeds against the Levinson minors kept here; the others
+are seeded property checks against a hypergeometric series and exact
+identities.  Each suite imports what it alone uses when it runs: the
+oracle (and so numpy) for recurrence and frustrated, numpy for couplings,
+and numpy and isingchi.chi for chi.  The module and the elliptic and
+seeds suites need only the standard library.
 """
 
 import math
 import random
 from collections import namedtuple
+from itertools import count
+from operator import mul
 
-from .correlations import _identity_residuals, build_table, lookup
+from .correlations import (PrecisionExhausted, _identity_residuals,
+                           _symbol_coefficients, build_table, diagonal_seeds,
+                           lookup)
 from .couplings import coupling_pair, quarter_period
 from .elliptic import complete_elliptic_K
 from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
@@ -69,6 +74,36 @@ def _hypergeometric_K(m):
         term = term * ((2 * n - 1) * num) ** 2 // (2 * n * den) ** 2
         total += term
     return 0x3243F6A8885A308D313198A2E * total / (1 << 96 + 100 + 1)
+
+
+def _toeplitz_minors(t, bits):
+    """Yield (det T_n, e_b) for n = 1, 2, ... until the caller stops.
+
+    T_n = [t(i - j)]; t(j), the minors and e_b are integers x 2^bits.
+    Nonsymmetric Levinson recursion: f and b are the first and last columns
+    of T_n^-1, e_b = sum_i t(-1 - i) b_i, det T_{n+1} = det T_n (1 - e_f e_b)
+    / f_0, each value rounded once.  det[t(i - j - 1)]_n is the (n, 0) minor
+    of T_{n+1}; its cofactor over det T_{n+1} is the next b's top entry,
+    -e_b f_0 / (1 - e_f e_b), so (-1)^n det[t(i - j - 1)]_n = -e_b det T_n.
+    A vanishing minor raises PrecisionExhausted before anything divides.
+    """
+    def nonzero(det, n):
+        if not det:
+            raise PrecisionExhausted("Toeplitz minor of order %d vanishes; "
+                                     "raise precision_bits" % n, where=(n, n))
+        return det
+
+    one, det = 1 << bits, nonzero(t(0), 1)
+    f = b = [(one << bits) // det]
+    for n in count(1):
+        e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
+        yield det, e_b
+        e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
+        scale = one - (e_f * e_b >> bits)
+        det = nonzero(det * scale // f[0], n + 1)
+        f_ext, b_ext = f + [0], [0] + b
+        f = [((x << bits) - e_f * y) // scale for x, y in zip(f_ext, b_ext)]
+        b = [((y << bits) - e_b * x) // scale for x, y in zip(f_ext, b_ext)]
 
 
 def _suite_elliptic(tolerance):
@@ -206,12 +241,33 @@ def _suite_frustrated(tolerance):
     return VerificationReport(rows=tuple(rows))
 
 
+def _suite_seeds(tolerance):
+    """diagonal_seeds as build_table calls it at 256 bits against the
+    Levinson minors of the full symbol series at the same bits, C_bar(n,n) =
+    det T_n and C(n,n) = -e_b det T_n: the worst relative gap of each family,
+    to the deeper-build test's bound 2^-(precision_bits + 40)."""
+    bits, gaps = 256, {"C": {}, "Cbar": {}}
+    for k, radius in ((0.0718, 24), (0.5, 16)):
+        ratio = k.as_integer_ratio()
+        c, cbar, _ = diagonal_seeds(ratio, radius + 1, bits + 64)
+        coeff, ref_bits = _symbol_coefficients(ratio, radius + 1, bits + 64)
+        minors = _toeplitz_minors(coeff.__getitem__, ref_bits)
+        for n, (det, e_b) in zip(range(1, radius + 2), minors):
+            loc, ref = "k=%g (%d %d)" % (k, n, n), -e_b * det >> ref_bits
+            gaps["Cbar"][loc] = (cbar[n] - det) / det
+            gaps["C"][loc] = (c[n] - ref) / ref
+    return VerificationReport(rows=tuple(
+        _worst("seeds-vs-toeplitz-" + name, gaps[name],
+               _tol(tolerance, 2.0 ** -(bits + 40))) for name in ("C", "Cbar")))
+
+
 SUITES = {
     "elliptic": _suite_elliptic,
     "couplings": _suite_couplings,
     "recurrence": _suite_recurrence,
     "frustrated": _suite_frustrated,
     "chi": _suite_chi,
+    "seeds": _suite_seeds,
 }
 
 

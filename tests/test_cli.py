@@ -398,6 +398,8 @@ def test_installed_entry_point():
      ("numpy", "scipy", "mpmath", "dataclasses")),
     # the elliptic suite draws its moduli with the standard library
     (["verify", "elliptic"], ("numpy", "scipy", "mpmath", "dataclasses")),
+    # so do the seeds suite's recurrences and Levinson minors
+    (["verify", "seeds"], ("numpy", "scipy", "mpmath", "dataclasses")),
     (["verify", "couplings"], ("scipy", "mpmath", "dataclasses")),
     (["verify", "chi"], ("scipy", "mpmath", "dataclasses")),
     (["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2",
@@ -405,8 +407,8 @@ def test_installed_entry_point():
     # the oracle suites solve their cylinders with numpy alone
     (["verify", "recurrence"], ("scipy", "mpmath", "dataclasses")),
     (["verify", "all", "--out", "{out}"], ("scipy", "mpmath", "dataclasses")),
-], ids=["corr", "verify-elliptic", "verify-couplings", "verify-chi",
-        "chi-uniform", "verify-recurrence", "verify-all"])
+], ids=["corr", "verify-elliptic", "verify-seeds", "verify-couplings",
+        "verify-chi", "chi-uniform", "verify-recurrence", "verify-all"])
 def test_command_loads_only_what_it_uses(argv, absent, tmp_path):
     # each command imports only what its work needs: a table export pays
     # for neither numpy nor scipy, no command loads scipy or mpmath, and

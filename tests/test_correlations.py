@@ -19,11 +19,11 @@ from isingchi.correlations import (
     _identity_residuals,
     _odd_part,
     _symbol_coefficients,
-    _toeplitz_minors,
     _worst_residual,
     diagonal_seeds,
     next_diagonal_seeds,
 )
+from isingchi.verify import _toeplitz_minors
 
 # frozen against the transfer-matrix oracle and the closed forms
 NN_HALF = 0.4013239632465773
@@ -524,42 +524,43 @@ def _sha256(x):
 
 
 # SHA-256 of (C, C_bar, scale) and of the diagonal_seeds and
-# next_diagonal_seeds outputs of each build, the first two recorded from the
-# full-width floor(k 2^bits) formulas and the third from the march's 2x2
-# linear solve; the CSV digests of test_cli see only 17 digits
+# next_diagonal_seeds outputs of each build, the first recorded from the
+# full-width floor(k 2^bits) formulas, the second from the reflection
+# coefficients' recurrences and the third from the march's 2x2 linear solve
+# on those seeds; the CSV digests of test_cli see only 17 digits
 PINNED_BUILDS = [
     ((0.5, 40),
      '06421f13a6e2bcf2ee4c027d62ca602e04545841a22910e01def1be7ede26362',
-     '396ab7957e54b5da52c66b2a3652904420f86014fa43b4e200e12a4b056b9d8d',
-     '0b75eb84f0814222b3e6153d8a445d1dabeb3586b61160d7c222747f49e91144'),
+     'e347d9c490b3bb1b910f0dfbacddc14f660e096a3550502fcd79c26bab0e4500',
+     '0eb593cbea1aa57aa59c210a141c59a1519eb46ffc7fc213b917738d192aff61'),
     ((0.99, 24),
      '99c9ec39c4414d7e3c4a4be657e9d41a830d1732fce4ee109bb90315009311c8',
-     '38f0ee777c9a5867c2eb9adc8babb76b2d612a59743113eb30c4a9f85919709b',
-     '5a74120d6a438bdc672477fa8c42bad74d8585210d7d1a3bf1d328c60b041eca'),
+     '32abb85075cab0fc6df69b9797baf92a135c8e994872297ee6a314bb88189477',
+     '6044ef76774227927ed15d48a5d12d5bff19b14dffcbe31769ce0a3e1f151d22'),
     ((0.1, 32),
      '3eb1c8f06fb3223be42296e35552fba45311274f7e37f78dec935ca47cd293e9',
-     '20af7b273380b49ea7ef1fcf859b67bb4e6c6d45bf9c240059702727d52ca2e5',
-     'dba58cf640a7de9830cb16a88a977057f842c191b42dc4dbaf69a0d10a994cde'),
+     '18be5a0ad249e0ab0173f8f4a3d3713c02556f2fa002b4fa03b065c525575936',
+     'c33d5626663d42e57e62eaecd6b2ae22bb9de1f37a411365c1bd4ede39fc2f42'),
     ((2.0, 16),
      'bb7c2c0d302e46343dc1cfb4d09b7c4923391780962c1644e32daadfad3095ab',
-     '8b6d13ab02dec6e10a35ca32af09be564ea7193d18f3894110e1beb0de010ec8',
-     '4659c22f7cd3892bea8bce0388c6e227e31a533bdf18101082e1099b7b3aeef3'),
+     '165bc1f09f8555e21b895ca8b20f43008b0bad7e402963158af25ad3c591690c',
+     '4482f53ebfd7a479b9a032ed81f8c9a7d4434b859d27d1118b511cd5f2f75515'),
     ((3.0, 30),
      'd873fa85d5aeb316a26381baa0c2cc08ce129883f80eb1d1feab5c39c287aac3',
-     '880457fcb14c98639e627c3d6101b3aff11400fd78e5b3547de2268b28f0ee83',
-     '43c0c26ac8b196e46253d03e0c1b0da2fef531a1368fc24736fb3df4cd535610'),
+     '3275f053a910fa13a1c4c8a888ae2ac134522a566839ec22a3a3b592adcacff8',
+     '4ef9c5cc31f325487e1b197ce2692767641d92f5f7e8ea5a71fd82c807be4179'),
     ((0.0718, 40),
      '7dcf143e166e64077d00b7809239ec5012f1171ff0f434e923b1a530815e1ef8',
-     '621e4452bf1eb74c6e123ba83803f8a37f45b28c0cd00c706a788c20e1a40917',
-     'c96d1fa0e07ae96ec2d0463637d06ba8cc2492a5d7d0f10ce048fbb1554e7f81'),
+     'dbee70a1a05341a98c5f3420f506559d5c074bf24c0fd7ea6251649e853cd26e',
+     '764efc05c9e6f71531e7d24d40966570a72a42141083e6cebc270feffecdd2a8'),
     ((0.1, 100, 1024),
      'aa83bbb329394c1f3c7b64b07649e3ba946ee682091b7015627fc554bc72b11d',
-     '3b649c3acc65e790e1db6fb9558063bc08653a321a5ba4d98dca38abcdeb5b43',
-     '6d611e89c58eafa1d3b9c6084df833f15952df218c75c31988156dfa92536f81'),
+     'bd0de551e3b62338c0ca0f9b0c2507820e512633b639721cfef07180207efab9',
+     '25458f0192412c7d98dcf816d9188567271ed008e4126ae61e191d2223217ddd'),
     ((1e-20, 2, 2048),
      'fd73d9230ffece8a0e68ae880e54ca3208c8d4e9b3c175a593e119b21d2c8543',
-     '97d96bf36bfd4e3c1f286b158c884ee4217e543beaacce42397d12bed1158112',
-     '94e162667dc3fec0e7697b72323d23634e87f50e691414c9951932f418fb0072'),
+     '86c9fd1ebeac73e32ca2545866ad2cdbe0f764fefa2854d4b43cb2936fb67231',
+     '07090117fbff2c1b9955539d009b3cdf8352fa209a404e0d201ea5199690d959'),
 ]
 
 
@@ -680,3 +681,136 @@ def test_symbol_coefficients_match_full_width_step(k):
                 - (kf * (2 * j - 4 * e + 1) * a[j - 2 * e] << bits)
                 ) // (kf * (2 * j + 1) << bits)
     assert coeff == {j: x >> bits - seed_bits for j, x in a.items()}
+
+
+def _levinson(a, n_max, bits):
+    """(x_n, y_n, D_n) for n = 1..n_max: the reflection coefficients e_f and
+    e_b and det T_n of T_n = [a_{i-j}], by the nonsymmetric Levinson
+    recursion written out on integers x 2^bits.  f and b are the first and
+    last columns of T_n^-1, and det T_{n+1} = det T_n (1 - e_f e_b) / f_0."""
+    one, det = 1 << bits, a[0]
+    f = b = [(one << bits) // det]
+    out = []
+    for n in range(1, n_max + 1):
+        x = sum(a[n - i] * f[i] for i in range(n)) >> bits
+        y = sum(a[-1 - i] * b[i] for i in range(n)) >> bits
+        out.append((x, y, det))
+        s = one - (x * y >> bits)
+        det = det * s // f[0]
+        f, b = ([((u << bits) - x * v) // s for u, v in zip(f + [0], [0] + b)],
+                [((v << bits) - y * u) // s for u, v in zip(f + [0], [0] + b)])
+    return out
+
+
+def _levinson_seeds(k, n_max, precision):
+    """diagonal_seeds as the Levinson minors gave them: the full symbol
+    series and _levinson at the same bits, C_bar(n,n) = D_n and C(n,n) =
+    -y_n D_n, a non-positive seed raising at (n, n)."""
+    coeff, bits = _symbol_coefficients(k, n_max, precision)
+    c, cbar = [1 << bits], [1 << bits]
+    for n, (_, y, d) in enumerate(_levinson(coeff, n_max, bits), 1):
+        c.append(-y * d >> bits)
+        cbar.append(d)
+        if c[-1] <= 0 or d <= 0:
+            raise PrecisionExhausted("Levinson seed", where=(n, n))
+    return c, cbar, bits
+
+
+@pytest.mark.parametrize("k", [0.03, 0.1, 1 / 3, 0.5, 0.9, 0.995])
+def test_reflection_recurrences_match_levinson(k):
+    # (B), (Q) and the D update of diagonal_seeds hold on a literal Levinson
+    # run 128 bits past the march's guard, from x_0 = y_0 = -1 and D_0 = 1,
+    # and the march as build_table calls it at 256 bits keeps the bound of
+    # test_seeds_match_deeper_build against it out to n = 100
+    n_max, bits = 100, 256 + 64
+    k = k.as_integer_ratio()
+    loss = int(correlations._loss_bits(k, n_max + 2))
+    coeff, ref_bits = _symbol_coefficients(k, n_max + 1, bits + loss + 128)
+    with mp.workprec(2 * ref_bits):
+        one, kk = mp.mpf(1), mp.mpf(k[0]) / k[1]
+        ref = [(-one, -one, one)] + [tuple(mp.ldexp(v, -ref_bits) for v in xyd)
+                                     for xyd in _levinson(coeff, n_max + 1, ref_bits)]
+        x, y, d = zip(*ref)
+        for n in range(1, n_max + 1):
+            s = 1 - x[n] * y[n]
+            for terms in (
+                    [(2 * n - 1) * s * y[n + 1], -2 * n * (1 + kk ** 2) / kk * y[n],
+                     4 * n / kk * x[n], (2 * n + 1) * s * y[n - 1]],
+                    [(2 * n + 3) * y[n] * x[n + 1], -(2 * n + 1) * x[n] * y[n + 1],
+                     -(2 * n - 1) * y[n - 1] * x[n], (2 * n - 3) * x[n - 1] * y[n]],
+                    [d[n + 1] * d[n - 1], -d[n] ** 2 * s]):
+                assert abs(sum(terms)) <= max(map(abs, terms)) * 2.0 ** -(bits + 40), n
+        c, cbar, seed_bits = diagonal_seeds(k, n_max, bits)
+        for n in range(1, n_max + 1):
+            for got, want in ((c[n], -y[n] * d[n]), (cbar[n], d[n])):
+                assert abs(mp.ldexp(got, -seed_bits) / want - 1) <= 2.0 ** -(256 + 40), n
+
+
+@pytest.mark.parametrize("j, edit, where", [
+    (0, lambda a: 0, (1, 1)),                # D_1 = 0 would divide x_1, y_1
+    (-1, lambda a: 0, (1, 1)),               # y_1 = 0 would divide in (Q)
+    (-1, lambda a: -a, (1, 1)),              # C(1,1) < 0
+    (1, lambda a: -(a << 60), (1, 1)),       # 1 - x_1 y_1 < 0 would divide (B)
+    # a relative error e in a_{+-1} excites the k^-n solution, which takes
+    # over near e 4^n = 1: up by 2^-40, C(17,17) < 0; down by 2^-200,
+    # C(95,95) > C(94,94)
+    (1, lambda a: a + (a >> 40), (17, 17)),
+    (-1, lambda a: a - (abs(a) >> 200), (95, 95)),
+], ids=["a0-zero", "am1-zero", "am1-negated", "s1-negative", "a1-up-2^-40",
+        "am1-down-2^-200"])
+def test_corrupt_symbol_raises_at_the_seed(j, edit, where, monkeypatch):
+    series = correlations._symbol_coefficients
+
+    def edited(k, n_top, precision):
+        a, bits = series(k, n_top, precision)
+        a[j] = edit(a[j])
+        return a, bits
+
+    monkeypatch.setattr(correlations, "_symbol_coefficients", edited)
+    with pytest.raises(PrecisionExhausted, match="^diagonal seed or 1 - x_n y_n out") as err:
+        diagonal_seeds((1, 2), 120, 320)
+    assert err.value.where == where
+
+
+def _seeded_builds(count):
+    rng = random.Random(3636)
+    for _ in range(count):
+        k = rng.choice([10 ** rng.uniform(-4, -1), rng.uniform(0.05, 0.95),
+                        1 - 10 ** rng.uniform(-5.5, -1)])
+        yield (1 / k if rng.random() < 0.3 else k, rng.randint(2, 36),
+               rng.choice([24, 53, 96, 128, 256]))
+
+
+@pytest.mark.parametrize("args", list(_seeded_builds(40)), ids=str)
+def test_seeds_build_the_levinson_tables(args, monkeypatch):
+    # each build gives the same integer table, or the same exception type
+    # and location, with its seeds from the recurrences or from _levinson
+    def build():
+        try:
+            t = build_table(*args)
+            return t.C, t.C_bar, t.scale
+        except PrecisionExhausted as err:
+            return err.where
+
+    fast = build()
+    monkeypatch.setattr(correlations, "diagonal_seeds", _levinson_seeds)
+    assert build() == fast
+
+
+def test_seeds_suite_sees_a_lost_guard(monkeypatch):
+    from isingchi import verify
+
+    rows = verify.run_suite("seeds").rows
+    assert [r.identity for r in rows] == ["seeds-vs-toeplitz-C",
+                                          "seeds-vs-toeplitz-Cbar"]
+    assert all(r.passed and r.tolerance == 2.0 ** -296 for r in rows)
+    # seeds off by 2^-260 relative, as the recurrences at one _loss_bits of
+    # guard read at (0.0718, 24), fail the C row and leave C_bar's alone
+    seeds = correlations.diagonal_seeds
+
+    def coarse(k, n_max, precision):
+        c, cbar, bits = seeds(k, n_max, precision)
+        return [x + (x >> 260) for x in c], cbar, bits
+
+    monkeypatch.setattr(verify, "diagonal_seeds", coarse)
+    assert [r.passed for r in verify.run_suite("seeds").rows] == [False, True]

@@ -11,11 +11,11 @@ sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Two recurrences on
 the reflection coefficients of the diagonal symbol's Toeplitz matrices give
 C_bar(n,n) as their minors and C(n,n) as cofactors in O(R); a march solving
 the star relation and a quadratic recurrence as one 2x2 linear system gives
-the next-to-diagonal entries, and superdiagonal sweeps of the two
-recurrences the rest of the octant.  All of it, from the closed forms to the
-stored table, is fixed point on Python integers: the modulus enters as an
-exact ratio (num, den), which the diagonal's recurrences take as it is and
-each other stage floors at its own bits to
+the next-to-diagonal entries, and a sweep of the two recurrences, each
+diagonal from the two before it, the rest of the octant.  All of it, from
+the closed forms to the stored table, is fixed point on Python integers:
+the modulus enters as an exact ratio (num, den), which the diagonal's
+recurrences take as it is and each other stage floors at its own bits to
 kf = floor(k 2^bits) = kn 2^(bits - g) with kn odd (53 bits at most for a
 float k < 1, about as wide as kf for a non-dyadic k such as 1/3); the symbol
 step, the next-diagonal march and the sweep multiply by kn and cancel or
@@ -362,18 +362,18 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
 
     The seeds and the sweep carry guard bits and each stored entry is
     rounded once, so the table depends on (k, radius, precision_bits)
-    alone.  The sweep fills superdiagonal d = n - m = 2, 3, ... with m
-    ascending, rearranging the two quadratic recurrences as
+    alone.  The sweep makes diagonal d = n + 1 - m = 2, 3, ..., m ascending,
+    from diagonals d - 1 and d - 2 alone, by the quadratic recurrences
 
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
-    and resolving negative first indices by symmetry.  A radius at which
+    with C(m-1,n) the entry just made (C(1,n) at m = 0).  A radius at which
     the loss model's small-k estimate, 2 _loss_bits(k, R), leaves fewer
     than MIN_DIVISOR_BITS is refused before any work; an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in 0.06 reference s (2-vCPU Xeon VM).
+    entry.  Radius 100 at 512 bits builds in 0.05 reference s (2-vCPU Xeon VM).
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -402,42 +402,42 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     seeds = diag, next_diagonal_seeds(k, diag, bits)  # seeds[n - m][family][m]
 
     # x -> floor(x 2^bits), k -> kn / 2^g; products are exact, so each swept
-    # entry is rounded once, by the floor division; it reads and writes n >= m
+    # entry is rounded once, by the floor division.  rc[d][m] = C(m, m + d);
+    # cl = C(m - 1, m + d - 1) is the entry just made, C(1, d - 1) at m = 0
     one, size, shift = 1 << bits, radius + 1, diag[2] - bits
     kn, g = _odd_part(_fixed(k, bits), bits)
-    c, cb = ([[0] * size for _ in range(size)] for _ in range(2))
-    for d, (xs, ys, *_) in enumerate(seeds):
-        for m in range(size - d):
-            c[m][m + d], cb[m][m + d] = xs[m] >> shift, ys[m] >> shift
     tiny = 1 << (bits - precision_bits + MIN_DIVISOR_BITS)
+
+    def rounded(x):  # half to even, to precision_bits significant bits
+        cut = x.bit_length() - precision_bits
+        return x if cut <= 0 else (
+            x + (1 << cut - 1) - 1 + (x >> cut & 1)) >> cut << cut
+
+    rc, rb = ([list(map(rounded, s[fam])) for s in seeds] for fam in (0, 1))
+    (c2, c1), (b2, b1) = ([[x >> shift for x in s[fam]] for s in seeds]
+                          for fam in (0, 1))
     for d in range(2, size):
+        cl, bl, cd, bd = c2[1], b2[1], [0] * (size - d), [0] * (size - d)
         for m in range(size - d):
-            n = m + d - 1
-            if c[m][n - 1] < tiny or cb[m][n - 1] < tiny:
+            if c2[m] < tiny or b2[m] < tiny:
                 raise PrecisionExhausted(
                     "sweep divisor below %d significant bits; raise "
-                    "precision_bits" % MIN_DIVISOR_BITS, where=(m, n + 1))
-            c0, b0, lo = c[m][n], cb[m][n], abs(m - 1)
-            cv = ((kn * c0 * c0 - ((cb[m + 1][n] * cb[lo][n] - b0 * b0) << g))
-                  // (kn * c[m][n - 1]))
-            bv = ((((b0 * b0) << g) - kn * (c[m + 1][n] * c[lo][n] - c0 * c0))
-                  // (cb[m][n - 1] << g))
-            if not (0 < cv <= one) or not (0 < bv <= one):
+                    "precision_bits" % MIN_DIVISOR_BITS, where=(m, m + d))
+            cc, bb = c1[m] * c1[m], b1[m] * b1[m]
+            cl, bl = ((kn * cc - (b2[m + 1] * bl - bb << g)) // (kn * c2[m]),
+                      ((bb << g) - kn * (c2[m + 1] * cl - cc)) // (b2[m] << g))
+            if not (0 < cl <= one) or not (0 < bl <= one):
                 raise PrecisionExhausted(
                     "swept entry left (0, 1]; raise precision_bits",
-                    where=(m, n + 1))
-            c[m][n + 1], cb[m][n + 1] = cv, bv
-
-    # symmetric at the seeds' scale, rounded half to even
-    for fam, v in enumerate((c, cb)):
-        for m in range(size):
-            for n in range(m, size):
-                x = seeds[n - m][fam][m] if n - m < 2 else v[m][n] << shift
-                cut = x.bit_length() - precision_bits
-                if cut > 0:
-                    x = (x + (1 << cut - 1) - 1 + (x >> cut & 1)) >> cut << cut
-                v[m][n] = v[n][m] = x
-    C, C_bar = (tuple(map(tuple, v)) for v in ((cb, c) if k_req > 1 else (c, cb)))
+                    where=(m, m + d))
+            cd[m], bd[m] = cl, bl
+        rc.append([rounded(x) << shift for x in cd])
+        rb.append([rounded(x) << shift for x in bd])
+        c2, c1, b2, b1 = c1, cd, b1, bd
+    C, C_bar = (tuple(tuple([r[m - n][n] for n in range(m)]
+                            + [r[d][m] for d in range(size - m)])
+                      for m in range(size))
+                for r in ((rb, rc) if k_req > 1 else (rc, rb)))
     return CorrelationTable(radius=radius, C=C, C_bar=C_bar,
                             precision_bits=precision_bits, k_requested=k_req,
                             scale=1 << diag[2])

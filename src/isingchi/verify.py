@@ -18,17 +18,20 @@ from collections import namedtuple
 from itertools import count
 from operator import mul
 
-from .correlations import (PrecisionExhausted, _identity_residuals,
+from .correlations import (PrecisionExhausted, _fixed, _identity_residuals,
                            _symbol_coefficients, build_table, diagonal_seeds,
                            lookup)
 from .couplings import coupling_pair, quarter_period
-from .elliptic import complete_elliptic_K
+from .elliptic import agm, complete_elliptic_K
 from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
                          separation_class)
 
 __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
 _SEED = 20240917
+# legendre-pi runs at a few thousand bits and at the widest agm that any
+# other suite's build calls (seeds: diagonal_seeds at k = 0.0718, R = 24)
+_LEGENDRE_BITS = (1500, 579)
 
 
 class IdentityCheck(namedtuple(
@@ -76,6 +79,20 @@ def _hypergeometric_K(m):
     return 0x3243F6A8885A308D313198A2E * total / (1 << 96 + 100 + 1)
 
 
+def _machin_pi(bits):
+    """pi 2^bits by Machin's pi = 16 acot 5 - 4 acot 239, summed on integers
+    32 bits deeper; it shares nothing with agm."""
+    one = 1 << bits + 32
+
+    def acot(x):  # sum over odd n of (-1)^((n - 1)/2) / (n x^n)
+        power, total, n = one // x, 0, 1
+        while power:
+            total += power // n if n % 4 == 1 else -(power // n)
+            power, n = power // (x * x), n + 2
+        return total
+    return 16 * acot(5) - 4 * acot(239) >> 32
+
+
 def _toeplitz_minors(t, bits):
     """Yield (det T_n, e_b) for n = 1, 2, ... until the caller stops.
 
@@ -111,10 +128,22 @@ def _suite_elliptic(tolerance):
     res = {"m=%.6f" % m: complete_elliptic_K(m) - _hypergeometric_K(m)
            for m in (rng.uniform(0.01, 0.98) for _ in range(20))}
     zero = {"m=0": complete_elliptic_K(0.0) - math.pi / 2}
-    return VerificationReport(rows=(
-        _worst("K-at-zero", zero, _tol(tolerance, 1e-15)),
-        _worst("K-vs-hypergeometric", res, _tol(tolerance, 1e-12)),
-    ))
+    rows = [_worst("K-at-zero", zero, _tol(tolerance, 1e-15)),
+            _worst("K-vs-hypergeometric", res, _tol(tolerance, 1e-12))]
+    # Legendre's relation in AGM form, pi = 2 M M' / (1 - S - S'), from agm
+    # at k and at k' = sqrt(1 - k^2), against Machin's pi: the residual is
+    # the bit length of the gap in units of 2^-bits (no float holds 2^-1500),
+    # so the tolerance of 16 is a gap below 2^(16 - bits)
+    for bits in _LEGENDRE_BITS:
+        one, pi, gaps = 1 << bits, _machin_pi(bits), {}
+        for k in (0.5, 0.1, 0.9, 0.0718, 0.99):
+            kf = _fixed(k.as_integer_ratio(), bits)
+            kc = math.isqrt(one * one - kf * kf)  # k' x 2^bits
+            (m, s), (mc, sc) = agm(kf, bits), agm(kc, bits)
+            gap = 2 * m * mc // (one - s - sc) - pi
+            gaps["k=%g b=%d" % (k, bits)] = float(abs(gap).bit_length())
+        rows.append(_worst("legendre-pi", gaps, _tol(tolerance, 16.0)))
+    return VerificationReport(rows=tuple(rows))
 
 
 def _suite_couplings(tolerance):

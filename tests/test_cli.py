@@ -528,3 +528,24 @@ def test_verify_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("source", [["uniform", "--k", "0.5"],
+                                    ["frustrated", "--S", "1", "--version", "a"]],
+                         ids=["uniform", "frustrated"])
+def test_chi_bytes_do_not_depend_on_blas_threads(source, tmp_path):
+    # the grid's cosine sums are matrix products, which OpenBLAS may split
+    # across threads; the CSV, PGM and peaks must not see how
+    outs = []
+    for threads in ("1", "2"):
+        paths = [tmp_path / ("chi-%s.%s" % (threads, ext))
+                 for ext in ("csv", "pgm", "peaks.csv")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "isingchi", "chi", *source, "--radius", "16",
+             "--grid", "64x64", "--out", str(paths[0]), "--pgm", str(paths[1]),
+             "--peaks", str(paths[2])],
+            capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append([p.read_bytes() for p in paths])
+    assert outs[0] == outs[1]

@@ -154,12 +154,19 @@ def test_domain_guards():
         build_table(0.5, 4, precision_bits=16)
 
 
-def test_precision_exhaustion_names_location():
+@pytest.mark.parametrize("k, radius, bits, message, where", [
+    (0.5, 100, 256, "swept entry left (0, 1]", (22, 100)),
+    (0.9, 60, 64, "swept entry left (0, 1]", (26, 60)),
+    (0.5, 16, 24, "sweep divisor below 8 significant bits", (14, 16)),
+    (0.7176, 88, 48, "sweep divisor below 8 significant bits", (76, 78))],
+    ids=["0.5-100-256", "0.9-60-64", "0.5-16-24", "0.7176-88-48"])
+def test_precision_exhaustion_names_location(k, radius, bits, message, where):
+    # both failure paths of the sweep, each at the entry it was computing
     with pytest.raises(PrecisionExhausted) as err:
-        build_table(0.5, 16, precision_bits=24)
-    assert err.value.where is not None
-    m, n = err.value.where
-    assert max(m, n) <= 16
+        build_table(k, radius, precision_bits=bits)
+    assert str(err.value) == ("%s; raise precision_bits at (m, n) = (%d, %d)"
+                              % (message, *where))
+    assert err.value.where == where
 
 
 @pytest.mark.parametrize("k, radius, builds", [

@@ -12,6 +12,8 @@ from isingchi import (
     jacobi_elliptic,
     quarter_period,
 )
+import isingchi.correlations as correlations
+import isingchi.verify as verify
 from isingchi.elliptic import agm
 from isingchi.verify import run_suite
 
@@ -113,8 +115,50 @@ def _elliptic_rows():
 def test_elliptic_row_names_and_order():
     # the benchmark's verify check matches these names by prefix
     rows = run_suite("elliptic").rows
-    assert [r.identity for r in rows] == ["K-at-zero", "K-vs-hypergeometric"]
+    assert [r.identity for r in rows] == ["K-at-zero", "K-vs-hypergeometric",
+                                          "legendre-pi", "legendre-pi"]
+    assert [r.location.split()[1] for r in rows[2:]] == ["b=1500", "b=579"]
     assert all(r.passed for r in rows)
+
+
+def test_machin_pi_is_the_floor_of_pi():
+    with mp.workprec(1600):
+        assert verify._machin_pi(1500) == int(mpmath.floor(mp.pi * 2 ** 1500))
+
+
+@pytest.mark.parametrize("mutation", ["weight", "last-mean"])
+def test_legendre_rows_catch_a_wrong_agm(mutation, monkeypatch):
+    # c_n^2 weighted by 2^(n-1) instead of 2^n, or an error of 2^(bits/3) in
+    # the last mean; the K rows, at 96 bits through M alone, miss both
+    def wrong_agm(k, bits):
+        one = 1 << bits
+        a, b, c, n = one, math.isqrt(one * one - k * k), k, 0
+        s = k * k
+        while c:
+            a, b, c, n = (a + b) >> 1, math.isqrt(a * b), (a - b) >> 1, n + 1
+            s += c * c << (n - 1 if mutation == "weight" else n)
+        m = (a + b) >> 1
+        return m + (1 << bits // 3 if mutation == "last-mean" else 0), s >> bits + 1
+
+    monkeypatch.setattr("isingchi.verify.agm", wrong_agm)
+    rows = run_suite("elliptic").rows
+    assert [r.passed for r in rows] == [True, True, False, False]
+    assert min(r.residual for r in rows[2:]) > 150
+
+
+def test_legendre_bits_reach_the_widest_build(monkeypatch):
+    # the narrower legendre-pi width is the widest agm of every other suite
+    widths, agm_of_builds = [], correlations.agm
+
+    def counting_agm(k, bits):
+        widths.append(bits)
+        return agm_of_builds(k, bits)
+
+    monkeypatch.setattr("isingchi.correlations.agm", counting_agm)
+    for name in verify.SUITES:
+        if name != "elliptic":
+            run_suite(name)
+    assert max(widths) == verify._LEGENDRE_BITS[1]
 
 
 def test_K_row_catches_a_wrong_K(monkeypatch):

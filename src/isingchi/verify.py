@@ -133,8 +133,13 @@ def _suite_elliptic(tolerance):
     # Legendre's relation in AGM form, pi = 2 M M' / (1 - S - S'), from agm
     # at k and at k' = sqrt(1 - k^2), against Machin's pi: the residual is
     # the bit length of the gap in units of 2^-bits (no float holds 2^-1500),
-    # so the tolerance of 16 is a gap below 2^(16 - bits)
+    # so the tolerance of 16 is a gap below 2^(16 - bits), and an override
+    # allows a gap of tolerance, bits + log2 tolerance bits long
     for bits in _LEGENDRE_BITS:
+        if tolerance is None:
+            tol = 16.0
+        else:
+            tol = max(bits + math.log2(tolerance), 0.0) if tolerance else 0.0
         one, pi, gaps = 1 << bits, _machin_pi(bits), {}
         for k in (0.5, 0.1, 0.9, 0.0718, 0.99):
             kf = _fixed(k.as_integer_ratio(), bits)
@@ -142,7 +147,7 @@ def _suite_elliptic(tolerance):
             (m, s), (mc, sc) = agm(kf, bits), agm(kc, bits)
             gap = 2 * m * mc // (one - s - sc) - pi
             gaps["k=%g b=%d" % (k, bits)] = float(abs(gap).bit_length())
-        rows.append(_worst("legendre-pi", gaps, _tol(tolerance, 16.0)))
+        rows.append(_worst("legendre-pi", gaps, tol))
     return VerificationReport(rows=tuple(rows))
 
 

@@ -121,6 +121,16 @@ def test_elliptic_row_names_and_order():
     assert all(r.passed for r in rows)
 
 
+def test_legendre_rows_take_a_tolerance_override():
+    # an override allows a gap of that size, which no float holds at 2^-1500
+    loose, exact = (run_suite("elliptic", tolerance=t).rows[2:] for t in (1e-6, 0))
+    assert [r.tolerance for r in loose] == [1500 + math.log2(1e-6),
+                                            579 + math.log2(1e-6)]
+    assert all(r.passed for r in loose)
+    assert [r.tolerance for r in exact] == [0.0, 0.0]
+    assert not any(r.passed for r in exact)
+
+
 def test_machin_pi_is_the_floor_of_pi():
     with mp.workprec(1600):
         assert verify._machin_pi(1500) == int(mpmath.floor(mp.pi * 2 ** 1500))

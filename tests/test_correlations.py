@@ -584,6 +584,29 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
         table, diag, march]
 
 
+# residual_report of the pinned builds and of the swap cases, as float.hex,
+# recorded from the scan on the full-width floor(k 2^bits)
+PINNED_REPORTS = [
+    ((0.5, 40), '0x1.c5082095cccfdp-256'),
+    ((0.99, 24), '0x1.d67321ccd8e59p-256'),
+    ((0.1, 32), '0x1.83795d0ce7f96p-218'),
+    ((2.0, 16), '0x1.c5082095cccfdp-256'),
+    ((3.0, 30), '0x1.d7c5f972a38e7p-256'),
+    ((0.0718, 40), '0x1.8bd122d1c285cp-173'),
+    ((0.1, 100, 1024), '0x1.3c8323195f504p-757'),
+    ((1e-20, 2, 2048), '0x0.0p+0'),
+    ((2.0, 8, 256), '0x1.3d67cc1549742p-256'),
+    ((3.0, 10, 128), '0x1.d875318d44a79p-128'),
+    ((0.3, 10, 53), '0x1.aaa00ed044a36p-53'),
+]
+
+
+@pytest.mark.parametrize("args, report", PINNED_REPORTS,
+                         ids=[str(row[0]) for row in PINNED_REPORTS])
+def test_residual_reports_are_pinned(args, report):
+    assert build_table(*args).residual_report.hex() == report
+
+
 def _quadratic_march(k, diag):
     """The next diagonals as the march once found them: the star relation
     and the corner relation at (m, m) eliminated to one quadratic in X, of

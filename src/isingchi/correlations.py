@@ -28,9 +28,9 @@ once; and build_table refuses a radius R where twice it at R, the sweep's
 small-k loss estimate, leaves too few bits.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
-so.  The corner identity, and the star off the diagonal, are not consumed;
-their residuals and the recurrences' are scanned when a table's
-residual_report is first read.
+so.  The corner identity is written once, in _corner: the march reads it as
+its cross-check, and _identity_residuals, with the star off the diagonal
+and the two recurrences, for residual_report's first read and verify.
 """
 
 import math
@@ -214,11 +214,11 @@ def next_diagonal_seeds(k, diag, precision):
         k C(m-1,m) X + C_bar(m-1,m) Y = k C(m,m)^2 + C_bar(m,m)^2,
 
     so one exact 2x2 solve gives both, its determinant positive in a sound
-    march.  The corner relation is not consumed; its residual,
-
-        k [C(m,m) C(m+1,m+1) - X^2] - [C_bar(m,m) C_bar(m+1,m+1) - Y^2],
-
-    must close to rounding level at the working precision.
+    march.  The corner relation at (m, m), not consumed, is its cross-check:
+    an absolute residual (_corner) against check_tol, near 2^-precision.
+    It cannot see a relative loss in the small C seeds, whose k C^2 term
+    shrinks like k^(2m+1); the _loss_bits guard keeps them right, as
+    test_seeds_match_deeper_build checks.
     """
     def exhausted(what, m):
         return PrecisionExhausted("%s in the diagonal march; raise precision_bits"
@@ -245,8 +245,8 @@ def next_diagonal_seeds(k, diag, precision):
         if not (0 < x < one and 0 < y < one):
             raise exhausted("next-diagonal entry outside (0, 1)", m)
 
-        residual = ((kn * (cm * c_diag[m + 1] - x * x) << bits - g)
-                    - ((cbm * cbar_diag[m + 1] - y * y) << bits))
+        residual = _corner((kn, 1 << g), (cm, c_diag[m + 1], x, x),
+                           (cbm, cbar_diag[m + 1], y, y)) << bits - g
         if abs(residual) > check_tol:
             raise exhausted("cross-check relation residual %.6g"
                             % (abs(residual) / one ** 3), m)
@@ -311,32 +311,39 @@ def lookup(table, m, n, which="C"):
     return float(fam[i][j] / getattr(table, "scale", 1))
 
 
+def _corner(k, c, cb):
+    """o times the corner determinant at k = kn / o, from the entries (m, n),
+    (m+1, n+1), (m, n+1) and (m+1, n) of C (c) and C_bar (cb)."""
+    (kn, o), (c00, c11, c01, c10), (b00, b11, b01, b10) = k, c, cb
+    return kn * (c00 * c11 - c01 * c10) - o * (b00 * b11 - b01 * b10)
+
+
 def _identity_residuals(k, rk, one, c, cb, m, n):
-    """Residuals of the four pair identities at (m, n), keyed by name.
+    """Residuals of the four pair identities at (m, n) over their units.
 
     c and cb are (i, j) accessors for C and C_bar that fold negative
-    indices by symmetry; k, rk = sqrt(k) and the unit one are in their
-    scale (one = 1.0 for floats; 2^G in fixed point, with residuals at
-    2^3G).  The corner determinant holds everywhere including the origin;
-    the quadratic recurrences and the star relation provably fail there,
-    so only the corner residual is returned at the origin.
+    indices by symmetry; k = (kn, o) and rk = sqrt(k) are in the unit one:
+    (k, 1.0) and one = 1.0 for floats, (kn, 2^g) and 2^G in fixed point,
+    where the star's unit is o 2^3G and the other three's o 2^2G.  Only the
+    corner determinant holds at the origin, so it alone is returned there.
     """
-    corner = (k * (c(m, n) * c(m + 1, n + 1) - c(m, n + 1) * c(m + 1, n))
-              - one * (cb(m, n) * cb(m + 1, n + 1) - cb(m, n + 1) * cb(m + 1, n)))
+    (kn, o), unit = k, k[1] * one * one
+    corner = _corner(k, (c(m, n), c(m + 1, n + 1), c(m, n + 1), c(m + 1, n)),
+                     (cb(m, n), cb(m + 1, n + 1), cb(m, n + 1), cb(m + 1, n))) / unit
     if m == 0 and n == 0:
         return {"corner-determinant": corner}
     c2, b2 = c(m, n) ** 2, cb(m, n) ** 2
     return {
-        "quad-recurrence-y": (k * (c(m, n + 1) * c(m, n - 1) - c2)
-                              + one * (cb(m + 1, n) * cb(m - 1, n) - b2)),
-        "quad-recurrence-x": (k * (c(m + 1, n) * c(m - 1, n) - c2)
-                              + one * (cb(m, n + 1) * cb(m, n - 1) - b2)),
+        "quad-recurrence-y": (kn * (c(m, n + 1) * c(m, n - 1) - c2)
+                              + o * (cb(m + 1, n) * cb(m - 1, n) - b2)) / unit,
+        "quad-recurrence-x": (kn * (c(m + 1, n) * c(m - 1, n) - c2)
+                              + o * (cb(m, n + 1) * cb(m, n - 1) - b2)) / unit,
         "corner-determinant": corner,
-        "neighbour-star": (rk * (c(m + 1, n) * cb(m - 1, n)
-                                 + c(m - 1, n) * cb(m + 1, n)
-                                 + c(m, n + 1) * cb(m, n - 1)
-                                 + c(m, n - 1) * cb(m, n + 1))
-                           - 2 * (k + one) * c(m, n) * cb(m, n)),
+        "neighbour-star": (o * rk * (c(m + 1, n) * cb(m - 1, n)
+                                     + c(m - 1, n) * cb(m + 1, n)
+                                     + c(m, n + 1) * cb(m, n - 1)
+                                     + c(m, n - 1) * cb(m, n + 1))
+                           - 2 * (kn + o) * one * c(m, n) * cb(m, n)) / (unit * one),
     }
 
 
@@ -345,10 +352,10 @@ def _worst_residual(k, C, C_bar, scale, bits):
     one, kf, shift = 1 << bits, _fixed(k, bits), scale.bit_length() - 1 - bits
     c, cb = ([[x >> shift for x in row] for row in fam] for fam in (C, C_bar))
     gc, gb = (lambda i, j, v=v: v[abs(i)][abs(j)] for v in (c, cb))
-    rk, radius = math.isqrt(kf << bits), len(C) - 1
-    worst = max(abs(r) for m in range(radius) for n in range(m, radius)
-                for r in _identity_residuals(kf, rk, one, gc, gb, m, n).values())
-    return worst / one ** 3
+    (kn, g), rk, radius = _odd_part(kf, bits), math.isqrt(kf << bits), len(C) - 1
+    return max(abs(r) for m in range(radius) for n in range(m, radius)
+               for r in _identity_residuals((kn, 1 << g), rk, one, gc, gb,
+                                            m, n).values())
 
 
 def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):

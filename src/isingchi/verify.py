@@ -218,7 +218,8 @@ def _identity_rows(C, C_bar, k, radius, tol):
     residuals = {name: {} for name in names}
     for m in range(radius + 1):
         for n in range(radius + 1):
-            for name, r in _identity_residuals(k, k ** 0.5, 1.0, c, cb, m, n).items():
+            for name, r in _identity_residuals((k, 1.0), k ** 0.5, 1.0, c, cb,
+                                               m, n).items():
                 residuals[name]["(%d %d)" % (m, n)] = r
     return [_worst(name, residuals[name], tol) for name in names]
 

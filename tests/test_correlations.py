@@ -438,34 +438,36 @@ def test_sweep_keeps_its_guard_bits(k, radius, bits, rounded_sweep_log2):
     assert _worst_log2_error(table, deep) <= rounded_sweep_log2 - 50
 
 
-def test_identity_forms_agree():
-    table = build_table(0.5, 12)
-    bits = 256 + 64
-    one = 1 << bits
-    kf = one // 2
-    rk = math.isqrt(kf << bits)
-
-    def fc(m, n):
-        return lookup(table, m, n)
-
-    def fb(m, n):
-        return lookup(table, m, n, "Cbar")
-
+def _forms_disagree(k, radius):
+    """Worst |float form - fixed-point form| of the identity residuals over
+    the octant of build_table(k, radius), each form over its own units."""
+    table, bits = build_table(k, radius), 256 + 64
+    inner = sorted(k.as_integer_ratio())
+    one, kf = 1 << bits, _fixed(inner, bits)
+    kn, g = _odd_part(kf, bits)
+    rk, kr = math.isqrt(kf << bits), inner[0] / inner[1]
     shift = table.scale.bit_length() - 1 - bits
-
-    def ic(m, n):
-        return table.C[abs(m)][abs(n)] >> shift
-
-    def ib(m, n):
-        return table.C_bar[abs(m)][abs(n)] >> shift
-
-    for m in range(12):
-        for n in range(m, 12):
-            floats = _identity_residuals(0.5, 0.5 ** 0.5, 1.0, fc, fb, m, n)
-            ints = _identity_residuals(kf, rk, one, ic, ib, m, n)
+    fams = [("C", table.C), ("Cbar", table.C_bar)][::-1 if k > 1 else 1]
+    (fc, ic), (fb, ib) = ((lambda m, n, w=w: lookup(table, m, n, w),
+                           lambda m, n, v=v: v[abs(m)][abs(n)] >> shift)
+                          for w, v in fams)
+    worst = 0.0
+    for m in range(radius):
+        for n in range(m, radius):
+            floats = _identity_residuals((kr, 1.0), kr ** 0.5, 1.0, fc, fb, m, n)
+            ints = _identity_residuals((kn, 1 << g), rk, one, ic, ib, m, n)
             assert floats.keys() == ints.keys()
-            for name, r in floats.items():
-                assert abs(r - ints[name] / one ** 3) <= 1e-15, (m, n, name)
+            worst = max(worst, *(abs(r - ints[name])
+                                 for name, r in floats.items()))
+    return worst
+
+
+def test_identity_forms_agree():
+    # the float form on (k, 1.0) and the fixed-point form on (kn, 2^g) of
+    # the built modulus; at 0.0718, o = 2^55 is far wider than k = 0.5's 2,
+    # and k = 2 reads the swapped families
+    for k, radius in ((0.5, 12), (0.0718, 40), (2.0, 16)):
+        assert _forms_disagree(k, radius) <= 1e-15, k
 
 
 def test_residual_report_scans_stored_entries():

@@ -28,9 +28,9 @@ once; and build_table refuses a radius R where twice it at R, the sweep's
 small-k loss estimate, leaves too few bits.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
-so.  The corner identity is written once, in _corner: the march reads it as
-its cross-check, and _identity_residuals, with the star off the diagonal
-and the two recurrences, for residual_report's first read and verify.
+so.  The corner identity is written once, in _corner, the march's check;
+_identity_residuals gives all four as numerators, over units formed once by
+_worst_residual for residual_report's first read and 1.0 for verify.
 """
 
 import math
@@ -318,44 +318,50 @@ def _corner(k, c, cb):
     return kn * (c00 * c11 - c01 * c10) - o * (b00 * b11 - b01 * b10)
 
 
-def _identity_residuals(k, rk, one, c, cb, m, n):
-    """Residuals of the four pair identities at (m, n) over their units.
+def _identity_residuals(k, rk, one, C, C_bar, m, n):
+    """Exact numerators of the four pair identities at (m, n), or of the
+    corner alone at the origin, the only one that holds there.
 
-    c and cb are (i, j) accessors for C and C_bar that fold negative
-    indices by symmetry; k = (kn, o) and rk = sqrt(k) are in the unit one:
-    (k, 1.0) and one = 1.0 for floats, (kn, 2^g) and 2^G in fixed point,
-    where the star's unit is o 2^3G and the other three's o 2^2G.  Only the
-    corner determinant holds at the origin, so it alone is returned there.
+    C and C_bar are symmetric nested sequences read as C[i][j], abs folding
+    the m - 1 and n - 1 that can reach -1; k = (kn, o) and rk = sqrt(k) are
+    in the unit one.  The caller owns the units: o one^3 for the star, o one^2
+    for the rest, 1.0 for floats.
     """
-    (kn, o), unit = k, k[1] * one * one
-    corner = _corner(k, (c(m, n), c(m + 1, n + 1), c(m, n + 1), c(m + 1, n)),
-                     (cb(m, n), cb(m + 1, n + 1), cb(m, n + 1), cb(m + 1, n))) / unit
+    (kn, o), mu, nu = k, abs(m - 1), abs(n - 1)
+    c, c1, b, b1 = C[m], C[m + 1], C_bar[m], C_bar[m + 1]
+    corner = _corner(k, (c[n], c1[n + 1], c[n + 1], c1[n]),
+                     (b[n], b1[n + 1], b[n + 1], b1[n]))
     if m == 0 and n == 0:
         return {"corner-determinant": corner}
-    c2, b2 = c(m, n) ** 2, cb(m, n) ** 2
+    cu, bu, c2, b2 = C[mu], C_bar[mu], c[n] ** 2, b[n] ** 2
     return {
-        "quad-recurrence-y": (kn * (c(m, n + 1) * c(m, n - 1) - c2)
-                              + o * (cb(m + 1, n) * cb(m - 1, n) - b2)) / unit,
-        "quad-recurrence-x": (kn * (c(m + 1, n) * c(m - 1, n) - c2)
-                              + o * (cb(m, n + 1) * cb(m, n - 1) - b2)) / unit,
+        "quad-recurrence-y": (kn * (c[n + 1] * c[nu] - c2)
+                              + o * (b1[n] * bu[n] - b2)),
+        "quad-recurrence-x": (kn * (c1[n] * cu[n] - c2)
+                              + o * (b[n + 1] * b[nu] - b2)),
         "corner-determinant": corner,
-        "neighbour-star": (o * rk * (c(m + 1, n) * cb(m - 1, n)
-                                     + c(m - 1, n) * cb(m + 1, n)
-                                     + c(m, n + 1) * cb(m, n - 1)
-                                     + c(m, n - 1) * cb(m, n + 1))
-                           - 2 * (kn + o) * one * c(m, n) * cb(m, n)) / (unit * one),
+        "neighbour-star": (o * rk * (c1[n] * bu[n] + cu[n] * b1[n]
+                                     + c[n + 1] * b[nu] + c[nu] * b[n + 1])
+                           - 2 * (kn + o) * one * c[n] * b[n]),
     }
 
 
 def _worst_residual(k, C, C_bar, scale, bits):
-    """Worst identity residual of C and C_bar (x scale), exact at 2^bits."""
-    one, kf, shift = 1 << bits, _fixed(k, bits), scale.bit_length() - 1 - bits
+    """Worst identity residual of C and C_bar (x scale), exact at 2^bits.
+
+    The units are formed here.  The worst star numerator (over o 2^3bits)
+    and the rest's (over o 2^2bits) meet in the star's unit; one division
+    rounds the larger: as rounding is monotone, the worst rounded residual."""
+    kf, shift = _fixed(k, bits), scale.bit_length() - 1 - bits
     c, cb = ([[x >> shift for x in row] for row in fam] for fam in (C, C_bar))
-    gc, gb = (lambda i, j, v=v: v[abs(i)][abs(j)] for v in (c, cb))
-    (kn, g), rk, radius = _odd_part(kf, bits), math.isqrt(kf << bits), len(C) - 1
-    return max(abs(r) for m in range(radius) for n in range(m, radius)
-               for r in _identity_residuals((kn, 1 << g), rk, one, gc, gb,
-                                            m, n).values())
+    (kn, g), radius, worst, star = _odd_part(kf, bits), len(C) - 1, 0, 0
+    args = (kn, 1 << g), math.isqrt(kf << bits), 1 << bits, c, cb
+    for m in range(radius):
+        for n in range(m, radius):
+            r = _identity_residuals(*args, m, n)
+            star = max(star, abs(r.pop("neighbour-star", 0)))
+            worst = max(worst, *map(abs, r.values()))
+    return max(worst << bits, star) / (1 << g + 3 * bits)
 
 
 def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):

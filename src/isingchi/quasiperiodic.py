@@ -22,20 +22,12 @@ __all__ = [
     "WindowRangeError",
     "autocorrelation",
     "fib_bits",
-    "metallic_alpha",
     "sign_sequence",
 ]
 
 
 class WindowRangeError(IndexError):
     """Requested lag range exceeds what the materialized window supports."""
-
-
-def metallic_alpha(j):
-    """The metallic mean alpha_j; alpha_0 is the golden ratio."""
-    if j < 0 or j != int(j):
-        raise ValueError("j must be a non-negative integer, got %r" % (j,))
-    return ((j + 1) + math.sqrt((j + 1) ** 2 + 4)) / 2
 
 
 class FibonacciSpec(namedtuple("FibonacciSpec", "j gamma")):
@@ -55,7 +47,8 @@ class FibonacciSpec(namedtuple("FibonacciSpec", "j gamma")):
 
     @property
     def alpha(self):
-        return metallic_alpha(self.j)
+        """The metallic mean alpha_j; alpha_0 is the golden ratio."""
+        return ((self.j + 1) + math.sqrt((self.j + 1) ** 2 + 4)) / 2
 
 
 def fib_bits(spec, count):

@@ -18,9 +18,9 @@ from collections import namedtuple
 from itertools import count
 from operator import mul
 
-from .correlations import (PrecisionExhausted, _fixed, _identity_residuals,
-                           _symbol_coefficients, build_table, diagonal_seeds,
-                           lookup)
+from .correlations import (_SEED_GUARD_BITS, PrecisionExhausted, _fixed,
+                           _identity_residuals, _symbol_coefficients,
+                           build_table, diagonal_seeds, lookup)
 from .couplings import coupling_pair, quarter_period
 from .elliptic import agm, complete_elliptic_K
 from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
@@ -94,14 +94,14 @@ def _machin_pi(bits):
 
 
 def _toeplitz_minors(t, bits):
-    """Yield (det T_n, e_b) for n = 1, 2, ... until the caller stops.
+    """Yield (det T_n, e_f, e_b) for n = 1, 2, ... until the caller stops.
 
-    T_n = [t(i - j)]; t(j), the minors and e_b are integers x 2^bits.
+    T_n = [t(i - j)]; t(j), the minors, e_f and e_b are integers x 2^bits.
     Nonsymmetric Levinson recursion: f and b are the first and last columns
-    of T_n^-1, e_b = sum_i t(-1 - i) b_i, det T_{n+1} = det T_n (1 - e_f e_b)
-    / f_0, each value rounded once.  det[t(i - j - 1)]_n is the (n, 0) minor
-    of T_{n+1}; its cofactor over det T_{n+1} is the next b's top entry,
-    -e_b f_0 / (1 - e_f e_b), so (-1)^n det[t(i - j - 1)]_n = -e_b det T_n.
+    of T_n^-1, e_f = sum_i t(n - i) f_i, e_b = sum_i t(-1 - i) b_i and det
+    T_{n+1} = det T_n (1 - e_f e_b) / f_0, each rounded once.  The next b's
+    top entry, -e_b f_0 / (1 - e_f e_b), is the (n, 0) cofactor of T_{n+1}
+    over its det, so (-1)^n det[t(i - j - 1)]_n = -e_b det T_n.
     A vanishing minor raises PrecisionExhausted before anything divides.
     """
     def nonzero(det, n):
@@ -113,9 +113,9 @@ def _toeplitz_minors(t, bits):
     one, det = 1 << bits, nonzero(t(0), 1)
     f = b = [(one << bits) // det]
     for n in count(1):
-        e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
-        yield det, e_b
         e_f = sum(map(mul, map(t, range(n, 0, -1)), f)) >> bits
+        e_b = sum(map(mul, map(t, range(-1, -n - 1, -1)), b)) >> bits
+        yield det, e_f, e_b
         scale = one - (e_f * e_b >> bits)
         det = nonzero(det * scale // f[0], n + 1)
         f_ext, b_ext = f + [0], [0] + b
@@ -212,7 +212,8 @@ def _suite_chi(tolerance):
 
 def _identity_rows(C, C_bar, k, radius, tol):
     """Rows for the four pair identities on quadrant dicts C and C_bar."""
-    c, cb = (lambda m, n, v=v: v[(abs(m), abs(n))] for v in (C, C_bar))
+    c, cb = ([[v[i, j] for j in range(radius + 2)] for i in range(radius + 2)]
+             for v in (C, C_bar))
     names = ("quad-recurrence-y", "quad-recurrence-x", "corner-determinant",
              "neighbour-star")
     residuals = {name: {} for name in names}
@@ -283,11 +284,11 @@ def _suite_seeds(tolerance):
     to the deeper-build test's bound 2^-(precision_bits + 40)."""
     bits, gaps = 256, {"C": {}, "Cbar": {}}
     for k, radius in ((0.0718, 24), (0.5, 16)):
-        ratio = k.as_integer_ratio()
-        c, cbar, _ = diagonal_seeds(ratio, radius + 1, bits + 64)
-        coeff, ref_bits = _symbol_coefficients(ratio, radius + 1, bits + 64)
+        ratio, work = k.as_integer_ratio(), bits + _SEED_GUARD_BITS
+        c, cbar, _ = diagonal_seeds(ratio, radius + 1, work)
+        coeff, ref_bits = _symbol_coefficients(ratio, radius + 1, work)
         minors = _toeplitz_minors(coeff.__getitem__, ref_bits)
-        for n, (det, e_b) in zip(range(1, radius + 2), minors):
+        for n, (det, _, e_b) in zip(range(1, radius + 2), minors):
             loc, ref = "k=%g (%d %d)" % (k, n, n), -e_b * det >> ref_bits
             gaps["Cbar"][loc] = (cbar[n] - det) / det
             gaps["C"][loc] = (c[n] - ref) / ref

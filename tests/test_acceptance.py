@@ -19,7 +19,6 @@ from isingchi import (
     fib_bits,
     find_peaks,
     lookup,
-    metallic_alpha,
     sign_sequence,
 )
 from isingchi.oracle import (
@@ -202,7 +201,7 @@ def test_criterion_10_fibonacci_words():
     for j in (0, 1, 2):
         ones = int(fib_bits(FibonacciSpec(j=j), N).sum())
         checks["ones frequency j=%d" % j] = (
-            abs(ones / N - 1 / metallic_alpha(j)) <= 2 / N)
+            abs(ones / N - 1 / FibonacciSpec(j=j).alpha) <= 2 / N)
     hand = [0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1, 1]
     checks["hand-checked prefix"] = (
         fib_bits(FibonacciSpec(j=0), len(hand)).tolist() == hand)

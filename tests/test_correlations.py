@@ -305,7 +305,8 @@ def _assert_close(got, bits, want):
 
 def test_toeplitz_minors_match_dense_determinants():
     # fixed point at 2^256 against dense determinants of the same entries:
-    # det T_n, and -e_b det T_n against the cofactor (-1)^n det[t(i-j-1)]_n
+    # det T_n, and -e_f det T_n and -e_b det T_n against the cofactors
+    # (-1)^n det[t(i-j+1)]_n and (-1)^n det[t(i-j-1)]_n
     rng = random.Random(20261018)
     bits = 256
     cases = []
@@ -322,8 +323,10 @@ def test_toeplitz_minors_match_dense_determinants():
             def x(j):
                 return mp.ldexp(t(j), -bits)
 
-            for n, (det, e_b) in zip(range(1, 13), _toeplitz_minors(t, bits)):
+            for n, (det, e_f, e_b) in zip(range(1, 13), _toeplitz_minors(t, bits)):
                 _assert_close(det, bits, _dense_det(x, n))
+                _assert_close(-e_f * det >> bits, bits,
+                              (-1) ** n * _dense_det(x, n, -1))
                 _assert_close(-e_b * det >> bits, bits,
                               (-1) ** n * _dense_det(x, n, 1))
 
@@ -440,25 +443,28 @@ def test_sweep_keeps_its_guard_bits(k, radius, bits, rounded_sweep_log2):
 
 def _forms_disagree(k, radius):
     """Worst |float form - fixed-point form| of the identity residuals over
-    the octant of build_table(k, radius), each form over its own units."""
+    the octant of build_table(k, radius): the float numerators, whose units
+    are 1.0, against the fixed-point numerators over o 2^2G (o 2^3G for the
+    star)."""
     table, bits = build_table(k, radius), 256 + 64
     inner = sorted(k.as_integer_ratio())
     one, kf = 1 << bits, _fixed(inner, bits)
     kn, g = _odd_part(kf, bits)
     rk, kr = math.isqrt(kf << bits), inner[0] / inner[1]
     shift = table.scale.bit_length() - 1 - bits
-    fams = [("C", table.C), ("Cbar", table.C_bar)][::-1 if k > 1 else 1]
-    (fc, ic), (fb, ib) = ((lambda m, n, w=w: lookup(table, m, n, w),
-                           lambda m, n, v=v: v[abs(m)][abs(n)] >> shift)
-                          for w, v in fams)
+    fams = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
+    fc, fb = ([[x / table.scale for x in row] for row in v] for v in fams)
+    ic, ib = ([[x >> shift for x in row] for row in v] for v in fams)
     worst = 0.0
     for m in range(radius):
         for n in range(m, radius):
             floats = _identity_residuals((kr, 1.0), kr ** 0.5, 1.0, fc, fb, m, n)
             ints = _identity_residuals((kn, 1 << g), rk, one, ic, ib, m, n)
             assert floats.keys() == ints.keys()
-            worst = max(worst, *(abs(r - ints[name])
-                                 for name, r in floats.items()))
+            worst = max(worst, *(
+                abs(r - ints[name] / ((1 << g) * one ** (
+                    3 if name == "neighbour-star" else 2)))
+                for name, r in floats.items()))
     return worst
 
 
@@ -609,6 +615,34 @@ def test_residual_reports_are_pinned(args, report):
     assert build_table(*args).residual_report.hex() == report
 
 
+# _worst_residual of build_table(0.99, 24) with one entry of one family
+# corrupted, as float.hex, recorded from the scan that divided each
+# residual by its own unit.  Raised by 2^-60 relative, an entry breaks the
+# star most, which is linear in each family; shifted up by 8 bits, it
+# breaks the quadratic recurrences most, whose unit is 2^bits narrower
+CORRUPT_REPORTS = [
+    ("C", (1, 3), lambda x: x + (x >> 60), '0x1.1a40a70ca271bp-60'),
+    ("C", (1, 3), lambda x: x << 8, '0x1.f546b2fa6a6ecp+13'),
+    ("Cbar", (2, 5), lambda x: x + (x >> 60), '0x1.aeb0831a088b2p-61'),
+    ("Cbar", (2, 5), lambda x: x << 8, '0x1.02831ef89f956p+14'),
+]
+
+
+@pytest.mark.parametrize("family, where, edit, report", CORRUPT_REPORTS,
+                         ids=["C-star", "C-recurrence", "Cbar-star",
+                              "Cbar-recurrence"])
+def test_worst_residual_is_pinned_on_corrupt_copies(family, where, edit,
+                                                    report):
+    table = build_table(0.99, 24)
+    fams = {"C": [list(row) for row in table.C],
+            "Cbar": [list(row) for row in table.C_bar]}
+    (i, j), fam = where, fams[family]
+    fam[i][j] = fam[j][i] = edit(fam[i][j])
+    worst = _worst_residual(sorted((0.99).as_integer_ratio()), fams["C"],
+                            fams["Cbar"], table.scale, 256 + 64)
+    assert worst.hex() == report
+
+
 def _quadratic_march(k, diag):
     """The next diagonals as the march once found them: the star relation
     and the corner relation at (m, m) eliminated to one quadratic in X, of
@@ -715,32 +749,14 @@ def test_symbol_coefficients_match_full_width_step(k):
     assert coeff == {j: x >> bits - seed_bits for j, x in a.items()}
 
 
-def _levinson(a, n_max, bits):
-    """(x_n, y_n, D_n) for n = 1..n_max: the reflection coefficients e_f and
-    e_b and det T_n of T_n = [a_{i-j}], by the nonsymmetric Levinson
-    recursion written out on integers x 2^bits.  f and b are the first and
-    last columns of T_n^-1, and det T_{n+1} = det T_n (1 - e_f e_b) / f_0."""
-    one, det = 1 << bits, a[0]
-    f = b = [(one << bits) // det]
-    out = []
-    for n in range(1, n_max + 1):
-        x = sum(a[n - i] * f[i] for i in range(n)) >> bits
-        y = sum(a[-1 - i] * b[i] for i in range(n)) >> bits
-        out.append((x, y, det))
-        s = one - (x * y >> bits)
-        det = det * s // f[0]
-        f, b = ([((u << bits) - x * v) // s for u, v in zip(f + [0], [0] + b)],
-                [((v << bits) - y * u) // s for u, v in zip(f + [0], [0] + b)])
-    return out
-
-
 def _levinson_seeds(k, n_max, precision):
     """diagonal_seeds as the Levinson minors gave them: the full symbol
-    series and _levinson at the same bits, C_bar(n,n) = D_n and C(n,n) =
-    -y_n D_n, a non-positive seed raising at (n, n)."""
+    series and _toeplitz_minors at the same bits, C_bar(n,n) = D_n and
+    C(n,n) = -y_n D_n, a non-positive seed raising at (n, n)."""
     coeff, bits = _symbol_coefficients(k, n_max, precision)
     c, cbar = [1 << bits], [1 << bits]
-    for n, (_, y, d) in enumerate(_levinson(coeff, n_max, bits), 1):
+    minors = _toeplitz_minors(coeff.__getitem__, bits)
+    for n, (d, _, y) in zip(range(1, n_max + 1), minors):
         c.append(-y * d >> bits)
         cbar.append(d)
         if c[-1] <= 0 or d <= 0:
@@ -750,8 +766,8 @@ def _levinson_seeds(k, n_max, precision):
 
 @pytest.mark.parametrize("k", [0.03, 0.1, 1 / 3, 0.5, 0.9, 0.995])
 def test_reflection_recurrences_match_levinson(k):
-    # (B), (Q) and the D update of diagonal_seeds hold on a literal Levinson
-    # run 128 bits past the march's guard, from x_0 = y_0 = -1 and D_0 = 1,
+    # (B), (Q) and the D update of diagonal_seeds hold on the Levinson
+    # minors 128 bits past the march's guard, from x_0 = y_0 = -1 and D_0 = 1,
     # and the march as build_table calls it at 256 bits keeps the bound of
     # test_seeds_match_deeper_build against it out to n = 100
     n_max, bits = 100, 256 + 64
@@ -760,9 +776,10 @@ def test_reflection_recurrences_match_levinson(k):
     coeff, ref_bits = _symbol_coefficients(k, n_max + 1, bits + loss + 128)
     with mp.workprec(2 * ref_bits):
         one, kk = mp.mpf(1), mp.mpf(k[0]) / k[1]
-        ref = [(-one, -one, one)] + [tuple(mp.ldexp(v, -ref_bits) for v in xyd)
-                                     for xyd in _levinson(coeff, n_max + 1, ref_bits)]
-        x, y, d = zip(*ref)
+        minors = islice(_toeplitz_minors(coeff.__getitem__, ref_bits), n_max + 1)
+        ref = [(one, -one, -one)] + [tuple(mp.ldexp(v, -ref_bits) for v in dxy)
+                                     for dxy in minors]
+        d, x, y = zip(*ref)
         for n in range(1, n_max + 1):
             s = 1 - x[n] * y[n]
             for terms in (
@@ -816,7 +833,7 @@ def _seeded_builds(count):
 @pytest.mark.parametrize("args", list(_seeded_builds(40)), ids=str)
 def test_seeds_build_the_levinson_tables(args, monkeypatch):
     # each build gives the same integer table, or the same exception type
-    # and location, with its seeds from the recurrences or from _levinson
+    # and location, with its seeds from the recurrences or from the minors
     def build():
         try:
             t = build_table(*args)

@@ -363,6 +363,23 @@ def test_identity_rows_accept_clean_reject_corrupt(oracle05):
     assert max(r.residual for r in bad) > 1e-4
 
 
+# the recurrence suite's identity rows on the k = 0.5 oracle quadrant, the
+# residual as float.hex, recorded from the form that divided each residual
+# by its unit of 1.0
+PINNED_IDENTITY_ROWS = [
+    ("quad-recurrence-y", "(1 3)", "0x1.fc0f1a8d72000p-22"),
+    ("quad-recurrence-x", "(3 1)", "0x1.fc23afba10000p-22"),
+    ("corner-determinant", "(2 0)", "0x1.820ff64870000p-22"),
+    ("neighbour-star", "(0 2)", "0x1.078734b800000p-24"),
+]
+
+
+def test_identity_rows_are_pinned(oracle05):
+    rows = _identity_rows(*oracle05, 0.5, 4, 1e-6)
+    assert [(r.identity, r.location, r.residual.hex())
+            for r in rows] == PINNED_IDENTITY_ROWS
+
+
 def _uniform_report(tol):
     # the recurrence suite's rows at radius 2 instead of 4
     C, C_bar = oracle_pair_correlations(0.5, 2)

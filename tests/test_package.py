@@ -35,7 +35,7 @@ def _module_names():
 
 def test_all_is_the_union_of_the_modules_lists():
     names = _module_names()
-    assert len(names) == len(set(names)) == 31
+    assert len(names) == len(set(names)) == 30
     assert isingchi.__all__ == names
 
 

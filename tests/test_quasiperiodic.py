@@ -8,7 +8,6 @@ from isingchi import (
     WindowRangeError,
     autocorrelation,
     fib_bits,
-    metallic_alpha,
     sign_sequence,
 )
 
@@ -22,12 +21,12 @@ def test_golden_prefix():
 def test_metallic_means_solve_quadratic():
     # alpha^2 - (j+1) alpha - 1 = 0
     for j in range(6):
-        a = metallic_alpha(j)
+        a = FibonacciSpec(j=j).alpha
         assert a * a - (j + 1) * a - 1 == pytest.approx(0.0, abs=1e-12)
-    assert metallic_alpha(0) == pytest.approx((1 + math.sqrt(5)) / 2,
-                                              rel=1e-15)
+    assert FibonacciSpec(j=0).alpha == pytest.approx((1 + math.sqrt(5)) / 2,
+                                                     rel=1e-15)
     with pytest.raises(ValueError):
-        metallic_alpha(-1)
+        FibonacciSpec(j=-1)
 
 
 def test_bit_frequency_tracks_inverse_alpha():

@@ -14,7 +14,9 @@ namedtuples, so no command loads dataclasses or inspect for them.
 """
 
 import argparse
+import errno
 import functools
+import os
 import sys
 
 from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
@@ -54,13 +56,6 @@ def _require(args, *names):
         if getattr(args, name, None) is None:
             raise UsageError("missing required option --%s "
                              "(flag or config file)" % name)
-
-
-def _check_chi_modulus(k):
-    if not 0 < k < 1:
-        raise UsageError(
-            "susceptibility requires modulus k in (0, 1); k = %g is outside "
-            "(k > 1 tables exist only through the duality swap on `corr`)" % k)
 
 
 def _precision_advice(args, where):
@@ -170,24 +165,24 @@ def _cmd_chi(args):
                          % (MIN_TAIL_RADIUS, args.radius))
     nx, ny = _parse_grid(args.grid)
 
-    if args.source == "uniform":
-        _require(args, "k")
-        _check_chi_modulus(args.k)
-        table = build_table(args.k, args.radius)
-        source = ("uniform", table)
-    elif args.source == "frustrated":
+    if args.source == "frustrated":
         _require(args, "S", "version")
         model = FrustratedModel(S=args.S, version=args.version)
-        table = build_table(model.k, args.radius)
-        source = ("frustrated", model, table)
-    else:
-        _require(args, "k", "j")
-        _check_chi_modulus(args.k)
-        spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-        table = build_table(args.k, args.radius)
-        kappa = autocorrelation(sign_sequence(spec, GAUGE_WINDOW),
-                                args.radius + 1)
-        source = ("gauge", table, kappa)
+        source = ("frustrated", model, build_table(model.k, args.radius))
+    else:  # uniform, or gauge: uniform weighted by a sign sequence's kappa
+        gauge = args.source == "gauge"
+        _require(args, "k", *(["j"] if gauge else []))
+        if not 0 < args.k < 1:
+            raise UsageError(
+                "susceptibility requires modulus k in (0, 1); k = %g is "
+                "outside (k > 1 tables exist only through the duality swap "
+                "on `corr`)" % args.k)
+        if gauge:  # a bad --gamma is refused before the build, as --k is
+            spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
+        source = ("uniform", build_table(args.k, args.radius))
+        if gauge:
+            source = ("gauge", source[1], autocorrelation(
+                sign_sequence(spec, GAUGE_WINDOW), args.radius + 1))
 
     try:
         grid = chi_grid(source, nx, ny, args.radius)
@@ -244,6 +239,11 @@ def run(argv=None):
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
+        for flag in ("out", "pgm", "peaks"):  # refused before any build
+            path = getattr(args, flag, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT,
+                                        "No directory for --" + flag, path)
         commands = {"corr": _cmd_corr, "chi": _cmd_chi, "fib": _cmd_fib}
         return commands.get(args.subcommand, _cmd_verify)(args)
     except (UsageError, ValueError, OSError) as exc:

@@ -6,26 +6,26 @@ its ordered dual at sinh 2K = 1/sqrt(k).  The quadratic recurrences couple
 the two families, so the build always carries both.  Every function here
 takes that bare modulus k.
 
-Closed forms fix the nearest neighbour and, through the linear relation
-sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k), the dual one.  Two recurrences on
-the reflection coefficients of the diagonal symbol's Toeplitz matrices give
-C_bar(n,n) as their minors and C(n,n) as cofactors in O(R); a march solving
-the star relation and a quadratic recurrence as one 2x2 linear system gives
-the next-to-diagonal entries, and a sweep of the two recurrences, each
-diagonal from the two before it, the rest of the octant.  All of it, from
-the closed forms to the stored table, is fixed point on Python integers:
-the modulus enters as an exact ratio (num, den), which the diagonal's
-recurrences take as it is and each other stage floors at its own bits to
-kf = floor(k 2^bits) = kn 2^(bits - g) with kn odd (53 bits at most for a
-float k < 1, about as wide as kf for a non-dyadic k such as 1/3); the symbol
-step, the next-diagonal march and the sweep multiply by kn and cancel or
-shift the power of two exactly, and the AGM at modulus k gives every closed
-form.  One guard rule, _loss_bits = n log2(1/k), sets those bits: the
-symbol's forward recurrence and the diagonal's, which compute minimal
-solutions (about k^n) against dominant k^-n ones (Gautschi 1967), carry
-twice it; the seeds, which shrink like k^n, and the next diagonal carry it
-once; and build_table refuses a radius R where twice it at R, the sweep's
-small-k loss estimate, leaves too few bits.
+Two recurrences on the reflection coefficients of the diagonal symbol's
+Toeplitz matrices give C_bar(n,n) as their minors and C(n,n) as cofactors
+in O(R); the corner relation at the origin and sqrt(k) C(1,0) + C_bar(0,1)
+= sqrt(1 + k) give the nearest neighbours from C(1,1) and C_bar(1,1); a
+march solving the star relation and a quadratic recurrence as one 2x2
+linear system gives the next-to-diagonal entries, and a sweep of the two
+recurrences, each diagonal from the two before it, the rest of the octant.
+All of it is fixed point on Python integers: the modulus enters as an exact
+ratio (num, den), which the diagonal's recurrences take as it is and each
+other stage floors at its own bits to kf = floor(k 2^bits) = kn 2^(bits - g)
+with kn odd (53 bits at most for a float k < 1, about as wide as kf for a
+non-dyadic k such as 1/3); the symbol step, the next-diagonal march and the
+sweep multiply by kn and cancel or shift the power of two exactly, and one
+AGM gives the symbol's closed forms, the only transcendental input.  One
+guard rule, _loss_bits = n log2(1/k), sets those bits: the symbol's forward
+recurrence and the diagonal's, which compute minimal solutions (about k^n)
+against dominant k^-n ones (Gautschi 1967), carry twice it; the seeds,
+which shrink like k^n, and the next diagonal carry it once; and build_table
+refuses a radius R where twice it at R, the sweep's small-k loss estimate,
+leaves too few bits.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
 so.  The corner identity is written once, in _corner, the march's check;
@@ -186,36 +186,34 @@ def diagonal_seeds(k, n_max, precision):
     return c_diag, cbar_diag, seed_bits
 
 
-def _nearest_neighbours(k, bits):
-    """C(1,0) and C_bar(0,1) of the ratio k, as integers x 2^bits.
-
-    Onsager's closed form at sinh 2K = sqrt(k), after one Landen step, is
-    C(1,0) = 1/2 sqrt((1+k)/k) [1 - (1-k)/M] with M = AGM(1, k'); then
-    C_bar(0,1) = sqrt(1 + k) - sqrt(k) C(1,0).  The bracket cancels to about
-    k, so C(1,0) tends to sqrt(k)/2 as k -> 0, and to sqrt(2)/2 as k -> 1.
-    """
-    one, kf = 1 << bits, _fixed(k, bits)
-    m, _ = agm(kf, bits)
-    bracket = one - ((one - kf) << bits) // m
-    c10 = math.isqrt(((one + kf) << 2 * bits) // kf) * bracket >> (bits + 1)
-    cbar01 = math.isqrt((one + kf) << bits) - (math.isqrt(kf << bits) * c10 >> bits)
-    return c10, cbar01
+def _nearest_neighbours(kf, rk, diag):
+    """C(1,0) and C_bar(0,1), x 2^bits, from diag = (C, C_bar, bits), kf =
+    floor(k 2^bits) and rk = sqrt(k): the corner relation at the origin and
+    sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k) give Onsager's closed form
+    C(1,0) = (1 + k + k C(1,1) - C_bar(1,1)) / (2 sqrt(k (1 + k))), whose
+    numerator cancels to about k, within the seeds' _loss_bits guard."""
+    (c, cb, bits), one = diag, 1 << diag[2]
+    r1 = math.isqrt(one + kf << bits)
+    c10 = ((one + kf - cb[1] << bits) + kf * c[1] << bits) // (2 * rk * r1)
+    return c10, r1 - (rk * c10 >> bits)
 
 
 def next_diagonal_seeds(k, diag, precision):
     """March C(m,m+1), C_bar(m,m+1) up the diagonal on integers.
 
-    diag is diagonal_seeds(k, n_max, precision); the march starts from the
-    closed-form C(1,0) and C_bar(0,1), and both next diagonals come back at
-    its 2^bits.  At each m the star relation and the quadratic recurrence on
-    the diagonal are both linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
+    diag is diagonal_seeds(k, n_max, precision), the march's only input
+    besides k: it starts from the C(1,0) and C_bar(0,1) of its C(1,1) and
+    C_bar(1,1), and both next diagonals come back at its 2^bits.  At each m
+    the star relation and the quadratic recurrence on the diagonal are both
+    linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
 
         C_bar(m-1,m) X + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
         k C(m-1,m) X + C_bar(m-1,m) Y = k C(m,m)^2 + C_bar(m,m)^2,
 
     so one exact 2x2 solve gives both, its determinant positive in a sound
     march.  The corner relation at (m, m), not consumed, is its cross-check:
-    an absolute residual (_corner) against check_tol, near 2^-precision.
+    an absolute residual (_corner) against check_tol = 10^-(precision // 4),
+    about 2^(-0.83 precision).
     It cannot see a relative loss in the small C seeds, whose k C^2 term
     shrinks like k^(2m+1); the _loss_bits guard keeps them right, as
     test_seeds_match_deeper_build checks.
@@ -225,12 +223,13 @@ def next_diagonal_seeds(k, diag, precision):
                                   % what, where=(m, m + 1))
 
     c_diag, cbar_diag, bits = diag
-    one, kf, (a, b) = 1 << bits, _fixed(k, bits), _nearest_neighbours(k, bits)
+    one, kf = 1 << bits, _fixed(k, bits)
+    rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
+    a, b = _nearest_neighbours(kf, rk, diag)
     if a <= 0:
         raise PrecisionExhausted("nearest-neighbour seed is not positive; "
                                  "raise precision_bits", where=(1, 0))
-    rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
-    check_tol = max(one ** 3 // 10 ** (precision // 4), one ** 3 >> (precision - 8))
+    check_tol = one ** 3 // 10 ** (precision // 4)
 
     c_next, cbar_next = [a], [b]
     for m in range(1, len(c_diag) - 1):
@@ -265,9 +264,10 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
     to precision_bits significant bits.  A k_requested above 1 was served
     through the duality swap, at 1/k_requested.  residual_report is the
     worst absolute identity residual (corner, star, quadratic) over the
-    octant, scanned exactly on first read.  floats is the same table as
-    read-only float64 arrays at scale 1, divided once on first use and
-    kept, for chi and verify; lookup serves either.
+    octant, scanned exactly on first read; a float, it reads 0.0 below
+    2^-1074, as in builds above about 1,070 precision_bits.  floats is the
+    same table as read-only float64 arrays at scale 1, divided once on
+    first use and kept, for chi and verify; lookup serves either.
     """
 
     # no __slots__: the two cached properties keep their values in the

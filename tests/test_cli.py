@@ -188,6 +188,45 @@ def test_unwritable_output_names_the_path(name, tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == []
 
 
+_CHI = ["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_CHI + ["--out", "keep.csv"], "--pgm"),
+    (_CHI + ["--out", "keep.csv"], "--peaks"),
+    (_CHI, "--out"),
+    (["corr", "--k", "0.5", "--radius", "4"], "--out"),
+], ids=["chi-pgm", "chi-peaks", "chi-out", "corr-out"])
+def test_missing_output_directory_is_refused_first(argv, flag, tmp_path,
+                                                   capsys, monkeypatch):
+    # a later file's missing directory once surfaced only after the table
+    # was built and the CSV had already replaced the old one
+    def no_build(*args):
+        raise AssertionError("a table was built before the paths were checked")
+
+    monkeypatch.setattr("isingchi.cli.build_table", no_build)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "keep.csv").write_bytes(b"old bytes\n")
+    missing = str(tmp_path / "missing" / "x")
+    assert run(argv + [flag, missing]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No directory for %s: %r\n" % (flag, missing))
+    assert (tmp_path / "keep.csv").read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+def test_verify_refuses_a_missing_out_directory_first(tmp_path, capsys,
+                                                      monkeypatch):
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the paths were checked")
+
+    monkeypatch.setattr("isingchi.verify.run_suite", no_suite)
+    missing = str(tmp_path / "missing" / "v.csv")
+    assert run(["verify", "elliptic", "--out", missing]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 2] No directory for --out: %r\n" % missing)
+
+
 def test_missing_flag_is_usage_error(capsys):
     assert run(["corr", "--k", "0.5"]) == 2
     assert "--radius" in capsys.readouterr().err

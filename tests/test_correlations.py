@@ -214,10 +214,10 @@ def test_seed_corruption_detected():
     ("cbar01-negated", r"next-diagonal entry outside \(0, 1\)", (1, 2)),
 ], ids=["cbar33", "cbar01-zero", "cbar01-negated"])
 def test_march_raises_name_the_entry(corrupt, message, where, monkeypatch):
-    closed_form = correlations._nearest_neighbours
+    derived = correlations._nearest_neighbours
 
-    def edited_base(k, bits):
-        c10, cbar01 = closed_form(k, bits)
+    def edited_base(kf, rk, diag):
+        c10, cbar01 = derived(kf, rk, diag)
         return c10, 0 * cbar01 if corrupt == "cbar01-zero" else -cbar01
 
     def edit(diag):
@@ -229,6 +229,36 @@ def test_march_raises_name_the_entry(corrupt, message, where, monkeypatch):
     with pytest.raises(PrecisionExhausted, match="^" + message) as err:
         _march(0.5, 6, edit)
     assert err.value.where == where
+
+
+@pytest.mark.parametrize("k", [1e-20, 1e-6, 0.0718, 0.1, 1 / 3, 0.5, 0.9,
+                               0.999998])
+def test_nearest_neighbours_match_onsager(k):
+    # the march's start, derived from C(1,1) and C_bar(1,1) by the corner
+    # relation at the origin, against Onsager's closed form from mpmath's K
+    # (parameter m = k^2), from seeds at build_table's working bits, p + 64
+    precision_bits = 256
+    num, den = k = sorted(k.as_integer_ratio())
+    diag = diagonal_seeds(k, 2, precision_bits + 64)
+    bits, kf = diag[2], _fixed(k, diag[2])
+    derived = correlations._nearest_neighbours(kf, math.isqrt(kf << bits), diag)
+    with mp.workprec(bits + 256):
+        kk = mp.mpf(num) / den
+        c10 = mp.sqrt((1 + kk) / kk) / 2 * (1 - (1 - kk) * 2 * mp.ellipk(kk * kk)
+                                            / mp.pi)
+        for x, ref in zip(derived, (c10, mp.sqrt(1 + kk) - mp.sqrt(kk) * c10)):
+            err = abs(mp.mpf((x, -bits)) - ref) / ref
+            assert err <= mp.mpf(2) ** -(precision_bits + 40), mp.log(err, 2)
+
+
+def test_build_runs_one_agm(monkeypatch):
+    calls, agm = [], correlations.agm
+    monkeypatch.setattr(correlations, "agm",
+                        lambda *a: calls.append(a) or agm(*a))
+    for args in ((0.5, 8), (3.0, 10, 128), (1e-20, 2, 2048)):
+        calls.clear()
+        build_table(*args)
+        assert len(calls) == 1
 
 
 def test_build_is_deterministic():
@@ -542,40 +572,42 @@ def _sha256(x):
 # next_diagonal_seeds outputs of each build, the first recorded from the
 # full-width floor(k 2^bits) formulas, the second from the reflection
 # coefficients' recurrences and the third from the march's 2x2 linear solve
-# on those seeds; the CSV digests of test_cli see only 17 digits
+# on those seeds, started from the nearest neighbours that the corner
+# relation at the origin gives; the CSV digests of test_cli see only 17
+# digits
 PINNED_BUILDS = [
     ((0.5, 40),
      '06421f13a6e2bcf2ee4c027d62ca602e04545841a22910e01def1be7ede26362',
      'e347d9c490b3bb1b910f0dfbacddc14f660e096a3550502fcd79c26bab0e4500',
-     '0eb593cbea1aa57aa59c210a141c59a1519eb46ffc7fc213b917738d192aff61'),
+     'b42ccf57de89d1df72fc0ce9d341817cb5f8229924000bb44654d8b8be6ee715'),
     ((0.99, 24),
      '99c9ec39c4414d7e3c4a4be657e9d41a830d1732fce4ee109bb90315009311c8',
      '32abb85075cab0fc6df69b9797baf92a135c8e994872297ee6a314bb88189477',
-     '6044ef76774227927ed15d48a5d12d5bff19b14dffcbe31769ce0a3e1f151d22'),
+     '6d904d21ec5766ac5ce96f3deb2d20277c4b66f839226d288f013fc16c7c93ac'),
     ((0.1, 32),
      '3eb1c8f06fb3223be42296e35552fba45311274f7e37f78dec935ca47cd293e9',
      '18be5a0ad249e0ab0173f8f4a3d3713c02556f2fa002b4fa03b065c525575936',
-     'c33d5626663d42e57e62eaecd6b2ae22bb9de1f37a411365c1bd4ede39fc2f42'),
+     '3c0454567210ae1ed4c197f01f4ff06d0aab8d47fdf90715fe33b16e98ea829e'),
     ((2.0, 16),
      'bb7c2c0d302e46343dc1cfb4d09b7c4923391780962c1644e32daadfad3095ab',
      '165bc1f09f8555e21b895ca8b20f43008b0bad7e402963158af25ad3c591690c',
-     '4482f53ebfd7a479b9a032ed81f8c9a7d4434b859d27d1118b511cd5f2f75515'),
+     '3d9f2dc196c0957b90dad111a56e126e17548202defc33a425b9524d905f4705'),
     ((3.0, 30),
      'd873fa85d5aeb316a26381baa0c2cc08ce129883f80eb1d1feab5c39c287aac3',
      '3275f053a910fa13a1c4c8a888ae2ac134522a566839ec22a3a3b592adcacff8',
-     '4ef9c5cc31f325487e1b197ce2692767641d92f5f7e8ea5a71fd82c807be4179'),
+     '1cbb311a3fdca2f5a563affaaee7529457e1ebdffa06afcc220e2813d31f4e2d'),
     ((0.0718, 40),
      '7dcf143e166e64077d00b7809239ec5012f1171ff0f434e923b1a530815e1ef8',
      'dbee70a1a05341a98c5f3420f506559d5c074bf24c0fd7ea6251649e853cd26e',
-     '764efc05c9e6f71531e7d24d40966570a72a42141083e6cebc270feffecdd2a8'),
+     '00f0dfab9283a12d948d8de7308b49335ef2c6aa93560463f802bf28d0fabae5'),
     ((0.1, 100, 1024),
      'aa83bbb329394c1f3c7b64b07649e3ba946ee682091b7015627fc554bc72b11d',
      'bd0de551e3b62338c0ca0f9b0c2507820e512633b639721cfef07180207efab9',
-     '25458f0192412c7d98dcf816d9188567271ed008e4126ae61e191d2223217ddd'),
+     '264237f8145b1fc4ba0333e47d9b5df0139ee73d41bc602d1bfce42db86a1302'),
     ((1e-20, 2, 2048),
      'fd73d9230ffece8a0e68ae880e54ca3208c8d4e9b3c175a593e119b21d2c8543',
      '86c9fd1ebeac73e32ca2545866ad2cdbe0f764fefa2854d4b43cb2936fb67231',
-     '07090117fbff2c1b9955539d009b3cdf8352fa209a404e0d201ea5199690d959'),
+     '3df19ae992e7a14fedd63be3c9102838819a39a5a9f1ca1527b998d98d2d0df8'),
 ]
 
 
@@ -648,8 +680,9 @@ def _quadratic_march(k, diag):
     and the corner relation at (m, m) eliminated to one quadratic in X, of
     which the minus root was the one taken in a sound march."""
     c_diag, cbar_diag, bits = diag
-    kf, (a, b) = _fixed(k, bits), correlations._nearest_neighbours(k, bits)
+    kf = _fixed(k, bits)
     rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
+    a, b = correlations._nearest_neighbours(kf, rk, diag)
     c_next, cbar_next = [a], [b]
     for m in range(1, len(c_diag) - 1):
         cm, cbm = c_diag[m], cbar_diag[m]

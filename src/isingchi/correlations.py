@@ -19,13 +19,8 @@ other stage floors at its own bits to kf = floor(k 2^bits) = kn 2^(bits - g)
 with kn odd (53 bits at most for a float k < 1, about as wide as kf for a
 non-dyadic k such as 1/3); the symbol step, the next-diagonal march and the
 sweep multiply by kn and cancel or shift the power of two exactly, and one
-AGM gives the symbol's closed forms, the only transcendental input.  One
-guard rule, _loss_bits = n log2(1/k), sets those bits: the symbol's forward
-recurrence and the diagonal's, which compute minimal solutions (about k^n)
-against dominant k^-n ones (Gautschi 1967), carry twice it; the seeds,
-which shrink like k^n, and the next diagonal carry it once; and build_table
-refuses a radius R where twice it at R, the sweep's small-k loss estimate,
-leaves too few bits.
+AGM gives the symbol's closed forms, the only transcendental input.  Every
+stage reads its bits from one precision plan, _plan.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
 so.  The corner identity is written once, in _corner, the march's check;
@@ -53,9 +48,7 @@ EPS_CRITICAL = 1e-6
 DEFAULT_PRECISION_BITS = 256
 _SEED_GUARD_BITS = 64  # carried by the seeds and the sweep, then rounded off
 
-# a divisor in the sweep must keep at least this many significant bits
-# relative to full precision before the build is declared hopeless
-MIN_DIVISOR_BITS = 8
+MIN_DIVISOR_BITS = 8  # a sweep divisor's least significant bits, or it stops
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -93,16 +86,51 @@ def _odd_part(kf, bits):
     return kf >> zeros, bits - zeros
 
 
-def _loss_bits(k, n):
-    """n log2(1/k) of the ratio k, the one guard rule of the build: see the
-    module docstring."""
-    num, den = k
-    return n * (math.log2(den) - math.log2(num))
+_Plan = namedtuple("_Plan", "k radius symbol diagonal seeds sweep march_tol "
+                   "floor refused loss_estimate")
 
 
-def _symbol_coefficients(k, n_top, precision):
+def _plan(k, radius, precision_bits):
+    """build_table's arguments, checked, and every stage's bits.
+
+    k becomes the exact ratio (num, den) of k, or of 1/k above 1; x is
+    log2(1/k).  The sweep runs at p + 64 bits.  The seeds, which shrink like
+    k^n, the march and the stored scale carry L = (R + 3) x more, plus 32;
+    the diagonal's recurrences and the symbol series, which compute k^n
+    against dominant k^-n solutions (Gautschi 1967), carry 2L plus 32 and
+    the symbol's own 3x once (diagonal) or twice (symbol).  march_tol is
+    the corner check's 10^-(sweep // 4) in units of 2^(3 seeds), floor the
+    2^72 a sweep divisor must reach, and refused the first radius whose
+    small-k loss 2 R x leaves under MIN_DIVISOR_BITS of the sweep's bits.
+    loss_estimate = R max(2x, 2.6 + 1.25x) is a fit, not a bound.
+    """
+    if radius < 2:
+        raise ValueError("radius must be at least 2")
+    if precision_bits < 24:
+        raise ValueError("precision_bits must be at least 24")
+    k_req = float(k)
+    if not 0 < k_req < math.inf:
+        raise EllipticDomainError(
+            "modulus must be positive and finite, got %r" % k_req)
+    if abs(1 - k_req) < EPS_CRITICAL:
+        raise EllipticDomainError(
+            "modulus %r is within %g of criticality; correlation length "
+            "diverges and a fixed-radius table is meaningless"
+            % (k_req, EPS_CRITICAL))
+    num, den = k = sorted(k_req.as_integer_ratio())  # exact; 1/k above 1
+    x, guard = math.log2(den) - math.log2(num), _SEED_GUARD_BITS
+    sweep, big, low = precision_bits + guard, (radius + 3) * x, 3 * x
+    seeds, twice = sweep + int(big) + 32, sweep + int(2 * big) + 32
+    return _Plan(k, radius, twice + int(2 * low), twice + int(low), seeds,
+                 sweep, (1 << 3 * seeds) // 10 ** (sweep // 4),
+                 1 << guard + MIN_DIVISOR_BITS,
+                 int((sweep - MIN_DIVISOR_BITS) / (2 * x)) + 1,
+                 radius * max(2 * x, 2.6 + 1.25 * x))
+
+
+def _symbol_coefficients(k, n_top, bits, out_bits):
     """Laurent coefficients a_j of the diagonal symbol for |j| <= n_top, as
-    integers x 2^bits, and those bits.
+    integers x 2^out_bits, and out_bits.
 
     phi(z) = (1 - k/z)^(1/2) (1 - k z)^(-1/2) solves a first-order ODE, so
 
@@ -111,14 +139,11 @@ def _symbol_coefficients(k, n_top, precision):
     for every integer j and either step e = +1 or -1.  From the closed forms
     a_0 = 2E/pi = (1 - S)/M and a_{-1} = -2 [E - (1 - k^2) K] / (pi k) =
     -(k^2 - S)/(k M), with M and S from one AGM (the pi in front of K and E
-    cancels), it runs outward both ways in O(n_top) steps for any k, with
-    2 _loss_bits(k, n_top + 2) + 32 guard bits over precision against the
-    k^-2|j| growth of the unwanted solution, then one shift hands them on at
-    half that guard, the bits of the seeds that verify's Levinson minors
-    check; diagonal_seeds takes a_{-1..1} at its march's bits.
+    cancels), it runs outward both ways in O(n_top) steps for any k at bits,
+    which must cover the k^-2|j| growth of the unwanted solution, then one
+    shift hands them on at out_bits: the plan's diagonal bits for
+    diagonal_seeds, its seeds bits for verify's Levinson minors.
     """
-    loss = _loss_bits(k, n_top + 2)
-    bits = precision + int(2 * loss) + 32
     kf = _fixed(k, bits)
     m, s = agm(kf, bits)
     a = {0: (((1 << bits) - s) << bits) // m,
@@ -130,16 +155,14 @@ def _symbol_coefficients(k, n_top, precision):
         a[j] = (((o2 + k2) * (j - e) + k2) * 2 * a[j - e]
                 - (kn * (2 * j - 4 * e + 1) * a[j - 2 * e] << g)
                 ) // (kn * (2 * j + 1) << g)
-    seed_bits = precision + int(loss) + 32
-    return {j: x >> bits - seed_bits for j, x in a.items()}, seed_bits
+    return {j: x >> bits - out_bits for j, x in a.items()}, out_bits
 
 
-def diagonal_seeds(k, n_max, precision):
-    """C(n,n) and C_bar(n,n) for n = 0..n_max in O(n_max).
+def diagonal_seeds(plan):
+    """C(n,n) and C_bar(n,n) for n = 0..plan.radius + 1 in O(R).
 
-    k is the modulus as an exact ratio (num, den), precision the working
-    bits.  C_bar(n,n) = D_n = det[a_{i-j}]_n and C(n,n) = -y_n D_n, with x_n
-    and y_n the reflection coefficients e_f and e_b of Levinson's recursion
+    C_bar(n,n) = D_n = det[a_{i-j}]_n and C(n,n) = -y_n D_n, with x_n and y_n
+    the reflection coefficients e_f and e_b of Levinson's recursion
     (verify._toeplitz_minors).  As z phi'/phi is rational, from x_0 = y_0 =
     -1, D_0 = 1, D_1 = a_0 and (x_1, y_1) = (a_1, a_{-1}) / a_0 (Magnus 1995)
 
@@ -148,30 +171,27 @@ def diagonal_seeds(k, n_max, precision):
                                - (2n - 3) x_{n-1} y_n
         D_{n+1} D_{n-1} = D_n^2 s_n,    s_n = 1 - x_n y_n.
 
-    y_n ~ k^n is the first's minimal solution, so the march carries the
-    symbol series' guard and returns (C, C_bar, bits) at half it, unrounded
-    integers x 2^bits.  A non-positive seed or s_n, or C(n,n) not below
-    C(n-1,n-1), means the precision ran out.
+    y_n ~ k^n is the first's minimal solution, so the march runs at the
+    plan's diagonal bits and returns (C, C_bar, bits) at its seeds bits,
+    unrounded integers x 2^bits.  A non-positive seed or s_n, or C(n,n) not
+    below C(n-1,n-1), means the precision ran out.
     """
     def exhausted(n):
         return PrecisionExhausted("diagonal seed or 1 - x_n y_n out of range; "
                                   "raise precision_bits", where=(n, n))
 
-    num, den = k
+    num, den = k = plan.k
     if not 0 < num < den:
         raise EllipticDomainError("modulus must lie in (0, 1), got %.8g"
                                   % (num / den))
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    loss = _loss_bits(k, n_max + 2)
-    a, bits = _symbol_coefficients(k, 1, precision + int(2 * loss))
-    one, seed_bits = 1 << bits, precision + int(loss) + 32
+    a, bits = _symbol_coefficients(k, 1, plan.symbol, plan.diagonal)
+    one, seed_bits = 1 << bits, plan.seeds
     shift, d0, d = bits - seed_bits, one, a[0]
     if d >> shift <= 0:
         raise exhausted(1)
     x, y, x0, y0 = (a[1] << bits) // d, (a[-1] << bits) // d, -one, -one
     c_diag, cbar_diag = [1 << seed_bits], [1 << seed_bits]
-    for n in range(1, n_max + 1):
+    for n in range(1, plan.radius + 2):
         c_diag.append(-y * d >> bits + shift)
         cbar_diag.append(d >> shift)
         s = one - (x * y >> bits)
@@ -191,18 +211,18 @@ def _nearest_neighbours(kf, rk, diag):
     floor(k 2^bits) and rk = sqrt(k): the corner relation at the origin and
     sqrt(k) C(1,0) + C_bar(0,1) = sqrt(1 + k) give Onsager's closed form
     C(1,0) = (1 + k + k C(1,1) - C_bar(1,1)) / (2 sqrt(k (1 + k))), whose
-    numerator cancels to about k, within the seeds' _loss_bits guard."""
+    numerator cancels to about k, within the plan's seeds guard."""
     (c, cb, bits), one = diag, 1 << diag[2]
     r1 = math.isqrt(one + kf << bits)
     c10 = ((one + kf - cb[1] << bits) + kf * c[1] << bits) // (2 * rk * r1)
     return c10, r1 - (rk * c10 >> bits)
 
 
-def next_diagonal_seeds(k, diag, precision):
+def next_diagonal_seeds(plan, diag):
     """March C(m,m+1), C_bar(m,m+1) up the diagonal on integers.
 
-    diag is diagonal_seeds(k, n_max, precision), the march's only input
-    besides k: it starts from the C(1,0) and C_bar(0,1) of its C(1,1) and
+    diag is diagonal_seeds(plan), the march's only input besides the plan's
+    k and march_tol: it starts from the C(1,0) and C_bar(0,1) of its C(1,1) and
     C_bar(1,1), and both next diagonals come back at its 2^bits.  At each m
     the star relation and the quadratic recurrence on the diagonal are both
     linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
@@ -212,24 +232,22 @@ def next_diagonal_seeds(k, diag, precision):
 
     so one exact 2x2 solve gives both, its determinant positive in a sound
     march.  The corner relation at (m, m), not consumed, is its cross-check:
-    an absolute residual (_corner) against check_tol = 10^-(precision // 4),
-    about 2^(-0.83 precision).
+    an absolute residual (_corner) against march_tol, 10^-(sweep // 4).
     It cannot see a relative loss in the small C seeds, whose k C^2 term
-    shrinks like k^(2m+1); the _loss_bits guard keeps them right, as
+    shrinks like k^(2m+1); the plan's seeds guard keeps them right, as
     test_seeds_match_deeper_build checks.
     """
     def exhausted(what, m):
         return PrecisionExhausted("%s in the diagonal march; raise precision_bits"
                                   % what, where=(m, m + 1))
 
-    c_diag, cbar_diag, bits = diag
+    (c_diag, cbar_diag, bits), k = diag, plan.k
     one, kf = 1 << bits, _fixed(k, bits)
     rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
     a, b = _nearest_neighbours(kf, rk, diag)
     if a <= 0:
         raise PrecisionExhausted("nearest-neighbour seed is not positive; "
                                  "raise precision_bits", where=(1, 0))
-    check_tol = one ** 3 // 10 ** (precision // 4)
 
     c_next, cbar_next = [a], [b]
     for m in range(1, len(c_diag) - 1):
@@ -246,7 +264,7 @@ def next_diagonal_seeds(k, diag, precision):
 
         residual = _corner((kn, 1 << g), (cm, c_diag[m + 1], x, x),
                            (cbm, cbar_diag[m + 1], y, y)) << bits - g
-        if abs(residual) > check_tol:
+        if abs(residual) > plan.march_tol:
             raise exhausted("cross-check relation residual %.6g"
                             % (abs(residual) / one ** 3), m)
         a, b = x, y
@@ -289,10 +307,9 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
     def residual_report(self):
         if not isinstance(self.C, tuple):
             raise TypeError("residual_report is read on the integer table")
-        bits = self.precision_bits + _SEED_GUARD_BITS
+        plan = _plan(self.k_requested, self.radius, self.precision_bits)
         fams = (self.C_bar, self.C) if self.swapped else (self.C, self.C_bar)
-        return _worst_residual(sorted(self.k_requested.as_integer_ratio()),
-                               *fams, self.scale, bits)
+        return _worst_residual(plan.k, *fams, self.scale, plan.sweep)
 
 
 def lookup(table, m, n, which="C"):
@@ -381,45 +398,28 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
-    with C(m-1,n) the entry just made (C(1,n) at m = 0).  A radius at which
-    the loss model's small-k estimate, 2 _loss_bits(k, R), leaves fewer
-    than MIN_DIVISOR_BITS is refused before any work; an entry leaving
+    with C(m-1,n) the entry just made (C(1,n) at m = 0).  Every stage runs
+    at the bits of _plan, whose refused radius is refused before any work
+    (a small-k loss estimate, not a bound); an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
     entry.  Radius 100 at 512 bits builds in 0.05 reference s (2-vCPU Xeon VM).
     """
-    if radius < 2:
-        raise ValueError("radius must be at least 2")
-    if precision_bits < 24:
-        raise ValueError("precision_bits must be at least 24")
-
-    k_req = float(k)
-    if not 0 < k_req < math.inf:
-        raise EllipticDomainError(
-            "modulus must be positive and finite, got %r" % k_req)
-    if abs(1 - k_req) < EPS_CRITICAL:
-        raise EllipticDomainError(
-            "modulus %r is within %g of criticality; correlation length "
-            "diverges and a fixed-radius table is meaningless"
-            % (k_req, EPS_CRITICAL))
-
-    k = sorted(k_req.as_integer_ratio())  # exact; 1/k_req above 1
-    bits = precision_bits + _SEED_GUARD_BITS
-    n = int((bits - MIN_DIVISOR_BITS) / _loss_bits(k, 2)) + 1
+    k_req, plan = float(k), _plan(k, radius, precision_bits)
+    k, bits, n = plan.k, plan.sweep, plan.refused
     if radius >= n:  # n: the first radius the small-k loss estimate rules out
         raise PrecisionExhausted(
             "estimated small-k loss leaves fewer than %d of %d bits; raise "
             "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
 
-    diag = diagonal_seeds(k, radius + 1, bits)
-    seeds = diag, next_diagonal_seeds(k, diag, bits)  # seeds[n - m][family][m]
+    diag = diagonal_seeds(plan)
+    seeds = diag, next_diagonal_seeds(plan, diag)  # seeds[n - m][family][m]
 
     # x -> floor(x 2^bits), k -> kn / 2^g; products are exact, so each swept
     # entry is rounded once, by the floor division.  rc[d][m] = C(m, m + d);
     # cl = C(m - 1, m + d - 1) is the entry just made, C(1, d - 1) at m = 0
     one, size, shift = 1 << bits, radius + 1, diag[2] - bits
-    kn, g = _odd_part(_fixed(k, bits), bits)
-    tiny = 1 << (bits - precision_bits + MIN_DIVISOR_BITS)
+    (kn, g), tiny = _odd_part(_fixed(k, bits), bits), plan.floor
 
     def rounded(x):  # half to even, to precision_bits significant bits
         cut = x.bit_length() - precision_bits

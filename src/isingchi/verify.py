@@ -18,9 +18,9 @@ from collections import namedtuple
 from itertools import count
 from operator import mul
 
-from .correlations import (_SEED_GUARD_BITS, PrecisionExhausted, _fixed,
-                           _identity_residuals, _symbol_coefficients,
-                           build_table, diagonal_seeds, lookup)
+from .correlations import (PrecisionExhausted, _fixed, _identity_residuals,
+                           _plan, _symbol_coefficients, build_table,
+                           diagonal_seeds, lookup)
 from .couplings import coupling_pair, quarter_period
 from .elliptic import agm, complete_elliptic_K
 from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
@@ -29,9 +29,8 @@ from .frustrated import (_CLASSES, FrustratedModel, ff_correlation,
 __all__ = ["IdentityCheck", "SUITES", "VerificationReport", "run_suite"]
 
 _SEED = 20240917
-# legendre-pi runs at a few thousand bits and at the widest agm that any
-# other suite's build calls (seeds: diagonal_seeds at k = 0.0718, R = 24)
-_LEGENDRE_BITS = (1500, 579)
+# legendre-pi's widths: 1,500 bits and any suite's widest agm, the seeds'
+_LEGENDRE_BITS = (1500, _plan(0.0718, 24, 256).symbol)
 
 
 class IdentityCheck(namedtuple(
@@ -284,9 +283,10 @@ def _suite_seeds(tolerance):
     to the deeper-build test's bound 2^-(precision_bits + 40)."""
     bits, gaps = 256, {"C": {}, "Cbar": {}}
     for k, radius in ((0.0718, 24), (0.5, 16)):
-        ratio, work = k.as_integer_ratio(), bits + _SEED_GUARD_BITS
-        c, cbar, _ = diagonal_seeds(ratio, radius + 1, work)
-        coeff, ref_bits = _symbol_coefficients(ratio, radius + 1, work)
+        plan = _plan(k, radius, bits)
+        c, cbar, _ = diagonal_seeds(plan)
+        coeff, ref_bits = _symbol_coefficients(plan.k, radius + 1,
+                                               plan.symbol, plan.seeds)
         minors = _toeplitz_minors(coeff.__getitem__, ref_bits)
         for n, (det, _, e_b) in zip(range(1, radius + 2), minors):
             loc, ref = "k=%g (%d %d)" % (k, n, n), -e_b * det >> ref_bits

@@ -18,6 +18,7 @@ from isingchi.correlations import (
     _fixed,
     _identity_residuals,
     _odd_part,
+    _plan,
     _symbol_coefficients,
     _worst_residual,
     diagonal_seeds,
@@ -48,10 +49,10 @@ def _entry(x, scale):
 def _march(k, n_max, corrupt=lambda diag: None):
     """diagonal_seeds and next_diagonal_seeds as build_table runs them at
     256 working bits, after corrupt(diag) may edit the two lists in place."""
-    k = k.as_integer_ratio()
-    c_diag, cbar_diag, bits = diagonal_seeds(k, n_max, 256)
+    plan = _plan(k, n_max - 1, 192)
+    c_diag, cbar_diag, bits = diagonal_seeds(plan)
     corrupt((c_diag, cbar_diag))
-    return next_diagonal_seeds(k, (c_diag, cbar_diag, bits), 256), bits
+    return next_diagonal_seeds(plan, (c_diag, cbar_diag, bits)), bits
 
 
 def _c10(k):
@@ -66,7 +67,7 @@ def test_onsager_nn_values():
     assert _c10(1e-4) == pytest.approx(0.5e-2, rel=2e-2)
     # the seed stages take the working modulus, which lies in (0, 1)
     with pytest.raises(EllipticDomainError):
-        diagonal_seeds((6, 5), 2, 64)
+        diagonal_seeds(_plan(0.5, 2, 24)._replace(k=(6, 5)))
 
 
 def test_base_seed_identity(table_half):
@@ -238,8 +239,9 @@ def test_nearest_neighbours_match_onsager(k):
     # relation at the origin, against Onsager's closed form from mpmath's K
     # (parameter m = k^2), from seeds at build_table's working bits, p + 64
     precision_bits = 256
-    num, den = k = sorted(k.as_integer_ratio())
-    diag = diagonal_seeds(k, 2, precision_bits + 64)
+    plan = _plan(k, 2, precision_bits)
+    num, den = k = plan.k
+    diag = diagonal_seeds(plan)
     bits, kf = diag[2], _fixed(k, diag[2])
     derived = correlations._nearest_neighbours(kf, math.isqrt(kf << bits), diag)
     with mp.workprec(bits + 256):
@@ -310,7 +312,7 @@ def test_star_relation_excludes_origin(table_half):
 def test_symbol_coefficients_match_fourier_integral(k):
     # a_j = (1/pi) Re int_0^pi phi(e^{i theta}) e^{-i j theta} d theta,
     # since phi(e^{-i theta}) is the conjugate of phi(e^{i theta})
-    coeff, bits = _symbol_coefficients(k.as_integer_ratio(), 6, 80)
+    coeff, bits = _symbol_coefficients(k.as_integer_ratio(), 6, 200, 80)
     with mp.workprec(80):
         k = mp.mpf(k)
         for j in range(-6, 7):
@@ -345,8 +347,8 @@ def test_toeplitz_minors_match_dense_determinants():
         entries = {j: math.floor(rng.uniform(-1, 1) * 2 ** bits)
                    for j in range(-12, 13)}
         cases.append(entries.__getitem__)
-    k = (0.9).as_integer_ratio()
-    coeff, own_bits = _symbol_coefficients(k, 12, bits)
+    plan = _plan(0.9, 11, bits - 64)
+    coeff, own_bits = _symbol_coefficients(plan.k, 12, plan.symbol, plan.seeds)
     cases.append({j: a >> own_bits - bits for j, a in coeff.items()}.__getitem__)
     with mp.workprec(2 * own_bits):
         for t in cases:
@@ -364,7 +366,7 @@ def test_toeplitz_minors_match_dense_determinants():
         def a(j):
             return mp.ldexp(coeff[j], -own_bits)
 
-        c_diag, cbar_diag, seed_bits = diagonal_seeds(k, 12, bits)
+        c_diag, cbar_diag, seed_bits = diagonal_seeds(plan)
         assert seed_bits == own_bits and len(c_diag) == len(cbar_diag) == 13
         for n in range(1, 13):
             _assert_close(cbar_diag[n], own_bits, _dense_det(a, n))
@@ -399,12 +401,11 @@ def test_seeds_match_deeper_build(k, radius, bits):
     # absolute residual that the small C seeds barely enter, does not fire.
     # build_table refuses (0.01, 40, 256) by its sweep estimate, so the
     # seeds are called directly.
-    k = k.as_integer_ratio()
-    diag = diagonal_seeds(k, radius + 1, bits + 64)
-    deep = diagonal_seeds(k, radius + 1, bits + 64 + 512)
+    plan, deep_plan = _plan(k, radius, bits), _plan(k, radius, bits + 512)
+    diag, deep = diagonal_seeds(plan), diagonal_seeds(deep_plan)
     lo_bits, hi_bits = diag[2], deep[2]
-    seeds = (*diag[:2], *next_diagonal_seeds(k, diag, bits + 64))
-    deeper = (*deep[:2], *next_diagonal_seeds(k, deep, bits + 64 + 512))
+    seeds = (*diag[:2], *next_diagonal_seeds(plan, diag))
+    deeper = (*deep[:2], *next_diagonal_seeds(deep_plan, deep))
     # integers x 2^lo_bits and x 2^hi_bits, compared exactly
     worst = max(mp.mpf(abs((lo << hi_bits - lo_bits) - hi)) / hi
                 for lo_family, hi_family in zip(seeds, deeper)
@@ -414,8 +415,8 @@ def test_seeds_match_deeper_build(k, radius, bits):
 
 @pytest.mark.parametrize("k", [0.1, 0.5, 0.9, 0.99])
 def test_diagonal_seeds_agree_across_precision(k):
-    *coarse, lo_bits = diagonal_seeds(k.as_integer_ratio(), 40, 256)
-    *fine, hi_bits = diagonal_seeds(k.as_integer_ratio(), 40, 512)
+    *coarse, lo_bits = diagonal_seeds(_plan(k, 39, 192))
+    *fine, hi_bits = diagonal_seeds(_plan(k, 39, 448))
     for lo_family, hi_family in zip(coarse, fine):
         for lo, hi in zip(lo_family, hi_family):
             assert abs((lo << hi_bits - lo_bits) - hi) <= hi >> 240
@@ -704,10 +705,10 @@ def test_linear_march_matches_quadratic_march(args):
     # both seed families of the linear solve, as build_table calls it, agree
     # with the quadratic's minus root to the bound of the deeper-build test
     k, radius, precision_bits = (*args, 256)[:3]
-    k = sorted(k.as_integer_ratio())
-    diag = diagonal_seeds(k, radius + 1, precision_bits + 64)
-    linear = next_diagonal_seeds(k, diag, precision_bits + 64)
-    for new, old in zip(linear, _quadratic_march(k, diag)):
+    plan = _plan(k, radius, precision_bits)
+    diag = diagonal_seeds(plan)
+    linear = next_diagonal_seeds(plan, diag)
+    for new, old in zip(linear, _quadratic_march(plan.k, diag)):
         assert len(new) == len(old) == radius + 1
         for x, ref in zip(new, old):
             assert abs(x - ref) << precision_bits + 40 <= ref
@@ -767,8 +768,9 @@ def test_dyadic_modulus_identities():
                                (0.1).as_integer_ratio(),
                                (1e-20).as_integer_ratio()])
 def test_symbol_coefficients_match_full_width_step(k):
-    coeff, seed_bits = _symbol_coefficients(k, 30, 256)
-    bits = 256 + int(2 * correlations._loss_bits(k, 32)) + 32
+    x = math.log2(k[1]) - math.log2(k[0])
+    bits, seed_bits = 256 + int(64 * x) + 32, 256 + int(32 * x) + 32
+    coeff, _ = _symbol_coefficients(k, 30, bits, seed_bits)
     kf = _fixed(k, bits)
     m, s = correlations.agm(kf, bits)
     k2, o2 = kf * kf, 1 << 2 * bits
@@ -782,11 +784,12 @@ def test_symbol_coefficients_match_full_width_step(k):
     assert coeff == {j: x >> bits - seed_bits for j, x in a.items()}
 
 
-def _levinson_seeds(k, n_max, precision):
+def _levinson_seeds(plan):
     """diagonal_seeds as the Levinson minors gave them: the full symbol
     series and _toeplitz_minors at the same bits, C_bar(n,n) = D_n and
     C(n,n) = -y_n D_n, a non-positive seed raising at (n, n)."""
-    coeff, bits = _symbol_coefficients(k, n_max, precision)
+    n_max = plan.radius + 1
+    coeff, bits = _symbol_coefficients(plan.k, n_max, plan.symbol, plan.seeds)
     c, cbar = [1 << bits], [1 << bits]
     minors = _toeplitz_minors(coeff.__getitem__, bits)
     for n, (d, _, y) in zip(range(1, n_max + 1), minors):
@@ -803,10 +806,11 @@ def test_reflection_recurrences_match_levinson(k):
     # minors 128 bits past the march's guard, from x_0 = y_0 = -1 and D_0 = 1,
     # and the march as build_table calls it at 256 bits keeps the bound of
     # test_seeds_match_deeper_build against it out to n = 100
-    n_max, bits = 100, 256 + 64
-    k = k.as_integer_ratio()
-    loss = int(correlations._loss_bits(k, n_max + 2))
-    coeff, ref_bits = _symbol_coefficients(k, n_max + 1, bits + loss + 128)
+    # the series at 128 bits past the diagonal's, with the diagonal's guard
+    plan = _plan(k, 99, 256)
+    n_max, bits, k, ref = 100, plan.sweep, plan.k, plan.diagonal + 128
+    coeff, ref_bits = _symbol_coefficients(
+        k, n_max + 1, ref + plan.diagonal - plan.sweep, ref)
     with mp.workprec(2 * ref_bits):
         one, kk = mp.mpf(1), mp.mpf(k[0]) / k[1]
         minors = islice(_toeplitz_minors(coeff.__getitem__, ref_bits), n_max + 1)
@@ -822,7 +826,7 @@ def test_reflection_recurrences_match_levinson(k):
                      -(2 * n - 1) * y[n - 1] * x[n], (2 * n - 3) * x[n - 1] * y[n]],
                     [d[n + 1] * d[n - 1], -d[n] ** 2 * s]):
                 assert abs(sum(terms)) <= max(map(abs, terms)) * 2.0 ** -(bits + 40), n
-        c, cbar, seed_bits = diagonal_seeds(k, n_max, bits)
+        c, cbar, seed_bits = diagonal_seeds(plan)
         for n in range(1, n_max + 1):
             for got, want in ((c[n], -y[n] * d[n]), (cbar[n], d[n])):
                 assert abs(mp.ldexp(got, -seed_bits) / want - 1) <= 2.0 ** -(256 + 40), n
@@ -843,14 +847,14 @@ def test_reflection_recurrences_match_levinson(k):
 def test_corrupt_symbol_raises_at_the_seed(j, edit, where, monkeypatch):
     series = correlations._symbol_coefficients
 
-    def edited(k, n_top, precision):
-        a, bits = series(k, n_top, precision)
+    def edited(*args):
+        a, bits = series(*args)
         a[j] = edit(a[j])
         return a, bits
 
     monkeypatch.setattr(correlations, "_symbol_coefficients", edited)
     with pytest.raises(PrecisionExhausted, match="^diagonal seed or 1 - x_n y_n out") as err:
-        diagonal_seeds((1, 2), 120, 320)
+        diagonal_seeds(_plan(0.5, 119, 256))
     assert err.value.where == where
 
 
@@ -890,8 +894,8 @@ def test_seeds_suite_sees_a_lost_guard(monkeypatch):
     # guard read at (0.0718, 24), fail the C row and leave C_bar's alone
     seeds = correlations.diagonal_seeds
 
-    def coarse(k, n_max, precision):
-        c, cbar, bits = seeds(k, n_max, precision)
+    def coarse(plan):
+        c, cbar, bits = seeds(plan)
         return [x + (x >> 260) for x in c], cbar, bits
 
     monkeypatch.setattr(verify, "diagonal_seeds", coarse)

@@ -16,10 +16,11 @@ namedtuples, so no command loads dataclasses or inspect for them.
 import argparse
 import errno
 import functools
+import math
 import os
 import sys
 
-from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted,
+from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted, _plan,
                            build_table)
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
@@ -27,6 +28,7 @@ from .fileio import (read_config, write_chi_csv, write_corr_csv,
 __all__ = ["main", "run"]
 
 GAUGE_WINDOW = 1_000_000
+MAX_CORR_BITS = 8192  # corr refuses, before any work, to pick more bits
 
 _CONFIG_KEYS = {
     "k": float, "S": float, "version": str, "j": int, "gamma": float,
@@ -60,9 +62,8 @@ def _require(args, *names):
 
 def _precision_advice(args, where):
     """What the user can change when a table runs out of working precision."""
-    if args.subcommand == "corr":
-        return "; rerun with --precision above %d" % (
-            args.precision or DEFAULT_PRECISION_BITS)
+    if args.subcommand == "corr":  # _cmd_corr sets the bits it used
+        return "; rerun with --precision above %d" % args.precision
     if args.subcommand != "chi":
         return ""
     from .chi import MIN_TAIL_RADIUS
@@ -144,10 +145,24 @@ def _apply_config(args, path):
         setattr(args, key, value)
 
 
+def _corr_bits(k, radius):
+    """corr's default: the fewest bits p >= 256 whose guard, less the plan's
+    loss estimate, leaves the 57 relative bits of 17 digits and 16 more."""
+    plan, p = _plan(k, radius, DEFAULT_PRECISION_BITS), DEFAULT_PRECISION_BITS
+    return max(p, math.ceil(57 + 16 + plan.loss_estimate) - (plan.sweep - p))
+
+
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
-    bits = DEFAULT_PRECISION_BITS if args.precision is None else args.precision
-    write_corr_csv(args.out, build_table(args.k, args.radius, bits))
+    if args.precision is None:  # --precision overrides the picked bits
+        args.precision = _corr_bits(args.k, args.radius)
+        if args.precision > MAX_CORR_BITS:
+            print("error: 17 right digits need %d bits here, above corr's cap "
+                  "of %d; pass --precision %d or a smaller --radius"
+                  % (args.precision, MAX_CORR_BITS, args.precision),
+                  file=sys.stderr)
+            return 1
+    write_corr_csv(args.out, build_table(args.k, args.radius, args.precision))
     return 0
 
 

@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -113,11 +114,11 @@ _SWEPT = "error: swept entry left (0, 1]; raise precision_bits"
 @pytest.mark.parametrize("argv, message, advice", [
     (["chi", "frustrated", "--S", "1", "--version", "a", "--radius", "48",
       "--grid", "2x2"], _LOSS + " at (m, n) = (40, 42)", "smaller --radius"),
-    (["corr", "--k", "0.05", "--radius", "48"], _LOSS + " at (m, n) = (35, 37)",
-     "--precision above 256"),
+    (["corr", "--k", "0.05", "--radius", "48", "--precision", "256"],
+     _LOSS + " at (m, n) = (35, 37)", "--precision above 256"),
     # the loss estimate passes k = 0.5 at radius 120; the sweep refuses it
-    (["corr", "--k", "0.5", "--radius", "120"], _SWEPT + " at (m, n) = (72, 120)",
-     "--precision above 256"),
+    (["corr", "--k", "0.5", "--radius", "120", "--precision", "256"],
+     _SWEPT + " at (m, n) = (72, 120)", "--precision above 256"),
 ], ids=["argv0-smaller --radius", "argv1---precision above 256",
         "argv2---precision above 256"])
 def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys):
@@ -164,12 +165,43 @@ def test_extreme_moduli_fail_in_one_line(k, code, message, tmp_path, capsys):
     # through the duality swap; the loss estimate refuses it before any
     # stage divides by it
     out = tmp_path / "x.csv"
-    assert run(["corr", "--k", k, "--radius", "4", "--out", str(out)]) == code
+    assert run(["corr", "--k", k, "--radius", "4", "--precision", "256",
+                "--out", str(out)]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(message)
     if code == 1:
         assert err[0].endswith("--precision above 256")
+    assert not out.exists()
+
+
+def test_corr_picks_its_own_bits(tmp_path):
+    # without --precision, corr builds at the fewest bits from 256 up that
+    # leave 57 + 16 relative bits after the plan's loss estimate: 424 bits
+    # for (0.05, 48), which 256 bits refuse, and 379 for (0.5, 96), whose
+    # C(0, 96) was off by 2^-4.8 at 256 bits; it prints what a build 128
+    # bits deeper prints
+    out, deep = tmp_path / "corr.csv", tmp_path / "deep.csv"
+    assert run(["corr", "--k", "0.05", "--radius", "48", "--out", str(out)]) == 0
+    argv = ["corr", "--k", "0.5", "--radius", "96", "--out"]
+    assert run(argv + [str(out)]) == 0
+    assert run(argv + [str(deep), "--precision", str(379 + 128)]) == 0
+    assert out.read_bytes() == deep.read_bytes()
+
+
+def test_corr_refuses_past_its_cap_before_any_work(tmp_path, capsys,
+                                                   monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a table was built past the cap")
+
+    monkeypatch.setattr("isingchi.cli.build_table", no_build)
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run(["corr", "--k", "1e-30", "--radius", "48", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: 17 right digits need 9577 bits here, above corr's cap of 8192; "
+        "pass --precision 9577 or a smaller --radius\n")
     assert not out.exists()
 
 

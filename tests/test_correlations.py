@@ -858,6 +858,29 @@ def test_corrupt_symbol_raises_at_the_seed(j, edit, where, monkeypatch):
     assert err.value.where == where
 
 
+@pytest.mark.parametrize("radius", [16, 48, 96])
+@pytest.mark.parametrize("k", [1e-30, 0.05, 0.1, 0.5, 0.9, 0.99])
+def test_plan_loss_covers_the_measured_loss(k, radius):
+    # at corr's default bits p every entry keeps min(p, p + 64 - L) relative
+    # bits against a build 128 bits deeper, L the plan's loss estimate; the
+    # stored rounding caps a build at p, so at R = 16 and k >= 0.5 the loss
+    # reads exactly 64.  Counted on integer bit lengths: a float ratio
+    # underflows below 2^-1074.  corr refuses (1e-30, 48 and 96) at its cap
+    from isingchi.cli import MAX_CORR_BITS, _corr_bits
+
+    p = _corr_bits(k, radius)
+    if p > MAX_CORR_BITS:
+        assert k == 1e-30 and radius > 16
+        return
+    table, deep = build_table(k, radius, p), build_table(k, radius, p + 128)
+    shift = deep.scale.bit_length() - table.scale.bit_length()
+    right = min(y.bit_length() - abs((x << shift) - y).bit_length() - 1
+                for fam, fam_deep in ((table.C, deep.C), (table.C_bar, deep.C_bar))
+                for row, row_deep in zip(fam, fam_deep)
+                for x, y in zip(row, row_deep))
+    assert right >= min(p, p + 64 - _plan(k, radius, p).loss_estimate), right
+
+
 def _seeded_builds(count):
     rng = random.Random(3636)
     for _ in range(count):

@@ -16,7 +16,6 @@ namedtuples, so no command loads dataclasses or inspect for them.
 import argparse
 import errno
 import functools
-import math
 import os
 import sys
 
@@ -28,7 +27,8 @@ from .fileio import (read_config, write_chi_csv, write_corr_csv,
 __all__ = ["main", "run"]
 
 GAUGE_WINDOW = 1_000_000
-MAX_CORR_BITS = 8192  # corr refuses, before any work, to pick more bits
+MAX_CORR_BITS = 8192  # corr refuses, before any work, to pick more bits,
+MAX_CORR_TABLE_BITS = 1 << 32  # or (R + 1)^2 entries of them, about 1 GB
 
 _CONFIG_KEYS = {
     "k": float, "S": float, "version": str, "j": int, "gamma": float,
@@ -146,21 +146,21 @@ def _apply_config(args, path):
 
 
 def _corr_bits(k, radius):
-    """corr's default: the fewest bits p >= 256 whose guard, less the plan's
-    loss estimate, leaves the 57 relative bits of 17 digits and 16 more."""
+    """corr's default bits: the fewest p >= 256 whose guard, less the plan's
+    loss estimate, keeps the 57 bits of 17 digits and 16 more."""
     plan, p = _plan(k, radius, DEFAULT_PRECISION_BITS), DEFAULT_PRECISION_BITS
-    return max(p, math.ceil(57 + 16 + plan.loss_estimate) - (plan.sweep - p))
+    return max(p, 57 + 16 + plan.loss_estimate - (plan.sweep - p))
 
 
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
     if args.precision is None:  # --precision overrides the picked bits
-        args.precision = _corr_bits(args.k, args.radius)
-        if args.precision > MAX_CORR_BITS:
-            print("error: 17 right digits need %d bits here, above corr's cap "
-                  "of %d; pass --precision %d or a smaller --radius"
-                  % (args.precision, MAX_CORR_BITS, args.precision),
-                  file=sys.stderr)
+        p = args.precision = _corr_bits(args.k, args.radius)
+        if p > MAX_CORR_BITS or (args.radius + 1) ** 2 * p > MAX_CORR_TABLE_BITS:
+            print("error: 17 right digits need %d bits in each of the (R + 1)^2 "
+                  "entries here, above corr's cap of %d bits or 2^32 in all; "
+                  "pass --precision %d or a smaller --radius"
+                  % (p, MAX_CORR_BITS, p), file=sys.stderr)
             return 1
     write_corr_csv(args.out, build_table(args.k, args.radius, args.precision))
     return 0

@@ -49,6 +49,7 @@ DEFAULT_PRECISION_BITS = 256
 _SEED_GUARD_BITS = 64  # carried by the seeds and the sweep, then rounded off
 
 MIN_DIVISOR_BITS = 8  # a sweep divisor's least significant bits, or it stops
+_DIVISOR_FLOOR = 1 << _SEED_GUARD_BITS + MIN_DIVISOR_BITS  # at sweep bits
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -86,8 +87,8 @@ def _odd_part(kf, bits):
     return kf >> zeros, bits - zeros
 
 
-_Plan = namedtuple("_Plan", "k radius symbol diagonal seeds sweep march_tol "
-                   "floor refused loss_estimate")
+_Plan = namedtuple("_Plan", "k radius symbol diagonal seeds sweep "
+                   "march_digits refused loss_estimate")
 
 
 def _plan(k, radius, precision_bits):
@@ -98,11 +99,11 @@ def _plan(k, radius, precision_bits):
     k^n, the march and the stored scale carry L = (R + 3) x more, plus 32;
     the diagonal's recurrences and the symbol series, which compute k^n
     against dominant k^-n solutions (Gautschi 1967), carry 2L plus 32 and
-    the symbol's own 3x once (diagonal) or twice (symbol).  march_tol is
-    the corner check's 10^-(sweep // 4) in units of 2^(3 seeds), floor the
-    2^72 a sweep divisor must reach, and refused the first radius whose
-    small-k loss 2 R x leaves under MIN_DIVISOR_BITS of the sweep's bits.
-    loss_estimate = R max(2x, 2.6 + 1.25x) is a fit, not a bound.
+    the symbol's own 3x once (diagonal) or twice (symbol); R past 2^53, out
+    of any stage's reach, counts as 2^53.  The corner check's tolerance is
+    10^-march_digits; refused is the first radius whose small-k loss 2 R x
+    leaves under MIN_DIVISOR_BITS of the sweep's bits.  loss_estimate, R
+    max(2x, 2.6 + 1.25x) rounded up, is a fit, not a bound.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
@@ -118,14 +119,13 @@ def _plan(k, radius, precision_bits):
             "diverges and a fixed-radius table is meaningless"
             % (k_req, EPS_CRITICAL))
     num, den = k = sorted(k_req.as_integer_ratio())  # exact; 1/k above 1
-    x, guard = math.log2(den) - math.log2(num), _SEED_GUARD_BITS
-    sweep, big, low = precision_bits + guard, (radius + 3) * x, 3 * x
+    x, sweep = math.log2(den) - math.log2(num), precision_bits + _SEED_GUARD_BITS
+    refused = int((sweep - MIN_DIVISOR_BITS) / (2 * x)) + 1
+    big = (min(radius, 1 << 53) + 3) * x  # never overflows
     seeds, twice = sweep + int(big) + 32, sweep + int(2 * big) + 32
-    return _Plan(k, radius, twice + int(2 * low), twice + int(low), seeds,
-                 sweep, (1 << 3 * seeds) // 10 ** (sweep // 4),
-                 1 << guard + MIN_DIVISOR_BITS,
-                 int((sweep - MIN_DIVISOR_BITS) / (2 * x)) + 1,
-                 radius * max(2 * x, 2.6 + 1.25 * x))
+    rate = max(2 * x, 2.6 + 1.25 * x).as_integer_ratio()  # ceil'd exactly
+    return _Plan(k, radius, twice + int(6 * x), twice + int(3 * x), seeds,
+                 sweep, sweep // 4, refused, -(-radius * rate[0] // rate[1]))
 
 
 def _symbol_coefficients(k, n_top, bits, out_bits):
@@ -222,19 +222,19 @@ def next_diagonal_seeds(plan, diag):
     """March C(m,m+1), C_bar(m,m+1) up the diagonal on integers.
 
     diag is diagonal_seeds(plan), the march's only input besides the plan's
-    k and march_tol: it starts from the C(1,0) and C_bar(0,1) of its C(1,1) and
-    C_bar(1,1), and both next diagonals come back at its 2^bits.  At each m
-    the star relation and the quadratic recurrence on the diagonal are both
-    linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
+    k and march_digits: it starts from the C(1,0) and C_bar(0,1) of its
+    C(1,1) and C_bar(1,1), and both next diagonals come back at its 2^bits.
+    At each m the star relation and the quadratic recurrence on the diagonal
+    are both linear in (X, Y) = (C(m,m+1), C_bar(m,m+1)),
 
         C_bar(m-1,m) X + C(m-1,m) Y = (k+1) C(m,m) C_bar(m,m) / sqrt(k),
         k C(m-1,m) X + C_bar(m-1,m) Y = k C(m,m)^2 + C_bar(m,m)^2,
 
     so one exact 2x2 solve gives both, its determinant positive in a sound
     march.  The corner relation at (m, m), not consumed, is its cross-check:
-    an absolute residual (_corner) against march_tol, 10^-(sweep // 4).
-    It cannot see a relative loss in the small C seeds, whose k C^2 term
-    shrinks like k^(2m+1); the plan's seeds guard keeps them right, as
+    an absolute residual (_corner) against 10^-march_digits.  It cannot see
+    a relative loss in the small C seeds, whose k C^2 term shrinks like
+    k^(2m+1); the plan's seeds guard keeps them right, as
     test_seeds_match_deeper_build checks.
     """
     def exhausted(what, m):
@@ -242,7 +242,7 @@ def next_diagonal_seeds(plan, diag):
                                   % what, where=(m, m + 1))
 
     (c_diag, cbar_diag, bits), k = diag, plan.k
-    one, kf = 1 << bits, _fixed(k, bits)
+    one, kf, ten = 1 << bits, _fixed(k, bits), 10 ** plan.march_digits
     rk, (kn, g) = math.isqrt(kf << bits), _odd_part(kf, bits)
     a, b = _nearest_neighbours(kf, rk, diag)
     if a <= 0:
@@ -264,7 +264,7 @@ def next_diagonal_seeds(plan, diag):
 
         residual = _corner((kn, 1 << g), (cm, c_diag[m + 1], x, x),
                            (cbm, cbar_diag[m + 1], y, y)) << bits - g
-        if abs(residual) > plan.march_tol:
+        if abs(residual) * ten > one ** 3:  # above 10^-march_digits
             raise exhausted("cross-check relation residual %.6g"
                             % (abs(residual) / one ** 3), m)
         a, b = x, y
@@ -419,7 +419,7 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     # entry is rounded once, by the floor division.  rc[d][m] = C(m, m + d);
     # cl = C(m - 1, m + d - 1) is the entry just made, C(1, d - 1) at m = 0
     one, size, shift = 1 << bits, radius + 1, diag[2] - bits
-    (kn, g), tiny = _odd_part(_fixed(k, bits), bits), plan.floor
+    (kn, g), tiny = _odd_part(_fixed(k, bits), bits), _DIVISOR_FLOOR
 
     def rounded(x):  # half to even, to precision_bits significant bits
         cut = x.bit_length() - precision_bits

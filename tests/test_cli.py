@@ -189,19 +189,26 @@ def test_corr_picks_its_own_bits(tmp_path):
     assert out.read_bytes() == deep.read_bytes()
 
 
-def test_corr_refuses_past_its_cap_before_any_work(tmp_path, capsys,
-                                                   monkeypatch):
+@pytest.mark.parametrize("k, radius, bits", [
+    # past the cap on bits; past the cap on the whole table, whose 7,710-bit
+    # entries would take several GB; past both, far beyond float range
+    ("1e-30", 48, 9577), ("0.5", 2000, 7710),
+    ("0.5", 10 ** 12, 3850000000010)])
+def test_corr_refuses_past_its_cap_before_any_work(k, radius, bits, tmp_path,
+                                                   capsys, monkeypatch):
     def no_build(*args):
         raise AssertionError("a table was built past the cap")
 
     monkeypatch.setattr("isingchi.cli.build_table", no_build)
     out = tmp_path / "x.csv"
     start = time.perf_counter()
-    assert run(["corr", "--k", "1e-30", "--radius", "48", "--out", str(out)]) == 1
+    assert run(["corr", "--k", k, "--radius", str(radius), "--out",
+                str(out)]) == 1
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
-        "error: 17 right digits need 9577 bits here, above corr's cap of 8192; "
-        "pass --precision 9577 or a smaller --radius\n")
+        "error: 17 right digits need %d bits in each of the (R + 1)^2 entries "
+        "here, above corr's cap of 8192 bits or 2^32 in all; pass --precision "
+        "%d or a smaller --radius\n" % (bits, bits))
     assert not out.exists()
 
 

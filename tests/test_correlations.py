@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import time
 from itertools import islice
 
 import pytest
@@ -191,6 +192,16 @@ def test_loss_estimate_refuses_what_the_sweep_passes(k, radius, where):
         build_table(k, radius)
     assert err.value.where == where
     build_table(k, where[1] - 1)
+
+
+@pytest.mark.parametrize("k, radius", [(1e-300, 10 ** 9), (0.5, 10 ** 400)])
+def test_out_of_range_radius_is_refused_before_any_work(k, radius):
+    # the plan's bits stop growing at its refused radius, so neither a huge
+    # radius nor one past float range costs memory or time before the refusal
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="^estimated small-k loss"):
+        build_table(k, radius)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_seed_corruption_detected():
@@ -913,8 +924,9 @@ def test_seeds_suite_sees_a_lost_guard(monkeypatch):
     assert [r.identity for r in rows] == ["seeds-vs-toeplitz-C",
                                           "seeds-vs-toeplitz-Cbar"]
     assert all(r.passed and r.tolerance == 2.0 ** -296 for r in rows)
-    # seeds off by 2^-260 relative, as the recurrences at one _loss_bits of
-    # guard read at (0.0718, 24), fail the C row and leave C_bar's alone
+    # seeds off by 2^-260 relative, as the recurrences read at (0.0718, 24)
+    # with one seeds guard, (R + 3) log2(1/k), in place of two, fail the C
+    # row and leave C_bar's alone
     seeds = correlations.diagonal_seeds
 
     def coarse(plan):

@@ -97,7 +97,7 @@ def _gauge_grid(table, kappa, qxs, qys, R):
         raise WindowRangeError(
             "gauge autocorrelation covers lags < %d, window needs %d"
             % (kappa.shape[0], R))
-    m = table.floats.C[:R + 1, :R + 1] * kappa[np.newaxis, :R + 1]
+    m = np.asarray(table.C)[:R + 1, :R + 1] * kappa[np.newaxis, :R + 1]
     x = _cos_block(qxs, range(R + 1))
     y = _cos_block(qys, range(R + 1))
     return x @ m @ y.T
@@ -111,7 +111,7 @@ def _frustrated_grid(model, table, qxs, qys, R):
     y2 = _cos_block(qys, 2 * np.arange(R + 1))
 
     def term(dxs):
-        coef = np.array([[ff_correlation(model, table.floats, dx, 2 * n, 0)
+        coef = np.array([[ff_correlation(model, table, dx, 2 * n, 0)
                           for n in range(R + 1)] for dx in dxs])
         return _cos_block(qxs, dxs) @ coef @ y2.T
 
@@ -193,7 +193,7 @@ def chi_grid(source, nx, ny, R):
     else:
         raise ValueError("unknown chi source %r" % (kind,))
     return ChiGrid(nx=nx, ny=ny, qx=qxs, qy=qys, values=values,
-                   window_radius=R, tail_bound=tail_estimate(table.floats, R),
+                   window_radius=R, tail_bound=tail_estimate(table, R),
                    source=label)
 
 

@@ -28,7 +28,7 @@ __all__ = ["main", "run"]
 
 GAUGE_WINDOW = 1_000_000
 MAX_CORR_BITS = 8192  # corr refuses, before any work, to pick more bits,
-MAX_CORR_TABLE_BITS = 1 << 32  # or (R + 1)^2 entries of them, about 1 GB
+MAX_CORR_TABLE_BITS = 1 << 32  # or (R + 1)^2 transient integers of them, 1 GB
 
 _CONFIG_KEYS = {
     "k": float, "S": float, "version": str, "j": int, "gamma": float,
@@ -259,6 +259,9 @@ def run(argv=None):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise FileNotFoundError(errno.ENOENT,
                                         "No directory for --" + flag, path)
+            if path and os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR,
+                                        "Is a directory, for --" + flag, path)
         commands = {"corr": _cmd_corr, "chi": _cmd_chi, "fib": _cmd_fib}
         return commands.get(args.subcommand, _cmd_verify)(args)
     except (UsageError, ValueError, OSError) as exc:

@@ -20,7 +20,8 @@ with kn odd (53 bits at most for a float k < 1, about as wide as kf for a
 non-dyadic k such as 1/3); the symbol step, the next-diagonal march and the
 sweep multiply by kn and cancel or shift the power of two exactly, and one
 AGM gives the symbol's closed forms, the only transcendental input.  Every
-stage reads its bits from one precision plan, _plan.
+stage reads its bits from one precision plan, _plan; a table stores the
+doubles its readers read, each divided once from _integer_table's integers.
 The recurrences cancel catastrophically, losing bits roughly linearly with
 distance from the diagonal, so double precision is only good to radius 12 or
 so.  The corner identity is written once, in _corner, the march's check;
@@ -29,6 +30,7 @@ _worst_residual for residual_report's first read and 1.0 for verify.
 """
 
 import math
+from array import array
 from collections import namedtuple
 from functools import cached_property
 
@@ -96,7 +98,7 @@ def _plan(k, radius, precision_bits):
 
     k becomes the exact ratio (num, den) of k, or of 1/k above 1; x is
     log2(1/k).  The sweep runs at p + 64 bits.  The seeds, which shrink like
-    k^n, the march and the stored scale carry L = (R + 3) x more, plus 32;
+    k^n, the march and the integers' scale carry L = (R + 3) x more, plus 32;
     the diagonal's recurrences and the symbol series, which compute k^n
     against dominant k^-n solutions (Gautschi 1967), carry 2L plus 32 and
     the symbol's own 3x once (diagonal) or twice (symbol); R past 2^53, out
@@ -274,49 +276,35 @@ def next_diagonal_seeds(plan, diag):
 
 
 class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
-                                 "precision_bits k_requested scale")):
+                                 "precision_bits k_requested")):
     """A finished octant of C and C_bar values, immutable once built.
 
-    C and C_bar are full (radius+1)-square nested tuples of integers,
-    symmetric in (m, n); entry / scale is the value, rounded half to even
-    to precision_bits significant bits.  A k_requested above 1 was served
+    C and C_bar are (radius+1)-square tuples of read-only rows of doubles,
+    symmetric in (m, n), each value rounded half to even to precision_bits
+    significant bits and then to a double.  A k_requested above 1 was served
     through the duality swap, at 1/k_requested.  residual_report is the
     worst absolute identity residual (corner, star, quadratic) over the
-    octant, scanned exactly on first read; a float, it reads 0.0 below
-    2^-1074, as in builds above about 1,070 precision_bits.  floats is the
-    same table as read-only float64 arrays at scale 1, divided once on
-    first use and kept, for chi and verify; lookup serves either.
+    octant, scanned exactly on first read on a second build's integers; a
+    float, it reads 0.0 below 2^-1074, as in builds above about 1,070
+    precision_bits.
     """
 
-    # no __slots__: the two cached properties keep their values in the
-    # instance dict
+    # no __slots__: the cached property keeps its value in the instance dict
     @property
     def swapped(self):
         return self.k_requested > 1
 
     @cached_property
-    def floats(self):
-        import numpy as np  # corr never reads it and stays numpy-free
-
-        C, C_bar = (np.array([[x / self.scale for x in row] for row in v])
-                    for v in (self.C, self.C_bar))
-        C.flags.writeable = C_bar.flags.writeable = False
-        return self._replace(C=C, C_bar=C_bar, scale=1)
-
-    @cached_property
     def residual_report(self):
-        if not isinstance(self.C, tuple):
-            raise TypeError("residual_report is read on the integer table")
-        plan = _plan(self.k_requested, self.radius, self.precision_bits)
-        fams = (self.C_bar, self.C) if self.swapped else (self.C, self.C_bar)
-        return _worst_residual(plan.k, *fams, self.scale, plan.sweep)
+        args = self.k_requested, self.radius, self.precision_bits
+        (C, C_bar, scale), plan = _integer_table(*args), _plan(*args)
+        fams = (C_bar, C) if self.swapped else (C, C_bar)
+        return _worst_residual(plan.k, *fams, scale, plan.sweep)
 
 
 def lookup(table, m, n, which="C"):
-    """Symmetry-reduced table access: C(m,n) = C(n,m) = C(|m|,|n|).
-
-    which selects the family, "C" or "Cbar".  The float is the entry divided
-    by the table's scale (1 if it has none), which Python rounds correctly.
+    """Symmetry-reduced table access: C(m,n) = C(n,m) = C(|m|,|n|), as a
+    float from any table whose rows index to numbers; which is "C" or "Cbar".
     """
     i, j = abs(int(m)), abs(int(n))
     if i > table.radius or j > table.radius:
@@ -325,7 +313,7 @@ def lookup(table, m, n, which="C"):
     if which not in ("C", "Cbar"):
         raise ValueError("which must be 'C' or 'Cbar', got %r" % (which,))
     fam = table.C if which == "C" else table.C_bar
-    return float(fam[i][j] / getattr(table, "scale", 1))
+    return float(fam[i][j])
 
 
 def _corner(k, c, cb):
@@ -342,7 +330,7 @@ def _identity_residuals(k, rk, one, C, C_bar, m, n):
     C and C_bar are symmetric nested sequences read as C[i][j], abs folding
     the m - 1 and n - 1 that can reach -1; k = (kn, o) and rk = sqrt(k) are
     in the unit one.  The caller owns the units: o one^3 for the star, o one^2
-    for the rest, 1.0 for floats.
+    for the rest, 1.0 for doubles.
     """
     (kn, o), mu, nu = k, abs(m - 1), abs(n - 1)
     c, c1, b, b1 = C[m], C[m + 1], C_bar[m], C_bar[m + 1]
@@ -390,10 +378,11 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     correlation length diverges there and a fixed-radius table is
     meaningless.
 
-    The seeds and the sweep carry guard bits and each stored entry is
-    rounded once, so the table depends on (k, radius, precision_bits)
-    alone.  The sweep makes diagonal d = n + 1 - m = 2, 3, ..., m ascending,
-    from diagonals d - 1 and d - 2 alone, by the quadratic recurrences
+    The seeds and the sweep carry guard bits; each entry is rounded once on
+    integers, then divided once into a double and stored in read-only rows,
+    so the table depends on (k, radius, precision_bits) alone.  The sweep
+    makes diagonal d = n + 1 - m = 2, 3, ..., m ascending, from diagonals
+    d - 1 and d - 2 alone, by the quadratic recurrences
 
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
@@ -405,6 +394,17 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     aborts the sweep.  Each is a precision-exhaustion error naming an
     entry.  Radius 100 at 512 bits builds in 0.05 reference s (2-vCPU Xeon VM).
     """
+    *ints, scale = _integer_table(k, radius, precision_bits)
+    ups = ([[x / scale for x in row[m:]] for m, row in enumerate(fam)]
+           for fam in ints)  # up[m][d] = X(m, m + d), each divided once
+    C, C_bar = (tuple(memoryview(array("d", [up[n][m - n] for n in range(m)]
+                                       + up[m])).toreadonly()
+                      for m in range(radius + 1)) for up in ups)
+    return CorrelationTable(radius, C, C_bar, precision_bits, float(k))
+
+
+def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
+    """build_table on integers: (C, C_bar, scale), entry / scale the value."""
     k_req, plan = float(k), _plan(k, radius, precision_bits)
     k, bits, n = plan.k, plan.sweep, plan.refused
     if radius >= n:  # n: the first radius the small-k loss estimate rules out
@@ -451,6 +451,4 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
                             + [r[d][m] for d in range(size - m)])
                       for m in range(size))
                 for r in ((rb, rc) if k_req > 1 else (rc, rb)))
-    return CorrelationTable(radius=radius, C=C, C_bar=C_bar,
-                            precision_bits=precision_bits, k_requested=k_req,
-                            scale=1 << diag[2])
+    return C, C_bar, 1 << diag[2]

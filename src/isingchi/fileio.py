@@ -179,11 +179,10 @@ def _atomic_write(path, chunks):
 
 def write_corr_csv(path, table):
     """Octant of a correlation table, rows ordered by (n - m, m), each entry
-    divided by the table's scale once and printed as format_float does."""
-    C, C_bar, scale, size = table.C, table.C_bar, table.scale, table.radius + 1
+    printed as format_float does."""
+    C, C_bar, size = table.C, table.C_bar, table.radius + 1
     _atomic_write(path, ["m,n,C,Cbar\n" + "".join([
-        "%d,%d,%.17g,%.17g\n" % (m, m + d, C[m][m + d] / scale,
-                                 C_bar[m][m + d] / scale)
+        "%d,%d,%.17g,%.17g\n" % (m, m + d, C[m][m + d], C_bar[m][m + d])
         for d in range(size) for m in range(size - d)])])
 
 

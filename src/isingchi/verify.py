@@ -180,7 +180,7 @@ def _suite_chi(tolerance):
     v = grid.values
 
     rows = [_worst("sum-rule",
-                   {"64x64 R=30": float(v.mean()) - lookup(table.floats, 0, 0)},
+                   {"64x64 R=30": float(v.mean()) - lookup(table, 0, 0)},
                    _tol(tolerance, 1e-3))]
 
     flip = (-np.arange(64)) % 64
@@ -227,7 +227,7 @@ def _identity_rows(C, C_bar, k, radius, tol):
 def _table_rows(k, radius, C, C_bar, tolerance):
     """Worst |build_table - oracle| per family, m, n <= radius + 1: C to
     1e-7, C_bar (the oracle's slower, two-orientation limit) to 1e-6."""
-    table = build_table(k, radius + 1).floats
+    table = build_table(k, radius + 1)
     return [_worst("table-vs-oracle-" + label,
                    {"(%d %d)" % mn: lookup(table, *mn, label) - value
                     for mn, value in slow.items()},
@@ -258,8 +258,7 @@ def _suite_frustrated(tolerance):
     tol, gauge_tol = _tol(tolerance, 1e-6), _tol(tolerance, 1e-10)
     S = 1.0
     limits, gauge_map = frustrated_pair_correlations(S, 3)
-    table = build_table(FrustratedModel(S=S, version="a").k, 3,
-                        precision_bits=128).floats
+    table = build_table(FrustratedModel(S=S, version="a").k, 3, 128)
     gauge = {"(%d %d)p%d" % (dx, dy, p): r
              for (p, dx, dy), r in gauge_map.items()}
     rows = []

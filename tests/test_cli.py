@@ -230,26 +230,38 @@ def test_unwritable_output_names_the_path(name, tmp_path, capsys):
 _CHI = ["chi", "uniform", "--k", "0.5", "--radius", "4", "--grid", "2x2"]
 
 
-@pytest.mark.parametrize("argv, flag", [
+_OUTPUTS = [
     (_CHI + ["--out", "keep.csv"], "--pgm"),
     (_CHI + ["--out", "keep.csv"], "--peaks"),
     (_CHI, "--out"),
     (["corr", "--k", "0.5", "--radius", "4"], "--out"),
-], ids=["chi-pgm", "chi-peaks", "chi-out", "corr-out"])
-def test_missing_output_directory_is_refused_first(argv, flag, tmp_path,
-                                                   capsys, monkeypatch):
-    # a later file's missing directory once surfaced only after the table
-    # was built and the CSV had already replaced the old one
+]
+_OUTPUT_IDS = ["chi-pgm", "chi-peaks", "chi-out", "corr-out"]
+
+
+@pytest.mark.parametrize("argv, flag, target", [
+    (argv, flag, target) for target in ("missing", "directory")
+    for argv, flag in _OUTPUTS], ids=_OUTPUT_IDS + [
+        name + "-directory" for name in _OUTPUT_IDS])
+def test_missing_output_directory_is_refused_first(argv, flag, target,
+                                                   tmp_path, capsys,
+                                                   monkeypatch):
+    # a later file's missing directory, or a directory given as the file,
+    # once surfaced only after the table was built and the CSV had already
+    # replaced the old one
     def no_build(*args):
         raise AssertionError("a table was built before the paths were checked")
 
     monkeypatch.setattr("isingchi.cli.build_table", no_build)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "keep.csv").write_bytes(b"old bytes\n")
-    missing = str(tmp_path / "missing" / "x")
-    assert run(argv + [flag, missing]) == 2
+    if target == "missing":
+        path, message = str(tmp_path / "missing" / "x"), "2] No directory for"
+    else:
+        path, message = str(tmp_path), "21] Is a directory, for"
+    assert run(argv + [flag, path]) == 2
     assert capsys.readouterr().err == (
-        "error: [Errno 2] No directory for %s: %r\n" % (flag, missing))
+        "error: [Errno %s %s: %r\n" % (message, flag, path))
     assert (tmp_path / "keep.csv").read_bytes() == b"old bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
 
@@ -264,6 +276,9 @@ def test_verify_refuses_a_missing_out_directory_first(tmp_path, capsys,
     assert run(["verify", "elliptic", "--out", missing]) == 2
     assert capsys.readouterr().err == (
         "error: [Errno 2] No directory for --out: %r\n" % missing)
+    assert run(["verify", "elliptic", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: [Errno 21] Is a directory, for --out: %r\n" % str(tmp_path))
 
 
 def test_missing_flag_is_usage_error(capsys):

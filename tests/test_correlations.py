@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 import time
 from itertools import islice
 
@@ -18,6 +19,7 @@ from isingchi import (
 from isingchi.correlations import (
     _fixed,
     _identity_residuals,
+    _integer_table,
     _odd_part,
     _plan,
     _symbol_coefficients,
@@ -434,15 +436,15 @@ def test_diagonal_seeds_agree_across_precision(k):
 
 
 def test_seeds_are_rounded_once():
-    coarse = build_table(0.5, 12, precision_bits=53)
-    fine = build_table(0.5, 12, precision_bits=256)
+    coarse = _integer_table(0.5, 12, 53)
+    fine = _integer_table(0.5, 12, 256)
     with mp.workprec(53):
         for m in range(13):
             for n in range(m, min(m + 2, 13)):
-                for fam in ("C", "C_bar"):
-                    x, y = getattr(coarse, fam)[m][n], getattr(fine, fam)[m][n]
-                    assert (_entry(x, coarse.scale)
-                            == _entry(y, fine.scale)), (fam, m, n)
+                for fam in (0, 1):
+                    x, y = coarse[fam][m][n], fine[fam][m][n]
+                    assert (_entry(x, coarse[2])
+                            == _entry(y, fine[2])), (fam, m, n)
 
 
 @pytest.mark.parametrize("k, radius", [(0.05, 30), (0.0718, 34)])
@@ -454,15 +456,16 @@ def test_edge_builds_match_deeper_build(k, radius):
     for fam_edge, fam_deep in ((edge.C, deep.C), (edge.C_bar, deep.C_bar)):
         for row_edge, row_deep in zip(fam_edge, fam_deep):
             for x, y in zip(row_edge, row_deep):
-                assert x / edge.scale == pytest.approx(y / deep.scale,
-                                                       rel=1e-12, abs=0)
+                assert x == pytest.approx(y, rel=1e-12, abs=0)
 
 
-def _worst_log2_error(table, deep):
-    with mp.workprec(2 * deep.precision_bits):
-        worst = max(abs(_entry(x, table.scale) - _entry(y, deep.scale))
-                    / _entry(y, deep.scale)
-                    for fam, fam_deep in ((table.C, deep.C), (table.C_bar, deep.C_bar))
+def _worst_log2_error(table, deep, deep_bits):
+    """Worst log2 relative error of the integer table against deep, both
+    (C, C_bar, scale), deep built at deep_bits."""
+    with mp.workprec(2 * deep_bits):
+        worst = max(abs(_entry(x, table[2]) - _entry(y, deep[2]))
+                    / _entry(y, deep[2])
+                    for fam, fam_deep in zip(table[:2], deep[:2])
                     for row, row_deep in zip(fam, fam_deep)
                     for x, y in zip(row, row_deep))
         return float(mp.log(worst, 2)) if worst else -math.inf
@@ -478,25 +481,25 @@ def test_sweep_keeps_its_guard_bits(k, radius, bits, rounded_sweep_log2):
     # rounded_sweep_log2 is the worst relative error of an mpf sweep that
     # rounds every step to precision_bits; the fixed-point sweep keeps the
     # seeds' guard bits and must beat it by 50 bits
-    table = build_table(k, radius, bits)
-    deep = build_table(k, radius, 2 * bits)
-    assert _worst_log2_error(table, deep) <= rounded_sweep_log2 - 50
+    table = _integer_table(k, radius, bits)
+    deep = _integer_table(k, radius, 2 * bits)
+    assert _worst_log2_error(table, deep, 2 * bits) <= rounded_sweep_log2 - 50
 
 
 def _forms_disagree(k, radius):
     """Worst |float form - fixed-point form| of the identity residuals over
-    the octant of build_table(k, radius): the float numerators, whose units
-    are 1.0, against the fixed-point numerators over o 2^2G (o 2^3G for the
-    star)."""
-    table, bits = build_table(k, radius), 256 + 64
+    the octant of build_table(k, radius): the float numerators on its
+    doubles, whose units are 1.0, against the fixed-point numerators on its
+    integers over o 2^2G (o 2^3G for the star)."""
+    (C, C_bar, scale), bits = _integer_table(k, radius), 256 + 64
     inner = sorted(k.as_integer_ratio())
     one, kf = 1 << bits, _fixed(inner, bits)
     kn, g = _odd_part(kf, bits)
     rk, kr = math.isqrt(kf << bits), inner[0] / inner[1]
-    shift = table.scale.bit_length() - 1 - bits
-    fams = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
-    fc, fb = ([[x / table.scale for x in row] for row in v] for v in fams)
-    ic, ib = ([[x >> shift for x in row] for row in v] for v in fams)
+    table, shift = build_table(k, radius), scale.bit_length() - 1 - bits
+    fc, fb = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
+    ic, ib = ([[x >> shift for x in row] for row in v]
+              for v in ((C_bar, C) if k > 1 else (C, C_bar)))
     worst = 0.0
     for m in range(radius):
         for n in range(m, radius):
@@ -519,17 +522,17 @@ def test_identity_forms_agree():
 
 
 def test_residual_report_scans_stored_entries():
-    table = build_table(0.5, 12)
+    # the report scans the integers that the stored doubles were divided from
+    table, (C, C_bar, scale) = build_table(0.5, 12), _integer_table(0.5, 12)
     bits = 256 + 64
     k = (1, 2)
-    assert table.residual_report == _worst_residual(k, table.C, table.C_bar,
-                                                    table.scale, bits)
-    c = [list(row) for row in table.C]
+    assert table.residual_report == _worst_residual(k, C, C_bar, scale, bits)
+    c = [list(row) for row in C]
     raised = c[5][7] + (c[5][7] >> 100)    # up by 2^-100 relative
     c[5][7] = c[7][5] = raised
-    shift = (raised - table.C[5][7]) / table.scale
+    shift = (raised - C[5][7]) / scale
     assert table.residual_report < shift * 1e-30
-    assert _worst_residual(k, c, table.C_bar, table.scale, bits) >= shift
+    assert _worst_residual(k, c, C_bar, scale, bits) >= shift
 
 
 def test_builds_do_not_scan(monkeypatch, tmp_path):
@@ -553,24 +556,73 @@ def test_builds_do_not_scan(monkeypatch, tmp_path):
                    ("frustrated", model, dual)):
         chi_grid(source, 4, 4, 6)
         assert len(scans) == 0
-    twin = table.floats
-    assert len(scans) == 0
-    with pytest.raises(TypeError, match="read on the integer table"):
-        twin.residual_report
-    assert len(scans) == 0
     assert table.residual_report == table.residual_report
     assert len(scans) == 1
+
+
+def test_build_converts_each_entry_once(monkeypatch, tmp_path):
+    # build_table divides each octant entry of both families once, (R+1)(R+2)
+    # divisions; the corr writer and the chi sums then convert nothing
+    from isingchi import FrustratedModel, chi_grid
+    from isingchi.fileio import write_corr_csv
+
+    calls, stage = [], correlations._integer_table
+
+    class Entry(int):
+        def __truediv__(self, other):
+            calls.append(None)
+            return int(self) / other
+
+        def __float__(self):
+            calls.append(None)
+            return float(int(self))
+
+    def counted(*args):
+        *fams, scale = stage(*args)
+        return (*(tuple(tuple(map(Entry, row)) for row in fam)
+                  for fam in fams), scale)
+
+    monkeypatch.setattr(correlations, "_integer_table", counted)
+    R, model, tables = 5, FrustratedModel(S=1.0, version="a"), []
+    for k in (0.5, model.k, 2.0):
+        calls.clear()
+        tables.append(build_table(k, R))
+        assert len(calls) == (R + 1) * (R + 2), k
+    calls.clear()
+    write_corr_csv(tmp_path / "corr.csv", tables[2])
+    for source in (("uniform", tables[0]), ("gauge", tables[0], [1.0] * 7),
+                   ("frustrated", model, tables[1])):
+        chi_grid(source, 4, 4, R)
+    assert calls == []
+
+
+def _held(row):
+    """Bytes a table row holds: the row and, for a view, the buffer it
+    exports, or for a sequence, each of its entries."""
+    parts = [row.obj] if isinstance(row, memoryview) else list(row)
+    return sys.getsizeof(row) + sum(map(sys.getsizeof, parts))
+
+
+def test_rows_hold_eight_bytes_an_entry():
+    # a row of 41 doubles against one of 41 integers of about 500 bits; the
+    # fixed part is a memoryview and an array header, under 512 bytes
+    table = build_table(0.5, 40)
+    for fam in (table.C, table.C_bar):
+        assert len(fam) == 41
+        for row in fam:
+            assert len(row) == 41 and _held(row) <= 8 * 41 + 512
 
 
 @pytest.mark.parametrize("k, radius, precision_bits",
                          [(2.0, 8, 256), (3.0, 10, 128), (0.3, 10, 53)])
 def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     table = build_table(k, radius, precision_bits)
+    C, C_bar, scale = _integer_table(k, radius, precision_bits)
     bits = precision_bits + 64
     inner = (1, int(k)) if k > 1 else k.as_integer_ratio()
-    families = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
+    families = (C_bar, C) if k > 1 else (C, C_bar)
     assert table.residual_report == _worst_residual(inner, *families,
-                                                    table.scale, bits)
+                                                    scale, bits)
 
 
 def _sha256(x):
@@ -580,7 +632,7 @@ def _sha256(x):
     return hashlib.sha256(walk(x).encode()).hexdigest()
 
 
-# SHA-256 of (C, C_bar, scale) and of the diagonal_seeds and
+# SHA-256 of _integer_table's (C, C_bar, scale) and of the diagonal_seeds and
 # next_diagonal_seeds outputs of each build, the first recorded from the
 # full-width floor(k 2^bits) formulas, the second from the reflection
 # coefficients' recurrences and the third from the march's 2x2 linear solve
@@ -631,9 +683,20 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
         stage = getattr(correlations, name)
         monkeypatch.setattr(correlations, name, lambda *a, stage=stage:
                             seen.append(stage(*a)) or seen[-1])
-    t = build_table(*args)
-    assert [_sha256(x) for x in ((t.C, t.C_bar, t.scale), *seen)] == [
-        table, diag, march]
+    t = _integer_table(*args)
+    assert [_sha256(x) for x in (t, *seen)] == [table, diag, march]
+
+
+@pytest.mark.parametrize("args, table", [row[:2] for row in PINNED_BUILDS],
+                         ids=[str(row[0]) for row in PINNED_BUILDS])
+def test_doubles_are_the_pinned_integers_divided(args, table):
+    # every stored double is x / scale of the pinned integers, both families
+    ints = _integer_table(*args)
+    assert _sha256(ints) == table
+    (C, C_bar, scale), built = ints, build_table(*args)
+    for fam, doubles in ((C, built.C), (C_bar, built.C_bar)):
+        assert [[x / scale for x in row] for row in fam] == [
+            list(row) for row in doubles]
 
 
 # residual_report of the pinned builds and of the swap cases, as float.hex,
@@ -677,13 +740,12 @@ CORRUPT_REPORTS = [
                               "Cbar-recurrence"])
 def test_worst_residual_is_pinned_on_corrupt_copies(family, where, edit,
                                                     report):
-    table = build_table(0.99, 24)
-    fams = {"C": [list(row) for row in table.C],
-            "Cbar": [list(row) for row in table.C_bar]}
+    C, C_bar, scale = _integer_table(0.99, 24)
+    fams = {"C": [list(row) for row in C], "Cbar": [list(row) for row in C_bar]}
     (i, j), fam = where, fams[family]
     fam[i][j] = fam[j][i] = edit(fam[i][j])
     worst = _worst_residual(sorted((0.99).as_integer_ratio()), fams["C"],
-                            fams["Cbar"], table.scale, 256 + 64)
+                            fams["Cbar"], scale, 256 + 64)
     assert worst.hex() == report
 
 
@@ -883,10 +945,10 @@ def test_plan_loss_covers_the_measured_loss(k, radius):
     if p > MAX_CORR_BITS:
         assert k == 1e-30 and radius > 16
         return
-    table, deep = build_table(k, radius, p), build_table(k, radius, p + 128)
-    shift = deep.scale.bit_length() - table.scale.bit_length()
+    table, deep = _integer_table(k, radius, p), _integer_table(k, radius, p + 128)
+    shift = deep[2].bit_length() - table[2].bit_length()
     right = min(y.bit_length() - abs((x << shift) - y).bit_length() - 1
-                for fam, fam_deep in ((table.C, deep.C), (table.C_bar, deep.C_bar))
+                for fam, fam_deep in zip(table[:2], deep[:2])
                 for row, row_deep in zip(fam, fam_deep)
                 for x, y in zip(row, row_deep))
     assert right >= min(p, p + 64 - _plan(k, radius, p).loss_estimate), right
@@ -907,8 +969,7 @@ def test_seeds_build_the_levinson_tables(args, monkeypatch):
     # and location, with its seeds from the recurrences or from the minors
     def build():
         try:
-            t = build_table(*args)
-            return t.C, t.C_bar, t.scale
+            return _integer_table(*args)
         except PrecisionExhausted as err:
             return err.where
 

@@ -53,18 +53,10 @@ def test_corr_csv_layout(tmp_path, small_table):
     assert float(row12[2]) == lookup(small_table, 1, 2)
 
 
-def test_corr_csv_converts_each_entry_once(tmp_path, counted_entries):
-    R = 5
-    table, calls = counted_entries(build_table(0.5, R))
-    write_corr_csv(tmp_path / "corr.csv", table)
-    assert len(calls) == (R + 1) * (R + 2)  # C and Cbar per octant entry
-
-
 @pytest.mark.parametrize("k, radius, precision_bits",
                          [(2.0, 8, 256), (0.5, 12, 53), (0.05, 30, 256)])
 def test_corr_csv_rows_match_lookup_rendering(tmp_path, k, radius, precision_bits):
-    # the writer divides the integers itself; each row must read as
-    # format_float of lookup does, on a swapped table, a 53-bit table and
+    # each row must read as format_float of lookup does, on a swapped table, a 53-bit table and
     # one whose far entries are the smallest a 256-bit table holds
     table = build_table(k, radius, precision_bits)
     path = tmp_path / "corr.csv"

@@ -85,10 +85,9 @@ def _class_by_class(model, table, dx, dy, base_parity):
 
 
 def test_one_index_rule_matches_the_class_by_class_formula(table_s1):
-    twin = table_s1.floats
-    R = twin.radius
-    plain = types.SimpleNamespace(radius=R, C=twin.C, C_bar=twin.C_bar,
-                                  k_requested=twin.k_requested)
+    R = table_s1.radius
+    plain = types.SimpleNamespace(radius=R, C=table_s1.C, C_bar=table_s1.C_bar,
+                                  k_requested=table_s1.k_requested)
     for version in ("a", "b"):
         model = FrustratedModel(S=1.0, version=version)
         for dx in range(-2 * R - 1, 2 * R + 2):

@@ -121,7 +121,7 @@ _Q = np.linspace(-np.pi, np.pi, 512, endpoint=False)
 # each record with one value per field, in field order
 _RECORDS = [
     (CorrelationTable, dict(radius=2, C=((1, 2), (2, 1)), C_bar=((1,),),
-                            precision_bits=64, k_requested=0.5, scale=4)),
+                            precision_bits=64, k_requested=0.5)),
     (FrustratedModel, dict(S=1.0, version="a")),
     (IdentityCheck, dict(identity="quadratic", location="(1 2)",
                          residual=1e-12, tolerance=1e-9, passed=True)),
@@ -180,12 +180,13 @@ def test_chi_grid_repr_leaves_out_the_arrays():
 
 
 def test_table_floats_and_residual_report_are_cached():
+    # the stored floats cannot be assigned; the report is scanned once, kept
     table = build_table(0.5, 4)
-    floats = table.floats
-    assert type(floats) is CorrelationTable and floats.scale == 1
-    assert floats is table.floats and floats.radius == table.radius
-    assert not floats.C.flags.writeable and not floats.C_bar.flags.writeable
+    for fam in (table.C, table.C_bar):
+        assert type(fam[2][3]) is float and fam[2][3] == fam[3][2]
+        with pytest.raises(TypeError):
+            fam[2][3] = 0.0
+        with pytest.raises(TypeError):
+            fam[2] = fam[3]
     report = table.residual_report
     assert vars(table)["residual_report"] is report is table.residual_report
-    with pytest.raises(TypeError):
-        floats.residual_report

@@ -280,13 +280,12 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
     """A finished octant of C and C_bar values, immutable once built.
 
     C and C_bar are (radius+1)-square tuples of read-only rows of doubles,
-    symmetric in (m, n), each value rounded half to even to precision_bits
-    significant bits and then to a double.  A k_requested above 1 was served
-    through the duality swap, at 1/k_requested.  residual_report is the
-    worst absolute identity residual (corner, star, quadratic) over the
-    octant, scanned exactly on first read on a second build's integers; a
-    float, it reads 0.0 below 2^-1074, as in builds above about 1,070
-    precision_bits.
+    symmetric in (m, n), each rounded half to even to precision_bits bits,
+    then to a double.  A k_requested above 1 was served through the duality
+    swap, at 1/k_requested.  residual_report, the worst absolute identity
+    residual (corner, star, quadratic) over the octant, scans a second
+    build's integers exactly on first read; a float, it reads 0.0 below
+    2^-1074, as in builds above about 1,070 precision_bits.
     """
 
     # no __slots__: the cached property keeps its value in the instance dict
@@ -297,9 +296,8 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
     @cached_property
     def residual_report(self):
         args = self.k_requested, self.radius, self.precision_bits
-        (C, C_bar, scale), plan = _integer_table(*args), _plan(*args)
-        fams = (C_bar, C) if self.swapped else (C, C_bar)
-        return _worst_residual(plan.k, *fams, scale, plan.sweep)
+        plan = _plan(*args)
+        return _worst_residual(plan.k, *_integer_table(*args), plan.sweep)
 
 
 def lookup(table, m, n, which="C"):
@@ -352,13 +350,13 @@ def _identity_residuals(k, rk, one, C, C_bar, m, n):
 
 
 def _worst_residual(k, C, C_bar, scale, bits):
-    """Worst identity residual of C and C_bar (x scale), exact at 2^bits.
+    """Worst identity residual of diagonals C and C_bar x scale, exact at 2^bits.
 
     The units are formed here.  The worst star numerator (over o 2^3bits)
     and the rest's (over o 2^2bits) meet in the star's unit; one division
     rounds the larger: as rounding is monotone, the worst rounded residual."""
     kf, shift = _fixed(k, bits), scale.bit_length() - 1 - bits
-    c, cb = ([[x >> shift for x in row] for row in fam] for fam in (C, C_bar))
+    c, cb = (_square([[x >> shift for x in d] for d in fam]) for fam in (C, C_bar))
     (kn, g), radius, worst, star = _odd_part(kf, bits), len(C) - 1, 0, 0
     args = (kn, 1 << g), math.isqrt(kf << bits), 1 << bits, c, cb
     for m in range(radius):
@@ -392,20 +390,25 @@ def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     (a small-k loss estimate, not a bound); an entry leaving
     (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
     aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in 0.05 reference s (2-vCPU Xeon VM).
+    entry.  Radius 100 at 512 bits builds in 0.06 reference s (2-vCPU Xeon VM).
     """
-    *ints, scale = _integer_table(k, radius, precision_bits)
-    ups = ([[x / scale for x in row[m:]] for m, row in enumerate(fam)]
-           for fam in ints)  # up[m][d] = X(m, m + d), each divided once
-    C, C_bar = (tuple(memoryview(array("d", [up[n][m - n] for n in range(m)]
-                                       + up[m])).toreadonly()
-                      for m in range(radius + 1)) for up in ups)
+    c, cb, scale = _integer_table(k, radius, precision_bits)
+    C, C_bar = (tuple(memoryview(array("d", row)).toreadonly()
+                      for row in _square([[x / scale for x in d] for d in r]))
+                for r in ((cb, c) if float(k) > 1 else (c, cb)))
     return CorrelationTable(radius, C, C_bar, precision_bits, float(k))
 
 
+def _square(r):
+    """Rows of the symmetric square whose diagonals are r[d][m] = X(m, m + d)."""
+    return [[r[m - n][n] for n in range(m)] + [r[d][m] for d in range(len(r) - m)]
+            for m in range(len(r))]
+
+
 def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
-    """build_table on integers: (C, C_bar, scale), entry / scale the value."""
-    k_req, plan = float(k), _plan(k, radius, precision_bits)
+    """build_table's rounded octant at k or 1/k below 1, unswapped: diagonals
+    r[d][m] = X(m, m + d) of C and C_bar, and the power of two dividing them."""
+    plan = _plan(k, radius, precision_bits)
     k, bits, n = plan.k, plan.sweep, plan.refused
     if radius >= n:  # n: the first radius the small-k loss estimate rules out
         raise PrecisionExhausted(
@@ -426,7 +429,8 @@ def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         return x if cut <= 0 else (
             x + (1 << cut - 1) - 1 + (x >> cut & 1)) >> cut << cut
 
-    rc, rb = ([list(map(rounded, s[fam])) for s in seeds] for fam in (0, 1))
+    rc, rb = ([list(map(rounded, s[fam][:size - d])) for d, s in enumerate(seeds)]
+              for fam in (0, 1))
     (c2, c1), (b2, b1) = ([[x >> shift for x in s[fam]] for s in seeds]
                           for fam in (0, 1))
     for d in range(2, size):
@@ -447,8 +451,4 @@ def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
         rc.append([rounded(x) << shift for x in cd])
         rb.append([rounded(x) << shift for x in bd])
         c2, c1, b2, b1 = c1, cd, b1, bd
-    C, C_bar = (tuple(tuple([r[m - n][n] for n in range(m)]
-                            + [r[d][m] for d in range(size - m)])
-                      for m in range(size))
-                for r in ((rb, rc) if k_req > 1 else (rc, rb)))
-    return C, C_bar, 1 << diag[2]
+    return rc, rb, 1 << diag[2]

@@ -49,6 +49,13 @@ def _entry(x, scale):
     return mp.mpf((x, 1 - scale.bit_length()))
 
 
+def _squares(k, *args):
+    """_integer_table(k, *args) as full symmetric squares, the families
+    swapped above k = 1 as build_table's are: (C, C_bar, scale)."""
+    c, cb, scale = _integer_table(k, *args)
+    return (*map(correlations._square, (cb, c) if k > 1 else (c, cb)), scale)
+
+
 def _march(k, n_max, corrupt=lambda diag: None):
     """diagonal_seeds and next_diagonal_seeds as build_table runs them at
     256 working bits, after corrupt(diag) may edit the two lists in place."""
@@ -436,8 +443,8 @@ def test_diagonal_seeds_agree_across_precision(k):
 
 
 def test_seeds_are_rounded_once():
-    coarse = _integer_table(0.5, 12, 53)
-    fine = _integer_table(0.5, 12, 256)
+    coarse = _squares(0.5, 12, 53)
+    fine = _squares(0.5, 12, 256)
     with mp.workprec(53):
         for m in range(13):
             for n in range(m, min(m + 2, 13)):
@@ -461,7 +468,7 @@ def test_edge_builds_match_deeper_build(k, radius):
 
 def _worst_log2_error(table, deep, deep_bits):
     """Worst log2 relative error of the integer table against deep, both
-    (C, C_bar, scale), deep built at deep_bits."""
+    _integer_table's (C, C_bar, scale), deep built at deep_bits."""
     with mp.workprec(2 * deep_bits):
         worst = max(abs(_entry(x, table[2]) - _entry(y, deep[2]))
                     / _entry(y, deep[2])
@@ -498,8 +505,8 @@ def _forms_disagree(k, radius):
     rk, kr = math.isqrt(kf << bits), inner[0] / inner[1]
     table, shift = build_table(k, radius), scale.bit_length() - 1 - bits
     fc, fb = (table.C_bar, table.C) if k > 1 else (table.C, table.C_bar)
-    ic, ib = ([[x >> shift for x in row] for row in v]
-              for v in ((C_bar, C) if k > 1 else (C, C_bar)))
+    ic, ib = ([[x >> shift for x in row] for row in correlations._square(v)]
+              for v in (C, C_bar))
     worst = 0.0
     for m in range(radius):
         for n in range(m, radius):
@@ -527,10 +534,10 @@ def test_residual_report_scans_stored_entries():
     bits = 256 + 64
     k = (1, 2)
     assert table.residual_report == _worst_residual(k, C, C_bar, scale, bits)
-    c = [list(row) for row in C]
-    raised = c[5][7] + (c[5][7] >> 100)    # up by 2^-100 relative
-    c[5][7] = c[7][5] = raised
-    shift = (raised - C[5][7]) / scale
+    c = [list(d) for d in C]
+    raised = c[2][5] + (c[2][5] >> 100)    # C(5, 7) up by 2^-100 relative
+    c[2][5] = raised
+    shift = (raised - C[2][5]) / scale
     assert table.residual_report < shift * 1e-30
     assert _worst_residual(k, c, C_bar, scale, bits) >= shift
 
@@ -620,9 +627,9 @@ def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     C, C_bar, scale = _integer_table(k, radius, precision_bits)
     bits = precision_bits + 64
     inner = (1, int(k)) if k > 1 else k.as_integer_ratio()
-    families = (C_bar, C) if k > 1 else (C, C_bar)
-    assert table.residual_report == _worst_residual(inner, *families,
-                                                    scale, bits)
+    # the integer stage is unswapped, at the inner modulus
+    assert table.residual_report == _worst_residual(inner, C, C_bar, scale,
+                                                    bits)
 
 
 def _sha256(x):
@@ -632,13 +639,13 @@ def _sha256(x):
     return hashlib.sha256(walk(x).encode()).hexdigest()
 
 
-# SHA-256 of _integer_table's (C, C_bar, scale) and of the diagonal_seeds and
-# next_diagonal_seeds outputs of each build, the first recorded from the
-# full-width floor(k 2^bits) formulas, the second from the reflection
-# coefficients' recurrences and the third from the march's 2x2 linear solve
-# on those seeds, started from the nearest neighbours that the corner
-# relation at the origin gives; the CSV digests of test_cli see only 17
-# digits
+# SHA-256 of _integer_table's (C, C_bar, scale) as squares and of the
+# diagonal_seeds and next_diagonal_seeds outputs of each build, the first
+# recorded from the full-width floor(k 2^bits) formulas, the second from the
+# reflection coefficients' recurrences and the third from the march's 2x2
+# linear solve on those seeds, started from the nearest neighbours that the
+# corner relation at the origin gives; the CSV digests of test_cli see only
+# 17 digits
 PINNED_BUILDS = [
     ((0.5, 40),
      '06421f13a6e2bcf2ee4c027d62ca602e04545841a22910e01def1be7ede26362',
@@ -683,7 +690,7 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
         stage = getattr(correlations, name)
         monkeypatch.setattr(correlations, name, lambda *a, stage=stage:
                             seen.append(stage(*a)) or seen[-1])
-    t = _integer_table(*args)
+    t = _squares(*args)
     assert [_sha256(x) for x in (t, *seen)] == [table, diag, march]
 
 
@@ -691,7 +698,7 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
                          ids=[str(row[0]) for row in PINNED_BUILDS])
 def test_doubles_are_the_pinned_integers_divided(args, table):
     # every stored double is x / scale of the pinned integers, both families
-    ints = _integer_table(*args)
+    ints = _squares(*args)
     assert _sha256(ints) == table
     (C, C_bar, scale), built = ints, build_table(*args)
     for fam, doubles in ((C, built.C), (C_bar, built.C_bar)):
@@ -741,9 +748,9 @@ CORRUPT_REPORTS = [
 def test_worst_residual_is_pinned_on_corrupt_copies(family, where, edit,
                                                     report):
     C, C_bar, scale = _integer_table(0.99, 24)
-    fams = {"C": [list(row) for row in C], "Cbar": [list(row) for row in C_bar]}
+    fams = {"C": [list(d) for d in C], "Cbar": [list(d) for d in C_bar]}
     (i, j), fam = where, fams[family]
-    fam[i][j] = fam[j][i] = edit(fam[i][j])
+    fam[j - i][i] = edit(fam[j - i][i])
     worst = _worst_residual(sorted((0.99).as_integer_ratio()), fams["C"],
                             fams["Cbar"], scale, 256 + 64)
     assert worst.hex() == report

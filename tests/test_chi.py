@@ -227,6 +227,19 @@ class _StubTable:
         self.C_bar = grid
 
 
+def test_frustrated_grid_converts_each_entry_once(counted_entries):
+    # the build's (R+1)(R+2) divisions, then nothing on either grid
+    model = FrustratedModel(S=1.0, version="a")
+    table = build_table(model.k, 6)
+    assert len(counted_entries) == 7 * 8
+    counted_entries.clear()
+    first = chi_grid(("frustrated", model, table), 8, 8, 6)
+    second = chi_grid(("frustrated", model, table), 8, 8, 6)
+    assert counted_entries == []
+    assert np.array_equal(first.values, second.values)
+    assert first.tail_bound == second.tail_bound
+
+
 def test_plain_tables_still_serve_lookup(table_s1):
     # nested lists carrying only radius, C, C_bar and k_requested, as a
     # reader of the `corr` CSVs assembles them

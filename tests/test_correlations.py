@@ -567,40 +567,20 @@ def test_builds_do_not_scan(monkeypatch, tmp_path):
     assert len(scans) == 1
 
 
-def test_build_converts_each_entry_once(monkeypatch, tmp_path):
+def test_build_converts_each_entry_once(counted_entries):
     # build_table divides each octant entry of both families once, (R+1)(R+2)
-    # divisions; the corr writer and the chi sums then convert nothing
-    from isingchi import FrustratedModel, chi_grid
-    from isingchi.fileio import write_corr_csv
+    # divisions, swapped or not; the uniform and gauge sums convert nothing
+    from isingchi import chi_grid
 
-    calls, stage = [], correlations._integer_table
-
-    class Entry(int):
-        def __truediv__(self, other):
-            calls.append(None)
-            return int(self) / other
-
-        def __float__(self):
-            calls.append(None)
-            return float(int(self))
-
-    def counted(*args):
-        *fams, scale = stage(*args)
-        return (*(tuple(tuple(map(Entry, row)) for row in fam)
-                  for fam in fams), scale)
-
-    monkeypatch.setattr(correlations, "_integer_table", counted)
-    R, model, tables = 5, FrustratedModel(S=1.0, version="a"), []
-    for k in (0.5, model.k, 2.0):
-        calls.clear()
+    R, tables = 5, []
+    for k in (0.5, 2.0):
+        counted_entries.clear()
         tables.append(build_table(k, R))
-        assert len(calls) == (R + 1) * (R + 2), k
-    calls.clear()
-    write_corr_csv(tmp_path / "corr.csv", tables[2])
-    for source in (("uniform", tables[0]), ("gauge", tables[0], [1.0] * 7),
-                   ("frustrated", model, tables[1])):
+        assert len(counted_entries) == (R + 1) * (R + 2), k
+    counted_entries.clear()
+    for source in (("uniform", tables[0]), ("gauge", tables[0], [1.0] * 7)):
         chi_grid(source, 4, 4, R)
-    assert calls == []
+    assert counted_entries == []
 
 
 def _held(row):

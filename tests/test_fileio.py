@@ -53,6 +53,16 @@ def test_corr_csv_layout(tmp_path, small_table):
     assert float(row12[2]) == lookup(small_table, 1, 2)
 
 
+def test_corr_csv_converts_each_entry_once(tmp_path, counted_entries):
+    # the build divides each octant entry once; the writer converts nothing
+    R = 5
+    table = build_table(0.5, R)
+    assert len(counted_entries) == (R + 1) * (R + 2)  # C and Cbar per octant entry
+    counted_entries.clear()
+    write_corr_csv(tmp_path / "corr.csv", table)
+    assert counted_entries == []
+
+
 @pytest.mark.parametrize("k, radius, precision_bits",
                          [(2.0, 8, 256), (0.5, 12, 53), (0.05, 30, 256)])
 def test_corr_csv_rows_match_lookup_rendering(tmp_path, k, radius, precision_bits):

@@ -10,10 +10,9 @@ library; quasiperiodic and chi add numpy.  The oracle and the
 verification suites are not re-exported: import them from isingchi.oracle
 and isingchi.verify.  No module loads scipy or mpmath.
 
-The CLI follows suit: `corr` and `verify elliptic` load only the
-standard library; `chi`, `fib` and the other `verify` suites add numpy.
-The records (CorrelationTable, ChiGrid, the specs and the verify rows)
-are namedtuple subclasses, and no module imports dataclasses.
+The CLI follows suit (see isingchi.cli).  The records (CorrelationTable,
+ChiGrid, the specs and the verify rows) are namedtuple subclasses, and no
+module imports dataclasses.
 """
 
 import importlib

@@ -9,8 +9,7 @@ explicit flags win.  The parser is built once per process, on the first
 
 Each subcommand imports the modules its work needs when it runs: `corr`
 and `verify elliptic` load only the standard library, and `chi`, `fib`
-and the other `verify` suites add numpy.  The package's records are
-namedtuples, so no command loads dataclasses or inspect for them.
+and the other `verify` suites add numpy.
 """
 
 import argparse
@@ -19,16 +18,13 @@ import functools
 import os
 import sys
 
-from .correlations import (DEFAULT_PRECISION_BITS, PrecisionExhausted, _plan,
-                           build_table)
+from .correlations import PrecisionExhausted, _plan, build_table
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
 
 __all__ = ["main", "run"]
 
 GAUGE_WINDOW = 1_000_000
-MAX_CORR_BITS = 8192  # corr refuses, before any work, to pick more bits,
-MAX_CORR_TABLE_BITS = 1 << 32  # or (R + 1)^2 transient integers of them, 1 GB
 
 _CONFIG_KEYS = {
     "k": float, "S": float, "version": str, "j": int, "gamma": float,
@@ -62,8 +58,9 @@ def _require(args, *names):
 
 def _precision_advice(args, where):
     """What the user can change when a table runs out of working precision."""
-    if args.subcommand == "corr":  # _cmd_corr sets the bits it used
-        return "; rerun with --precision above %d" % args.precision
+    if args.subcommand == "corr":  # where is None for a pick past the caps
+        return ("; rerun with --precision or a smaller --radius" if where is None
+                else "; rerun with --precision above %d" % args.precision)
     if args.subcommand != "chi":
         return ""
     from .chi import MIN_TAIL_RADIUS
@@ -73,8 +70,15 @@ def _precision_advice(args, where):
     remedy = ("at which this modulus is out of reach"
               if args.radius <= MIN_TAIL_RADIUS or near
               else "so rerun with a smaller --radius")
-    return "; chi builds its table at the default %d bits, %s" % (
-        DEFAULT_PRECISION_BITS, remedy)
+    bits = "the bits it picks" if where is None else "%d bits" % args.precision
+    return "; chi builds its table at %s, %s" % (bits, remedy)
+
+
+def _build(args, k):
+    """build_table(k, --radius, corr's --precision), keeping its bits on args."""
+    bits = getattr(args, "precision", None)
+    args.precision = _plan(k, args.radius, bits).precision
+    return build_table(k, args.radius, bits)
 
 
 def build_parser():
@@ -145,29 +149,14 @@ def _apply_config(args, path):
         setattr(args, key, value)
 
 
-def _corr_bits(k, radius):
-    """corr's default bits: the fewest p >= 256 whose guard, less the plan's
-    loss estimate, keeps the 57 bits of 17 digits and 16 more."""
-    plan, p = _plan(k, radius, DEFAULT_PRECISION_BITS), DEFAULT_PRECISION_BITS
-    return max(p, 57 + 16 + plan.loss_estimate - (plan.sweep - p))
-
-
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
-    if args.precision is None:  # --precision overrides the picked bits
-        p = args.precision = _corr_bits(args.k, args.radius)
-        if p > MAX_CORR_BITS or (args.radius + 1) ** 2 * p > MAX_CORR_TABLE_BITS:
-            print("error: 17 right digits need %d bits in each of the (R + 1)^2 "
-                  "entries here, above corr's cap of %d bits or 2^32 in all; "
-                  "pass --precision %d or a smaller --radius"
-                  % (p, MAX_CORR_BITS, p), file=sys.stderr)
-            return 1
-    write_corr_csv(args.out, build_table(args.k, args.radius, args.precision))
+    write_corr_csv(args.out, _build(args, args.k))
     return 0
 
 
 def _cmd_chi(args):
-    from .chi import MIN_TAIL_RADIUS, chi_grid, find_peaks
+    from .chi import MIN_TAIL_RADIUS, EstimationError, chi_grid, find_peaks
     from .frustrated import FrustratedModel
     from .quasiperiodic import FibonacciSpec, autocorrelation, sign_sequence
 
@@ -183,7 +172,7 @@ def _cmd_chi(args):
     if args.source == "frustrated":
         _require(args, "S", "version")
         model = FrustratedModel(S=args.S, version=args.version)
-        source = ("frustrated", model, build_table(model.k, args.radius))
+        source = ("frustrated", model, _build(args, model.k))
     else:  # uniform, or gauge: uniform weighted by a sign sequence's kappa
         gauge = args.source == "gauge"
         _require(args, "k", *(["j"] if gauge else []))
@@ -194,7 +183,7 @@ def _cmd_chi(args):
                 "on `corr`)" % args.k)
         if gauge:  # a bad --gamma is refused before the build, as --k is
             spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-        source = ("uniform", build_table(args.k, args.radius))
+        source = ("uniform", _build(args, args.k))
         if gauge:
             source = ("gauge", source[1], autocorrelation(
                 sign_sequence(spec, GAUGE_WINDOW), args.radius + 1))
@@ -209,6 +198,9 @@ def _cmd_chi(args):
     except MemoryError:
         print("error: a %dx%d grid does not fit in memory; pick a smaller "
               "--grid" % (nx, ny), file=sys.stderr)
+        return 1
+    except EstimationError as exc:  # before any file is written
+        print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0
 
@@ -254,6 +246,7 @@ def run(argv=None):
         if args.subcommand is None:
             parser.print_usage(sys.stderr)
             return 2
+        named = {}  # real path: the first flag naming it
         for flag in ("out", "pgm", "peaks"):  # refused before any build
             path = getattr(args, flag, None)
             if path and not os.path.isdir(os.path.dirname(path) or "."):
@@ -262,6 +255,9 @@ def run(argv=None):
             if path and os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR,
                                         "Is a directory, for --" + flag, path)
+            if path and named.setdefault(os.path.realpath(path), flag) != flag:
+                raise UsageError("--%s and --%s name one file, %r" % (
+                    named[os.path.realpath(path)], flag, path))
         commands = {"corr": _cmd_corr, "chi": _cmd_chi, "fib": _cmd_fib}
         return commands.get(args.subcommand, _cmd_verify)(args)
     except (UsageError, ValueError, OSError) as exc:

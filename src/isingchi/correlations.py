@@ -19,12 +19,12 @@ other stage floors at its own bits to kf = floor(k 2^bits) = kn 2^(bits - g)
 with kn odd (53 bits at most for a float k < 1, about as wide as kf for a
 non-dyadic k such as 1/3); the symbol step, the next-diagonal march and the
 sweep multiply by kn and cancel or shift the power of two exactly, and one
-AGM gives the symbol's closed forms, the only transcendental input.  Every
-stage reads its bits from one precision plan, _plan; a table stores the
-doubles its readers read, each divided once from _integer_table's integers.
-The recurrences cancel catastrophically, losing bits roughly linearly with
-distance from the diagonal, so double precision is only good to radius 12 or
-so.  The corner identity is written once, in _corner, the march's check;
+AGM gives the symbol's closed forms, the only transcendental input.  The
+recurrences cancel catastrophically, losing bits roughly linearly with
+distance from the diagonal, so every stage reads its bits from one precision
+plan, _plan, which picks them for a build that names none; a table stores
+the doubles its readers read, each divided once from _integer_table's
+integers.  The corner identity is written once, in _corner, the march's check;
 _identity_residuals gives all four as numerators, over units formed once by
 _worst_residual for residual_report's first read and 1.0 for verify.
 """
@@ -47,7 +47,8 @@ __all__ = [
 ]
 
 EPS_CRITICAL = 1e-6
-DEFAULT_PRECISION_BITS = 256
+MIN_PICKED_BITS, MAX_PICKED_BITS = 256, 8192  # the bits a pick may take, and
+MAX_PICKED_TABLE_BITS = 1 << 32  # in all (R + 1)^2 entries, 1 GB transient
 _SEED_GUARD_BITS = 64  # carried by the seeds and the sweep, then rounded off
 
 MIN_DIVISOR_BITS = 8  # a sweep divisor's least significant bits, or it stops
@@ -57,13 +58,10 @@ _DIVISOR_FLOOR = 1 << _SEED_GUARD_BITS + MIN_DIVISOR_BITS  # at sweep bits
 class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
-    Raised when a nearest-neighbour seed, a diagonal seed or 1 - x_n y_n of
-    the diagonal's recurrences comes out non-positive, C(n,n) fails to fall
-    with n, the next-diagonal march meets a singular system, leaves
-    (0, 1) or fails its cross-check, a swept entry leaves (0, 1], a divisor
-    loses nearly all of its significant bits, or the estimated small-k loss
-    leaves too few.  The remedy is a higher precision_bits, not a smaller
-    tolerance.
+    Raised, naming the entry, when a seed, 1 - x_n y_n, the march or a swept
+    entry leaves its range, C(n,n) fails to fall, a divisor loses nearly all
+    its bits or the small-k loss estimate leaves too few, or, naming the bits,
+    past the caps on a pick: the remedy is more bits, not a smaller tolerance.
     """
 
     def __init__(self, message, where=None):
@@ -89,27 +87,28 @@ def _odd_part(kf, bits):
     return kf >> zeros, bits - zeros
 
 
-_Plan = namedtuple("_Plan", "k radius symbol diagonal seeds sweep "
+_Plan = namedtuple("_Plan", "k radius precision symbol diagonal seeds sweep "
                    "march_digits refused loss_estimate")
 
 
-def _plan(k, radius, precision_bits):
+def _plan(k, radius, precision_bits=None):
     """build_table's arguments, checked, and every stage's bits.
 
     k becomes the exact ratio (num, den) of k, or of 1/k above 1; x is
-    log2(1/k).  The sweep runs at p + 64 bits.  The seeds, which shrink like
-    k^n, the march and the integers' scale carry L = (R + 3) x more, plus 32;
-    the diagonal's recurrences and the symbol series, which compute k^n
-    against dominant k^-n solutions (Gautschi 1967), carry 2L plus 32 and
-    the symbol's own 3x once (diagonal) or twice (symbol); R past 2^53, out
-    of any stage's reach, counts as 2^53.  The corner check's tolerance is
+    log2(1/k).  precision p is precision_bits or, for None, the fewest p >=
+    256 whose guard, less loss_estimate (R max(2x, 2.6 + 1.25x) rounded up,
+    a fit, not a bound), keeps 17 digits' 57 bits and 16 more, past the caps
+    refused.  The sweep runs at p + 64 bits; the seeds, the march and the
+    integers' scale at L = (R + 3) x more, plus 32; the diagonal's
+    recurrences and the symbol series, which compute k^n against dominant
+    k^-n solutions (Gautschi 1967), at 2L plus 32 and 3x (6x for the
+    symbol), R past 2^53 counting as 2^53.  The corner check's tolerance is
     10^-march_digits; refused is the first radius whose small-k loss 2 R x
-    leaves under MIN_DIVISOR_BITS of the sweep's bits.  loss_estimate, R
-    max(2x, 2.6 + 1.25x) rounded up, is a fit, not a bound.
+    leaves under MIN_DIVISOR_BITS of the sweep's bits.
     """
     if radius < 2:
         raise ValueError("radius must be at least 2")
-    if precision_bits < 24:
+    if precision_bits is not None and precision_bits < 24:
         raise ValueError("precision_bits must be at least 24")
     k_req = float(k)
     if not 0 < k_req < math.inf:
@@ -121,13 +120,22 @@ def _plan(k, radius, precision_bits):
             "diverges and a fixed-radius table is meaningless"
             % (k_req, EPS_CRITICAL))
     num, den = k = sorted(k_req.as_integer_ratio())  # exact; 1/k above 1
-    x, sweep = math.log2(den) - math.log2(num), precision_bits + _SEED_GUARD_BITS
+    x, p = math.log2(den) - math.log2(num), precision_bits
+    rate = max(2 * x, 2.6 + 1.25 * x).as_integer_ratio()  # ceil'd exactly
+    loss = -(-radius * rate[0] // rate[1])
+    if p is None:
+        p = max(MIN_PICKED_BITS, 57 + 16 + loss - _SEED_GUARD_BITS)
+        if p > MAX_PICKED_BITS or (radius + 1) ** 2 * p > MAX_PICKED_TABLE_BITS:
+            raise PrecisionExhausted(
+                "17 right digits need %d bits in each of the (R + 1)^2 entries "
+                "here, above the cap of %d bits or 2^32 in all; pass "
+                "precision_bits" % (p, MAX_PICKED_BITS))
+    sweep = p + _SEED_GUARD_BITS
     refused = int((sweep - MIN_DIVISOR_BITS) / (2 * x)) + 1
     big = (min(radius, 1 << 53) + 3) * x  # never overflows
     seeds, twice = sweep + int(big) + 32, sweep + int(2 * big) + 32
-    rate = max(2 * x, 2.6 + 1.25 * x).as_integer_ratio()  # ceil'd exactly
-    return _Plan(k, radius, twice + int(6 * x), twice + int(3 * x), seeds,
-                 sweep, sweep // 4, refused, -(-radius * rate[0] // rate[1]))
+    return _Plan(k, radius, p, twice + int(6 * x), twice + int(3 * x), seeds,
+                 sweep, sweep // 4, refused, loss)
 
 
 def _symbol_coefficients(k, n_top, bits, out_bits):
@@ -281,18 +289,14 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
 
     C and C_bar are (radius+1)-square tuples of read-only rows of doubles,
     symmetric in (m, n), each rounded half to even to precision_bits bits,
-    then to a double.  A k_requested above 1 was served through the duality
-    swap, at 1/k_requested.  residual_report, the worst absolute identity
-    residual (corner, star, quadratic) over the octant, scans a second
-    build's integers exactly on first read; a float, it reads 0.0 below
-    2^-1074, as in builds above about 1,070 precision_bits.
+    the build's named or picked ones, then to a double.  A k_requested above
+    1 was served through the duality swap, at 1/k_requested.  residual_report,
+    the worst absolute identity residual (corner, star, quadratic) over the
+    octant, scans a second build's integers exactly on first read; a float,
+    it reads 0.0 below 2^-1074, as in builds above about 1,070 bits.
     """
 
     # no __slots__: the cached property keeps its value in the instance dict
-    @property
-    def swapped(self):
-        return self.k_requested > 1
-
     @cached_property
     def residual_report(self):
         args = self.k_requested, self.radius, self.precision_bits
@@ -367,36 +371,36 @@ def _worst_residual(k, C, C_bar, scale, bits):
     return max(worst << bits, star) / (1 << g + 3 * bits)
 
 
-def build_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
+def build_table(k, radius, precision_bits=None):
     """Build the joint C / C_bar octant out to the given radius.
 
-    k is the bare modulus, sinh 2K = sqrt(k); a modulus above 1 is served by
-    building at 1/k and swapping the two families, which is exactly the
-    duality of the pair.  Moduli within EPS_CRITICAL of 1 are refused: the
-    correlation length diverges there and a fixed-radius table is
-    meaningless.
+    k is the bare modulus, sinh 2K = sqrt(k); one above 1 is served at 1/k
+    with the families swapped, the pair's exact duality.  Moduli within
+    EPS_CRITICAL of 1, where the correlation length diverges, are refused.
 
     The seeds and the sweep carry guard bits; each entry is rounded once on
     integers, then divided once into a double and stored in read-only rows,
-    so the table depends on (k, radius, precision_bits) alone.  The sweep
-    makes diagonal d = n + 1 - m = 2, 3, ..., m ascending, from diagonals
-    d - 1 and d - 2 alone, by the quadratic recurrences
+    so the table depends on (k, radius, precision_bits) alone; None takes
+    _plan's pick, and named bits are built as asked.  The sweep makes
+    diagonal d = n + 1 - m = 2, 3, ..., m ascending, from diagonals d - 1
+    and d - 2 alone, by the quadratic recurrences
 
         C(m,n+1)     = [C(m,n)^2 - (Cb(m+1,n) Cb(m-1,n) - Cb(m,n)^2)/k] / C(m,n-1)
         C_bar(m,n+1) = [Cb(m,n)^2 - k (C(m+1,n) C(m-1,n) - C(m,n)^2)]  / Cb(m,n-1)
 
     with C(m-1,n) the entry just made (C(1,n) at m = 0).  Every stage runs
-    at the bits of _plan, whose refused radius is refused before any work
-    (a small-k loss estimate, not a bound); an entry leaving
-    (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant bits
-    aborts the sweep.  Each is a precision-exhaustion error naming an
-    entry.  Radius 100 at 512 bits builds in 0.06 reference s (2-vCPU Xeon VM).
+    at the bits of _plan, whose refused radius, a small-k loss estimate, not
+    a bound, and picks past its caps are refused before any work; an entry
+    leaving (0, 1] or a divisor with fewer than MIN_DIVISOR_BITS significant
+    bits aborts the sweep, each a PrecisionExhausted.  Radius 100 at 512
+    bits builds in 0.06 reference s (2-vCPU Xeon VM).
     """
-    c, cb, scale = _integer_table(k, radius, precision_bits)
+    bits = _plan(k, radius, precision_bits).precision
+    c, cb, scale = _integer_table(k, radius, bits)
     C, C_bar = (tuple(memoryview(array("d", row)).toreadonly()
                       for row in _square([[x / scale for x in d] for d in r]))
                 for r in ((cb, c) if float(k) > 1 else (c, cb)))
-    return CorrelationTable(radius, C, C_bar, precision_bits, float(k))
+    return CorrelationTable(radius, C, C_bar, bits, float(k))
 
 
 def _square(r):
@@ -405,11 +409,11 @@ def _square(r):
             for m in range(len(r))]
 
 
-def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
+def _integer_table(k, radius, precision_bits=None):
     """build_table's rounded octant at k or 1/k below 1, unswapped: diagonals
     r[d][m] = X(m, m + d) of C and C_bar, and the power of two dividing them."""
     plan = _plan(k, radius, precision_bits)
-    k, bits, n = plan.k, plan.sweep, plan.refused
+    k, bits, n, p = plan.k, plan.sweep, plan.refused, plan.precision
     if radius >= n:  # n: the first radius the small-k loss estimate rules out
         raise PrecisionExhausted(
             "estimated small-k loss leaves fewer than %d of %d bits; raise "
@@ -424,8 +428,8 @@ def _integer_table(k, radius, precision_bits=DEFAULT_PRECISION_BITS):
     one, size, shift = 1 << bits, radius + 1, diag[2] - bits
     (kn, g), tiny = _odd_part(_fixed(k, bits), bits), _DIVISOR_FLOOR
 
-    def rounded(x):  # half to even, to precision_bits significant bits
-        cut = x.bit_length() - precision_bits
+    def rounded(x):  # half to even, to p significant bits
+        cut = x.bit_length() - p
         return x if cut <= 0 else (
             x + (1 << cut - 1) - 1 + (x >> cut & 1)) >> cut << cut
 

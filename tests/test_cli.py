@@ -7,8 +7,12 @@ import time
 
 import pytest
 
+import isingchi.cli as cli
+import isingchi.correlations as correlations
 from isingchi.cli import _CONFIG_KEYS, build_parser, run
 from isingchi.verify import SUITES
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 def test_fib_bits_prefix(capsys):
@@ -106,6 +110,18 @@ def test_chi_rejects_modulus_outside_disordered_domain(tmp_path, capsys):
     assert "(0, 1)" in err
 
 
+def _picks_256(monkeypatch):
+    """Let a build that names no bits, as chi's are, build at 256 bits, as
+    it did when 256 was the default: the frontier of 256 named bits."""
+    plan = correlations._plan
+
+    def at_256(k, radius, precision_bits=None):
+        return plan(k, radius, 256 if precision_bits is None else precision_bits)
+
+    for module in (correlations, cli):
+        monkeypatch.setattr(module, "_plan", at_256)
+
+
 _LOSS = ("error: estimated small-k loss leaves fewer than 8 of 320 bits; "
          "raise precision_bits")
 _SWEPT = "error: swept entry left (0, 1]; raise precision_bits"
@@ -121,8 +137,11 @@ _SWEPT = "error: swept entry left (0, 1]; raise precision_bits"
      _SWEPT + " at (m, n) = (72, 120)", "--precision above 256"),
 ], ids=["argv0-smaller --radius", "argv1---precision above 256",
         "argv2---precision above 256"])
-def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys):
-    # the library says "raise precision_bits"; the CLI adds what to pass
+def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys,
+                                     monkeypatch):
+    # the library says "raise precision_bits"; the CLI adds what to pass.
+    # chi names no bits, so it reaches the 256-bit frontier only by _picks_256
+    _picks_256(monkeypatch)
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
@@ -139,16 +158,19 @@ def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys):
     ("1e-300", "4", "(0, 1)"), ("1e-30", "6", "(0, 2)"),
     ("1e-300", "8", "(0, 1)")])
 def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,
-                                              capsys):
+                                              capsys, monkeypatch):
     # no --radius below 4 is accepted, and every accepted radius builds the
     # failing entry, so the advice is that 256 bits cannot reach the modulus
+    # at 256 bits (_picks_256); the plan picks 541 bits or more for these,
+    # and refuses (1e-300, 8) past its cap
+    _picks_256(monkeypatch)
     out = tmp_path / "x.csv"
     assert run(["chi", "uniform", "--k", k, "--radius", radius, "--grid",
                 "2x2", "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert "at (m, n) = %s; " % where in err[0]
-    assert err[0].endswith("chi builds its table at the default 256 bits, "
+    assert err[0].endswith("chi builds its table at 256 bits, "
                            "at which this modulus is out of reach")
     assert not out.exists()
 
@@ -196,10 +218,10 @@ def test_corr_picks_its_own_bits(tmp_path):
     ("0.5", 10 ** 12, 3850000000010)])
 def test_corr_refuses_past_its_cap_before_any_work(k, radius, bits, tmp_path,
                                                    capsys, monkeypatch):
-    def no_build(*args):
-        raise AssertionError("a table was built past the cap")
+    def no_seeds(*args):
+        raise AssertionError("a seed was computed past the cap")
 
-    monkeypatch.setattr("isingchi.cli.build_table", no_build)
+    monkeypatch.setattr(correlations, "diagonal_seeds", no_seeds)
     out = tmp_path / "x.csv"
     start = time.perf_counter()
     assert run(["corr", "--k", k, "--radius", str(radius), "--out",
@@ -207,9 +229,106 @@ def test_corr_refuses_past_its_cap_before_any_work(k, radius, bits, tmp_path,
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == (
         "error: 17 right digits need %d bits in each of the (R + 1)^2 entries "
-        "here, above corr's cap of 8192 bits or 2^32 in all; pass --precision "
-        "%d or a smaller --radius\n" % (bits, bits))
+        "here, above the cap of 8192 bits or 2^32 in all; pass precision_bits; "
+        "rerun with --precision or a smaller --radius\n" % bits)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("k, radius, bits, advice", [
+    ("0.5", 2000, 7710, "so rerun with a smaller --radius"),
+    ("1e-300", 8, 15955, "so rerun with a smaller --radius"),
+    # no radius chi accepts is smaller
+    ("5e-324", 4, 8601, "at which this modulus is out of reach")])
+def test_chi_refuses_past_the_cap_before_any_work(k, radius, bits, advice,
+                                                  tmp_path, capsys, monkeypatch):
+    # chi's builds name no bits, so the plan's pick and its caps bound them
+    def no_seeds(*args):
+        raise AssertionError("a seed was computed past the cap")
+
+    monkeypatch.setattr(correlations, "diagonal_seeds", no_seeds)
+    out = tmp_path / "x.csv"
+    start = time.perf_counter()
+    assert run(["chi", "uniform", "--k", k, "--radius", str(radius), "--grid",
+                "2x2", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: 17 right digits need %d bits in each of the (R + 1)^2 entries "
+        "here, above the cap of 8192 bits or 2^32 in all; pass precision_bits; "
+        "chi builds its table at the bits it picks, %s\n" % (bits, advice))
+    assert not out.exists()
+
+
+def test_chi_builds_at_the_plan_pick(tmp_path):
+    # 256 bits run out at (22, 100) of the k = 0.5 sweep; the pick is 395
+    out = tmp_path / "chi.csv"
+    assert run(["chi", "uniform", "--k", "0.5", "--radius", "100", "--grid",
+                "8x8", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 64
+
+
+def test_chi_frustrated_bytes_are_pinned(tmp_path):
+    # SHA-256 prefixes of the files written when the (0.0718, 40) table was
+    # built at 256 bits: at the pick, 313, every file keeps its bytes
+    paths = [tmp_path / name for name in ("ff.csv", "ff.pgm", "peaks.csv")]
+    assert run(["chi", "frustrated", "--S", "1", "--version", "a", "--radius",
+                "40", "--grid", "32x32", "--out", str(paths[0]), "--pgm",
+                str(paths[1]), "--peaks", str(paths[2])]) == 0
+    assert [hashlib.sha256(p.read_bytes()).hexdigest()[:16] for p in paths] == [
+        "061e849f8173e913", "b47c6da4d4894d64", "91b0cd6b18a40009"]
+
+
+class _Built(Exception):
+    """Stops a command at its build, once the build is recorded."""
+
+
+def test_benchmark_builds_pick_256_bits(tmp_path, monkeypatch, capsys):
+    # each build of the benchmark's corr and chi commands, references and
+    # set-ups, read from perfbench/workloads.py, and of verify all names no
+    # bits and picks exactly 256, so its bytes are those of 256 named bits;
+    # a change to the plan that would move them fails here first
+    monkeypatch.syspath_prepend(PERFBENCH)
+    import workloads
+
+    builds, plan = [], correlations._plan
+
+    def stop(k, radius, precision_bits=None):
+        builds.append((k, radius, precision_bits))
+        raise _Built
+
+    monkeypatch.setattr(cli, "build_table", stop)
+    argvs = [argv for w in workloads.WORKLOADS.values()
+             for argv in w.commands + w.references + [w.setup]]
+    for argv in argvs:
+        if argv[0] in ("corr", "chi"):
+            with pytest.raises(_Built):
+                run([a.replace("{out}", str(tmp_path)) for a in argv])
+    # tables and its set-up, grids, its three reference tables and set-up
+    assert len(builds) == 4 + 1 + 6 + 3 + 1
+    monkeypatch.undo()
+
+    def recorded(k, radius, precision_bits=None):
+        if precision_bits is None:
+            builds.append((k, radius, precision_bits))
+        return plan(k, radius, precision_bits)
+
+    monkeypatch.setattr(correlations, "_plan", recorded)
+    assert run(["verify", "all"]) == 0
+    capsys.readouterr()
+    # the recurrence and chi suites' tables; the frustrated suite names 128
+    assert builds[15:] == [(0.5, 5, None), (0.5, 30, None)]
+    for k, radius, bits in builds:
+        assert bits is None and plan(k, radius).precision == 256, (k, radius)
+
+
+def test_tail_fit_failure_is_one_line(tmp_path, capsys):
+    # the pick, 7,982 bits, builds this table, whose axis entries fall
+    # below the smallest double inside the tail fit's window
+    out = tmp_path / "x.csv"
+    assert run(["chi", "uniform", "--k", "1e-300", "--radius", "4", "--grid",
+                "4x4", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: correlations hit the noise floor inside the window\n")
+    assert [p.name for p in tmp_path.iterdir()] == []
 
 
 @pytest.mark.parametrize("name", ["missing/o.csv", ""],
@@ -264,6 +383,32 @@ def test_missing_output_directory_is_refused_first(argv, flag, target,
         "error: [Errno %s %s: %r\n" % (message, flag, path))
     assert (tmp_path / "keep.csv").read_bytes() == b"old bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
+@pytest.mark.parametrize("flags, first, second", [
+    (["--out", "h.csv", "--pgm", "h.csv"], "out", "pgm"),
+    (["--out", "h.csv", "--peaks", "h.csv"], "out", "peaks"),
+    (["--out", "./h.csv", "--pgm", "h.csv"], "out", "pgm"),
+    (["--out", "keep.csv", "--pgm", "sub/../h.csv", "--peaks", "h.csv"],
+     "pgm", "peaks")], ids=["out-pgm", "out-peaks", "out-dot-pgm", "pgm-peaks"])
+def test_two_outputs_naming_one_file_are_refused_first(flags, first, second,
+                                                       tmp_path, capsys,
+                                                       monkeypatch):
+    # the later writer once replaced the chi CSV with its own file, exit 0
+    def no_build(*args):
+        raise AssertionError("a table was built before the paths were checked")
+
+    monkeypatch.setattr("isingchi.cli.build_table", no_build)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for name in ("keep.csv", "h.csv"):
+        (tmp_path / name).write_bytes(b"old bytes\n")
+    assert run(_CHI + flags) == 2
+    assert capsys.readouterr().err == "error: --%s and --%s name one file, %r\n" % (
+        first, second, "h.csv")
+    for name in ("keep.csv", "h.csv"):
+        assert (tmp_path / name).read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.csv", "keep.csv", "sub"]
 
 
 def test_verify_refuses_a_missing_out_directory_first(tmp_path, capsys,

@@ -139,12 +139,10 @@ def test_residual_report_scales_with_precision():
 
 def test_duality_swap(table_half):
     swapped = build_table(2.0, 8)
-    assert swapped.swapped
     assert swapped.k_requested == 2.0
     # served at 1/k = 0.5: every full-precision entry of the two families
     # is exchanged
     assert swapped.C == table_half.C_bar and swapped.C_bar == table_half.C
-    assert not table_half.swapped
     for (m, n) in ((1, 0), (2, 3), (4, 4)):
         assert lookup(swapped, m, n) == lookup(table_half, m, n, "Cbar")
         assert lookup(swapped, m, n, "Cbar") == lookup(table_half, m, n)
@@ -184,11 +182,12 @@ def test_precision_exhaustion_names_location(k, radius, bits, message, where):
     (1e-20, 4, False), (0.1, 48, False), (0.05, 48, False), (0.01, 32, False),
     (0.05, 30, True), (0.0718, 34, True), (1e-10, 4, True)])
 def test_refusal_frontier(k, radius, builds):
+    # the frontier of 256 named bits; a build that names none picks more
     if builds:
-        assert build_table(k, radius).radius == radius
+        assert build_table(k, radius, 256).radius == radius
     else:
         with pytest.raises(PrecisionExhausted):
-            build_table(k, radius)
+            build_table(k, radius, 256)
 
 
 @pytest.mark.parametrize("k, radius, where", [(1e-20, 4, (1, 3)),
@@ -196,11 +195,11 @@ def test_refusal_frontier(k, radius, builds):
 def test_loss_estimate_refuses_what_the_sweep_passes(k, radius, where):
     # both sweeps finish with entries far off a deeper build (C(1,4) by a
     # factor of 8e4, C(45,48) by 24%); the estimate names the first radius
-    # it rules out, and the one below it still builds
+    # it rules out, and the one below it still builds, at 256 named bits
     with pytest.raises(PrecisionExhausted, match="^estimated small-k loss") as err:
-        build_table(k, radius)
+        build_table(k, radius, 256)
     assert err.value.where == where
-    build_table(k, where[1] - 1)
+    build_table(k, where[1] - 1, 256)
 
 
 @pytest.mark.parametrize("k, radius", [(1e-300, 10 ** 9), (0.5, 10 ** 400)])
@@ -209,8 +208,28 @@ def test_out_of_range_radius_is_refused_before_any_work(k, radius):
     # radius nor one past float range costs memory or time before the refusal
     start = time.perf_counter()
     with pytest.raises(PrecisionExhausted, match="^estimated small-k loss"):
-        build_table(k, radius)
+        build_table(k, radius, 256)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("k, radius, bits", [
+    (1e-30, 48, 9577), (0.5, 2000, 7710), (0.5, 10 ** 400, None)],
+    ids=["1e-30-48", "0.5-2000", "0.5-10^400"])
+def test_a_pick_past_the_caps_is_refused_before_any_work(k, radius, bits,
+                                                         monkeypatch):
+    # a build that names no bits refuses a pick above 8,192 bits, or above
+    # 2^32 bits in all (R + 1)^2 entries, naming the pick, before any seed
+    def no_seeds(*args):
+        raise AssertionError("a seed was computed past the cap")
+
+    monkeypatch.setattr(correlations, "diagonal_seeds", no_seeds)
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="^17 right digits need") as err:
+        build_table(k, radius)
+    assert time.perf_counter() - start < 1
+    assert err.value.where is None
+    if bits is not None:
+        assert str(err.value).startswith("17 right digits need %d bits" % bits)
 
 
 def test_seed_corruption_detected():
@@ -454,16 +473,22 @@ def test_seeds_are_rounded_once():
                             == _entry(y, fine[2])), (fam, m, n)
 
 
-@pytest.mark.parametrize("k, radius", [(0.05, 30), (0.0718, 34)])
-def test_edge_builds_match_deeper_build(k, radius):
+@pytest.mark.parametrize("k, radius, bits, rel", [
+    (0.05, 30, 256, 1e-12), (0.0718, 34, 256, 1e-12),
+    # builds that name no bits, at the plan's picks of 313 and 379 bits
+    # (2^-20.4 and 2^-4.8 off at 256), against builds 128 bits deeper:
+    # every double equal
+    (0.0718, 40, None, 2.0 ** -57), (0.5, 96, None, 2.0 ** -57)],
+    ids=["0.05-30", "0.0718-34", "0.0718-40-picked", "0.5-96-picked"])
+def test_edge_builds_match_deeper_build(k, radius, bits, rel):
     # just inside the 256-bit frontier; 0.0718 is near the dual modulus
     # that chi frustrated --S 1 builds
-    edge = build_table(k, radius)
-    deep = build_table(k, radius, precision_bits=768)
+    edge = build_table(k, radius, bits)
+    deep = build_table(k, radius, 768 if bits else edge.precision_bits + 128)
     for fam_edge, fam_deep in ((edge.C, deep.C), (edge.C_bar, deep.C_bar)):
         for row_edge, row_deep in zip(fam_edge, fam_deep):
             for x, y in zip(row_edge, row_deep):
-                assert x == pytest.approx(y, rel=1e-12, abs=0)
+                assert x == pytest.approx(y, rel=rel, abs=0)
 
 
 def _worst_log2_error(table, deep, deep_bits):
@@ -619,6 +644,12 @@ def _sha256(x):
     return hashlib.sha256(walk(x).encode()).hexdigest()
 
 
+def _pinned_id(args):
+    """A pinned row's name as it was recorded: (0.0718, 40) names the 256
+    bits it was pinned at, once the default and now below its pick, 313."""
+    return str(args[:2] if args == (0.0718, 40, 256) else args)
+
+
 # SHA-256 of _integer_table's (C, C_bar, scale) as squares and of the
 # diagonal_seeds and next_diagonal_seeds outputs of each build, the first
 # recorded from the full-width floor(k 2^bits) formulas, the second from the
@@ -647,7 +678,7 @@ PINNED_BUILDS = [
      'd873fa85d5aeb316a26381baa0c2cc08ce129883f80eb1d1feab5c39c287aac3',
      '3275f053a910fa13a1c4c8a888ae2ac134522a566839ec22a3a3b592adcacff8',
      '1cbb311a3fdca2f5a563affaaee7529457e1ebdffa06afcc220e2813d31f4e2d'),
-    ((0.0718, 40),
+    ((0.0718, 40, 256),
      '7dcf143e166e64077d00b7809239ec5012f1171ff0f434e923b1a530815e1ef8',
      'dbee70a1a05341a98c5f3420f506559d5c074bf24c0fd7ea6251649e853cd26e',
      '00f0dfab9283a12d948d8de7308b49335ef2c6aa93560463f802bf28d0fabae5'),
@@ -663,7 +694,7 @@ PINNED_BUILDS = [
 
 
 @pytest.mark.parametrize("args, table, diag, march", PINNED_BUILDS,
-                         ids=[str(row[0]) for row in PINNED_BUILDS])
+                         ids=[_pinned_id(row[0]) for row in PINNED_BUILDS])
 def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
     seen = []
     for name in ("diagonal_seeds", "next_diagonal_seeds"):
@@ -675,7 +706,7 @@ def test_integer_tables_are_pinned(args, table, diag, march, monkeypatch):
 
 
 @pytest.mark.parametrize("args, table", [row[:2] for row in PINNED_BUILDS],
-                         ids=[str(row[0]) for row in PINNED_BUILDS])
+                         ids=[_pinned_id(row[0]) for row in PINNED_BUILDS])
 def test_doubles_are_the_pinned_integers_divided(args, table):
     # every stored double is x / scale of the pinned integers, both families
     ints = _squares(*args)
@@ -694,7 +725,7 @@ PINNED_REPORTS = [
     ((0.1, 32), '0x1.83795d0ce7f96p-218'),
     ((2.0, 16), '0x1.c5082095cccfdp-256'),
     ((3.0, 30), '0x1.d7c5f972a38e7p-256'),
-    ((0.0718, 40), '0x1.8bd122d1c285cp-173'),
+    ((0.0718, 40, 256), '0x1.8bd122d1c285cp-173'),
     ((0.1, 100, 1024), '0x1.3c8323195f504p-757'),
     ((1e-20, 2, 2048), '0x0.0p+0'),
     ((2.0, 8, 256), '0x1.3d67cc1549742p-256'),
@@ -704,7 +735,7 @@ PINNED_REPORTS = [
 
 
 @pytest.mark.parametrize("args, report", PINNED_REPORTS,
-                         ids=[str(row[0]) for row in PINNED_REPORTS])
+                         ids=[_pinned_id(row[0]) for row in PINNED_REPORTS])
 def test_residual_reports_are_pinned(args, report):
     assert build_table(*args).residual_report.hex() == report
 
@@ -760,7 +791,7 @@ def _quadratic_march(k, diag):
 
 
 @pytest.mark.parametrize("args", [row[0] for row in PINNED_BUILDS]
-                         + [(0.9, 100, 512)], ids=str)
+                         + [(0.9, 100, 512)], ids=_pinned_id)
 def test_linear_march_matches_quadratic_march(args):
     # both seed families of the linear solve, as build_table calls it, agree
     # with the quadratic's minus root to the bound of the deeper-build test
@@ -921,24 +952,27 @@ def test_corrupt_symbol_raises_at_the_seed(j, edit, where, monkeypatch):
 @pytest.mark.parametrize("radius", [16, 48, 96])
 @pytest.mark.parametrize("k", [1e-30, 0.05, 0.1, 0.5, 0.9, 0.99])
 def test_plan_loss_covers_the_measured_loss(k, radius):
-    # at corr's default bits p every entry keeps min(p, p + 64 - L) relative
-    # bits against a build 128 bits deeper, L the plan's loss estimate; the
-    # stored rounding caps a build at p, so at R = 16 and k >= 0.5 the loss
-    # reads exactly 64.  Counted on integer bit lengths: a float ratio
-    # underflows below 2^-1074.  corr refuses (1e-30, 48 and 96) at its cap
-    from isingchi.cli import MAX_CORR_BITS, _corr_bits
-
-    p = _corr_bits(k, radius)
-    if p > MAX_CORR_BITS:
+    # at the plan's pick p, the bits of a build that names none, every entry
+    # keeps min(p, p + 64 - L) relative bits against a build 128 bits
+    # deeper, L the plan's loss estimate; the stored rounding caps a build at
+    # p, so at R = 16 and k >= 0.5 the loss reads exactly 64.  Counted on
+    # integer bit lengths: a float ratio underflows below 2^-1074.  The plan
+    # refuses (1e-30, 48 and 96), whose picks pass MAX_PICKED_BITS
+    try:
+        plan = _plan(k, radius)
+    except PrecisionExhausted as err:
         assert k == 1e-30 and radius > 16
+        assert int(str(err).split()[4]) > correlations.MAX_PICKED_BITS
         return
-    table, deep = _integer_table(k, radius, p), _integer_table(k, radius, p + 128)
+    p = plan.precision
+    assert (radius + 1) ** 2 * p <= correlations.MAX_PICKED_TABLE_BITS
+    table, deep = _integer_table(k, radius), _integer_table(k, radius, p + 128)
     shift = deep[2].bit_length() - table[2].bit_length()
     right = min(y.bit_length() - abs((x << shift) - y).bit_length() - 1
                 for fam, fam_deep in zip(table[:2], deep[:2])
                 for row, row_deep in zip(fam, fam_deep)
                 for x, y in zip(row, row_deep))
-    assert right >= min(p, p + 64 - _plan(k, radius, p).loss_estimate), right
+    assert right >= min(p, p + 64 - plan.loss_estimate), right
 
 
 def _seeded_builds(count):

@@ -18,7 +18,7 @@ import functools
 import os
 import sys
 
-from .correlations import PrecisionExhausted, _plan, build_table
+from .correlations import PrecisionExhausted, build_table
 from .fileio import (read_config, write_chi_csv, write_corr_csv,
                      write_peaks_csv, write_pgm, write_verification_csv)
 
@@ -56,29 +56,26 @@ def _require(args, *names):
                              "(flag or config file)" % name)
 
 
-def _precision_advice(args, where):
-    """What the user can change when a table runs out of working precision."""
-    if args.subcommand == "corr":  # where is None for a pick past the caps
-        return ("; rerun with --precision or a smaller --radius" if where is None
-                else "; rerun with --precision above %d" % args.precision)
-    if args.subcommand != "chi":
-        return ""
+def _failure(args, exc):
+    """What follows "error: " for a computation failure; a MemoryError in
+    chi or fib and a PrecisionExhausted in corr or chi name a flag to change."""
+    if isinstance(exc, MemoryError):
+        return ("a %dx%d grid does not fit in memory; pick a smaller --grid"
+                % _parse_grid(args.grid) if args.subcommand == "chi" else
+                "%d terms do not fit in memory; pick a smaller --count"
+                % args.count if args.subcommand == "fib" else "out of memory")
+    if not isinstance(exc, PrecisionExhausted) or args.subcommand == "verify":
+        return str(exc)
+    if args.subcommand == "corr":  # bits is None past the caps
+        remedy = "above %d" % exc.bits if exc.bits else "or a smaller --radius"
+        return "%s; rerun with --precision %s" % (exc, remedy)
     from .chi import MIN_TAIL_RADIUS
 
-    # every radius chi accepts builds the entries out to MIN_TAIL_RADIUS
-    near = where is not None and max(where) <= MIN_TAIL_RADIUS
     remedy = ("at which this modulus is out of reach"
-              if args.radius <= MIN_TAIL_RADIUS or near
+              if args.radius <= MIN_TAIL_RADIUS  # no radius chi accepts is less
               else "so rerun with a smaller --radius")
-    bits = "the bits it picks" if where is None else "%d bits" % args.precision
-    return "; chi builds its table at %s, %s" % (bits, remedy)
-
-
-def _build(args, k):
-    """build_table(k, --radius, corr's --precision), keeping its bits on args."""
-    bits = getattr(args, "precision", None)
-    args.precision = _plan(k, args.radius, bits).precision
-    return build_table(k, args.radius, bits)
+    bits = "%d bits" % exc.bits if exc.bits else "the bits it picks"
+    return "%s; chi builds its table at %s, %s" % (exc, bits, remedy)
 
 
 def build_parser():
@@ -151,12 +148,22 @@ def _apply_config(args, path):
 
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
-    write_corr_csv(args.out, _build(args, args.k))
+    table = build_table(args.k, args.radius, args.precision)
+    tiny = next(((name, m, n, fam[n][m]) for n in range(args.radius + 1)
+                 for name, fam in (("C", table.C), ("Cbar", table.C_bar))
+                 if min(fam[n][:n + 1]) < sys.float_info.min  # C(0..n, n)
+                 for m in range(n + 1) if fam[n][m] < sys.float_info.min), None)
+    if tiny is not None:  # 17 digits need a normal double
+        raise FloatingPointError(
+            "%s(%d, %d) = %.3g is below the smallest normal double, too small "
+            "for 17 digits; every entry stays normal out to --radius %d"
+            % (*tiny, tiny[2] - 1))
+    write_corr_csv(args.out, table)
     return 0
 
 
 def _cmd_chi(args):
-    from .chi import MIN_TAIL_RADIUS, EstimationError, chi_grid, find_peaks
+    from .chi import MIN_TAIL_RADIUS, chi_grid, find_peaks
     from .frustrated import FrustratedModel
     from .quasiperiodic import FibonacciSpec, autocorrelation, sign_sequence
 
@@ -172,7 +179,7 @@ def _cmd_chi(args):
     if args.source == "frustrated":
         _require(args, "S", "version")
         model = FrustratedModel(S=args.S, version=args.version)
-        source = ("frustrated", model, _build(args, model.k))
+        source = ("frustrated", model, build_table(model.k, args.radius))
     else:  # uniform, or gauge: uniform weighted by a sign sequence's kappa
         gauge = args.source == "gauge"
         _require(args, "k", *(["j"] if gauge else []))
@@ -183,25 +190,17 @@ def _cmd_chi(args):
                 "on `corr`)" % args.k)
         if gauge:  # a bad --gamma is refused before the build, as --k is
             spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-        source = ("uniform", _build(args, args.k))
+        source = ("uniform", build_table(args.k, args.radius))
         if gauge:
             source = ("gauge", source[1], autocorrelation(
                 sign_sequence(spec, GAUGE_WINDOW), args.radius + 1))
 
-    try:
-        grid = chi_grid(source, nx, ny, args.radius)
-        write_chi_csv(args.out, grid)
-        if args.pgm is not None:
-            write_pgm(args.pgm, grid)
-        if args.peaks is not None:
-            write_peaks_csv(args.peaks, find_peaks(grid))
-    except MemoryError:
-        print("error: a %dx%d grid does not fit in memory; pick a smaller "
-              "--grid" % (nx, ny), file=sys.stderr)
-        return 1
-    except EstimationError as exc:  # before any file is written
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    grid = chi_grid(source, nx, ny, args.radius)  # the tail fit fails first
+    write_chi_csv(args.out, grid)
+    if args.pgm is not None:
+        write_pgm(args.pgm, grid)
+    if args.peaks is not None:
+        write_peaks_csv(args.peaks, find_peaks(grid))
     return 0
 
 
@@ -212,14 +211,9 @@ def _cmd_fib(args):
     if args.count <= 0:
         raise UsageError("count must be positive")
     spec = FibonacciSpec(j=args.j, gamma=args.gamma or 0.0)
-    try:
-        values = (sign_sequence(spec, args.count) if args.signs
-                  else fib_bits(spec, args.count))
-        print("\n".join(str(int(v)) for v in values))
-    except MemoryError:
-        print("error: %d terms do not fit in memory; pick a smaller --count"
-              % args.count, file=sys.stderr)
-        return 1
+    values = (sign_sequence(spec, args.count) if args.signs
+              else fib_bits(spec, args.count))
+    print("\n".join(str(int(v)) for v in values))
     return 0
 
 
@@ -235,12 +229,12 @@ def _cmd_verify(args):
 
 
 def run(argv=None):
+    """One command line; one handler per exit code prints each failure's
+    line: 2 for usage, config, domain and file errors, 1 for a computation's
+    (ArithmeticError, which PrecisionExhausted and EstimationError are)."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help, or a usage error argparse printed
-        return exc.code
-    try:
         if args.config is not None:
             _apply_config(args, args.config)
         if args.subcommand is None:
@@ -260,12 +254,13 @@ def run(argv=None):
                     named[os.path.realpath(path)], flag, path))
         commands = {"corr": _cmd_corr, "chi": _cmd_chi, "fib": _cmd_fib}
         return commands.get(args.subcommand, _cmd_verify)(args)
+    except SystemExit as exc:  # --help, or a usage error argparse printed
+        return exc.code
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except PrecisionExhausted as exc:
-        print("error: %s%s" % (exc, _precision_advice(args, exc.where)),
-              file=sys.stderr)
+    except (ArithmeticError, MemoryError) as exc:
+        print("error: %s" % _failure(args, exc), file=sys.stderr)
         return 1
 
 

@@ -58,17 +58,18 @@ _DIVISOR_FLOOR = 1 << _SEED_GUARD_BITS + MIN_DIVISOR_BITS  # at sweep bits
 class PrecisionExhausted(ArithmeticError):
     """The working precision cannot support the requested table.
 
-    Raised, naming the entry, when a seed, 1 - x_n y_n, the march or a swept
-    entry leaves its range, C(n,n) fails to fall, a divisor loses nearly all
-    its bits or the small-k loss estimate leaves too few, or, naming the bits,
-    past the caps on a pick: the remedy is more bits, not a smaller tolerance.
+    Raised with the entry as where, and from build_table the bits that ran
+    out as bits, when a seed, 1 - x_n y_n, the march or a swept entry leaves
+    its range, C(n,n) fails to fall, a divisor loses nearly all its bits or
+    the small-k loss estimate leaves too few; past the caps on a pick, both
+    None, naming the bits.  The remedy is more bits, not a smaller tolerance.
     """
 
     def __init__(self, message, where=None):
         if where is not None:
             message = "%s at (m, n) = (%d, %d)" % (message, where[0], where[1])
         super().__init__(message)
-        self.where = where
+        self.where, self.bits = where, None
 
 
 class TableRangeError(IndexError):
@@ -191,9 +192,6 @@ def diagonal_seeds(plan):
                                   "raise precision_bits", where=(n, n))
 
     num, den = k = plan.k
-    if not 0 < num < den:
-        raise EllipticDomainError("modulus must lie in (0, 1), got %.8g"
-                                  % (num / den))
     a, bits = _symbol_coefficients(k, 1, plan.symbol, plan.diagonal)
     one, seed_bits = 1 << bits, plan.seeds
     shift, d0, d = bits - seed_bits, one, a[0]
@@ -299,9 +297,8 @@ class CorrelationTable(namedtuple("CorrelationTable", "radius C C_bar "
     # no __slots__: the cached property keeps its value in the instance dict
     @cached_property
     def residual_report(self):
-        args = self.k_requested, self.radius, self.precision_bits
-        plan = _plan(*args)
-        return _worst_residual(plan.k, *_integer_table(*args), plan.sweep)
+        plan = _plan(self.k_requested, self.radius, self.precision_bits)
+        return _worst_residual(plan.k, *_integer_table(plan), plan.sweep)
 
 
 def lookup(table, m, n, which="C"):
@@ -395,12 +392,16 @@ def build_table(k, radius, precision_bits=None):
     bits aborts the sweep, each a PrecisionExhausted.  Radius 100 at 512
     bits builds in 0.06 reference s (2-vCPU Xeon VM).
     """
-    bits = _plan(k, radius, precision_bits).precision
-    c, cb, scale = _integer_table(k, radius, bits)
+    plan = _plan(k, radius, precision_bits)
+    try:
+        c, cb, scale = _integer_table(plan)
+    except PrecisionExhausted as exc:
+        exc.bits = plan.precision
+        raise
     C, C_bar = (tuple(memoryview(array("d", row)).toreadonly()
                       for row in _square([[x / scale for x in d] for d in r]))
                 for r in ((cb, c) if float(k) > 1 else (c, cb)))
-    return CorrelationTable(radius, C, C_bar, bits, float(k))
+    return CorrelationTable(radius, C, C_bar, plan.precision, float(k))
 
 
 def _square(r):
@@ -409,12 +410,11 @@ def _square(r):
             for m in range(len(r))]
 
 
-def _integer_table(k, radius, precision_bits=None):
-    """build_table's rounded octant at k or 1/k below 1, unswapped: diagonals
+def _integer_table(plan):
+    """build_table's rounded octant at plan.k, below 1, unswapped: diagonals
     r[d][m] = X(m, m + d) of C and C_bar, and the power of two dividing them."""
-    plan = _plan(k, radius, precision_bits)
     k, bits, n, p = plan.k, plan.sweep, plan.refused, plan.precision
-    if radius >= n:  # n: the first radius the small-k loss estimate rules out
+    if plan.radius >= n:  # the first radius the small-k loss estimate rules out
         raise PrecisionExhausted(
             "estimated small-k loss leaves fewer than %d of %d bits; raise "
             "precision_bits" % (MIN_DIVISOR_BITS, bits), where=(max(n - 2, 0), n))
@@ -425,7 +425,7 @@ def _integer_table(k, radius, precision_bits=None):
     # x -> floor(x 2^bits), k -> kn / 2^g; products are exact, so each swept
     # entry is rounded once, by the floor division.  rc[d][m] = C(m, m + d);
     # cl = C(m - 1, m + d - 1) is the entry just made, C(1, d - 1) at m = 0
-    one, size, shift = 1 << bits, radius + 1, diag[2] - bits
+    one, size, shift = 1 << bits, plan.radius + 1, diag[2] - bits
     (kn, g), tiny = _odd_part(_fixed(k, bits), bits), _DIVISOR_FLOOR
 
     def rounded(x):  # half to even, to p significant bits

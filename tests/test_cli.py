@@ -1,5 +1,7 @@
 import argparse
+import ast
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -118,8 +120,7 @@ def _picks_256(monkeypatch):
     def at_256(k, radius, precision_bits=None):
         return plan(k, radius, 256 if precision_bits is None else precision_bits)
 
-    for module in (correlations, cli):
-        monkeypatch.setattr(module, "_plan", at_256)
+    monkeypatch.setattr(correlations, "_plan", at_256)
 
 
 _LOSS = ("error: estimated small-k loss leaves fewer than 8 of 320 bits; "
@@ -155,14 +156,12 @@ def test_precision_errors_name_a_flag(argv, message, advice, tmp_path, capsys,
     # the small-k loss estimate refuses each before any work, and names the
     # first radius it rules out
     ("1e-30", "4", "(0, 2)"), ("1e-20", "4", "(1, 3)"),
-    ("1e-300", "4", "(0, 1)"), ("1e-30", "6", "(0, 2)"),
-    ("1e-300", "8", "(0, 1)")])
+    ("1e-300", "4", "(0, 1)")])
 def test_chi_precision_error_no_radius_avoids(k, radius, where, tmp_path,
                                               capsys, monkeypatch):
     # no --radius below 4 is accepted, and every accepted radius builds the
     # failing entry, so the advice is that 256 bits cannot reach the modulus
-    # at 256 bits (_picks_256); the plan picks 541 bits or more for these,
-    # and refuses (1e-300, 8) past its cap
+    # at 256 bits (_picks_256); the plan picks 541 bits or more for these
     _picks_256(monkeypatch)
     out = tmp_path / "x.csv"
     assert run(["chi", "uniform", "--k", k, "--radius", radius, "--grid",
@@ -209,6 +208,29 @@ def test_corr_picks_its_own_bits(tmp_path):
     assert run(argv + [str(out)]) == 0
     assert run(argv + [str(deep), "--precision", str(379 + 128)]) == 0
     assert out.read_bytes() == deep.read_bytes()
+
+
+@pytest.mark.parametrize("k, radius, first, normal", [
+    # C(1, 2) and C(3, 4) print 0, and C(153, 154) is subnormal
+    ("1e-300", 4, "C(1, 2) = 0", 1), ("1e-100", 8, "C(3, 4) = 0", 3),
+    ("0.01", 160, "C(153, 154) = 4.54e-309", 153)],
+    ids=["1e-300-4", "1e-100-8", "0.01-160"])
+def test_corr_refuses_entries_below_double_range(k, radius, first, normal,
+                                                 tmp_path, capsys):
+    # a double below the smallest normal one cannot hold 17 digits; corr
+    # once printed them, exit 0
+    out = tmp_path / "x.csv"
+    assert run(["corr", "--k", k, "--radius", str(radius), "--out",
+                str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: %s is below the smallest normal double, too small for 17 "
+        "digits; every entry stays normal out to --radius %d\n"
+        % (first, normal))
+    assert not out.exists()
+    if k == "0.01":  # out to radius 150, every entry is normal
+        assert run(["corr", "--k", k, "--radius", "150", "--out",
+                    str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 151 * 152 // 2
 
 
 @pytest.mark.parametrize("k, radius, bits", [
@@ -719,6 +741,47 @@ def test_shared_parser_keeps_no_gamma(tmp_path):
     fresh = (tmp_path / "fresh.csv").read_bytes()
     assert (tmp_path / "after.csv").read_bytes() == fresh
     assert (tmp_path / "half.csv").read_bytes() != fresh
+
+
+@pytest.mark.parametrize("argv", [
+    ["corr", "--k", "0.5", "--radius", "8"],
+    ["chi", "uniform", "--k", "0.5", "--radius", "8", "--grid", "4x4"]],
+    ids=["corr", "chi-uniform"])
+def test_a_build_is_planned_once(argv, tmp_path, monkeypatch):
+    # the build plans its bits, and nothing else in the command re-plans
+    plans, plan = [], correlations._plan
+
+    def counted(*args):
+        plans.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(correlations, "_plan", counted)
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    assert plans == [(0.5, 8, None)]
+
+
+def test_cli_imports_no_private_name_from_correlations():
+    # the precision plan's bits reach the CLI through build_table and
+    # PrecisionExhausted only
+    names = [alias.name for node in ast.walk(ast.parse(inspect.getsource(cli)))
+             if isinstance(node, ast.ImportFrom)
+             and node.module == "correlations" for alias in node.names]
+    assert "build_table" in names
+    assert [name for name in names if name.startswith("_")] == []
+
+
+def test_out_of_memory_in_a_corr_build_is_one_line(tmp_path, monkeypatch,
+                                                   capsys):
+    # once a traceback out of run(); never allocate a table that large here
+    def no_memory(plan):
+        raise MemoryError()
+
+    monkeypatch.setattr(correlations, "_integer_table", no_memory)
+    out = tmp_path / "x.csv"
+    assert run(["corr", "--k", "0.5", "--radius", "4", "--out",
+                str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+    assert not out.exists()
 
 
 def test_oversized_grid_fails_in_one_line(tmp_path, monkeypatch, capsys):

@@ -50,9 +50,9 @@ def _entry(x, scale):
 
 
 def _squares(k, *args):
-    """_integer_table(k, *args) as full symmetric squares, the families
+    """_integer_table(_plan(k, *args)) as full symmetric squares, the families
     swapped above k = 1 as build_table's are: (C, C_bar, scale)."""
-    c, cb, scale = _integer_table(k, *args)
+    c, cb, scale = _integer_table(_plan(k, *args))
     return (*map(correlations._square, (cb, c) if k > 1 else (c, cb)), scale)
 
 
@@ -227,9 +227,18 @@ def test_a_pick_past_the_caps_is_refused_before_any_work(k, radius, bits,
     with pytest.raises(PrecisionExhausted, match="^17 right digits need") as err:
         build_table(k, radius)
     assert time.perf_counter() - start < 1
-    assert err.value.where is None
+    assert err.value.where is err.value.bits is None
     if bits is not None:
         assert str(err.value).startswith("17 right digits need %d bits" % bits)
+
+
+@pytest.mark.parametrize("k, radius, where", [
+    (0.05, 48, (35, 37)), (0.5, 120, (72, 120))], ids=["refused", "swept"])
+def test_exhausted_precision_records_its_bits(k, radius, where):
+    # the build, which made the plan, records the bits that ran out
+    with pytest.raises(PrecisionExhausted) as err:
+        build_table(k, radius, 256)
+    assert (err.value.where, err.value.bits) == (where, 256)
 
 
 def test_seed_corruption_detected():
@@ -513,8 +522,8 @@ def test_sweep_keeps_its_guard_bits(k, radius, bits, rounded_sweep_log2):
     # rounded_sweep_log2 is the worst relative error of an mpf sweep that
     # rounds every step to precision_bits; the fixed-point sweep keeps the
     # seeds' guard bits and must beat it by 50 bits
-    table = _integer_table(k, radius, bits)
-    deep = _integer_table(k, radius, 2 * bits)
+    table = _integer_table(_plan(k, radius, bits))
+    deep = _integer_table(_plan(k, radius, 2 * bits))
     assert _worst_log2_error(table, deep, 2 * bits) <= rounded_sweep_log2 - 50
 
 
@@ -523,7 +532,7 @@ def _forms_disagree(k, radius):
     the octant of build_table(k, radius): the float numerators on its
     doubles, whose units are 1.0, against the fixed-point numerators on its
     integers over o 2^2G (o 2^3G for the star)."""
-    (C, C_bar, scale), bits = _integer_table(k, radius), 256 + 64
+    (C, C_bar, scale), bits = _integer_table(_plan(k, radius)), 256 + 64
     inner = sorted(k.as_integer_ratio())
     one, kf = 1 << bits, _fixed(inner, bits)
     kn, g = _odd_part(kf, bits)
@@ -555,7 +564,8 @@ def test_identity_forms_agree():
 
 def test_residual_report_scans_stored_entries():
     # the report scans the integers that the stored doubles were divided from
-    table, (C, C_bar, scale) = build_table(0.5, 12), _integer_table(0.5, 12)
+    table = build_table(0.5, 12)
+    C, C_bar, scale = _integer_table(_plan(0.5, 12))
     bits = 256 + 64
     k = (1, 2)
     assert table.residual_report == _worst_residual(k, C, C_bar, scale, bits)
@@ -629,7 +639,7 @@ def test_rows_hold_eight_bytes_an_entry():
                          [(2.0, 8, 256), (3.0, 10, 128), (0.3, 10, 53)])
 def test_lazy_report_undoes_the_swap(k, radius, precision_bits):
     table = build_table(k, radius, precision_bits)
-    C, C_bar, scale = _integer_table(k, radius, precision_bits)
+    C, C_bar, scale = _integer_table(_plan(k, radius, precision_bits))
     bits = precision_bits + 64
     inner = (1, int(k)) if k > 1 else k.as_integer_ratio()
     # the integer stage is unswapped, at the inner modulus
@@ -758,7 +768,7 @@ CORRUPT_REPORTS = [
                               "Cbar-recurrence"])
 def test_worst_residual_is_pinned_on_corrupt_copies(family, where, edit,
                                                     report):
-    C, C_bar, scale = _integer_table(0.99, 24)
+    C, C_bar, scale = _integer_table(_plan(0.99, 24))
     fams = {"C": [list(d) for d in C], "Cbar": [list(d) for d in C_bar]}
     (i, j), fam = where, fams[family]
     fam[j - i][i] = edit(fam[j - i][i])
@@ -966,7 +976,8 @@ def test_plan_loss_covers_the_measured_loss(k, radius):
         return
     p = plan.precision
     assert (radius + 1) ** 2 * p <= correlations.MAX_PICKED_TABLE_BITS
-    table, deep = _integer_table(k, radius), _integer_table(k, radius, p + 128)
+    table = _integer_table(plan)
+    deep = _integer_table(_plan(k, radius, p + 128))
     shift = deep[2].bit_length() - table[2].bit_length()
     right = min(y.bit_length() - abs((x << shift) - y).bit_length() - 1
                 for fam, fam_deep in zip(table[:2], deep[:2])
@@ -990,7 +1001,7 @@ def test_seeds_build_the_levinson_tables(args, monkeypatch):
     # and location, with its seeds from the recurrences or from the minors
     def build():
         try:
-            return _integer_table(*args)
+            return _integer_table(_plan(*args))
         except PrecisionExhausted as err:
             return err.where
 

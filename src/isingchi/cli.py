@@ -149,15 +149,15 @@ def _apply_config(args, path):
 def _cmd_corr(args):
     _require(args, "k", "radius", "out")
     table = build_table(args.k, args.radius, args.precision)
-    tiny = next(((name, m, n, fam[n][m]) for n in range(args.radius + 1)
-                 for name, fam in (("C", table.C), ("Cbar", table.C_bar))
-                 if min(fam[n][:n + 1]) < sys.float_info.min  # C(0..n, n)
-                 for m in range(n + 1) if fam[n][m] < sys.float_info.min), None)
-    if tiny is not None:  # 17 digits need a normal double
-        raise FloatingPointError(
-            "%s(%d, %d) = %.3g is below the smallest normal double, too small "
-            "for 17 digits; every entry stays normal out to --radius %d"
-            % (*tiny, tiny[2] - 1))
+    for n in range(args.radius + 1):  # 17 digits need a normal double
+        for name, fam in (("C", table.C), ("Cbar", table.C_bar)):
+            if min(fam[n][:n + 1]) < sys.float_info.min:  # C(0..n, n)
+                m = next(m for m in range(n + 1)
+                         if fam[n][m] < sys.float_info.min)
+                raise FloatingPointError(
+                    "%s(%d, %d) = %.3g is below the smallest normal double, "
+                    "too small for 17 digits; every entry stays normal out to "
+                    "--radius %d" % (name, m, n, fam[n][m], n - 1))
     write_corr_csv(args.out, table)
     return 0
 

@@ -229,9 +229,9 @@ def _cmd_verify(args):
 
 
 def run(argv=None):
-    """One command line; one handler per exit code prints each failure's
-    line: 2 for usage, config, domain and file errors, 1 for a computation's
-    (ArithmeticError, which PrecisionExhausted and EstimationError are)."""
+    """Run one command line, returning its exit code; one handler per code
+    prints the line: 2 for usage, config, domain and file errors, 1 for an
+    ArithmeticError (PrecisionExhausted, EstimationError) or MemoryError."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)
